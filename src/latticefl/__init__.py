@@ -14,12 +14,13 @@ from .errors import (
     ConfigError,
     HypothesisViolated,
     LatticeflError,
+    NonFiniteInput,
     OffLattice,
     OverflowSuspected,
     SamplerStall,
 )
 from .lattice import LatticeSpec, decode, encode, phi_q, phi_q_vec, wrap_centered
-from .secagg import derive_masks, mask_and_wrap, server_aggregate, split_noise, wire_modulus
+from .secagg import aggregate_round, derive_masks, server_aggregate, split_integer, wire_modulus
 from .simulate import (
     ConvergenceReport,
     GlobalModel,

@@ -149,7 +149,6 @@ def empirical_mse(
     rotated = np.stack([compress.rotate(c, rs) for c in clipped])
 
     dist = DiscreteGaussian(sigma_units * spec.step, spec) if sigma_units > 0 else None
-    wire_q = secagg.wire_modulus(spec.q, m)
     participants = list(range(m))
 
     total_sq = 0.0
@@ -161,16 +160,11 @@ def empirical_mse(
             noise_z = dist.sample(np.random.default_rng(children[1]), d_pad)
         else:
             noise_z = np.zeros(d_pad, dtype=np.int64)
-        masks = secagg.derive_masks(round_seed, participants, d_pad, wire_q)
-        payloads = []
-        for rank in range(m):
-            rng = np.random.default_rng(children[2 + rank])
-            z = compress.quantize(rotated[rank], spec, rng)
-            plain = z * m + secagg.split_noise(noise_z, m, rank)
-            add = [mk.values for mk in masks if mk.sender == rank]
-            sub = [mk.values for mk in masks if mk.receiver == rank]
-            payloads.append(secagg.mask_and_wrap(plain, add, sub, wire_q))
-        agg = secagg.server_aggregate(payloads, m, wire_q, spec)
+        quantized = np.stack([
+            compress.quantize(rotated[rank], spec, np.random.default_rng(children[2 + rank]))
+            for rank in range(m)
+        ])
+        agg, _ = secagg.aggregate_round(quantized, noise_z, participants, round_seed, spec)
         estimate = compress.unrotate(agg, rs, d)
         diff = estimate - reference
         total_sq += float(diff @ diff)

@@ -78,7 +78,7 @@ def cmd_mse_bench(cfg: ExperimentConfig) -> int:
     ]
     rows = []
     for index, (d, n, k, q, su, gamma, g_max) in enumerate(grid.cells()):
-        spec = LatticeSpec(g_max=g_max, k=k, q=q, split_denominator=n)
+        spec = LatticeSpec(g_max=g_max, k=k, q=q)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, index, 0]))
         updates = rng.normal(size=(n, d))
         updates /= np.linalg.norm(updates, axis=1, keepdims=True)

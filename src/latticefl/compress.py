@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteInput
 from .lattice import LatticeSpec
 
 
@@ -98,9 +99,13 @@ def quantize(v: np.ndarray, spec: LatticeSpec, rng: np.random.Generator) -> np.n
     Coordinates are first clamped to ``[-g_max, g_max]``; the rotation's
     concentration bound makes the clamp a measure-delta event when
     ``g_max`` is chosen per :func:`default_g_max`.  Returns lattice-step
-    integers in ``[-(k-1)/2, (k-1)/2]``.
+    integers in ``[-(k-1)/2, (k-1)/2]``.  Raises NonFiniteInput on a NaN or
+    infinite coordinate, whose integer cast would be garbage.
     """
-    v = np.clip(np.asarray(v, dtype=float), -spec.g_max, spec.g_max)
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise NonFiniteInput("quantizer input has NaN or infinite coordinates")
+    v = np.clip(v, -spec.g_max, spec.g_max)
     step = spec.step
     low = np.floor((v + spec.g_max) / step).astype(np.int64)
     np.clip(low, 0, spec.k - 2, out=low)

@@ -153,9 +153,16 @@ def _parse_bool(raw: str, where: str) -> bool:
     raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
 
 
+def _finite(value, where: str):
+    """Reject NaN and infinities, which would otherwise reach the integer domain."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+    return value
+
+
 def _parse_list(raw: str, kind, where: str) -> tuple:
     try:
-        return tuple(kind(item.strip()) for item in raw.split(",") if item.strip())
+        return tuple(_finite(kind(item.strip()), where) for item in raw.split(",") if item.strip())
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -170,7 +177,7 @@ def _section(parser: configparser.ConfigParser, name: str) -> dict:
             raise ConfigError(f"unknown key {key!r} in section [{name}]")
         kind = _SCHEMA[name][key]
         try:
-            out[key] = kind(raw) if kind is not str else raw.strip()
+            out[key] = _finite(kind(raw) if kind is not str else raw.strip(), f"[{name}] {key}")
         except ValueError:
             raise ConfigError(f"[{name}] {key}: cannot parse {raw!r} as {kind.__name__}") from None
     return out
@@ -247,7 +254,7 @@ def _round_config(proto: dict, seed: int) -> RoundConfig:
     if missing:
         raise ConfigError(f"[protocol] missing keys: {', '.join(missing)}")
     g_max_raw = proto.get("g_max", "auto")
-    g_max = None if g_max_raw.lower() == "auto" else float(g_max_raw)
+    g_max = None if g_max_raw.lower() == "auto" else _finite(float(g_max_raw), "[protocol] g_max")
     batch_raw = proto.get("batch_size", "full")
     batch = None if batch_raw.lower() == "full" else int(batch_raw)
     return RoundConfig(
@@ -319,8 +326,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"sigma_units must be positive, got {p.sigma_units}")
         if p.count < 0:
             raise ConfigError(f"count must be >= 0, got {p.count}")
-    if cfg.mode == "train" and math.isnan(cfg.round_config.sigma):
-        raise ConfigError("sigma must be a number")
 
 
 def format_real(x: float) -> str:

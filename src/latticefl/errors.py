@@ -9,6 +9,10 @@ class OffLattice(LatticeflError):
     """A real value could not be identified with a lattice point."""
 
 
+class NonFiniteInput(LatticeflError):
+    """A NaN or infinite value was about to be mapped to integers."""
+
+
 class SamplerStall(LatticeflError):
     """The rejection sampler exceeded its iteration cap.
 

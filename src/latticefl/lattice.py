@@ -6,10 +6,9 @@ lattice steps; vectors are int64 numpy arrays.  Real numbers appear only
 at the encode/decode boundary, so all modular arithmetic downstream is
 exact.
 
-Wire values use the "fine" lattice refined by ``split_denominator`` so
-that one shared noise draw can be split into exactly-summing integer
-shares (see :mod:`latticefl.secagg`).  A coarse point ``z`` embeds into
-the fine lattice as ``z * split_denominator``.
+Quantized updates, noise shares, masks and wire payloads all count the
+same lattice steps; only the modulus of the wrap differs (the coarse
+group of size ``q`` here, the wire group in :mod:`latticefl.secagg`).
 """
 
 from __future__ import annotations
@@ -44,15 +43,11 @@ class LatticeSpec:
     q:
         Odd modulus of the coarse cyclic group (the wrap
         :func:`phi_q` maps onto ``{z : |z| <= (q - 1) / 2}``).
-    split_denominator:
-        Number of exactly-summing shares one noise draw is split into
-        (the per-round participant count in protocol use).
     """
 
     g_max: float
     k: int
     q: int
-    split_denominator: int = 1
 
     def __post_init__(self):
         if self.g_max <= 0:
@@ -65,11 +60,6 @@ class LatticeSpec:
             )
         if self.q < 1 or self.q % 2 == 0:
             raise ValueError(f"q must be a positive odd integer, got {self.q}")
-        if self.split_denominator < 1:
-            raise ValueError(
-                f"split_denominator must be >= 1, got {self.split_denominator}"
-            )
-        ensure_accumulator_headroom(self.split_denominator**2, self.q)
 
     @property
     def step(self) -> float:

@@ -1,18 +1,22 @@
-"""Simulated pairwise-mask secure aggregation on the fine lattice.
+"""Simulated pairwise-mask secure aggregation on the quantization lattice.
+
+Every value here is an integer count of lattice steps.  Each client adds
+its exact integer share of one shared discrete-Gaussian draw to its
+quantized row (the shares sum to the draw, so the aggregate carries one
+noise sample per coordinate, never a sum of independent ones) and sends
+the result in the wire group of size ``m q`` (rounded up to odd), so a
+payload coordinate takes ``ceil(log2(m q + 1))`` bits.  The group leaves
+about ``m (q - k) / 2`` steps of room for the draw above the largest sum
+of ``m`` quantized rows; the run's plan bounds the chance that the draw
+exceeds it.
 
 Each unordered client pair derives an identical uniform mask vector from
-the round seed; the lower-id client adds it, the higher-id client
-subtracts it, so masks cancel bit-exactly in the modular sum and the
-server learns nothing but the total.  The shared discrete-Gaussian draw
-is split into integer shares that sum exactly to the full draw, so the
-aggregate carries one noise sample per coordinate, never a sum of
-independent ones.
-
-All values here are fine-lattice integers: ``split_denominator`` fine
-units per lattice step, so a coarse point ``z`` enters as
-``z * split_denominator``.  Key agreement, dropout recovery, and
-malicious-party defenses are out of scope; the participant set is fixed
-within a round.
+the round seed, as in Bonawitz et al., *Practical Secure Aggregation for
+Privacy-Preserving Machine Learning* (CCS 2017); the lower-id client adds
+it, the higher-id client subtracts it, so masks cancel bit-exactly in the
+modular sum and the server learns nothing but the total.  Key agreement,
+dropout recovery, and malicious-party defenses are out of scope; the
+participant set is fixed within a round.
 """
 
 from __future__ import annotations
@@ -26,19 +30,22 @@ from .lattice import LatticeSpec, ensure_accumulator_headroom, wrap_centered
 
 
 def wire_modulus(q: int, m: int) -> int:
-    """Group size (in fine units) carrying the masked payloads.
+    """Group size (in lattice steps) carrying the masked payloads.
 
     The per-client coarse group of size ``q`` expands by the participant
-    count ``m`` so the plaintext sum cannot wrap, and by ``m`` again for
-    the fine-unit refinement; the result is rounded up to odd so the
-    centered wrap is symmetric.
+    count ``m`` so the plaintext sum cannot wrap; the result is rounded up
+    to odd so the centered wrap is symmetric.  Raises ConfigError when
+    ``m + 1`` wire values (a payload plus its ``m - 1`` masks, or the
+    server's sum) could overflow the int64 accumulators.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError(f"q must be a positive odd integer, got {q}")
     if m < 1:
         raise ValueError(f"participant count must be >= 1, got {m}")
-    wide = m * m * q
-    return wide if wide % 2 else wide + 1
+    wide = m * q
+    wire_q = wide if wide % 2 else wide + 1
+    ensure_accumulator_headroom(m + 1, wire_q)
+    return wire_q
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,7 @@ def derive_masks(
 
 
 def split_integer(v, m: int) -> np.ndarray:
-    """Split fine-unit integers into ``m`` integer shares summing exactly.
+    """Split integers into ``m`` integer shares summing exactly.
 
     Euclidean quotient plus one extra unit for the first ``v mod m``
     ranks (remainder taken in ``[0, m)``).  ``v`` may be a scalar or a
@@ -98,36 +105,37 @@ def split_integer(v, m: int) -> np.ndarray:
     return base + (ranks < remainder)
 
 
-def split_noise(noise_z: np.ndarray, m: int, rank: int) -> np.ndarray:
-    """Rank ``rank``'s fine-unit share of a coarse noise draw.
+def aggregate_round(
+    quantized,
+    noise_z: np.ndarray,
+    participants,
+    mask_seed: int | None,
+    spec: LatticeSpec,
+    plaintext_bound: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Noise, mask, wrap and aggregate one round of quantized updates.
 
-    The draw enters the fine lattice as ``z * m``, so shares are exact
-    and the ``m`` ranks reconstruct the full draw coordinatewise.
+    ``quantized`` is the ``(m, d_pad)`` matrix of lattice-step rows, row
+    ``r`` belonging to ``participants[r]``.  Row ``r`` adds share ``r`` of
+    the shared draw ``noise_z``, then every pairwise mask derived from
+    ``mask_seed`` (``None``: unmasked), and wraps into the wire group.
+    Returns the recovered mean (see :func:`server_aggregate`) and the
+    ``(m, d_pad)`` payload matrix.  The recovered mean does not depend
+    on the masks.
     """
-    if not 0 <= rank < m:
-        raise ValueError(f"rank must be in [0, {m}), got {rank}")
-    fine = np.asarray(noise_z, dtype=np.int64) * m
-    base = fine // m
-    remainder = fine - base * m
-    return base + (rank < remainder)
-
-
-def mask_and_wrap(
-    noised_fine: np.ndarray, masks_in, masks_out, wire_q: int
-) -> np.ndarray:
-    """One client's wire payload: wrap, add incoming masks, subtract
-    outgoing masks, wrap again.
-
-    The inner wrap is redundant whenever the plaintext is already in
-    range but is kept so the wire value matches the protocol definition
-    bit for bit.
-    """
-    acc = wrap_centered(np.asarray(noised_fine, dtype=np.int64), wire_q)
-    for mask in masks_in:
-        acc = acc + mask
-    for mask in masks_out:
-        acc = acc - mask
-    return wrap_centered(acc, wire_q)
+    quantized = np.asarray(quantized, dtype=np.int64)
+    m, d_pad = quantized.shape
+    if len(participants) != m:
+        raise ValueError(f"expected {m} participant ids, got {len(participants)}")
+    wire_q = wire_modulus(spec.q, m)
+    plain = quantized + split_integer(noise_z, m)
+    if mask_seed is not None:
+        row = {cid: r for r, cid in enumerate(participants)}
+        for mask in derive_masks(mask_seed, participants, d_pad, wire_q):
+            plain[row[mask.sender]] += mask.values
+            plain[row[mask.receiver]] -= mask.values
+    payloads = wrap_centered(plain, wire_q)
+    return server_aggregate(payloads, m, wire_q, spec, plaintext_bound), payloads
 
 
 def server_aggregate(
@@ -139,27 +147,25 @@ def server_aggregate(
 ) -> np.ndarray:
     """Recover the averaged aggregate from the masked payloads.
 
-    Sums mod ``wire_q``, recenters, converts fine units to real values,
+    Sums mod ``wire_q``, recenters, converts lattice steps to real values,
     and divides by ``m``.  Equals ``(sum quantized + noise) / m`` exactly
     whenever the plaintext sum stayed inside the group.  When
-    ``plaintext_bound`` (fine units) is given, any recovered coordinate
+    ``plaintext_bound`` (lattice steps) is given, any recovered coordinate
     beyond it raises OverflowSuspected: a wrapped sum, i.e. a bug or an
     inconsistent configuration, never statistical noise at the validated
     settings.
     """
-    payloads = [np.asarray(p, dtype=np.int64) for p in payloads]
-    if len(payloads) != m:
-        raise ValueError(f"expected {m} payloads, got {len(payloads)}")
-    lengths = {p.size for p in payloads}
-    if len(lengths) != 1:
-        raise ValueError(f"payloads disagree on length: {sorted(lengths)}")
+    payloads = np.asarray(payloads, dtype=np.int64)  # ValueError when ragged
+    if payloads.ndim != 2 or payloads.shape[0] != m:
+        raise ValueError(f"expected {m} equal-length payloads, got shape {payloads.shape}")
     ensure_accumulator_headroom(m + 1, wire_q)
-    total = wrap_centered(np.sum(payloads, axis=0, dtype=np.int64), wire_q)
+    total = wrap_centered(payloads.sum(axis=0), wire_q)
     if plaintext_bound is not None and int(np.abs(total).max(initial=0)) > plaintext_bound:
         raise OverflowSuspected(
             f"recovered coordinate magnitude {int(np.abs(total).max())} exceeds "
             f"plaintext bound {plaintext_bound}"
         )
-    # m is the fine-unit refinement (spec.split_denominator in protocol use).
-    fine_unit = spec.step / m
-    return total * fine_unit / m
+    # Not total * step / m: the pinned output digests were made with this
+    # order of float operations, and the plain form differs from it in the
+    # last bit on many coordinates.
+    return (total * m) * (spec.step / m) / m

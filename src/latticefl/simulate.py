@@ -24,7 +24,7 @@ from . import bounds, compress, secagg
 from .accountant import AccountantState
 from .dgauss import DiscreteGaussian
 from .errors import ConfigError
-from .lattice import LatticeSpec, ensure_accumulator_headroom
+from .lattice import LatticeSpec
 from .tasks import LocalTrainerSpec, Task, make_task
 
 # Seed-derivation domains (second entry of every SeedSequence).
@@ -145,12 +145,12 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
             f"q={cfg.q} must be >= k={cfg.k} so the quantizer grid fits the coarse group"
         )
     g_max = cfg.g_max if cfg.g_max is not None else compress.default_g_max(cfg.clip_bound, cfg.n, d_pad)
-    spec = LatticeSpec(g_max=g_max, k=cfg.k, q=cfg.q, split_denominator=m)
+    spec = LatticeSpec(g_max=g_max, k=cfg.k, q=cfg.q)
     wire_q = secagg.wire_modulus(cfg.q, m)
-    ensure_accumulator_headroom((m + 1) * m, wire_q)
 
-    margin_fine = (wire_q - 1) // 2 - m * m * spec.half_levels
-    margin_steps = margin_fine // m
+    # Room, in lattice steps, that the recovered sum leaves for the noise
+    # once the m quantized rows take their largest magnitude.
+    margin_steps = (wire_q - 1) // 2 - m * spec.half_levels
     if cfg.sigma > 0:
         if margin_steps < 1:
             overflow_probability = 1.0
@@ -172,7 +172,7 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
         wire_q=wire_q,
         sensitivity=compress.sensitivity(cfg.clip_bound, d_pad, cfg.k),
         noise_margin_steps=max(0, margin_steps),
-        plaintext_bound=m * m * spec.half_levels + m * max(0, margin_steps),
+        plaintext_bound=m * spec.half_levels + max(0, margin_steps),
         overflow_probability=overflow_probability,
     )
 
@@ -203,7 +203,7 @@ def run_round(
     full_grad = plan.task.full_gradient(model.w) if record_gradient else None
 
     ids = subsample_clients(cfg.n, cfg.gamma, np.random.SeedSequence([master, _DOM_SUBSAMPLE, round_index]))
-    raw, clipped, rotated = [], [], []
+    raw, clipped, quantized = [], [], []
     for cid in ids:
         rng = np.random.default_rng(np.random.SeedSequence([master, _DOM_LOCAL, round_index, int(cid)]))
         local_w = plan.task.local_update(model.w, int(cid), cfg.local, rng)
@@ -211,7 +211,9 @@ def run_round(
         raw.append(g)
         c = compress.clip(g, cfg.clip_bound)
         clipped.append(c)
-        rotated.append(compress.rotate(c, plan.rotation))
+        qrng = np.random.default_rng(np.random.SeedSequence([master, _DOM_QUANTIZE, round_index, int(cid)]))
+        quantized.append(compress.quantize(compress.rotate(c, plan.rotation), spec, qrng))
+    quantized = np.stack(quantized)
 
     if cfg.sigma > 0:
         noise_rng = np.random.default_rng(np.random.SeedSequence([master, _DOM_NOISE, round_index]))
@@ -219,24 +221,10 @@ def run_round(
     else:
         noise_z = np.zeros(plan.d_pad, dtype=np.int64)
 
-    if use_masks:
-        mask_seed = _derived_int(master, _DOM_MASKS) + round_index
-        masks = secagg.derive_masks(mask_seed, [int(i) for i in ids], plan.d_pad, plan.wire_q)
-    else:
-        masks = []
-
-    payloads = []
-    quantized_sum = np.zeros(plan.d_pad, dtype=np.int64)
-    for rank, cid in enumerate(ids):
-        qrng = np.random.default_rng(np.random.SeedSequence([master, _DOM_QUANTIZE, round_index, int(cid)]))
-        z = compress.quantize(rotated[rank], spec, qrng)
-        quantized_sum += z
-        plain = z * m + secagg.split_noise(noise_z, m, rank)
-        add = [mk.values for mk in masks if mk.sender == int(cid)]
-        sub = [mk.values for mk in masks if mk.receiver == int(cid)]
-        payloads.append(secagg.mask_and_wrap(plain, add, sub, plan.wire_q))
-
-    agg_rotated = secagg.server_aggregate(payloads, m, plan.wire_q, spec, plan.plaintext_bound)
+    mask_seed = _derived_int(master, _DOM_MASKS) + round_index if use_masks else None
+    agg_rotated, payloads = secagg.aggregate_round(
+        quantized, noise_z, [int(i) for i in ids], mask_seed, spec, plan.plaintext_bound
+    )
     estimate = compress.unrotate(agg_rotated, plan.rotation, plan.d)
     new_w = model.w + estimate
     if not np.all(np.isfinite(new_w)):
@@ -249,8 +237,8 @@ def run_round(
         payload_bytes_per_client=bounds.payload_bytes_per_client(m, plan.d_pad, cfg.q),
         aggregate=estimate,
         noise_z=noise_z,
-        payloads=np.stack(payloads),
-        quantized_sum_z=quantized_sum,
+        payloads=payloads,
+        quantized_sum_z=quantized.sum(axis=0),
         round_mse=float(np.sum((estimate - clipped_mean) ** 2)),
         loss=math.nan,
         accuracy=math.nan,

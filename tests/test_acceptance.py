@@ -16,7 +16,7 @@ from latticefl.bounds import MseBoundInputs, comm_cost, empirical_mse, mse_bound
 from latticefl.compress import quantize, sensitivity
 from latticefl.dgauss import DiscreteGaussian, sample_integer_gaussian
 from latticefl.lattice import LatticeSpec, wrap_centered
-from latticefl.secagg import derive_masks, mask_and_wrap, split_noise, wire_modulus
+from latticefl.secagg import aggregate_round, wire_modulus
 from latticefl.simulate import RoundConfig, make_plan, run_training
 from latticefl.tasks import LocalTrainerSpec
 
@@ -91,26 +91,20 @@ def test_05_masked_unmasked_equivalence_and_payload_uniformity():
     rng = np.random.default_rng(5)
     m, d, q = 5, 16, 1001
     wire_q = wire_modulus(q, m)
-    spec = LatticeSpec(g_max=1.0, k=9, q=q, split_denominator=m)
+    spec = LatticeSpec(g_max=1.0, k=9, q=q)
     dist = DiscreteGaussian(1.5 * spec.step, spec)
     mismatches = 0
     pooled = [[] for _ in range(m)]
     for round_seed in range(10**3):
         noise = dist.sample(rng, d)
-        quantized = [rng.integers(-4, 5, size=d).astype(np.int64) for _ in range(m)]
-        plains = [quantized[r] * m + split_noise(noise, m, r) for r in range(m)]
-        masks = derive_masks(round_seed, list(range(m)), d, wire_q)
-        masked_total = np.zeros(d, dtype=np.int64)
-        plain_total = np.zeros(d, dtype=np.int64)
+        quantized = np.stack([rng.integers(-4, 5, size=d) for _ in range(m)])
+        masked_agg, payloads = aggregate_round(quantized, noise, list(range(m)), round_seed, spec)
+        plain_agg, plain_payloads = aggregate_round(quantized, noise, list(range(m)), None, spec)
         for rank in range(m):
-            add = [mk.values for mk in masks if mk.sender == rank]
-            sub = [mk.values for mk in masks if mk.receiver == rank]
-            payload = mask_and_wrap(plains[rank], add, sub, wire_q)
-            pooled[rank].append(payload)
-            masked_total += payload
-            plain_total += mask_and_wrap(plains[rank], [], [], wire_q)
-        if not np.array_equal(wrap_centered(masked_total, wire_q),
-                              wrap_centered(plain_total, wire_q)):
+            pooled[rank].append(payloads[rank])
+        if not (np.array_equal(wrap_centered(payloads.sum(axis=0), wire_q),
+                               wrap_centered(plain_payloads.sum(axis=0), wire_q))
+                and masked_agg.tobytes() == plain_agg.tobytes()):
             mismatches += 1
     pvalues = [gof_pvalue_uniform(np.concatenate(chunks), wire_q) for chunks in pooled]
     ok = mismatches == 0 and all(p > 0.01 for p in pvalues)
@@ -158,7 +152,7 @@ def test_08_mse_bound_compliance():
             for su in (0.5, 1.0):
                 cell += 1
                 d, q, gamma, g_max = 64, 1001, 0.1, 1.0
-                spec = LatticeSpec(g_max=g_max, k=k, q=q, split_denominator=n)
+                spec = LatticeSpec(g_max=g_max, k=k, q=q)
                 rng = np.random.default_rng(800 + cell)
                 updates = rng.normal(size=(n, d))
                 updates /= np.linalg.norm(updates, axis=1, keepdims=True)

@@ -100,7 +100,7 @@ def unit_updates(m, d, seed):
 
 def test_empirical_mse_noiseless_quantization_ceiling():
     m, d = 5, 32
-    spec = LatticeSpec(g_max=1.0, k=2**10 + 1, q=2**10 + 3, split_denominator=m)
+    spec = LatticeSpec(g_max=1.0, k=2**10 + 1, q=2**10 + 3)
     emp = empirical_mse(unit_updates(m, d, 0), spec, 1.0, 0.0, trials=50, seed=1)
     assert emp <= spec.step**2 * d / 4 / m
 
@@ -108,7 +108,7 @@ def test_empirical_mse_noiseless_quantization_ceiling():
 def test_empirical_mse_noise_only():
     # zero updates: the error is exactly the shared draw over m
     m, d = 4, 16
-    spec = LatticeSpec(g_max=1.0, k=9, q=5001, split_denominator=m)
+    spec = LatticeSpec(g_max=1.0, k=9, q=5001)
     su = 1.0
     trials = 400
     emp = empirical_mse(np.zeros((m, d)), spec, 1.0, su, trials=trials, seed=2)
@@ -122,7 +122,7 @@ def test_empirical_mse_noise_only():
 
 def test_empirical_below_bound():
     m, d = 10, 64
-    spec = LatticeSpec(g_max=1.0, k=9, q=1001, split_denominator=m)
+    spec = LatticeSpec(g_max=1.0, k=9, q=1001)
     emp = empirical_mse(unit_updates(m, d, 3), spec, 1.0, 1.0, trials=300, seed=4)
     bound = mse_bound_conservative(
         MseBoundInputs(d=d, n=m, k=9, q=1001, sigma_units=1.0, gamma=0.1, g_max=1.0)

@@ -1,3 +1,4 @@
+import configparser
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,26 @@ trials = 20
     assert main(["mse-bench", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["mse-bench", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("learning_rate", "nan"), ("clip", "inf"), ("clip", "nan"), ("sigma", "inf"), ("g_max", "nan")],
+)
+def test_non_finite_protocol_value_rejected(tmp_path, capsys, key, value):
+    # one key of the stock train config made non-finite: exit 2 with one
+    # error line, before anything runs or is written
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(Path(__file__).resolve().parent.parent / "configs" / "train.cfg")
+    parser["protocol"][key] = value
+    cfg = tmp_path / "bad.cfg"
+    with open(cfg, "w") as fh:
+        parser.write(fh)
+    out = tmp_path / "run.csv"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+    assert not out.exists()
 
 
 def test_invalid_mode_value(tmp_path):

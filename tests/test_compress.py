@@ -14,6 +14,7 @@ from latticefl.compress import (
     sensitivity,
     unrotate,
 )
+from latticefl.errors import NonFiniteInput
 from latticefl.lattice import LatticeSpec
 
 
@@ -162,6 +163,12 @@ def test_quantize_output_in_level_range():
 def test_quantize_clamps_out_of_range():
     z = quantize(np.array([57.0, -57.0]), SPEC, np.random.default_rng(10))
     np.testing.assert_array_equal(z, [SPEC.half_levels, -SPEC.half_levels])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quantize_rejects_non_finite(bad):
+    with pytest.raises(NonFiniteInput):
+        quantize(np.array([0.1, bad]), SPEC, np.random.default_rng(11))
 
 
 def test_sensitivity_at_matched_levels():

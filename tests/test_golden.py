@@ -1,0 +1,62 @@
+"""Golden digests of the CLI outputs on the stock configs.
+
+Rerun tests only show that a run matches itself; these pin the bytes, so
+a refactor that silently changes any number fails here.  A digest may
+change only together with a note in CHANGES.md saying why.
+"""
+
+import configparser
+import hashlib
+from pathlib import Path
+
+from latticefl.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Stock mse-bench grid with fewer trials than configs/mse_bench.cfg, so the
+# whole module stays within a few seconds.
+MSE_TRIALS = 20
+
+GOLDEN = {
+    "train": "1ab35122ed1481c3aac8097060bd77ed2c878f84c0bf710b2c4348768f38f8c2",
+    "mse-bench": "6c0992259f711d5c96fee4313dec7b317e3a64b3f27f23b124866711788bbfee",
+    "sample": "e2cd50852c9fedd200b64e74b5dfd10fa997d811831593367c091fe49c586d5b",
+    "accountant": "405f717829fb4725481bbf0b578e261be8aec25cf203d0fedb73734c26620898",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_cli(command: str, config: Path, out: Path) -> bytes:
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_train_digest(tmp_path):
+    data = run_cli("train", CONFIGS / "train.cfg", tmp_path / "train.csv")
+    assert sha256(data) == GOLDEN["train"]
+
+
+def test_mse_bench_digest(tmp_path):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(CONFIGS / "mse_bench.cfg")
+    parser["mse"]["trials"] = str(MSE_TRIALS)
+    config = tmp_path / "mse.cfg"
+    with open(config, "w") as fh:
+        parser.write(fh)
+    data = run_cli("mse-bench", config, tmp_path / "mse.csv")
+    assert sha256(data) == GOLDEN["mse-bench"]
+
+
+def test_sample_digest(tmp_path):
+    data = run_cli("sample", CONFIGS / "sample.cfg", tmp_path / "draws.txt")
+    head = b"".join(data.splitlines(keepends=True)[:10**4])
+    assert sha256(head) == GOLDEN["sample"]
+
+
+def test_accountant_curve_digest(tmp_path, capsys):
+    data = run_cli("accountant", CONFIGS / "accountant.cfg", tmp_path / "curve.csv")
+    capsys.readouterr()
+    assert sha256(data) == GOLDEN["accountant"]

@@ -1,56 +1,51 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticefl.dgauss import DiscreteGaussian
-from latticefl.errors import OverflowSuspected
+from latticefl.errors import ConfigError, OverflowSuspected
 from latticefl.lattice import LatticeSpec, wrap_centered
 from latticefl.secagg import (
+    aggregate_round,
     derive_masks,
-    mask_and_wrap,
     mask_stream,
     server_aggregate,
     split_integer,
-    split_noise,
     wire_modulus,
 )
 
 from helpers import gof_pvalue_uniform
 
 
-def masked_payloads(plains, ids, round_seed, wire_q):
-    """Run the masking step for every client and return the payloads."""
-    d = plains[0].size
-    masks = derive_masks(round_seed, ids, d, wire_q)
-    out = []
-    for cid, plain in zip(ids, plains):
-        add = [m.values for m in masks if m.sender == cid]
-        sub = [m.values for m in masks if m.receiver == cid]
-        out.append(mask_and_wrap(plain, add, sub, wire_q))
-    return out
+def masked_payloads(plains, ids, round_seed, q):
+    """Masked wire payloads of noiseless rows in the wire group for ``q``."""
+    rows = np.stack(plains)
+    spec = LatticeSpec(g_max=1.0, k=3, q=q)
+    return aggregate_round(rows, np.zeros(rows.shape[1], dtype=np.int64), ids, round_seed, spec)[1]
 
 
 def test_wire_modulus_is_odd_and_large_enough():
     for q, m in ((7, 1), (101, 4), (1001, 10)):
         w = wire_modulus(q, m)
         assert w % 2 == 1
-        assert w >= m * m * q
+        assert m * q <= w <= m * q + 1
     with pytest.raises(ValueError):
         wire_modulus(8, 2)
 
 
 def test_single_participant_passthrough():
-    wire_q = wire_modulus(101, 1)
     plain = np.array([5, -3, 0], dtype=np.int64)
-    payloads = masked_payloads([plain], [0], round_seed=1, wire_q=wire_q)
-    agg = server_aggregate(payloads, 1, wire_q, LatticeSpec(g_max=1.0, k=3, q=101))
-    np.testing.assert_allclose(agg, plain * 1.0)  # step 1, m 1
+    spec = LatticeSpec(g_max=1.0, k=3, q=101)  # step 1
+    agg, _ = aggregate_round(plain[None, :], np.zeros(3, dtype=np.int64), [0], 1, spec)
+    np.testing.assert_allclose(agg, plain * 1.0)
 
 
 def test_two_party_cancellation():
     wire_q = wire_modulus(101, 2)
     a = np.array([3, -8], dtype=np.int64)
     b = np.array([-1, 4], dtype=np.int64)
-    payloads = masked_payloads([a, b], [4, 9], round_seed=7, wire_q=wire_q)
+    payloads = masked_payloads([a, b], [4, 9], round_seed=7, q=101)
     total = wrap_centered(payloads[0] + payloads[1], wire_q)
     np.testing.assert_array_equal(total, wrap_centered(a + b, wire_q))
 
@@ -82,11 +77,10 @@ def test_derive_masks_validation():
 
 
 def test_split_examples():
-    np.testing.assert_array_equal(split_noise(np.array([0]), 3, 0), [0])
-    for rank in range(3):
-        np.testing.assert_array_equal(split_noise(np.array([1]), 3, rank), [1])
-    for rank in range(4):
-        np.testing.assert_array_equal(split_noise(np.array([-1]), 4, rank), [-1])
+    np.testing.assert_array_equal(split_integer(0, 3), [0, 0, 0])
+    np.testing.assert_array_equal(split_integer(1, 3), [1, 0, 0])
+    np.testing.assert_array_equal(split_integer(-1, 4), [0, 0, 0, -1])
+    np.testing.assert_array_equal(split_integer(np.array([7, -7]), 2), [[4, -3], [3, -4]])
 
 
 def test_split_integer_exhaustive():
@@ -98,39 +92,81 @@ def test_split_integer_exhaustive():
             assert shares.max() - shares.min() <= 1
 
 
-def test_split_noise_rank_validation():
+def test_split_integer_validation():
     with pytest.raises(ValueError):
-        split_noise(np.array([1]), 3, 3)
-    with pytest.raises(ValueError):
-        split_noise(np.array([1]), 3, -1)
+        split_integer(np.array([1]), 0)
 
 
-def test_split_noise_shares_reconstruct():
-    rng = np.random.default_rng(0)
-    noise = rng.integers(-50, 51, size=32)
-    for m in (1, 2, 5, 9):
-        total = sum(split_noise(noise, m, r) for r in range(m))
-        np.testing.assert_array_equal(total, noise * m)
+@st.composite
+def rounds(draw):
+    """One round inside the validated envelope: m rows of quantizer levels
+    and a draw that fits the noise margin of the wire group."""
+    m = draw(st.integers(1, 40))
+    k = 2 * draw(st.integers(1, 16)) + 1
+    q = k + 2 * draw(st.integers(0, 5000))
+    d = draw(st.integers(1, 16))
+    seed = draw(st.integers(0, 2**32 - 1))
+    h = (k - 1) // 2
+    margin = (wire_modulus(q, m) - 1) // 2 - m * h
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-h, h + 1, size=(m, d))
+    noise = rng.integers(-margin, margin + 1, size=d)
+    ids = rng.choice(10 * m, size=m, replace=False).tolist()  # any order
+    return LatticeSpec(g_max=float(h), k=k, q=q), rows, noise, ids, seed  # step 1
 
 
-def test_mask_and_wrap_no_masks():
-    wire_q = 101
-    noised = np.array([40, -60, 150], dtype=np.int64)
+@settings(max_examples=60, deadline=None)
+@given(rounds())
+def test_aggregate_round_properties(case):
+    spec, rows, noise, ids, mask_seed = case
+    m = rows.shape[0]
+    wire_q = wire_modulus(spec.q, m)
+    masked, payloads = aggregate_round(rows, noise, ids, mask_seed, spec)
+    unmasked, plain_payloads = aggregate_round(rows, noise, ids, None, spec)
+    # masked == unmasked, bit for bit
+    assert masked.tobytes() == unmasked.tobytes()
+    # the server recovers the integer total of the rows plus the draw
+    expected = rows.sum(axis=0) + noise
+    for p in (payloads, plain_payloads):
+        np.testing.assert_array_equal(wrap_centered(p.sum(axis=0), wire_q), expected)
+    np.testing.assert_array_equal(np.rint(masked * m / spec.step), expected)
+    # the shares sum to the draw
+    np.testing.assert_array_equal(split_integer(noise, m).sum(axis=0), noise)
+    # every payload lies in the centered range of the wire group
+    half = (wire_q - 1) // 2
+    assert payloads.shape == rows.shape
+    assert np.abs(payloads).max() <= half
+
+
+def test_unmasked_payloads_are_wrapped_plaintext():
+    spec = LatticeSpec(g_max=1.0, k=3, q=101)
+    rows = np.array([[40, -60, 150], [1, 2, 3]], dtype=np.int64)
+    noise = np.array([5, -5, 0], dtype=np.int64)
+    _, payloads = aggregate_round(rows, noise, [0, 1], None, spec)
     np.testing.assert_array_equal(
-        mask_and_wrap(noised, [], [], wire_q), wrap_centered(noised, wire_q)
+        payloads, wrap_centered(rows + split_integer(noise, 2), wire_modulus(101, 2))
     )
+
+
+def test_aggregate_round_headroom_guard():
+    # m + 1 values of the wire group m q must fit an int64 accumulator
+    m = 1 << 10
+    spec = LatticeSpec(g_max=1.0, k=3, q=(1 << 45) + 1)
+    with pytest.raises(ConfigError):
+        aggregate_round(np.zeros((m, 1), dtype=np.int64), np.zeros(1, dtype=np.int64),
+                        list(range(m)), None, spec)
 
 
 def test_payload_conditionally_uniform():
     # a masked payload is uniform mod Q regardless of its plaintext
-    wire_q = 101
+    wire_q = wire_modulus(51, 2)
     rows = []
     for r in range(40):
         payloads = masked_payloads(
             [np.full(1000, 7, dtype=np.int64), np.full(1000, -2, dtype=np.int64)],
             [0, 1],
             round_seed=r,
-            wire_q=wire_q,
+            q=51,
         )
         rows.append(payloads[0])
     assert gof_pvalue_uniform(np.concatenate(rows), wire_q) > 0.01
@@ -144,30 +180,29 @@ def test_aggregate_equals_unmasked_sum():
         wire_q = wire_modulus(q, m)
         d = int(rng.integers(1, 33))
         plains = [rng.integers(-q, q, size=d).astype(np.int64) for _ in range(m)]
-        payloads = masked_payloads(plains, list(range(m)), round_seed=trial, wire_q=wire_q)
+        payloads = masked_payloads(plains, list(range(m)), round_seed=trial, q=q)
         total = wrap_centered(np.sum(payloads, axis=0, dtype=np.int64), wire_q)
         np.testing.assert_array_equal(total, wrap_centered(np.sum(plains, axis=0), wire_q))
 
 
 def test_server_aggregate_recovers_quantized_values():
     # m = 1, zero noise: output is exactly the quantized update
-    spec = LatticeSpec(g_max=1.0, k=5, q=101, split_denominator=1)
+    spec = LatticeSpec(g_max=1.0, k=5, q=101)
     z = np.array([2, -1, 0], dtype=np.int64)
     wire_q = wire_modulus(spec.q, 1)
-    payloads = masked_payloads([z], [0], round_seed=3, wire_q=wire_q)
+    payloads = masked_payloads([z], [0], round_seed=3, q=spec.q)
     np.testing.assert_allclose(server_aggregate(payloads, 1, wire_q, spec), z * spec.step)
 
 
 def test_transcript_replay_reconstructs_noise():
     # aggregate * m - sum(quantized) returns the shared draw bit-exactly
     m, d = 3, 16
-    spec = LatticeSpec(g_max=1.0, k=9, q=4001, split_denominator=m)
+    spec = LatticeSpec(g_max=1.0, k=9, q=4001)
     wire_q = wire_modulus(spec.q, m)
     rng = np.random.default_rng(5)
     noise = DiscreteGaussian(2.0 * spec.step, spec).sample(rng, d)
-    quantized = [rng.integers(-4, 5, size=d).astype(np.int64) for _ in range(m)]
-    plains = [quantized[r] * m + split_noise(noise, m, r) for r in range(m)]
-    payloads = masked_payloads(plains, list(range(m)), round_seed=11, wire_q=wire_q)
+    quantized = np.stack([rng.integers(-4, 5, size=d) for _ in range(m)])
+    _, payloads = aggregate_round(quantized, noise, list(range(m)), 11, spec)
     agg = server_aggregate(payloads, m, wire_q, spec)
     reconstructed = np.rint(agg * m / spec.step - np.sum(quantized, axis=0)).astype(np.int64)
     np.testing.assert_array_equal(reconstructed, noise)
@@ -175,14 +210,13 @@ def test_transcript_replay_reconstructs_noise():
 
 def test_masked_equals_unmasked_aggregate():
     m, d = 10, 32
-    spec = LatticeSpec(g_max=0.5, k=5, q=2001, split_denominator=m)
-    wire_q = wire_modulus(spec.q, m)
+    spec = LatticeSpec(g_max=0.5, k=5, q=2001)
     rng = np.random.default_rng(6)
-    plains = [rng.integers(-40, 41, size=d).astype(np.int64) for _ in range(m)]
-    masked = masked_payloads(plains, list(range(m)), round_seed=21, wire_q=wire_q)
-    unmasked = [mask_and_wrap(p, [], [], wire_q) for p in plains]
-    agg_masked = server_aggregate(masked, m, wire_q, spec)
-    agg_plain = server_aggregate(unmasked, m, wire_q, spec)
+    plains = np.stack([rng.integers(-40, 41, size=d) for _ in range(m)])
+    noise = rng.integers(-100, 101, size=d)
+    agg_masked, masked = aggregate_round(plains, noise, list(range(m)), 21, spec)
+    agg_plain, unmasked = aggregate_round(plains, noise, list(range(m)), None, spec)
+    assert not np.array_equal(masked, unmasked)
     np.testing.assert_array_equal(agg_masked, agg_plain)
 
 

@@ -83,7 +83,7 @@ def test_plan_derivations():
     assert plan.d == 8
     assert plan.d_pad == 8
     assert plan.wire_q % 2 == 1
-    assert plan.wire_q >= plan.m**2 * plan.cfg.q
+    assert plan.wire_q >= plan.m * plan.cfg.q
     assert plan.overflow_probability <= 1e-12
     assert plan.sensitivity == pytest.approx(2 * (1 + math.sqrt(8) / 8))
 
@@ -203,6 +203,21 @@ def test_transcript_byte_counts():
     assert tr.payload_bytes_per_client == -(-total_bits // plan.m // 8)
 
 
+@pytest.mark.parametrize("m, dim, q", [(1, 8, 9), (7, 8, 3001), (10, 1000, 4097), (200, 20, 4097)])
+def test_reported_bytes_match_the_wire_group(m, dim, q):
+    # the reported per-client upload is exactly what the payloads need
+    from latticefl.bounds import ceil_log2
+
+    cfg = small_cfg(n=m, gamma=1.0, rounds=1, dim=dim, q=q, samples_per_client=2)
+    plan = make_plan(cfg)
+    model = GlobalModel(plan.task.init_weights(), 0)
+    _, tr = run_round(model, plan, 1)
+    bits = ceil_log2(plan.wire_q)
+    assert tr.payload_bytes_per_client == -(-plan.d_pad * bits // 8)
+    assert tr.payloads.shape == (m, plan.d_pad)
+    assert int(np.abs(tr.payloads).max()) < 1 << (bits - 1)
+
+
 def test_payload_table_layout():
     _, transcripts, _ = run_training(small_cfg(rounds=1))
     rows = list(payload_table(transcripts))
@@ -236,25 +251,21 @@ def test_aggregation_unbiased_without_noise():
     from latticefl.lattice import LatticeSpec
 
     m, d = 4, 16
-    spec = LatticeSpec(g_max=1.0, k=9, q=2001, split_denominator=m)
+    spec = LatticeSpec(g_max=1.0, k=9, q=2001)
     rs = compress.RotationSeed(3, compress.padded_dim(d))
     rng = np.random.default_rng(12)
     updates = rng.normal(size=(m, d))
     updates /= np.linalg.norm(updates, axis=1, keepdims=True)
     clipped = np.stack([compress.clip(u, 1.0) for u in updates])
     rotated = np.stack([compress.rotate(c, rs) for c in clipped])
-    wire_q = secagg.wire_modulus(spec.q, m)
+    noise = np.zeros(rs.d_pad, dtype=np.int64)
     trials = 400
     estimates = np.empty((trials, d))
     for t in range(trials):
-        payloads = [
-            secagg.mask_and_wrap(
-                compress.quantize(rotated[r], spec, np.random.default_rng((t, r))) * m,
-                [], [], wire_q,
-            )
-            for r in range(m)
-        ]
-        agg = secagg.server_aggregate(payloads, m, wire_q, spec)
+        quantized = np.stack(
+            [compress.quantize(rotated[r], spec, np.random.default_rng((t, r))) for r in range(m)]
+        )
+        agg, _ = secagg.aggregate_round(quantized, noise, list(range(m)), None, spec)
         estimates[t] = compress.unrotate(agg, rs, d)
     mean_est = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / math.sqrt(trials)
