@@ -38,8 +38,14 @@ class RotationSeed:
             raise ValueError(f"d_pad must be a power of two, got {self.d_pad}")
 
     def signs(self) -> np.ndarray:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed)))
-        return rng.integers(0, 2, size=self.d_pad).astype(float) * 2.0 - 1.0
+        """The ``+-1`` diagonal ``xi``; built on first use, then shared read-only."""
+        signs = self.__dict__.get("_signs")
+        if signs is None:
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(self.seed)))
+            signs = rng.integers(0, 2, size=self.d_pad).astype(float) * 2.0 - 1.0
+            signs.flags.writeable = False
+            object.__setattr__(self, "_signs", signs)  # frozen: fields stay (seed, d_pad)
+        return signs
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
@@ -64,7 +70,11 @@ def clip(g: np.ndarray, clip_bound: float) -> np.ndarray:
     """Project onto the L2 ball of radius ``clip_bound``.
 
     Inputs already inside the ball are returned unchanged (bit-exact).
+    Raises NonFiniteInput on a NaN or infinite bound, which would return
+    the update unclipped and void the sensitivity bound.
     """
+    if not math.isfinite(clip_bound):
+        raise NonFiniteInput(f"clip bound must be finite, got {clip_bound}")
     if clip_bound <= 0:
         raise ValueError(f"clip bound must be positive, got {clip_bound}")
     g = np.asarray(g, dtype=float)

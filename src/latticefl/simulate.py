@@ -25,7 +25,7 @@ from .accountant import AccountantState
 from .dgauss import DiscreteGaussian
 from .errors import ConfigError
 from .lattice import LatticeSpec
-from .tasks import LocalTrainerSpec, Task, make_task
+from .tasks import LocalTrainerSpec, Task, data_bytes, make_task
 
 # Seed-derivation domains (second entry of every SeedSequence).
 _DOM_TASK = 10
@@ -38,6 +38,12 @@ _DOM_MASKS = 24
 
 # Per-round overflow probability above which a configuration is rejected.
 OVERFLOW_BUDGET = 1e-9
+
+# Largest task data (client shards plus evaluation set) a plan may build.
+# Sharding briefly holds about three copies, so this keeps a desk-scale run
+# within a few GiB and turns an oversized n or samples_per_client into a
+# configuration error before anything is allocated.
+TASK_DATA_BUDGET_BYTES = 2 << 30
 
 
 def participants_per_round(n: int, gamma: float) -> int:
@@ -80,6 +86,8 @@ class RoundConfig:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if not 0 <= self.seed < 1 << 63:
             raise ValueError(f"seed must be a non-negative 63-bit integer, got {self.seed}")
+        if self.samples_per_client < 1:
+            raise ValueError(f"samples_per_client must be >= 1, got {self.samples_per_client}")
 
 
 @dataclass
@@ -137,6 +145,12 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
     enforced by the caller (the CLI offers an override flag).
     """
     m = participants_per_round(cfg.n, cfg.gamma)
+    needed = data_bytes(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client)
+    if needed > TASK_DATA_BUDGET_BYTES:
+        raise ConfigError(
+            f"task data would take {needed / 2**30:.3g} GiB, above the "
+            f"{TASK_DATA_BUDGET_BYTES / 2**30:.3g} GiB budget; reduce n, samples_per_client or dim"
+        )
     task = make_task(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client, _derived_int(cfg.seed, _DOM_TASK), cfg.iid)
     d = task.dim
     d_pad = compress.padded_dim(d)

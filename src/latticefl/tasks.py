@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Points in every task's evaluation set.
+EVAL_SIZE = 1000
+
 
 @dataclass(frozen=True)
 class LocalTrainerSpec:
@@ -110,8 +113,8 @@ class LinearRegressionTask(Task):
         X = rng.normal(size=(total, dim))
         y = X @ self.w_star + noise * rng.normal(size=total)
         self.client_sets = self._shard(X, y, n_clients, iid, rng)
-        Xe = rng.normal(size=(1000, dim))
-        self.eval_set = (Xe, Xe @ self.w_star + noise * rng.normal(size=1000))
+        Xe = rng.normal(size=(EVAL_SIZE, dim))
+        self.eval_set = (Xe, Xe @ self.w_star + noise * rng.normal(size=EVAL_SIZE))
 
     def grad(self, w, X, y):
         return X.T @ (X @ w - y) / len(y)
@@ -147,7 +150,7 @@ class LogisticBlobsTask(Task):
 
         X, y = draw(n_clients * samples_per_client)
         self.client_sets = self._shard(X, y, n_clients, iid, rng)
-        self.eval_set = draw(1000)
+        self.eval_set = draw(EVAL_SIZE)
 
     def grad(self, w, X, y):
         return X.T @ (_sigmoid(X @ w) - y) / len(y)
@@ -182,7 +185,7 @@ class SpiralMlpTask(Task):
 
         X, y = draw(n_clients * samples_per_client)
         self.client_sets = self._shard(X, y, n_clients, iid, rng)
-        self.eval_set = draw(1000)
+        self.eval_set = draw(EVAL_SIZE)
         # Fixed small random init; zeros would be a saddle for the MLP.
         init_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         self._w0 = 0.3 * init_rng.normal(size=self.dim)
@@ -237,6 +240,13 @@ TASKS = {
     "logistic": LogisticBlobsTask,
     "mlp": SpiralMlpTask,
 }
+
+
+def data_bytes(name, dim, n_clients, samples_per_client) -> int:
+    """Bytes of the float64 points and labels ``make_task`` draws: the
+    client shards plus the evaluation set (the MLP's points are 2-D)."""
+    features = 2 if name == "mlp" else dim
+    return (n_clients * samples_per_client + EVAL_SIZE) * (features + 1) * 8
 
 
 def make_task(name, dim, n_clients, samples_per_client, seed, iid=True) -> Task:

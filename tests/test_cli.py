@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from latticefl import simulate
 from latticefl.cli import main
 
 
@@ -259,13 +260,9 @@ trials = 20
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [("learning_rate", "nan"), ("clip", "inf"), ("clip", "nan"), ("sigma", "inf"), ("g_max", "nan")],
-)
-def test_non_finite_protocol_value_rejected(tmp_path, capsys, key, value):
-    # one key of the stock train config made non-finite: exit 2 with one
-    # error line, before anything runs or is written
+def assert_rejected_before_running(tmp_path, capsys, key, value):
+    """One [protocol] key of the stock train config edited: exit 2 with one
+    error line naming the key, and no output written."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read(Path(__file__).resolve().parent.parent / "configs" / "train.cfg")
     parser["protocol"][key] = value
@@ -277,6 +274,26 @@ def test_non_finite_protocol_value_rejected(tmp_path, capsys, key, value):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("learning_rate", "nan"), ("clip", "inf"), ("clip", "nan"), ("sigma", "inf"), ("g_max", "nan")],
+)
+def test_non_finite_protocol_value_rejected(tmp_path, capsys, key, value):
+    assert_rejected_before_running(tmp_path, capsys, key, value)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("samples_per_client", "0"), ("samples_per_client", "-3"), ("n", "1000000000")]
+)
+def test_out_of_range_protocol_value_rejected(tmp_path, capsys, monkeypatch, key, value):
+    # rejected before any task data is drawn: n = 1e9 would need 149 GiB
+    def no_task(*args, **kwargs):
+        raise AssertionError("task data drawn for a rejected config")
+
+    monkeypatch.setattr(simulate, "make_task", no_task)
+    assert_rejected_before_running(tmp_path, capsys, key, value)
 
 
 def test_invalid_mode_value(tmp_path):

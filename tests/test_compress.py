@@ -75,6 +75,13 @@ def test_clip_rejects_bad_bound():
         clip(np.ones(3), 0.0)
 
 
+@pytest.mark.parametrize("bound", [math.nan, math.inf])
+def test_clip_rejects_non_finite_bound(bound):
+    # a NaN or infinite bound would pass [3, 4] through unclipped
+    with pytest.raises(NonFiniteInput):
+        clip(np.array([3.0, 4.0]), bound)
+
+
 def test_rotation_roundtrip():
     rng = np.random.default_rng(2)
     for d in (1, 7, 64):
@@ -95,6 +102,17 @@ def test_rotation_isometry():
 def test_rotation_seed_validation():
     with pytest.raises(ValueError):
         RotationSeed(1, 12)
+
+
+def test_rotation_signs_built_once_and_read_only():
+    rs = RotationSeed(99, 64)
+    signs = rs.signs()
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(99)))
+    np.testing.assert_array_equal(signs, rng.integers(0, 2, size=64) * 2.0 - 1.0)
+    assert rs.signs() is signs
+    with pytest.raises(ValueError):
+        signs[0] = 0.0
+    assert rs == RotationSeed(99, 64) and hash(rs) == hash(RotationSeed(99, 64))
 
 
 def test_rotation_determinism():

@@ -10,6 +10,8 @@ import hashlib
 from pathlib import Path
 
 from latticefl.cli import main
+from latticefl.config import load_config
+from latticefl.simulate import run_training, write_payload_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -22,6 +24,7 @@ GOLDEN = {
     "mse-bench": "6c0992259f711d5c96fee4313dec7b317e3a64b3f27f23b124866711788bbfee",
     "sample": "e2cd50852c9fedd200b64e74b5dfd10fa997d811831593367c091fe49c586d5b",
     "accountant": "405f717829fb4725481bbf0b578e261be8aec25cf203d0fedb73734c26620898",
+    "train-payloads": "037c38103118dd07d4801a91d60a403f1ef9ee85fe4ae21d7b032ae414bd53c9",
 }
 
 
@@ -37,6 +40,14 @@ def run_cli(command: str, config: Path, out: Path) -> bytes:
 def test_train_digest(tmp_path):
     data = run_cli("train", CONFIGS / "train.cfg", tmp_path / "train.csv")
     assert sha256(data) == GOLDEN["train"]
+
+
+def test_train_payload_digest(tmp_path):
+    # the masks cancel in the aggregate, so only the wire payloads pin them
+    cfg = load_config(CONFIGS / "train.cfg")
+    _, transcripts, _ = run_training(cfg.round_config)
+    write_payload_csv(transcripts, tmp_path / "payloads.csv")
+    assert sha256((tmp_path / "payloads.csv").read_bytes()) == GOLDEN["train-payloads"]
 
 
 def test_mse_bench_digest(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticefl import secagg
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.errors import ConfigError, OverflowSuspected
 from latticefl.lattice import LatticeSpec, wrap_centered
@@ -10,6 +11,8 @@ from latticefl.secagg import (
     aggregate_round,
     derive_masks,
     mask_stream,
+    net_masks,
+    pair_keys,
     server_aggregate,
     split_integer,
     wire_modulus,
@@ -70,10 +73,80 @@ def test_mask_uniformity():
 
 
 def test_derive_masks_validation():
-    with pytest.raises(ValueError):
-        derive_masks(0, [1, 1], 4, 101)
-    with pytest.raises(ValueError):
-        derive_masks(0, [1, 2], 4, 100)
+    for derive in (derive_masks, net_masks):
+        with pytest.raises(ValueError):
+            derive(0, [1, 1], 4, 101)
+        with pytest.raises(ValueError):
+            derive(0, [1, 2], 4, 100)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1])
+def test_pair_keys_match_seed_sequence(seed):
+    ids = [0, 1, 7, 2**31, 2**32 - 1]
+    keys = pair_keys(seed, ids)
+    assert keys.shape == (5, 5, 2) and keys.dtype == np.uint64
+    for a, i in enumerate(ids):
+        for b, j in enumerate(ids):
+            expected = np.random.SeedSequence([seed, i, j]).generate_state(2, np.uint64)
+            assert keys[a, b].tolist() == expected.tolist()
+    # and Philox takes exactly this key (with counter 0) from the sequence
+    state = np.random.Philox(np.random.SeedSequence([seed, 0, 1])).state["state"]
+    assert state["key"].tolist() == keys[0, 1].tolist() and not state["counter"].any()
+
+
+def test_pair_keys_reject_seeds_outside_the_pool():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            pair_keys(seed, [0, 1])
+
+
+def summed_masks(round_seed, ids, d_pad, wire_q):
+    """Per-client sums of the per-pair definition, row r for ids[r]."""
+    net = {cid: np.zeros(d_pad, dtype=np.int64) for cid in ids}
+    for mask in derive_masks(round_seed, ids, d_pad, wire_q):
+        net[mask.sender] += mask.values
+        net[mask.receiver] -= mask.values
+    return np.stack([net[cid] for cid in ids])
+
+
+@st.composite
+def mask_rounds(draw):
+    m = draw(st.integers(1, 40))
+    ids = draw(st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m, unique=True))
+    edge = draw(st.sampled_from([None, 0, 2**32 - 1, 2**32]))  # 2**32: reference path
+    if edge is not None and edge not in ids:
+        ids[draw(st.integers(0, m - 1))] = edge
+    seed = draw(st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                          st.just(2**64)))  # 2**64: reference path
+    d_pad = draw(st.integers(1, 256))
+    # wire_q in (2**31, 2**32) rejects up to half of numpy's 32-bit words;
+    # wire_q > 2**32 - 1 makes numpy draw 64-bit words (reference path)
+    half = draw(st.one_of(st.integers(0, 2**15), st.integers(2**30, 2**31 - 1),
+                          st.integers(2**31, 2**40)))
+    return seed, ids, d_pad, 2 * half + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(mask_rounds())
+def test_net_masks_equal_summed_pair_masks(case):
+    seed, ids, d_pad, wire_q = case
+    net = net_masks(seed, ids, d_pad, wire_q)
+    assert net.dtype == np.int64 and net.shape == (len(ids), d_pad)
+    assert net.tobytes() == summed_masks(seed, ids, d_pad, wire_q).tobytes()
+
+
+def test_net_masks_derive_most_pairs_without_a_generator(monkeypatch):
+    # the bulk path: only pairs that hit numpy's rejection zone (about one
+    # in 10**4 here) are drawn through mask_stream
+    calls = []
+    reference = secagg.mask_stream
+    monkeypatch.setattr(secagg, "mask_stream", lambda *key: calls.append(key) or reference(*key))
+    m = 30
+    wire_q = wire_modulus(1001, m)
+    net = net_masks(5, list(range(m)), 64, wire_q)
+    assert len(calls) <= 2
+    monkeypatch.setattr(secagg, "mask_stream", reference)
+    np.testing.assert_array_equal(net, summed_masks(5, list(range(m)), 64, wire_q))
 
 
 def test_split_examples():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latticefl.tasks import LocalTrainerSpec, make_task
+from latticefl.tasks import LocalTrainerSpec, data_bytes, make_task
 
 
 def finite_difference_grad(task, w, X, y, eps=1e-6):
@@ -23,6 +23,13 @@ def test_gradients_match_finite_differences(name, dim):
     np.testing.assert_allclose(
         task.grad(w, X, y), finite_difference_grad(task, w, X, y), rtol=1e-4, atol=1e-6
     )
+
+
+@pytest.mark.parametrize("name,dim", [("linear", 6), ("logistic", 7), ("mlp", 0)])
+def test_data_bytes_counts_what_the_task_draws(name, dim):
+    task = make_task(name, dim, n_clients=4, samples_per_client=10, seed=3)
+    arrays = [a for shard in task.client_sets for a in shard] + list(task.eval_set)
+    assert data_bytes(name, dim, 4, 10) == sum(a.size * 8 for a in arrays)
 
 
 def test_task_determinism():
