@@ -15,11 +15,10 @@ from .errors import (
     HypothesisViolated,
     LatticeflError,
     NonFiniteInput,
-    OffLattice,
     OverflowSuspected,
     SamplerStall,
 )
-from .lattice import LatticeSpec, decode, encode, phi_q, phi_q_vec, wrap_centered
+from .lattice import LatticeSpec, wrap_centered
 from .secagg import aggregate_round, derive_masks, server_aggregate, split_integer, wire_modulus
 from .simulate import (
     ConvergenceReport,

@@ -144,9 +144,9 @@ def empirical_mse(
     m, d = updates.shape
     d_pad = compress.padded_dim(d)
     rs = compress.RotationSeed(rotation_seed, d_pad)
-    clipped = np.stack([compress.clip(u, clip_bound) for u in updates])
+    clipped = compress.clip(updates, clip_bound)
     reference = clipped.mean(axis=0)
-    rotated = np.stack([compress.rotate(c, rs) for c in clipped])
+    rotated = compress.rotate(clipped, rs)
 
     dist = DiscreteGaussian(sigma_units * spec.step, spec) if sigma_units > 0 else None
     participants = list(range(m))
@@ -160,10 +160,8 @@ def empirical_mse(
             noise_z = dist.sample(np.random.default_rng(children[1]), d_pad)
         else:
             noise_z = np.zeros(d_pad, dtype=np.int64)
-        quantized = np.stack([
-            compress.quantize(rotated[rank], spec, np.random.default_rng(children[2 + rank]))
-            for rank in range(m)
-        ])
+        quantizer_rngs = [np.random.default_rng(child) for child in children[2:]]
+        quantized = compress.quantize(rotated, spec, quantizer_rngs)
         agg, _ = secagg.aggregate_round(quantized, noise_z, participants, round_seed, spec)
         estimate = compress.unrotate(agg, rs, d)
         diff = estimate - reference

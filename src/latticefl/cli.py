@@ -47,7 +47,7 @@ def cmd_train(cfg: ExperimentConfig, override_overflow: bool) -> int:
             f"per-round overflow probability {plan.overflow_probability:.3e} exceeds "
             f"{OVERFLOW_BUDGET:.0e}; enlarge q or pass --override-overflow-check"
         )
-    _, transcripts, _ = run_training(rc)
+    _, transcripts, _ = run_training(rc, plan=plan)
     rows = [
         [
             str(tr.round_index),

@@ -6,6 +6,11 @@ The rotation is the randomized Hadamard transform
 orthonormal, O(d log d), and reproducible by the server from the shared
 seed alone.  Rotating flattens coordinate magnitudes, which is what lets
 the quantizer run with a small clamp bound ``g_max``.
+
+Every operation acts along the last axis, so a round passes its whole
+``(m, d)`` stack of client updates at once; a single vector is the
+one-row case.  Each output row equals the one-row call on that row bit
+for bit.
 """
 
 from __future__ import annotations
@@ -49,27 +54,28 @@ class RotationSeed:
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform (length a power of two)."""
+    """Unnormalized fast Walsh-Hadamard transform along the last axis
+    (length a power of two)."""
     a = np.array(v, dtype=float, copy=True)
-    n = a.size
+    n = a.shape[-1]
     if n & (n - 1):
         raise ValueError(f"length must be a power of two, got {n}")
+    shape = a.shape
     h = 1
     while h < n:
-        a = a.reshape(n // (2 * h), 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bottom = a[:, 0, :] - a[:, 1, :]
-        a[:, 0, :] = top
-        a[:, 1, :] = bottom
-        a = a.reshape(n)
+        a = a.reshape(-1, n // (2 * h), 2, h)
+        top = a[:, :, 0, :] + a[:, :, 1, :]
+        bottom = a[:, :, 0, :] - a[:, :, 1, :]
+        a[:, :, 0, :] = top
+        a[:, :, 1, :] = bottom
         h *= 2
-    return a
+    return a.reshape(shape)
 
 
 def clip(g: np.ndarray, clip_bound: float) -> np.ndarray:
-    """Project onto the L2 ball of radius ``clip_bound``.
+    """Project each row onto the L2 ball of radius ``clip_bound``.
 
-    Inputs already inside the ball are returned unchanged (bit-exact).
+    Rows already inside the ball are returned unchanged (bit-exact).
     Raises NonFiniteInput on a NaN or infinite bound, which would return
     the update unclipped and void the sensitivity bound.
     """
@@ -78,33 +84,40 @@ def clip(g: np.ndarray, clip_bound: float) -> np.ndarray:
     if clip_bound <= 0:
         raise ValueError(f"clip bound must be positive, got {clip_bound}")
     g = np.asarray(g, dtype=float)
-    norm = float(np.linalg.norm(g))
-    scale = max(1.0, norm / clip_bound)
-    return g if scale == 1.0 else g / scale
+    # Each row's dot product with itself, as np.linalg.norm(row) computes
+    # it; norm(..., axis=-1) sums in another order and can differ in the
+    # last bit.
+    norms = np.sqrt((g[..., None, :] @ g[..., :, None])[..., 0, 0])
+    scale = np.maximum(1.0, norms / clip_bound)
+    return g / scale[..., None]
 
 
 def rotate(g: np.ndarray, rs: RotationSeed) -> np.ndarray:
-    """Zero-pad to ``rs.d_pad`` and apply ``H diag(xi) / sqrt(d_pad)``."""
+    """Zero-pad each row to ``rs.d_pad`` and apply ``H diag(xi) / sqrt(d_pad)``."""
     g = np.asarray(g, dtype=float)
-    if g.size > rs.d_pad:
-        raise ValueError(f"vector of length {g.size} exceeds d_pad={rs.d_pad}")
-    padded = np.zeros(rs.d_pad)
-    padded[: g.size] = g
+    if g.shape[-1] > rs.d_pad:
+        raise ValueError(f"vector of length {g.shape[-1]} exceeds d_pad={rs.d_pad}")
+    padded = np.zeros(g.shape[:-1] + (rs.d_pad,))
+    padded[..., : g.shape[-1]] = g
     return fwht(rs.signs() * padded) / math.sqrt(rs.d_pad)
 
 
 def unrotate(v: np.ndarray, rs: RotationSeed, d: int | None = None) -> np.ndarray:
-    """Inverse rotation; keeps the first ``d`` coordinates when given."""
+    """Inverse rotation of each row; keeps the first ``d`` coordinates when given."""
     v = np.asarray(v, dtype=float)
-    if v.size != rs.d_pad:
-        raise ValueError(f"expected length {rs.d_pad}, got {v.size}")
+    if v.shape[-1] != rs.d_pad:
+        raise ValueError(f"expected length {rs.d_pad}, got {v.shape[-1]}")
     out = rs.signs() * fwht(v) / math.sqrt(rs.d_pad)
-    return out if d is None else out[:d]
+    return out if d is None else out[..., :d]
 
 
-def quantize(v: np.ndarray, spec: LatticeSpec, rng: np.random.Generator) -> np.ndarray:
+def quantize(v: np.ndarray, spec: LatticeSpec, rng) -> np.ndarray:
     """Stochastically round each coordinate to the level grid
     ``-g_max + r * step``, unbiased in expectation.
+
+    ``rng`` is one Generator for a vector, or a sequence of Generators
+    for an ``(m, d)`` stack: row ``r`` draws its uniforms from ``rng[r]``,
+    so each client's quantizer randomness is its own stream.
 
     Coordinates are first clamped to ``[-g_max, g_max]``; the rotation's
     concentration bound makes the clamp a measure-delta event when
@@ -113,14 +126,21 @@ def quantize(v: np.ndarray, spec: LatticeSpec, rng: np.random.Generator) -> np.n
     infinite coordinate, whose integer cast would be garbage.
     """
     v = np.asarray(v, dtype=float)
+    rows = v.reshape(-1, v.shape[-1])
+    rngs = [rng] if v.ndim == 1 else list(rng)
+    if v.ndim > 2 or len(rngs) != len(rows):
+        raise ValueError(f"need one generator per row, got {len(rngs)} for shape {v.shape}")
     if not np.isfinite(v).all():
         raise NonFiniteInput("quantizer input has NaN or infinite coordinates")
+    uniforms = np.empty(rows.shape)
+    for r, row_rng in enumerate(rngs):
+        row_rng.random(out=uniforms[r])
     v = np.clip(v, -spec.g_max, spec.g_max)
     step = spec.step
     low = np.floor((v + spec.g_max) / step).astype(np.int64)
     np.clip(low, 0, spec.k - 2, out=low)
     frac = (v - (low * step - spec.g_max)) / step
-    level = low + (rng.random(v.size) < frac)
+    level = low + (uniforms.reshape(v.shape) < frac)
     return level.astype(np.int64) - spec.half_levels
 
 
@@ -132,6 +152,8 @@ def sensitivity(clip_bound: float, d: int, k: int) -> float:
     the sum by at most twice the enlarged radius.  Equals
     ``4 * clip_bound`` at ``k = sqrt(d) + 1``.
     """
+    if not math.isfinite(clip_bound):
+        raise NonFiniteInput(f"clip bound must be finite, got {clip_bound}")
     if clip_bound <= 0:
         raise ValueError(f"clip bound must be positive, got {clip_bound}")
     if d < 1:

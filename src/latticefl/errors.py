@@ -5,10 +5,6 @@ class LatticeflError(Exception):
     """Base class for all package-specific errors."""
 
 
-class OffLattice(LatticeflError):
-    """A real value could not be identified with a lattice point."""
-
-
 class NonFiniteInput(LatticeflError):
     """A NaN or infinite value was about to be mapped to integers."""
 

@@ -1,10 +1,9 @@
-"""Quantization lattice, centered modular wrap, and integer codec.
+"""Quantization lattice and centered modular wrap.
 
 Every protocol value lives on the lattice ``step * Z`` with
 ``step = 2 * g_max / (k - 1)``.  Scalars are plain Python ints counting
-lattice steps; vectors are int64 numpy arrays.  Real numbers appear only
-at the encode/decode boundary, so all modular arithmetic downstream is
-exact.
+lattice steps; vectors are int64 numpy arrays, so all modular arithmetic
+is exact.
 
 Quantized updates, noise shares, masks and wire payloads all count the
 same lattice steps; only the modulus of the wrap differs (the coarse
@@ -17,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, OffLattice
-
-# Relative tolerance for identifying a real number with a lattice point.
-# Quantization always produces exact multiples; this only absorbs decimal
-# round-off in hand-written configs.
-ENCODE_RTOL = 1e-9
+from .errors import ConfigError
 
 # int64 accumulators: sums must stay strictly below 2**63.
 _ACCUMULATOR_LIMIT = 1 << 62
@@ -41,8 +35,8 @@ class LatticeSpec:
         for even ``k`` the levels would sit half a step off the lattice
         and could not be carried as integers.
     q:
-        Odd modulus of the coarse cyclic group (the wrap
-        :func:`phi_q` maps onto ``{z : |z| <= (q - 1) / 2}``).
+        Odd modulus of the coarse cyclic group (``wrap_centered(z, q)``
+        maps onto ``{z : |z| <= (q - 1) / 2}``).
     """
 
     g_max: float
@@ -101,49 +95,3 @@ def wrap_centered(z, modulus: int):
     if isinstance(z, np.ndarray):
         return (z + half) % modulus - half
     return (int(z) + half) % modulus - half
-
-
-def phi_q(z: int, spec: LatticeSpec) -> int:
-    """Wrap one lattice point into the coarse group of size ``spec.q``."""
-    return wrap_centered(z, spec.q)
-
-
-def phi_q_vec(z: np.ndarray, spec: LatticeSpec) -> np.ndarray:
-    """Coordinatewise :func:`phi_q`; preserves length."""
-    return wrap_centered(np.asarray(z, dtype=np.int64), spec.q)
-
-
-def encode(x: float, spec: LatticeSpec) -> int:
-    """Identify a real value with its lattice point.
-
-    Raises OffLattice when ``x`` is not a lattice multiple within the
-    relative tolerance ``ENCODE_RTOL``.
-    """
-    ratio = x / spec.step
-    z = round(ratio)
-    if abs(ratio - z) > ENCODE_RTOL * max(1.0, abs(ratio)):
-        raise OffLattice(f"{x!r} is not a multiple of step={spec.step!r}")
-    return int(z)
-
-
-def decode(z: int, spec: LatticeSpec) -> float:
-    """Real value of a lattice point."""
-    return z * spec.step
-
-
-def encode_vec(x: np.ndarray, spec: LatticeSpec) -> np.ndarray:
-    """Vectorized :func:`encode`."""
-    ratio = np.asarray(x, dtype=float) / spec.step
-    z = np.rint(ratio)
-    bad = np.abs(ratio - z) > ENCODE_RTOL * np.maximum(1.0, np.abs(ratio))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise OffLattice(
-            f"coordinate {i} ({x[i]!r}) is not a multiple of step={spec.step!r}"
-        )
-    return z.astype(np.int64)
-
-
-def decode_vec(z: np.ndarray, spec: LatticeSpec) -> np.ndarray:
-    """Vectorized :func:`decode`."""
-    return np.asarray(z, dtype=np.int64) * spec.step

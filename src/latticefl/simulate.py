@@ -106,7 +106,6 @@ class RoundTranscript:
     aggregate: np.ndarray  # recovered mean update, original dimension
     noise_z: np.ndarray  # realized shared draw, lattice steps, padded dim
     payloads: np.ndarray  # (m, d_pad) wire integers
-    quantized_sum_z: np.ndarray  # sum of quantized updates, lattice steps
     round_mse: float  # ||aggregate - mean clipped update||^2
     loss: float
     accuracy: float
@@ -217,17 +216,16 @@ def run_round(
     full_grad = plan.task.full_gradient(model.w) if record_gradient else None
 
     ids = subsample_clients(cfg.n, cfg.gamma, np.random.SeedSequence([master, _DOM_SUBSAMPLE, round_index]))
-    raw, clipped, quantized = [], [], []
-    for cid in ids:
+    raw = np.empty((m, plan.d))
+    quantizer_rngs = []
+    for rank, cid in enumerate(ids):
         rng = np.random.default_rng(np.random.SeedSequence([master, _DOM_LOCAL, round_index, int(cid)]))
-        local_w = plan.task.local_update(model.w, int(cid), cfg.local, rng)
-        g = local_w - model.w
-        raw.append(g)
-        c = compress.clip(g, cfg.clip_bound)
-        clipped.append(c)
-        qrng = np.random.default_rng(np.random.SeedSequence([master, _DOM_QUANTIZE, round_index, int(cid)]))
-        quantized.append(compress.quantize(compress.rotate(c, plan.rotation), spec, qrng))
-    quantized = np.stack(quantized)
+        raw[rank] = plan.task.local_update(model.w, int(cid), cfg.local, rng) - model.w
+        quantizer_rngs.append(
+            np.random.default_rng(np.random.SeedSequence([master, _DOM_QUANTIZE, round_index, int(cid)]))
+        )
+    clipped = compress.clip(raw, cfg.clip_bound)
+    quantized = compress.quantize(compress.rotate(clipped, plan.rotation), spec, quantizer_rngs)
 
     if cfg.sigma > 0:
         noise_rng = np.random.default_rng(np.random.SeedSequence([master, _DOM_NOISE, round_index]))
@@ -244,7 +242,7 @@ def run_round(
     if not np.all(np.isfinite(new_w)):
         raise ArithmeticError(f"model left the finite range at round {round_index}")
 
-    clipped_mean = np.mean(clipped, axis=0)
+    clipped_mean = clipped.mean(axis=0)
     transcript = RoundTranscript(
         round_index=round_index,
         clients=tuple(int(i) for i in ids),
@@ -252,28 +250,35 @@ def run_round(
         aggregate=estimate,
         noise_z=noise_z,
         payloads=payloads,
-        quantized_sum_z=quantized.sum(axis=0),
         round_mse=float(np.sum((estimate - clipped_mean) ** 2)),
         loss=math.nan,
         accuracy=math.nan,
         epsilon=math.nan,
         wall_time=time.perf_counter() - started,
-        raw_mean=np.mean(raw, axis=0),
+        raw_mean=raw.mean(axis=0),
         full_grad=full_grad,
     )
     return GlobalModel(new_w, round_index), transcript
 
 
 def run_training(
-    cfg: RoundConfig, use_masks: bool = True, record_gradients: bool = False
+    cfg: RoundConfig,
+    use_masks: bool = True,
+    record_gradients: bool = False,
+    plan: SimPlan | None = None,
 ) -> tuple[GlobalModel, list[RoundTranscript], AccountantState | None]:
     """Run the full T-round protocol with a privacy ledger.
 
-    Returns the final model, per-round transcripts (with evaluation
-    metrics and the cumulative epsilon filled in), and the accountant
-    (None when noise is disabled; epsilon is then infinite).
+    ``plan`` is ``make_plan(cfg)`` when the caller has built it already
+    (building it draws the task data).  Returns the final model,
+    per-round transcripts (with evaluation metrics and the cumulative
+    epsilon filled in), and the accountant (None when noise is disabled;
+    epsilon is then infinite).
     """
-    plan = make_plan(cfg)
+    if plan is None:
+        plan = make_plan(cfg)
+    elif plan.cfg != cfg:
+        raise ValueError("plan was built from a different configuration")
     if record_gradients and cfg.local.steps != 1:
         raise ConfigError("gradient recording assumes one local step per round")
     acct = AccountantState(cfg.sigma, plan.sensitivity, cfg.gamma) if cfg.sigma > 0 else None

@@ -71,6 +71,20 @@ def test_train_writes_expected_rows(tmp_path):
     assert len(lines) == 1 + 3  # header + one row per round
 
 
+def test_train_builds_the_task_once(tmp_path, monkeypatch):
+    # the plan the CLI checks for overflow is the one the run uses
+    built, make_task = [], simulate.make_task
+
+    def counting_make_task(*args, **kwargs):
+        built.append(args)
+        return make_task(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "make_task", counting_make_task)
+    cfg = write_cfg(tmp_path, TRAIN_CFG)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run.csv")]) == 0
+    assert len(built) == 1
+
+
 def test_train_rerun_is_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, TRAIN_CFG)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -32,6 +32,13 @@ def test_fwht_matches_explicit_matrix():
         np.testing.assert_allclose(fwht(v), explicit_hadamard(n) @ v, atol=1e-10)
 
 
+def test_fwht_of_a_stack_matches_explicit_matrix():
+    rng = np.random.default_rng(20)
+    for m, n in ((1, 1), (3, 2), (5, 64), (40, 256)):
+        V = rng.normal(size=(m, n))
+        np.testing.assert_allclose(fwht(V), V @ explicit_hadamard(n), atol=1e-9)
+
+
 def test_fwht_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         fwht(np.zeros(6))
@@ -80,6 +87,66 @@ def test_clip_rejects_non_finite_bound(bound):
     # a NaN or infinite bound would pass [3, 4] through unclipped
     with pytest.raises(NonFiniteInput):
         clip(np.array([3.0, 4.0]), bound)
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf])
+def test_sensitivity_rejects_non_finite_bound(bound):
+    # a NaN or infinite bound would give the accountant a NaN or infinite sensitivity
+    with pytest.raises(NonFiniteInput):
+        sensitivity(bound, 16, 5)
+
+
+STACK_SHAPES = [(1, 1), (2, 7), (5, 20), (40, 64), (16, 333), (8, 1000)]
+
+
+def client_stack(m: int, d: int, seed: int) -> np.ndarray:
+    """Rows with norms from 0 to 3 (a zero row first), around a bound of 1."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(m, d))
+    G *= rng.uniform(0.0, 3.0, size=(m, 1)) / np.linalg.norm(G, axis=1, keepdims=True)
+    G[0] = 0.0
+    return G
+
+
+@pytest.mark.parametrize("m, d", STACK_SHAPES)
+def test_clip_of_a_stack_clips_each_row_by_its_own_norm(m, d):
+    G = client_stack(m, d, seed=d)
+    out = clip(G, 1.0)
+    for r in range(m):
+        # bit-exact against the per-vector definition and its norm
+        want = G[r] / max(1.0, float(np.linalg.norm(G[r])) / 1.0)
+        assert out[r].tobytes() == want.tobytes() == clip(G[r], 1.0).tobytes()
+
+
+@pytest.mark.parametrize("m, d", STACK_SHAPES)
+def test_rotate_and_unrotate_of_a_stack_act_row_by_row(m, d):
+    G = client_stack(m, d, seed=d + 1)
+    rs = RotationSeed(d, padded_dim(d))
+    rotated = rotate(G, rs)
+    back = unrotate(rotated, rs, d)
+    assert rotated.shape == (m, rs.d_pad) and back.shape == (m, d)
+    for r in range(m):
+        assert rotated[r].tobytes() == rotate(G[r], rs).tobytes()
+        assert back[r].tobytes() == unrotate(rotated[r], rs, d).tobytes()
+    np.testing.assert_array_equal(unrotate(rotated, rs), np.stack([unrotate(v, rs) for v in rotated]))
+
+
+@pytest.mark.parametrize("m, d", STACK_SHAPES)
+def test_quantize_of_a_stack_draws_each_row_from_its_own_generator(m, d):
+    spec = LatticeSpec(g_max=0.5, k=9, q=101)
+    V = rotate(client_stack(m, d, seed=d + 2), RotationSeed(3, padded_dim(d)))
+    out = quantize(V, spec, [np.random.default_rng((d, r)) for r in range(m)])
+    assert out.dtype == np.int64 and out.shape == V.shape
+    for r in range(m):
+        np.testing.assert_array_equal(out[r], quantize(V[r], spec, np.random.default_rng((d, r))))
+
+
+def test_quantize_needs_one_generator_per_row():
+    V = np.zeros((3, 4))
+    with pytest.raises(ValueError):
+        quantize(V, SPEC, [np.random.default_rng(r) for r in range(2)])
+    with pytest.raises(ValueError):
+        quantize(np.zeros((2, 2, 4)), SPEC, [np.random.default_rng(r) for r in range(4)])
 
 
 def test_rotation_roundtrip():

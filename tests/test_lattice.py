@@ -1,34 +1,25 @@
 import numpy as np
 import pytest
 
-from latticefl.errors import ConfigError, OffLattice
-from latticefl.lattice import (
-    LatticeSpec,
-    decode,
-    decode_vec,
-    encode,
-    encode_vec,
-    ensure_accumulator_headroom,
-    phi_q,
-    phi_q_vec,
-    wrap_centered,
-)
+from latticefl.errors import ConfigError
+from latticefl.lattice import LatticeSpec, ensure_accumulator_headroom, wrap_centered
 
 from helpers import brute_force_wrap
 
+# phi_q, the paper's wrap into the coarse group, is wrap_centered(z, q).
 SPEC7 = LatticeSpec(g_max=1.0, k=3, q=7)
 
 
 def test_phi_q_identity_inside_group():
-    assert phi_q(3, SPEC7) == 3
+    assert wrap_centered(3, SPEC7.q) == 3
 
 
 def test_phi_q_wraps_just_outside():
-    assert phi_q(4, SPEC7) == brute_force_wrap(4, 7) == -3
+    assert wrap_centered(4, SPEC7.q) == brute_force_wrap(4, 7) == -3
 
 
 def test_phi_q_full_period():
-    assert phi_q(-7, SPEC7) == 0
+    assert wrap_centered(-7, SPEC7.q) == 0
 
 
 def test_phi_q_matches_brute_force():
@@ -40,12 +31,12 @@ def test_phi_q_matches_brute_force():
 
 
 def test_phi_q_vec_coordinatewise():
-    np.testing.assert_array_equal(phi_q_vec(np.array([3, 4, -7]), SPEC7), [3, -3, 0])
+    np.testing.assert_array_equal(wrap_centered(np.array([3, 4, -7]), SPEC7.q), [3, -3, 0])
 
 
 def test_phi_q_vec_empty_and_zeros():
-    assert phi_q_vec(np.array([], dtype=np.int64), SPEC7).size == 0
-    np.testing.assert_array_equal(phi_q_vec(np.zeros(5, dtype=np.int64), SPEC7), np.zeros(5))
+    assert wrap_centered(np.array([], dtype=np.int64), SPEC7.q).size == 0
+    np.testing.assert_array_equal(wrap_centered(np.zeros(5, dtype=np.int64), SPEC7.q), np.zeros(5))
 
 
 def test_phi_q_idempotent_and_periodic():
@@ -66,33 +57,6 @@ def test_wrap_sum_homomorphism():
         parts = rng.integers(-(10 * q), 10 * q, size=(int(rng.integers(1, 20)), int(rng.integers(1, 64))))
         wrapped_sum = wrap_centered(wrap_centered(parts, q).sum(axis=0), q)
         np.testing.assert_array_equal(wrapped_sum, wrap_centered(parts.sum(axis=0), q))
-
-
-def test_encode_decode_roundtrip():
-    spec = LatticeSpec(g_max=2.0, k=9, q=101)
-    assert encode(0.0, spec) == 0
-    assert encode(spec.step, spec) == 1
-    for z in (-17, -1, 0, 1, 42):
-        assert encode(decode(z, spec), spec) == z
-
-
-def test_encode_rejects_off_lattice():
-    spec = LatticeSpec(g_max=2.0, k=9, q=101)
-    with pytest.raises(OffLattice):
-        encode(2.5 * spec.step, spec)
-
-
-def test_encode_vec_matches_scalar():
-    spec = LatticeSpec(g_max=1.5, k=5, q=11)
-    z = np.array([-3, 0, 2, 7], dtype=np.int64)
-    np.testing.assert_array_equal(encode_vec(decode_vec(z, spec), spec), z)
-    with pytest.raises(OffLattice):
-        encode_vec(np.array([0.0, 0.4 * spec.step]), spec)
-
-
-def test_encode_tolerates_decimal_roundoff():
-    spec = LatticeSpec(g_max=1.0, k=11, q=101)
-    assert encode(3 * spec.step * (1 + 1e-12), spec) == 3
 
 
 def test_spec_validation():

@@ -98,6 +98,16 @@ def test_plan_overflow_probability_scales():
     assert noiseless.overflow_probability == 0.0
 
 
+def test_training_with_a_prebuilt_plan():
+    cfg = small_cfg(rounds=2)
+    plan = make_plan(cfg)
+    _, given, _ = run_training(cfg, plan=plan)
+    _, built, _ = run_training(cfg)
+    assert [tr.aggregate.tobytes() for tr in given] == [tr.aggregate.tobytes() for tr in built]
+    with pytest.raises(ValueError):
+        run_training(small_cfg(rounds=2, seed=cfg.seed + 1), plan=plan)
+
+
 def test_round_counter_must_match():
     plan = make_plan(small_cfg())
     model = GlobalModel(plan.task.init_weights(), 0)
@@ -256,15 +266,13 @@ def test_aggregation_unbiased_without_noise():
     rng = np.random.default_rng(12)
     updates = rng.normal(size=(m, d))
     updates /= np.linalg.norm(updates, axis=1, keepdims=True)
-    clipped = np.stack([compress.clip(u, 1.0) for u in updates])
-    rotated = np.stack([compress.rotate(c, rs) for c in clipped])
+    clipped = compress.clip(updates, 1.0)
+    rotated = compress.rotate(clipped, rs)
     noise = np.zeros(rs.d_pad, dtype=np.int64)
     trials = 400
     estimates = np.empty((trials, d))
     for t in range(trials):
-        quantized = np.stack(
-            [compress.quantize(rotated[r], spec, np.random.default_rng((t, r))) for r in range(m)]
-        )
+        quantized = compress.quantize(rotated, spec, [np.random.default_rng((t, r)) for r in range(m)])
         agg, _ = secagg.aggregate_round(quantized, noise, list(range(m)), None, spec)
         estimates[t] = compress.unrotate(agg, rs, d)
     mean_est = estimates.mean(axis=0)
