@@ -121,6 +121,14 @@ def comm_cost(n_participants: int, d_pad: int, q: int, include_header: bool = Fa
     return n_participants * per_client
 
 
+def empirical_mse_bytes(m: int, d: int) -> int:
+    """Peak bytes :func:`empirical_mse` allocates for ``m`` updates of
+    dimension ``d``, counting the caller's update stack: about 16 float64
+    ``(m, d_pad)`` arrays plus about 82 B per pair of clients for the
+    pairwise mask keys (tracemalloc, m = 2 to 1000, d_pad = 1 to 2^18)."""
+    return 16 * 8 * m * compress.padded_dim(d) + 82 * m * m
+
+
 def empirical_mse(
     updates: np.ndarray,
     spec: LatticeSpec,

@@ -25,10 +25,8 @@ from . import bounds
 from .accountant import AccountantState
 from .config import ExperimentConfig, format_real, load_config
 from .dgauss import sample_integer_gaussian
-from .errors import ConfigError, LatticeflError
+from .errors import ConfigError, HypothesisViolated, LatticeflError
 from .simulate import OVERFLOW_BUDGET, make_plan, run_training
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _write_csv(out: str | None, header: list[str], rows: list[list[str]]) -> None:
@@ -85,11 +83,12 @@ def cmd_mse_bench(cfg: ExperimentConfig) -> int:
         empirical = bounds.empirical_mse(
             updates, spec, grid.clip_bound, su, grid.trials, seed=cfg.seed + index
         )
-        if su < _INV_SQRT_2PI:
+        inputs = bounds.MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=su, gamma=gamma, g_max=g_max)
+        try:
+            bound = bounds.mse_bound_conservative(inputs)
+        except HypothesisViolated:
             bound, flag = math.nan, "hypothesis"
         else:
-            inputs = bounds.MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=su, gamma=gamma, g_max=g_max)
-            bound = bounds.mse_bound_conservative(inputs)
             flag = "ok" if empirical <= bound else "exceeds"
         rows.append(
             [str(d), str(n), str(k), str(q), format_real(su), format_real(gamma),

@@ -87,9 +87,19 @@ def clip(g: np.ndarray, clip_bound: float) -> np.ndarray:
     # Each row's dot product with itself, as np.linalg.norm(row) computes
     # it; norm(..., axis=-1) sums in another order and can differ in the
     # last bit.
-    norms = np.sqrt((g[..., None, :] @ g[..., :, None])[..., 0, 0])
-    scale = np.maximum(1.0, norms / clip_bound)
-    return g / scale[..., None]
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((g[..., None, :] @ g[..., :, None])[..., 0, 0])
+        scale = np.maximum(1.0, norms / clip_bound)
+    out = g / scale[..., None]
+    # A finite row too long for norm / clip_bound to be a finite double
+    # lies far outside the ball; its direction comes from the row divided
+    # by its largest entry, whose norm is between 1 and sqrt(d).
+    big = np.isinf(scale)
+    if big.any():
+        big &= np.isfinite(g).all(axis=-1)
+        unit = g[big] / np.abs(g[big]).max(axis=-1, keepdims=True)
+        out[big] = unit * (clip_bound / np.sqrt(np.sum(unit * unit, axis=-1, keepdims=True)))
+    return out
 
 
 def rotate(g: np.ndarray, rs: RotationSeed) -> np.ndarray:

@@ -3,73 +3,29 @@
 Every key is listed in the schema below; unknown sections or keys are
 hard errors so a typo cannot silently fall back to a default.  The same
 file drives all CLI modes; each mode reads its own section plus
-``[experiment]``.
+``[experiment]``.  Each section builds one dataclass, which holds the
+defaults (a key is required exactly when its field has none) and
+validates itself, so a file is fully checked before anything is drawn.
 """
 
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
+from .bounds import MseBoundInputs, empirical_mse_bytes
 from .compress import padded_dim, sensitivity
 from .errors import ConfigError
-from .simulate import RoundConfig
-from .tasks import LocalTrainerSpec
+from .lattice import LatticeSpec
+from .simulate import RoundConfig, check_memory_budget
 
-MODES = ("train", "mse-bench", "accountant", "sample")
-
-# section -> {key: parser}; "auto"/"full" sentinels handled by the parsers.
-_SCHEMA = {
-    "experiment": {"mode": str, "seed": int, "out": str},
-    "protocol": {
-        "n": int,
-        "gamma": float,
-        "rounds": int,
-        "dim": int,
-        "clip": float,
-        "k": int,
-        "q": int,
-        "sigma": float,
-        "delta": float,
-        "g_max": str,
-        "task": str,
-        "iid": str,
-        "samples_per_client": int,
-        "local_steps": int,
-        "learning_rate": float,
-        "batch_size": str,
-    },
-    "accountant": {
-        "sigma": float,
-        "clip": float,
-        "k": int,
-        "dim": int,
-        "gamma": float,
-        "rounds": int,
-        "delta": float,
-    },
-    "sample": {"sigma_units": float, "count": int},
-    "mse": {
-        "dims": str,
-        "clients": str,
-        "ks": str,
-        "qs": str,
-        "sigmas": str,
-        "gammas": str,
-        "g_maxes": str,
-        "clip": float,
-        "trials": int,
-    },
-}
-
-_REQUIRED = {
-    "train": ("protocol",),
-    "mse-bench": (),
-    "accountant": ("accountant",),
-    "sample": ("sample",),
-}
+# Peak bytes per draw of the ``sample`` command: the int64 draw plus its
+# text line (about 107 B measured at 1e6 and 4e6 draws).
+SAMPLE_BYTES_PER_DRAW = 110
 
 
 @dataclass(frozen=True)
@@ -82,6 +38,16 @@ class AccountantParams:
     rounds: int
     delta: float
 
+    def __post_init__(self):
+        if self.sigma <= 0 or self.clip_bound <= 0:
+            raise ValueError("accountant sigma and clip must be positive")
+        if not 0 < self.gamma <= 1:
+            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        if self.rounds < 0:
+            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+
     @property
     def sensitivity(self) -> float:
         return sensitivity(self.clip_bound, padded_dim(self.dim), self.k)
@@ -92,95 +58,208 @@ class SampleParams:
     sigma_units: float
     count: int
 
+    def __post_init__(self):
+        if self.sigma_units <= 0:
+            raise ValueError(f"sigma_units must be positive, got {self.sigma_units}")
+        if self.count < 0:
+            raise ValueError(f"count must be >= 0, got {self.count}")
+        check_memory_budget(
+            self.count * SAMPLE_BYTES_PER_DRAW, f"count = {self.count} draws", "reduce count"
+        )
+
 
 @dataclass(frozen=True)
 class MseGrid:
-    """Cartesian product of the listed parameters, one bench cell each."""
+    """Cartesian product of the listed parameters, one bench cell each.
 
-    dims: tuple[int, ...]
-    clients: tuple[int, ...]
-    ks: tuple[int, ...]
-    qs: tuple[int, ...]
-    sigmas: tuple[float, ...]
-    gammas: tuple[float, ...]
-    g_maxes: tuple[float, ...]
-    clip_bound: float
-    trials: int
+    The defaults are the stock 12-cell grid, every cell satisfying the
+    bound's noise hypothesis sigma >= 1/sqrt(2 pi).
+    """
+
+    dims: tuple[int, ...] = (64,)
+    clients: tuple[int, ...] = (4, 10)
+    ks: tuple[int, ...] = (5, 9, 17)
+    qs: tuple[int, ...] = (1001,)
+    sigmas: tuple[float, ...] = (0.5, 1.0)
+    gammas: tuple[float, ...] = (0.1,)
+    g_maxes: tuple[float, ...] = (1.0,)
+    clip_bound: float = 1.0
+    trials: int = 1000
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.clip_bound <= 0:
+            raise ValueError(f"clip must be positive, got {self.clip_bound}")
+        for cell in self.cells():
+            d, n, k, q, su, gamma, g_max = cell
+            try:
+                LatticeSpec(g_max=g_max, k=k, q=q)
+                MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=su, gamma=gamma, g_max=g_max)
+            except ValueError as exc:
+                raise ValueError(f"mse cell (d, n, k, q, sigma, gamma, g_max) = {cell}: {exc}") from None
+            check_memory_budget(
+                empirical_mse_bytes(n, d), f"an mse cell of {n} clients at d={d}",
+                "reduce dims or clients",
+            )
 
     def cells(self):
-        for d in self.dims:
-            for n in self.clients:
-                for k in self.ks:
-                    for q in self.qs:
-                        for su in self.sigmas:
-                            for gamma in self.gammas:
-                                for g in self.g_maxes:
-                                    yield d, n, k, q, su, gamma, g
+        """``(d, n, k, q, sigma_units, gamma, g_max)`` per cell, the last key varying fastest."""
+        return itertools.product(
+            self.dims, self.clients, self.ks, self.qs, self.sigmas, self.gammas, self.g_maxes
+        )
 
 
-# The default bench grid: 12 cells, all satisfying the bound's noise
-# hypothesis sigma >= 1/sqrt(2 pi).
-DEFAULT_MSE_GRID = MseGrid(
-    dims=(64,),
-    clients=(4, 10),
-    ks=(5, 9, 17),
-    qs=(1001,),
-    sigmas=(0.5, 1.0),
-    gammas=(0.1,),
-    g_maxes=(1.0,),
-    clip_bound=1.0,
-    trials=1000,
-)
+DEFAULT_MSE_GRID = MseGrid()
+
+# mode -> (section, ExperimentConfig field, dataclass the section builds)
+_MODES = {
+    "train": ("protocol", "round_config", RoundConfig),
+    "mse-bench": ("mse", "mse_grid", MseGrid),
+    "accountant": ("accountant", "accountant_params", AccountantParams),
+    "sample": ("sample", "sample_params", SampleParams),
+}
+MODES = tuple(_MODES)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str
     seed: int
-    out: str | None
+    out: str | None = None
     round_config: RoundConfig | None = None
     accountant_params: AccountantParams | None = None
     sample_params: SampleParams | None = None
     mse_grid: MseGrid | None = None
 
-
-def _parse_bool(raw: str, where: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not 0 <= self.seed < 1 << 63:
+            raise ValueError(f"seed must be a non-negative 63-bit integer, got {self.seed}")
 
 
-def _finite(value, where: str):
-    """Reject NaN and infinities, which would otherwise reach the integer domain."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+def _real(raw: str) -> float:
+    """A float; NaN and infinities would otherwise reach the integer domain."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
     return value
 
 
-def _parse_list(raw: str, kind, where: str) -> tuple:
-    try:
-        return tuple(_finite(kind(item.strip()), where) for item in raw.split(",") if item.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in _BOOLEANS:
+        raise ValueError("expected a boolean")
+    return _BOOLEANS[raw.lower()]
+
+
+def _unless(word: str, parse):
+    """``None`` for ``word`` (any case), else ``parse(raw)``."""
+    return lambda raw: None if raw.lower() == word else parse(raw)
+
+
+def _list(parse):
+    """Comma-separated values; blank items are skipped, but one must remain."""
+
+    def parse_list(raw: str) -> tuple:
+        values = tuple(parse(item.strip()) for item in raw.split(",") if item.strip())
+        if not values:
+            raise ValueError("needs at least one value")
+        return values
+
+    return parse_list
+
+
+# section -> {key: (dataclass field, parser)}.  A dotted field fills the
+# nested dataclass that the outer field's default factory makes.
+_SCHEMA = {
+    "experiment": {
+        "mode": ("mode", str),
+        "seed": ("seed", int),
+        "out": ("out", str),
+    },
+    "protocol": {
+        "n": ("n", int),
+        "gamma": ("gamma", _real),
+        "rounds": ("rounds", int),
+        "dim": ("dim", int),
+        "clip": ("clip_bound", _real),
+        "k": ("k", int),
+        "q": ("q", int),
+        "sigma": ("sigma", _real),
+        "delta": ("delta", _real),
+        "g_max": ("g_max", _unless("auto", _real)),
+        "task": ("task", str),
+        "iid": ("iid", _boolean),
+        "samples_per_client": ("samples_per_client", int),
+        "local_steps": ("local.steps", int),
+        "learning_rate": ("local.learning_rate", _real),
+        "batch_size": ("local.batch_size", _unless("full", int)),
+    },
+    "accountant": {
+        "sigma": ("sigma", _real),
+        "clip": ("clip_bound", _real),
+        "k": ("k", int),
+        "dim": ("dim", int),
+        "gamma": ("gamma", _real),
+        "rounds": ("rounds", int),
+        "delta": ("delta", _real),
+    },
+    "sample": {
+        "sigma_units": ("sigma_units", _real),
+        "count": ("count", int),
+    },
+    "mse": {
+        "dims": ("dims", _list(int)),
+        "clients": ("clients", _list(int)),
+        "ks": ("ks", _list(int)),
+        "qs": ("qs", _list(int)),
+        "sigmas": ("sigmas", _list(_real)),
+        "gammas": ("gammas", _list(_real)),
+        "g_maxes": ("g_maxes", _list(_real)),
+        "clip": ("clip_bound", _real),
+        "trials": ("trials", int),
+    },
+}
 
 
 def _section(parser: configparser.ConfigParser, name: str) -> dict:
-    """Typed view of one section, rejecting unknown keys."""
-    if name not in parser:
-        return {}
-    out = {}
-    for key, raw in parser[name].items():
+    """``{field: value}`` for one section's keys, rejecting unknown keys."""
+    values = {}
+    for key, raw in parser[name].items() if name in parser else ():
         if key not in _SCHEMA[name]:
             raise ConfigError(f"unknown key {key!r} in section [{name}]")
-        kind = _SCHEMA[name][key]
+        field, parse = _SCHEMA[name][key]
         try:
-            out[key] = _finite(kind(raw) if kind is not str else raw.strip(), f"[{name}] {key}")
-        except ValueError:
-            raise ConfigError(f"[{name}] {key}: cannot parse {raw!r} as {kind.__name__}") from None
-    return out
+            values[field] = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] {key} = {raw}: {exc}") from None
+    return values
+
+
+def _build(cls, section: str, values: dict):
+    """``cls`` from one section's ``{field: value}``; every field without a
+    default must be set."""
+    kwargs = {}
+    for field, value in values.items():
+        outer, _, inner = field.partition(".")
+        if inner:
+            kwargs.setdefault(outer, {})[inner] = value
+        else:
+            kwargs[field] = value
+    keys = {field.partition(".")[0]: key for key, (field, _) in _SCHEMA[section].items()}
+    missing = []
+    for f in dataclasses.fields(cls):
+        if f.name in kwargs and f.default_factory is not MISSING:
+            kwargs[f.name] = f.default_factory(**kwargs[f.name])
+        elif f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            missing.append(keys[f.name])
+    if missing:
+        raise ConfigError(f"[{section}] missing keys: {', '.join(missing)}")
+    return cls(**kwargs)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -193,139 +272,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
         parser.read_string(path.read_text())
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}] in {path}")
+    values = {name: _section(parser, name) for name in _SCHEMA}
 
-    exp = _section(parser, "experiment")
-    for key in ("mode", "seed"):
-        if key not in exp:
-            raise ConfigError(f"[experiment] must set {key!r}")
-    mode = exp["mode"]
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    for section in _REQUIRED[mode]:
-        if section not in parser:
-            raise ConfigError(f"mode {mode!r} requires a [{section}] section")
-
-    cfg = ExperimentConfig(mode=mode, seed=exp["seed"], out=exp.get("out"))
     try:
-        if mode == "train":
-            cfg = ExperimentConfig(
-                mode=mode, seed=exp["seed"], out=exp.get("out"),
-                round_config=_round_config(_section(parser, "protocol"), exp["seed"]),
-            )
-        elif mode == "accountant":
-            acc = _section(parser, "accountant")
-            missing = sorted(set(_SCHEMA["accountant"]) - set(acc))
-            if missing:
-                raise ConfigError(f"[accountant] missing keys: {', '.join(missing)}")
-            cfg = ExperimentConfig(
-                mode=mode, seed=exp["seed"], out=exp.get("out"),
-                accountant_params=AccountantParams(
-                    sigma=acc["sigma"], clip_bound=acc["clip"], k=acc["k"], dim=acc["dim"],
-                    gamma=acc["gamma"], rounds=acc["rounds"], delta=acc["delta"],
-                ),
-            )
-        elif mode == "sample":
-            smp = _section(parser, "sample")
-            missing = sorted(set(_SCHEMA["sample"]) - set(smp))
-            if missing:
-                raise ConfigError(f"[sample] missing keys: {', '.join(missing)}")
-            cfg = ExperimentConfig(
-                mode=mode, seed=exp["seed"], out=exp.get("out"),
-                sample_params=SampleParams(sigma_units=smp["sigma_units"], count=smp["count"]),
-            )
-        else:  # mse-bench
-            cfg = ExperimentConfig(
-                mode=mode, seed=exp["seed"], out=exp.get("out"),
-                mse_grid=_mse_grid(_section(parser, "mse")),
-            )
+        cfg = _build(ExperimentConfig, "experiment", values["experiment"])
+        section, field, cls = _MODES[cfg.mode]
+        if cls is RoundConfig:
+            values[section]["seed"] = cfg.seed  # every stream of a run derives from it
+        return dataclasses.replace(cfg, **{field: _build(cls, section, values[section])})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _validate(cfg)
-    return cfg
-
-
-def _round_config(proto: dict, seed: int) -> RoundConfig:
-    required = ("n", "gamma", "rounds", "dim", "clip", "k", "q", "sigma", "delta")
-    missing = sorted(set(required) - set(proto))
-    if missing:
-        raise ConfigError(f"[protocol] missing keys: {', '.join(missing)}")
-    g_max_raw = proto.get("g_max", "auto")
-    g_max = None if g_max_raw.lower() == "auto" else _finite(float(g_max_raw), "[protocol] g_max")
-    batch_raw = proto.get("batch_size", "full")
-    batch = None if batch_raw.lower() == "full" else int(batch_raw)
-    return RoundConfig(
-        n=proto["n"],
-        gamma=proto["gamma"],
-        rounds=proto["rounds"],
-        dim=proto["dim"],
-        clip_bound=proto["clip"],
-        k=proto["k"],
-        q=proto["q"],
-        sigma=proto["sigma"],
-        delta=proto["delta"],
-        seed=seed,
-        g_max=g_max,
-        task=proto.get("task", "logistic"),
-        iid=_parse_bool(proto.get("iid", "true"), "[protocol] iid"),
-        samples_per_client=proto.get("samples_per_client", 20),
-        local=LocalTrainerSpec(
-            steps=proto.get("local_steps", 1),
-            learning_rate=proto.get("learning_rate", 0.5),
-            batch_size=batch,
-        ),
-    )
-
-
-def _mse_grid(section: dict) -> MseGrid:
-    if not section:
-        return DEFAULT_MSE_GRID
-    base = DEFAULT_MSE_GRID
-    return MseGrid(
-        dims=_parse_list(section.get("dims", ""), int, "[mse] dims") or base.dims,
-        clients=_parse_list(section.get("clients", ""), int, "[mse] clients") or base.clients,
-        ks=_parse_list(section.get("ks", ""), int, "[mse] ks") or base.ks,
-        qs=_parse_list(section.get("qs", ""), int, "[mse] qs") or base.qs,
-        sigmas=_parse_list(section.get("sigmas", ""), float, "[mse] sigmas") or base.sigmas,
-        gammas=_parse_list(section.get("gammas", ""), float, "[mse] gammas") or base.gammas,
-        g_maxes=_parse_list(section.get("g_maxes", ""), float, "[mse] g_maxes") or base.g_maxes,
-        clip_bound=section.get("clip", base.clip_bound),
-        trials=section.get("trials", base.trials),
-    )
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    if not 0 <= cfg.seed < 1 << 63:
-        raise ConfigError(f"seed must be a non-negative 63-bit integer, got {cfg.seed}")
-    if cfg.mode == "mse-bench":
-        grid = cfg.mse_grid
-        if grid.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {grid.trials}")
-        for q in grid.qs:
-            if q < 1 or q % 2 == 0:
-                raise ConfigError(f"mse grid q values must be positive odd, got {q}")
-        for k in grid.ks:
-            if k < 3 or k % 2 == 0:
-                raise ConfigError(f"mse grid k values must be odd and >= 3, got {k}")
-    if cfg.mode == "accountant":
-        p = cfg.accountant_params
-        if p.sigma <= 0 or p.clip_bound <= 0:
-            raise ConfigError("accountant sigma and clip must be positive")
-        if not 0 < p.gamma <= 1:
-            raise ConfigError(f"gamma must be in (0, 1], got {p.gamma}")
-        if p.rounds < 0:
-            raise ConfigError(f"rounds must be >= 0, got {p.rounds}")
-        if not 0 < p.delta < 1:
-            raise ConfigError(f"delta must be in (0, 1), got {p.delta}")
-    if cfg.mode == "sample":
-        p = cfg.sample_params
-        if p.sigma_units <= 0:
-            raise ConfigError(f"sigma_units must be positive, got {p.sigma_units}")
-        if p.count < 0:
-            raise ConfigError(f"count must be >= 0, got {p.count}")
 
 
 def format_real(x: float) -> str:

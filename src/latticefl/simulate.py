@@ -25,7 +25,7 @@ from .accountant import AccountantState
 from .dgauss import DiscreteGaussian
 from .errors import ConfigError
 from .lattice import LatticeSpec
-from .tasks import LocalTrainerSpec, Task, data_bytes, make_task
+from .tasks import LocalTrainerSpec, Task, data_bytes, make_task, model_dim
 
 # Seed-derivation domains (second entry of every SeedSequence).
 _DOM_TASK = 10
@@ -39,11 +39,22 @@ _DOM_MASKS = 24
 # Per-round overflow probability above which a configuration is rejected.
 OVERFLOW_BUDGET = 1e-9
 
-# Largest task data (client shards plus evaluation set) a plan may build.
-# Sharding briefly holds about three copies, so this keeps a desk-scale run
-# within a few GiB and turns an oversized n or samples_per_client into a
-# configuration error before anything is allocated.
+# Largest allocation one command may make: a plan's task data, the
+# sample command's draws, or one mse-bench cell's client stacks.  Task
+# sharding briefly holds about three copies, so this keeps a desk-scale
+# run within a few GiB and turns an oversized n, samples_per_client,
+# count, dims or clients into a configuration error before anything is
+# allocated.
 TASK_DATA_BUDGET_BYTES = 2 << 30
+
+
+def check_memory_budget(needed: int, what: str, remedy: str) -> None:
+    """Raise ConfigError when ``what`` needs more than the memory budget."""
+    if needed > TASK_DATA_BUDGET_BYTES:
+        raise ConfigError(
+            f"{what} would take {needed / 2**30:.3g} GiB, above the "
+            f"{TASK_DATA_BUDGET_BYTES / 2**30:.3g} GiB budget; {remedy}"
+        )
 
 
 def participants_per_round(n: int, gamma: float) -> int:
@@ -140,18 +151,16 @@ def _derived_int(master: int, domain: int) -> int:
 def make_plan(cfg: RoundConfig) -> SimPlan:
     """Validate a configuration and derive the per-run constants.
 
-    Raises ConfigError for cross-field violations; the overflow budget is
-    enforced by the caller (the CLI offers an override flag).
+    Raises ConfigError for cross-field violations, all checked before the
+    task data is drawn; the overflow budget is enforced by the caller (the
+    CLI offers an override flag).
     """
     m = participants_per_round(cfg.n, cfg.gamma)
-    needed = data_bytes(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client)
-    if needed > TASK_DATA_BUDGET_BYTES:
-        raise ConfigError(
-            f"task data would take {needed / 2**30:.3g} GiB, above the "
-            f"{TASK_DATA_BUDGET_BYTES / 2**30:.3g} GiB budget; reduce n, samples_per_client or dim"
-        )
-    task = make_task(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client, _derived_int(cfg.seed, _DOM_TASK), cfg.iid)
-    d = task.dim
+    check_memory_budget(
+        data_bytes(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client),
+        "task data", "reduce n, samples_per_client or dim",
+    )
+    d = model_dim(cfg.task, cfg.dim)
     d_pad = compress.padded_dim(d)
     if cfg.q < cfg.k:
         raise ConfigError(
@@ -160,6 +169,7 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
     g_max = cfg.g_max if cfg.g_max is not None else compress.default_g_max(cfg.clip_bound, cfg.n, d_pad)
     spec = LatticeSpec(g_max=g_max, k=cfg.k, q=cfg.q)
     wire_q = secagg.wire_modulus(cfg.q, m)
+    sensitivity = compress.sensitivity(cfg.clip_bound, d_pad, cfg.k)
 
     # Room, in lattice steps, that the recovered sum leaves for the noise
     # once the m quantized rows take their largest magnitude.
@@ -174,6 +184,8 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
     else:
         overflow_probability = 0.0
 
+    task = make_task(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client, _derived_int(cfg.seed, _DOM_TASK), cfg.iid)
+
     return SimPlan(
         cfg=cfg,
         task=task,
@@ -183,7 +195,7 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
         spec=spec,
         rotation=compress.RotationSeed(_derived_int(cfg.seed, _DOM_ROTATION), d_pad),
         wire_q=wire_q,
-        sensitivity=compress.sensitivity(cfg.clip_bound, d_pad, cfg.k),
+        sensitivity=sensitivity,
         noise_margin_steps=max(0, margin_steps),
         plaintext_bound=m * spec.half_levels + max(0, margin_steps),
         overflow_probability=overflow_probability,

@@ -168,11 +168,11 @@ class SpiralMlpTask(Task):
     """Two interleaved spirals, 2-16-16-1 tanh MLP with sigmoid output."""
 
     HIDDEN = 16
+    SHAPES = [(2, HIDDEN), (HIDDEN,), (HIDDEN, HIDDEN), (HIDDEN,), (HIDDEN, 1), (1,)]
+    DIM = sum(math.prod(s) for s in SHAPES)
 
     def __init__(self, n_clients, samples_per_client, seed, iid=True, noise=0.08):
-        h = self.HIDDEN
-        self.shapes = [(2, h), (h,), (h, h), (h,), (h, 1), (1,)]
-        self.dim = sum(int(np.prod(s)) for s in self.shapes)
+        self.dim = self.DIM
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
 
         def draw(count):
@@ -195,8 +195,8 @@ class SpiralMlpTask(Task):
 
     def _unpack(self, w):
         out, at = [], 0
-        for s in self.shapes:
-            size = int(np.prod(s))
+        for s in self.SHAPES:
+            size = math.prod(s)
             out.append(w[at : at + size].reshape(s))
             at += size
         return out
@@ -240,6 +240,11 @@ TASKS = {
     "logistic": LogisticBlobsTask,
     "mlp": SpiralMlpTask,
 }
+
+
+def model_dim(name, dim) -> int:
+    """Dimension of the model ``make_task`` builds (the MLP fixes its own)."""
+    return SpiralMlpTask.DIM if name == "mlp" else dim
 
 
 def data_bytes(name, dim, n_clients, samples_per_client) -> int:

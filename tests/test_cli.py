@@ -299,10 +299,21 @@ def test_non_finite_protocol_value_rejected(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("samples_per_client", "0"), ("samples_per_client", "-3"), ("n", "1000000000")]
+    "key, value",
+    [
+        ("samples_per_client", "0"),
+        ("samples_per_client", "-3"),
+        ("n", "1000000000"),
+        ("k", "4"),
+        ("q", "4"),
+        ("k", "5001"),
+        ("g_max", "-1"),
+        ("q", "-3"),
+    ],
 )
 def test_out_of_range_protocol_value_rejected(tmp_path, capsys, monkeypatch, key, value):
-    # rejected before any task data is drawn: n = 1e9 would need 149 GiB
+    # rejected before any task data is drawn: n = 1e9 would need 149 GiB,
+    # and the lattice (k odd, q >= k, g_max > 0) is checked first
     def no_task(*args, **kwargs):
         raise AssertionError("task data drawn for a rejected config")
 

@@ -118,6 +118,20 @@ def test_clip_of_a_stack_clips_each_row_by_its_own_norm(m, d):
         assert out[r].tobytes() == want.tobytes() == clip(G[r], 1.0).tobytes()
 
 
+@pytest.mark.parametrize("big", [[1e200, 1e200], [1e308, -1e308, 1.0], [-1e160] + [0.0] * 63])
+def test_clip_puts_a_row_with_an_overflowing_norm_on_the_sphere(big):
+    # the squared norm overflows float64; such a row used to become zero
+    G = client_stack(4, len(big), seed=len(big))
+    G[2] = big
+    out = clip(G, 0.5)  # RuntimeWarnings fail the suite
+    # math.hypot scales internally, so it is an independent oracle for the norm
+    np.testing.assert_allclose(out[2], np.array(big) / math.hypot(*big) * 0.5, rtol=1e-15)
+    assert np.linalg.norm(out[2]) == pytest.approx(0.5, rel=1e-15)
+    for r in (0, 1, 3):
+        assert out[r].tobytes() == clip(G[r], 0.5).tobytes()
+    assert clip(np.array(big), 0.5).tobytes() == out[2].tobytes()
+
+
 @pytest.mark.parametrize("m, d", STACK_SHAPES)
 def test_rotate_and_unrotate_of_a_stack_act_row_by_row(m, d):
     G = client_stack(m, d, seed=d + 1)
