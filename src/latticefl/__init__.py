@@ -19,7 +19,7 @@ from .errors import (
     SamplerStall,
 )
 from .lattice import LatticeSpec, wrap_centered
-from .secagg import aggregate_round, derive_masks, server_aggregate, split_integer, wire_modulus
+from .secagg import aggregate_round, server_aggregate, split_integer, wire_modulus
 from .simulate import (
     ConvergenceReport,
     GlobalModel,

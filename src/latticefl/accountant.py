@@ -152,9 +152,12 @@ class AccountantState:
     alphas: np.ndarray = field(default_factory=default_alpha_grid)
 
     def __post_init__(self):
-        self.per_round = amplify_by_subsampling(
-            base_curve(self.sigma, self.sensitivity, self.alphas), self.gamma
-        )
+        # Subsampling cannot cost privacy, but the amplification bound can
+        # exceed the unamplified curve (near gamma = 1), so the ledger takes
+        # the smaller of the two at each order.
+        base = base_curve(self.sigma, self.sensitivity, self.alphas)
+        amplified = amplify_by_subsampling(base, self.gamma)
+        self.per_round = RdpCurve(base.alphas, np.minimum(amplified.eps, base.eps))
 
     @property
     def cumulative(self) -> RdpCurve:

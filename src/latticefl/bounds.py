@@ -17,16 +17,11 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from . import compress, secagg
-from .dgauss import DiscreteGaussian
+from .dgauss import INV_SQRT_2PI, DiscreteGaussian
 from .errors import HypothesisViolated
 from .lattice import LatticeSpec
 
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _LOG_FLOOR = math.log(1e-300)
-
-# Fixed per-client framing overhead (seed and client id), excluded from
-# bound comparisons.
-HEADER_BITS = 128
 
 
 def _normal_sf(x: float) -> float:
@@ -71,7 +66,7 @@ def mse_bound(inputs: MseBoundInputs, normalize_phi: bool = True) -> float:
     both vanish except at tiny ``q``.  See :func:`mse_bound_conservative`.
     """
     su = inputs.sigma_units
-    if su < _INV_SQRT_2PI:
+    if su < INV_SQRT_2PI:
         raise HypothesisViolated(
             f"sigma_units={su} below 1/sqrt(2 pi); the bound's tail bracket needs it"
         )
@@ -113,20 +108,73 @@ def payload_bytes_per_client(n_participants: int, d_pad: int, q: int) -> int:
     return -(-payload_bits_per_client(n_participants, d_pad, q) // 8)
 
 
-def comm_cost(n_participants: int, d_pad: int, q: int, include_header: bool = False) -> int:
+def comm_cost(n_participants: int, d_pad: int, q: int) -> int:
     """Total per-round upload in bits across the participants."""
-    per_client = payload_bits_per_client(n_participants, d_pad, q)
-    if include_header:
-        per_client += HEADER_BITS
-    return n_participants * per_client
+    return n_participants * payload_bits_per_client(n_participants, d_pad, q)
+
+
+# Trials run in chunks of about this many bytes, so that each call's fixed
+# cost is spread over many trials while a chunk's arrays stay small beside
+# the process.  A trial's pairs, client rows and two shared streams each
+# count 8 B per coordinate (a mask or row word) plus 128 B (a pair's key
+# or a generator's seed, and their hashing).
+_CHUNK_BYTES = 256 << 10
+
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 def empirical_mse_bytes(m: int, d: int) -> int:
     """Peak bytes :func:`empirical_mse` allocates for ``m`` updates of
-    dimension ``d``, counting the caller's update stack: about 16 float64
-    ``(m, d_pad)`` arrays plus about 82 B per pair of clients for the
-    pairwise mask keys (tracemalloc, m = 2 to 1000, d_pad = 1 to 2^18)."""
-    return 16 * 8 * m * compress.padded_dim(d) + 82 * m * m
+    dimension ``d``, counting the caller's update stack, whatever the
+    trial count: about 16 float64 ``(m, d_pad)`` arrays and 82 B per pair
+    of clients for a trial too large to share a chunk (tracemalloc, m = 2
+    to 1000, d_pad = 1 to 2^18), plus six chunks' worth of bytes for a
+    chunk's arrays (under four in tracemalloc, m = 1 to 200, d_pad = 1 to
+    2^14)."""
+    return 16 * 8 * m * compress.padded_dim(d) + 82 * m * m + 6 * _CHUNK_BYTES
+
+
+def trial_seeds(seed: int, first: int, count: int, n_children: int) -> np.ndarray:
+    """Seed words of the generators a block of trials spawns, in bulk.
+
+    Entry ``[t, i]`` is ``SeedSequence([seed, first +
+    t]).spawn(n_children)[i].generate_state(4, np.uint64)``, the words
+    ``default_rng`` seeds that child's PCG64 from (see :func:`_loaded`).
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    # SeedSequence pads a spawned child's entropy with zeros to its pool
+    # of 4 words, then appends the spawn key.
+    rows = max(len(seed_words) + 1, 4) + 1
+    entropy = np.zeros((rows, count, n_children), dtype=np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None, None]
+    entropy[len(seed_words)] = np.arange(first, first + count, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(n_children, dtype=np.uint32)
+    words = secagg.seed_sequence_state(entropy.reshape(rows, -1), 8).astype(np.uint64)
+    seeds = words[0::2] | words[1::2] << np.uint64(32)  # little-endian pairs of words
+    return np.moveaxis(seeds, 0, -1).reshape(count, n_children, 4)
+
+
+def _loaded(generator: np.random.Generator, seed_words: np.ndarray) -> np.random.Generator:
+    """``generator`` with its PCG64 in the state ``PCG64`` takes from the
+    four uint64 ``seed_words`` of its seed sequence.
+
+    PCG64's seeding step (``pcg64_set_seed``) on Python ints: the first
+    two words are the initial state and the last two the stream, and the
+    128-bit LCG steps once before and once after the state is added.
+    """
+    state_high, state_low, stream_high, stream_low = seed_words.tolist()
+    inc = ((stream_high << 64 | stream_low) << 1 | 1) & _MASK128
+    state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULT + inc) & _MASK128
+    generator.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return generator
 
 
 def empirical_mse(
@@ -145,9 +193,16 @@ def empirical_mse(
     times with fresh quantizer, noise, and mask randomness, and averages
     the squared L2 error against the exact mean of the clipped updates.
     ``sigma_units = 0`` disables the noise.
+
+    Trial ``t`` draws from ``SeedSequence([seed, t]).spawn(m + 2)``: child
+    0 seeds the round's masks, child 1 the noise, child ``2 + r`` client
+    ``r``'s quantizer, each through ``default_rng``.  Trials run in
+    chunks through one quantize, aggregate and unrotate call each, with
+    one reused generator loaded with each child's state in turn; the
+    result equals running the trials one by one, bit for bit.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials < 1 << 32:
+        raise ValueError(f"trials must be in [1, 2**32), got {trials}")
     updates = np.asarray(updates, dtype=float)
     m, d = updates.shape
     d_pad = compress.padded_dim(d)
@@ -158,20 +213,26 @@ def empirical_mse(
 
     dist = DiscreteGaussian(sigma_units * spec.step, spec) if sigma_units > 0 else None
     participants = list(range(m))
+    generator = np.random.Generator(np.random.PCG64(0))
+    chunk = max(1, _CHUNK_BYTES // ((m * (m - 1) // 2 + m + 2) * (8 * d_pad + 128)))
 
     total_sq = 0.0
-    for trial in range(trials):
-        ss = np.random.SeedSequence([seed, trial])
-        children = ss.spawn(m + 2)
-        round_seed = int(np.random.default_rng(children[0]).integers(1 << 62))
+    for first in range(0, trials, chunk):
+        count = min(chunk, trials - first)
+        streams = trial_seeds(seed, first, count, m + 2)
+        round_seeds = [int(_loaded(generator, s[0]).integers(1 << 62)) for s in streams]
         if dist is not None:
-            noise_z = dist.sample(np.random.default_rng(children[1]), d_pad)
+            noise_z = np.stack([dist.sample(_loaded(generator, s[1]), d_pad) for s in streams])
         else:
-            noise_z = np.zeros(d_pad, dtype=np.int64)
-        quantizer_rngs = [np.random.default_rng(child) for child in children[2:]]
-        quantized = compress.quantize(rotated, spec, quantizer_rngs)
-        agg, _ = secagg.aggregate_round(quantized, noise_z, participants, round_seed, spec)
-        estimate = compress.unrotate(agg, rs, d)
-        diff = estimate - reference
-        total_sq += float(diff @ diff)
+            noise_z = np.zeros((count, d_pad), dtype=np.int64)
+        quantizers = (_loaded(generator, words) for s in streams for words in s[2:])
+        quantized = compress.quantize(np.tile(rotated, (count, 1)), spec, quantizers)
+        agg, _ = secagg.aggregate_round(
+            quantized.reshape(count, m, d_pad), noise_z, participants, round_seeds, spec
+        )
+        # Added trial by trial, as one trial at a time would: a batched
+        # sum would round differently.
+        for estimate in compress.unrotate(agg, rs, d):
+            diff = estimate - reference
+            total_sq += float(diff @ diff)
     return total_sq / trials

@@ -77,13 +77,16 @@ def clip(g: np.ndarray, clip_bound: float) -> np.ndarray:
 
     Rows already inside the ball are returned unchanged (bit-exact).
     Raises NonFiniteInput on a NaN or infinite bound, which would return
-    the update unclipped and void the sensitivity bound.
+    the update unclipped and void the sensitivity bound, and on a NaN or
+    infinite coordinate, which has no direction to clip along.
     """
     if not math.isfinite(clip_bound):
         raise NonFiniteInput(f"clip bound must be finite, got {clip_bound}")
     if clip_bound <= 0:
         raise ValueError(f"clip bound must be positive, got {clip_bound}")
     g = np.asarray(g, dtype=float)
+    if not np.isfinite(g).all():
+        raise NonFiniteInput("update has NaN or infinite coordinates")
     # Each row's dot product with itself, as np.linalg.norm(row) computes
     # it; norm(..., axis=-1) sums in another order and can differ in the
     # last bit.
@@ -91,12 +94,11 @@ def clip(g: np.ndarray, clip_bound: float) -> np.ndarray:
         norms = np.sqrt((g[..., None, :] @ g[..., :, None])[..., 0, 0])
         scale = np.maximum(1.0, norms / clip_bound)
     out = g / scale[..., None]
-    # A finite row too long for norm / clip_bound to be a finite double
-    # lies far outside the ball; its direction comes from the row divided
-    # by its largest entry, whose norm is between 1 and sqrt(d).
+    # A row too long for norm / clip_bound to be a finite double lies far
+    # outside the ball; its direction comes from the row divided by its
+    # largest entry, whose norm is between 1 and sqrt(d).
     big = np.isinf(scale)
     if big.any():
-        big &= np.isfinite(g).all(axis=-1)
         unit = g[big] / np.abs(g[big]).max(axis=-1, keepdims=True)
         out[big] = unit * (clip_bound / np.sqrt(np.sum(unit * unit, axis=-1, keepdims=True)))
     return out
@@ -125,9 +127,11 @@ def quantize(v: np.ndarray, spec: LatticeSpec, rng) -> np.ndarray:
     """Stochastically round each coordinate to the level grid
     ``-g_max + r * step``, unbiased in expectation.
 
-    ``rng`` is one Generator for a vector, or a sequence of Generators
-    for an ``(m, d)`` stack: row ``r`` draws its uniforms from ``rng[r]``,
-    so each client's quantizer randomness is its own stream.
+    ``rng`` is one Generator for a vector, or an iterable of Generators
+    for an ``(m, d)`` stack, one per row, taken in row order: row ``r``
+    draws its uniforms from the ``r``-th before the next is taken, so each
+    client's quantizer randomness is its own stream (and one Generator
+    whose state is reloaded between rows may serve every row).
 
     Coordinates are first clamped to ``[-g_max, g_max]``; the rotation's
     concentration bound makes the clamp a measure-delta event when
@@ -136,15 +140,14 @@ def quantize(v: np.ndarray, spec: LatticeSpec, rng) -> np.ndarray:
     infinite coordinate, whose integer cast would be garbage.
     """
     v = np.asarray(v, dtype=float)
-    rows = v.reshape(-1, v.shape[-1])
-    rngs = [rng] if v.ndim == 1 else list(rng)
-    if v.ndim > 2 or len(rngs) != len(rows):
-        raise ValueError(f"need one generator per row, got {len(rngs)} for shape {v.shape}")
+    if v.ndim > 2:
+        raise ValueError(f"need a vector or an (m, d) stack, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise NonFiniteInput("quantizer input has NaN or infinite coordinates")
-    uniforms = np.empty(rows.shape)
-    for r, row_rng in enumerate(rngs):
-        row_rng.random(out=uniforms[r])
+    uniforms = np.empty(v.reshape(-1, v.shape[-1]).shape)
+    # strict: a generator count other than the row count is a ValueError
+    for row, row_rng in zip(uniforms, [rng] if v.ndim == 1 else rng, strict=True):
+        row_rng.random(out=row)
     v = np.clip(v, -spec.g_max, spec.g_max)
     step = spec.step
     low = np.floor((v + spec.g_max) / step).astype(np.int64)

@@ -21,6 +21,7 @@ from .bounds import MseBoundInputs, empirical_mse_bytes
 from .compress import padded_dim, sensitivity
 from .errors import ConfigError
 from .lattice import LatticeSpec
+from .secagg import wire_modulus
 from .simulate import RoundConfig, check_memory_budget
 
 # Peak bytes per draw of the ``sample`` command: the int64 draw plus its
@@ -96,7 +97,8 @@ class MseGrid:
             try:
                 LatticeSpec(g_max=g_max, k=k, q=q)
                 MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=su, gamma=gamma, g_max=g_max)
-            except ValueError as exc:
+                wire_modulus(q, n)
+            except (ValueError, ConfigError) as exc:
                 raise ValueError(f"mse cell (d, n, k, q, sigma, gamma, g_max) = {cell}: {exc}") from None
             check_memory_budget(
                 empirical_mse_bytes(n, d), f"an mse cell of {n} clients at d={d}",

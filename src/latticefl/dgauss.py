@@ -32,7 +32,9 @@ SERIES_RTOL = 1e-20
 # the cap only ever trips on an arithmetic bug.
 MAX_REJECTIONS_PER_SAMPLE = 10**6
 
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Smallest noise scale, in lattice steps, at which the continuous tails
+# bracket the discrete one from below (see DiscreteGaussian.tail_bound).
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _std_normal_sf(x: float) -> float:
@@ -159,7 +161,7 @@ class DiscreteGaussian:
             raise ValueError(f"m must be >= 1, got {m}")
         su = self.sigma_units
         upper = _std_normal_sf((m - 1) / su)
-        if su >= _INV_SQRT_2PI:
+        if su >= INV_SQRT_2PI:
             lower = _std_normal_sf(m / su) / (1.0 + 3.0 * math.exp(-2.0 * math.pi**2 * su * su))
         else:
             lower = 0.0

@@ -18,23 +18,28 @@ modular sum and the server learns nothing but the total.  Key agreement,
 dropout recovery, and malicious-party defenses are out of scope; the
 participant set is fixed within a round.
 
-A pair's mask is defined by :func:`mask_stream`, a Philox generator seeded
-with ``SeedSequence([round_seed, i, j])``, and :func:`derive_masks` lists
-them.  A round does not build its ``m (m - 1) / 2`` generators:
-:func:`net_masks` derives each client's net mask in bulk (every pair key
-in one vectorized pass of SeedSequence's hash, raw Philox words from one
+The mask of pair ``i < j`` is ``Generator(Philox(SeedSequence([round_seed,
+i, j]))).integers(-half, half + 1, size=d_pad)``.  A round does not build
+its ``m (m - 1) / 2`` generators: :func:`net_masks` derives each client's
+net mask in bulk, for one round or a batch of rounds (every pair key in
+one vectorized pass of SeedSequence's hash, raw Philox words from one
 reused generator, and numpy's own bounded-integer reduction), and
-reproduces the per-pair streams bit for bit, so payloads do not change.
+reproduces the per-pair draws bit for bit, so payloads do not change.
+The wire group stays below ``2**32``, where numpy draws from 32-bit words.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .errors import OverflowSuspected
+from .errors import ConfigError, OverflowSuspected
 from .lattice import LatticeSpec, ensure_accumulator_headroom, wrap_centered
+
+# Wire groups from here on would make numpy draw each mask coordinate from
+# a 64-bit word, which net_masks does not port.
+_WIRE_LIMIT = 1 << 32
 
 
 def wire_modulus(q: int, m: int) -> int:
@@ -42,9 +47,10 @@ def wire_modulus(q: int, m: int) -> int:
 
     The per-client coarse group of size ``q`` expands by the participant
     count ``m`` so the plaintext sum cannot wrap; the result is rounded up
-    to odd so the centered wrap is symmetric.  Raises ConfigError when
-    ``m + 1`` wire values (a payload plus its ``m - 1`` masks, or the
-    server's sum) could overflow the int64 accumulators.
+    to odd so the centered wrap is symmetric.  Raises ConfigError when the
+    group reaches ``2**32``, or when ``m + 1`` wire values (a
+    payload plus its ``m - 1`` masks, or the server's sum) could overflow
+    the int64 accumulators.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError(f"q must be a positive odd integer, got {q}")
@@ -52,58 +58,22 @@ def wire_modulus(q: int, m: int) -> int:
         raise ValueError(f"participant count must be >= 1, got {m}")
     wide = m * q
     wire_q = wide if wide % 2 else wide + 1
+    if wire_q >= _WIRE_LIMIT:
+        raise ConfigError(
+            f"wire group {wire_q} (participants {m} times q = {q}) must be below 2**32; "
+            "reduce q or the participant count"
+        )
     ensure_accumulator_headroom(m + 1, wire_q)
     return wire_q
 
 
-@dataclass(frozen=True)
-class PairwiseMask:
-    """Uniform mask shared by one ordered client pair.
-
-    ``values`` is added by ``sender`` and subtracted by ``receiver``, so
-    the pair contributes zero to the aggregate.
-    """
-
-    sender: int
-    receiver: int
-    values: np.ndarray
-
-
-def mask_stream(round_seed: int, i: int, j: int) -> np.random.Generator:
-    """Counter-based generator both endpoints of a pair can reproduce."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([round_seed, i, j])))
-
-
-def _pair_mask(round_seed: int, i: int, j: int, d_pad: int, half: int) -> np.ndarray:
-    """The mask of pair ``(i, j)``: ``d_pad`` uniform draws from ``[-half, half]``."""
-    return mask_stream(round_seed, i, j).integers(-half, half + 1, size=d_pad, dtype=np.int64)
-
-
 def _sorted_ids(participants, wire_q: int) -> list:
-    if wire_q % 2 == 0:
-        raise ValueError(f"wire modulus must be odd, got {wire_q}")
+    if wire_q % 2 == 0 or not 0 < wire_q < _WIRE_LIMIT:
+        raise ValueError(f"wire modulus must be odd and below 2**32, got {wire_q}")
     ids = sorted(participants)
     if len(set(ids)) != len(ids):
         raise ValueError("participant ids must be distinct")
     return ids
-
-
-def derive_masks(
-    round_seed: int, participants, d_pad: int, wire_q: int
-) -> list[PairwiseMask]:
-    """All pairwise masks for a round, one per unordered pair.
-
-    Deterministic in (round_seed, i, j): both endpoints derive the same
-    vector, uniform over the centered residues mod ``wire_q``.  This is
-    the per-pair definition that :func:`net_masks` reproduces in bulk.
-    """
-    ids = _sorted_ids(participants, wire_q)
-    half = (wire_q - 1) // 2
-    return [
-        PairwiseMask(sender=i, receiver=j, values=_pair_mask(round_seed, i, j, d_pad, half))
-        for a, i in enumerate(ids)
-        for j in ids[a + 1 :]
-    ]
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
@@ -151,7 +121,6 @@ def _mixing_columns() -> list[tuple[np.ndarray, np.ndarray]]:
 _POOL_CONSTS = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
 _FILL = _columns(_POOL_CONSTS[:_POOL_SIZE])
 _MIX = _mixing_columns()
-_STATE = _columns(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE))
 
 
 def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -159,96 +128,160 @@ def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray
     return values ^ (values >> _XSHIFT)
 
 
-def _uint32_words(value: int) -> list[int]:
-    """The uint32 words SeedSequence makes of a non-negative integer."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    mixed = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
+    return mixed ^ (mixed >> _XSHIFT)
 
 
-def pair_keys(round_seed: int, ids) -> np.ndarray:
-    """Philox keys of ``mask_stream(round_seed, i, j)`` for every pair of ids.
+def seed_sequence_state(entropy, n_words: int) -> np.ndarray:
+    """``generate_state(n_words, np.uint32)`` of many SeedSequences at once.
 
-    Entry ``[a, b]`` is ``SeedSequence([round_seed, ids[a],
-    ids[b]]).generate_state(2, np.uint64)``, the key Philox takes from
-    that seed sequence (its counter starts at 0).  A vectorized port of
-    SeedSequence's uint32 hash pool, valid while the entropy fits the pool
-    of 4 words: ``0 <= round_seed < 2**64`` and every id in ``[0, 2**32)``.
+    Column ``c`` of the uint32 matrix ``entropy`` (one row per word) is
+    one sequence's assembled entropy, as SeedSequence builds it: the
+    uint32 words of its entropy and, for a spawned child, zeros up to the
+    pool size of 4 followed by the words of its spawn key.  Returns the
+    ``(n_words, columns)`` uint32 states.  A vectorized port of
+    SeedSequence's hash pool of 4 words: words beyond the pool are hashed
+    into every pool word after the pool is mixed.
     """
-    ids = np.asarray(ids, dtype=np.uint32)  # OverflowError outside [0, 2**32)
-    words = _uint32_words(round_seed)
-    if round_seed < 0 or len(words) > _POOL_SIZE - 2:  # two words are the ids
-        raise ValueError(f"round seed must be in [0, 2**64), got {round_seed}")
-    m = ids.size
-    entropy = np.zeros((_POOL_SIZE, m, m), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None, None]
-    entropy[len(words)] = ids[:, None]
-    entropy[len(words) + 1] = ids
-
-    pool = _hashmix(entropy.reshape(_POOL_SIZE, -1), *_FILL)
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL_SIZE]  # a missing word counts as 0
+    pool = _hashmix(pool, *_FILL)
     for src, consts in enumerate(_MIX):
-        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * _hashmix(pool[src], *consts)
-        mixed ^= mixed >> _XSHIFT
+        mixed = _mix(pool, _hashmix(pool[src], *consts))
         mixed[src] = pool[src]
         pool = mixed
+    if len(entropy) > _POOL_SIZE:
+        extra = entropy[_POOL_SIZE:]
+        consts = _hash_constants(_POOL_CONSTS[-1][1], _MULT_A, _POOL_SIZE * len(extra))
+        for a, word in enumerate(extra):
+            pool = _mix(pool, _hashmix(word, *_columns(consts[_POOL_SIZE * a : _POOL_SIZE * (a + 1)])))
+    # generate_state cycles through the pool, one hashmix call per word.
+    pool = np.tile(pool, (-(-n_words // _POOL_SIZE), 1))[:n_words]
+    return _hashmix(pool, *_columns(_hash_constants(_INIT_B, _MULT_B, n_words)))
 
-    state = _hashmix(pool, *_STATE).astype(np.uint64)  # generate_state(4, np.uint32)
+
+def pair_keys(round_seeds, ids) -> np.ndarray:
+    """Philox keys of every pair of ids, in each of a batch of rounds.
+
+    Entry ``[r, p]`` is ``SeedSequence([round_seeds[r], ids[a],
+    ids[b]]).generate_state(2, np.uint64)`` for the ``p``-th pair
+    ``a < b`` in ``np.triu_indices(len(ids), 1)`` order: the key Philox
+    takes from that seed sequence (its counter starts at 0).  The entropy
+    must fit SeedSequence's pool of 4 words: every seed in ``[0, 2**64)``
+    and every id in ``[0, 2**32)``.
+    """
+    ids = np.asarray(ids, dtype=np.uint32)  # OverflowError outside [0, 2**32)
+    seeds = [int(s) for s in round_seeds]
+    for seed in seeds:
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"round seed must be in [0, 2**64), got {seed}")
+    seeds = np.array(seeds, dtype=np.uint64)[:, None]
+    a, b = np.nonzero(np.arange(ids.size)[:, None] < np.arange(ids.size))  # np.triu_indices order
+    i, j = ids[a], ids[b]
+    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    wide = high > 0  # entropy words [low, high, i, j], else [low, i, j]
+    entropy = np.empty((_POOL_SIZE, len(seeds), a.size), dtype=np.uint32)
+    entropy[0] = low
+    entropy[1] = np.where(wide, high, i)
+    entropy[2] = np.where(wide, i, j)
+    entropy[3] = np.where(wide, j, 0)
+    state = seed_sequence_state(entropy.reshape(_POOL_SIZE, -1), 4).astype(np.uint64)
     keys = state[0::2] | state[1::2] << np.uint64(32)  # little-endian pairs of words
-    return np.moveaxis(keys.reshape(2, m, m), 0, -1)
+    return np.moveaxis(keys.reshape(2, len(seeds), a.size), 0, -1)
 
 
-def net_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> np.ndarray:
-    """Each participant's sum of its pairwise masks, derived in bulk.
+def _spare_words(d_pad: int, threshold: int) -> int:
+    """Words drawn per mask beyond ``d_pad``, so that few masks run short
+    of accepted words: the expected number of rejected words plus four
+    standard deviations, plus two."""
+    rejected = threshold / 2**32
+    expected = d_pad * rejected / (1.0 - rejected)
+    return math.ceil(expected + 4.0 * math.sqrt(expected)) + 2
 
-    Row ``r`` is what ``participants[r]`` adds: the masks of the pairs it
-    sends minus those it receives.  Equal bit for bit to summing
-    :func:`derive_masks`, without a generator per pair: the pair keys
-    come from :func:`pair_keys`, one reused Philox emits each pair's raw
-    words, and numpy's bounded-integer method (Lemire's multiply-shift)
-    maps 32-bit words to ``[-half, half]``.  A pair whose words hit that
-    method's rejection zone, every pair when ``wire_q > 2**32`` (numpy
-    then draws 64-bit words), and every pair when a seed or id is outside
-    :func:`pair_keys`' range, is drawn with :func:`mask_stream` itself.
-    Extra memory is the ``(m, m)`` key table and one sender's
-    ``(m - 1, d_pad)`` block of masks.
+
+def _scaled_words(philox, keys: np.ndarray, n_raw: int, wire_q: int) -> np.ndarray:
+    """``w * wire_q`` for the first ``2 n_raw`` 32-bit words ``w`` of the
+    Philox stream of each key (counter 0), one row per key."""
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    raw = np.empty((len(keys), n_raw), dtype=np.uint64)
+    for r, key in enumerate(keys.tolist()):
+        state["state"]["key"] = key
+        philox.state = state
+        raw[r] = philox.random_raw(n_raw)
+    # numpy reads each 64-bit word as two 32-bit draws, low half first.
+    words = raw.astype("<u8", copy=False).view("<u4")
+    return np.multiply(words, np.uint64(wire_q), dtype=np.uint64)
+
+
+def _pair_masks(philox, keys: np.ndarray, d_pad: int, wire_q: int) -> np.ndarray:
+    """The masks of the pairs whose Philox keys are the rows of ``keys``.
+
+    Row ``r`` equals ``Generator(Philox(key=keys[r])).integers(-half, half
+    + 1, size=d_pad)``.  numpy maps each 32-bit word ``w`` to ``(w wire_q)
+    >> 32`` (Lemire's multiply-shift) and skips a word whose low product
+    half is below ``2**32 mod wire_q``, taking the next word instead.  So
+    each row draws a few spare words, and a row with a rejected word keeps
+    its first ``d_pad`` accepted ones; a row left short draws again from
+    counter 0, with twice as many words.
+    """
+    threshold = np.uint64((1 << 32) % wire_q)  # numpy's (2**32 - wire_q) % wire_q
+    low = np.uint64(_MASK32)
+    n_raw = (d_pad + _spare_words(d_pad, int(threshold)) + 1) // 2
+    scaled = _scaled_words(philox, keys, n_raw, wire_q)
+    masks = (scaled[:, :d_pad] >> np.uint64(32)).view(np.int64)
+    rows = np.flatnonzero(((scaled[:, :d_pad] & low) < threshold).any(axis=1))
+    if rows.size:
+        scaled = scaled[rows]
+        accepted = (scaled & low) >= threshold
+        while True:
+            rank = np.cumsum(accepted, axis=1)
+            done = rank[:, -1] >= d_pad
+            keep = accepted & (rank <= d_pad) & done[:, None]
+            masks[rows[done]] = (scaled[keep] >> np.uint64(32)).reshape(-1, d_pad)
+            rows = rows[~done]
+            if not rows.size:
+                break
+            n_raw *= 2
+            scaled = _scaled_words(philox, keys[rows], n_raw, wire_q)
+            accepted = (scaled & low) >= threshold
+    masks -= (wire_q - 1) // 2
+    return masks
+
+
+def net_masks(round_seeds, participants, d_pad: int, wire_q: int) -> np.ndarray:
+    """Each participant's sum of its pairwise masks, in each of a batch of
+    rounds, derived in bulk.
+
+    Entry ``[r, c]`` is what ``participants[c]`` adds in the round seeded
+    ``round_seeds[r]``: the masks of the pairs it sends minus those it
+    receives (see the module docstring for a pair's mask).  Equal bit for
+    bit to the per-pair draws, without a generator per pair: the keys of
+    every round's pairs come from one :func:`pair_keys` call and one
+    reused Philox emits each pair's raw words (see :func:`_pair_masks`).
+    Extra memory is the batch's key table and one sender's
+    ``(rounds, m - 1, d_pad)`` block of masks.
     """
     ids = _sorted_ids(participants, wire_q)
     m = len(ids)
-    half = (wire_q - 1) // 2
-    net = np.zeros((m, d_pad), dtype=np.int64)
-    bulk = (m > 1 and wire_q < 1 << 32 and 0 <= round_seed < 1 << 64
-            and 0 <= ids[0] and ids[-1] < 1 << 32)
-    if bulk:
-        keys = pair_keys(round_seed, ids)
-        threshold = (1 << 32) % wire_q  # numpy's (2**32 - wire_q) % wire_q
+    seeds = list(round_seeds)
+    net = np.zeros((len(seeds), m, d_pad), dtype=np.int64)
+    if m > 1 and seeds:
+        keys = pair_keys(seeds, ids)
         philox = np.random.Philox(0)
-        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
-                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        n_raw = (d_pad + 1) // 2
-    for a in range(m - 1):
-        receivers = ids[a + 1 :]
-        if bulk:
-            raw = np.empty((len(receivers), n_raw), dtype=np.uint64)
-            for r, key in enumerate(keys[a, a + 1 :].tolist()):
-                state["state"]["key"] = key
-                philox.state = state
-                raw[r] = philox.random_raw(n_raw)
-            # numpy reads each 64-bit word as two 32-bit draws, low half first.
-            words = raw.astype("<u8", copy=False).view("<u4")[:, :d_pad]
-            scaled = np.multiply(words, np.uint64(wire_q), dtype=np.uint64)
-            rejected = np.flatnonzero(((scaled & _MASK32) < threshold).any(axis=1))
-            block = (scaled >> np.uint64(32)).view(np.int64)
-            block -= half
-            for r in rejected:
-                block[r] = _pair_mask(round_seed, ids[a], receivers[r], d_pad, half)
-        else:
-            block = np.stack([_pair_mask(round_seed, ids[a], j, d_pad, half) for j in receivers])
-        net[a] += block.sum(axis=0)
-        net[a + 1 :] -= block
+        first = 0
+        for a in range(m - 1):
+            last = first + m - 1 - a  # sender a's pairs are [first, last)
+            block = _pair_masks(philox, keys[:, first:last].reshape(-1, 2), d_pad, wire_q)
+            block = block.reshape(len(seeds), m - 1 - a, d_pad)
+            net[:, a] += block.sum(axis=1)
+            net[:, a + 1 :] -= block
+            first = last
     position = {cid: a for a, cid in enumerate(ids)}
-    return net[[position[cid] for cid in participants]]
+    return net[:, [position[cid] for cid in participants]]
 
 
 def split_integer(v, m: int) -> np.ndarray:
@@ -271,11 +304,12 @@ def aggregate_round(
     quantized,
     noise_z: np.ndarray,
     participants,
-    mask_seed: int | None,
+    mask_seed,
     spec: LatticeSpec,
     plaintext_bound: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Noise, mask, wrap and aggregate one round of quantized updates.
+    """Noise, mask, wrap and aggregate one round, or a batch of rounds, of
+    quantized updates.
 
     ``quantized`` is the ``(m, d_pad)`` matrix of lattice-step rows, row
     ``r`` belonging to ``participants[r]``.  Row ``r`` adds share ``r`` of
@@ -283,16 +317,22 @@ def aggregate_round(
     ``mask_seed`` (``None``: unmasked), and wraps into the wire group.
     Returns the recovered mean (see :func:`server_aggregate`) and the
     ``(m, d_pad)`` payload matrix.  The recovered mean does not depend
-    on the masks.
+    on the masks.  A batch of rounds stacks them on a leading axis:
+    ``quantized`` of shape ``(rounds, m, d_pad)``, ``noise_z`` of shape
+    ``(rounds, d_pad)`` and one mask seed per round; each round's results
+    equal those of its own call bit for bit.
     """
     quantized = np.asarray(quantized, dtype=np.int64)
-    m, d_pad = quantized.shape
+    if quantized.ndim not in (2, 3):
+        raise ValueError(f"expected (m, d_pad) or (rounds, m, d_pad) rows, got shape {quantized.shape}")
+    m, d_pad = quantized.shape[-2:]
     if len(participants) != m:
         raise ValueError(f"expected {m} participant ids, got {len(participants)}")
     wire_q = wire_modulus(spec.q, m)
-    plain = quantized + split_integer(noise_z, m)
+    plain = quantized + np.moveaxis(split_integer(noise_z, m), 0, -2)
     if mask_seed is not None:
-        plain += net_masks(mask_seed, participants, d_pad, wire_q)
+        seeds = mask_seed if quantized.ndim == 3 else [mask_seed]
+        plain += net_masks(seeds, participants, d_pad, wire_q).reshape(plain.shape)
     payloads = wrap_centered(plain, wire_q)
     return server_aggregate(payloads, m, wire_q, spec, plaintext_bound), payloads
 
@@ -312,13 +352,14 @@ def server_aggregate(
     ``plaintext_bound`` (lattice steps) is given, any recovered coordinate
     beyond it raises OverflowSuspected: a wrapped sum, i.e. a bug or an
     inconsistent configuration, never statistical noise at the validated
-    settings.
+    settings.  ``payloads`` is one round's ``(m, d_pad)`` matrix or a
+    ``(rounds, m, d_pad)`` batch, which gives one mean per round.
     """
     payloads = np.asarray(payloads, dtype=np.int64)  # ValueError when ragged
-    if payloads.ndim != 2 or payloads.shape[0] != m:
+    if payloads.ndim not in (2, 3) or payloads.shape[-2] != m:
         raise ValueError(f"expected {m} equal-length payloads, got shape {payloads.shape}")
     ensure_accumulator_headroom(m + 1, wire_q)
-    total = wrap_centered(payloads.sum(axis=0), wire_q)
+    total = wrap_centered(payloads.sum(axis=-2), wire_q)
     if plaintext_bound is not None and int(np.abs(total).max(initial=0)) > plaintext_bound:
         raise OverflowSuspected(
             f"recovered coordinate magnitude {int(np.abs(total).max())} exceeds "

@@ -1,14 +1,21 @@
-"""Shared statistical oracles for the test suite.
+"""Shared oracles and reference implementations for the test suite.
 
 These stay independent of the code paths they check: the wrap oracle is
 a brute-force search, the distribution oracles are truncated sums over
-the pmf, and goodness-of-fit runs through scipy's chi-square.
+the pmf, goodness-of-fit runs through scipy's chi-square, pairwise masks
+come from one numpy generator per pair, and the empirical MSE reference
+runs one trial at a time with one generator per stream.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import stats
+
+from latticefl import compress, secagg
+from latticefl.dgauss import DiscreteGaussian
 
 
 def brute_force_wrap(z: int, modulus: int) -> int:
@@ -76,3 +83,75 @@ def gof_pvalue_uniform(residues: np.ndarray, modulus: int, n_buckets: int = 32) 
     expected = per_bucket / modulus * shifted.size
     _, pvalue = stats.chisquare(observed, expected)
     return float(pvalue)
+
+
+@dataclass(frozen=True)
+class PairwiseMask:
+    """Uniform mask shared by one ordered client pair.
+
+    ``values`` is added by ``sender`` and subtracted by ``receiver``, so
+    the pair contributes zero to the aggregate.
+    """
+
+    sender: int
+    receiver: int
+    values: np.ndarray
+
+
+def mask_stream(round_seed: int, i: int, j: int) -> np.random.Generator:
+    """Counter-based generator both endpoints of a pair can reproduce."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([round_seed, i, j])))
+
+
+def pair_mask(round_seed: int, i: int, j: int, d_pad: int, wire_q: int) -> np.ndarray:
+    """The mask of pair ``(i, j)``: ``d_pad`` uniform draws from the
+    centered residues mod ``wire_q``."""
+    half = (wire_q - 1) // 2
+    return mask_stream(round_seed, i, j).integers(-half, half + 1, size=d_pad, dtype=np.int64)
+
+
+def derive_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> list[PairwiseMask]:
+    """All pairwise masks of a round, one per unordered pair, lower id sending."""
+    ids = sorted(participants)
+    return [
+        PairwiseMask(sender=i, receiver=j, values=pair_mask(round_seed, i, j, d_pad, wire_q))
+        for a, i in enumerate(ids)
+        for j in ids[a + 1 :]
+    ]
+
+
+def summed_masks(round_seed: int, ids, d_pad: int, wire_q: int) -> np.ndarray:
+    """Per-client sums of the per-pair masks, row r for ids[r]."""
+    net = {cid: np.zeros(d_pad, dtype=np.int64) for cid in ids}
+    for mask in derive_masks(round_seed, ids, d_pad, wire_q):
+        net[mask.sender] += mask.values
+        net[mask.receiver] -= mask.values
+    return np.stack([net[cid] for cid in ids])
+
+
+def empirical_mse_reference(updates, spec, clip_bound, sigma_units, trials, seed, rotation_seed=0):
+    """``bounds.empirical_mse`` one trial at a time: per trial, a spawned
+    seed sequence, one ``default_rng`` per stream and one round through
+    ``secagg.aggregate_round``."""
+    updates = np.asarray(updates, dtype=float)
+    m, d = updates.shape
+    d_pad = compress.padded_dim(d)
+    rs = compress.RotationSeed(rotation_seed, d_pad)
+    clipped = compress.clip(updates, clip_bound)
+    reference = clipped.mean(axis=0)
+    rotated = compress.rotate(clipped, rs)
+    dist = DiscreteGaussian(sigma_units * spec.step, spec) if sigma_units > 0 else None
+    total_sq = 0.0
+    for trial in range(trials):
+        children = np.random.SeedSequence([seed, trial]).spawn(m + 2)
+        round_seed = int(np.random.default_rng(children[0]).integers(1 << 62))
+        if dist is not None:
+            noise_z = dist.sample(np.random.default_rng(children[1]), d_pad)
+        else:
+            noise_z = np.zeros(d_pad, dtype=np.int64)
+        quantizers = [np.random.default_rng(child) for child in children[2:]]
+        quantized = compress.quantize(rotated, spec, quantizers)
+        agg, _ = secagg.aggregate_round(quantized, noise_z, list(range(m)), round_seed, spec)
+        diff = compress.unrotate(agg, rs, d) - reference
+        total_sq += float(diff @ diff)
+    return total_sq / trials

@@ -12,6 +12,7 @@ from latticefl.accountant import (
     default_alpha_grid,
     to_dp,
 )
+from latticefl.compress import sensitivity
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.lattice import LatticeSpec
 
@@ -188,6 +189,20 @@ def test_closed_form_dominates_numeric_oracle():
     assert np.all(closed.eps >= numeric.eps - 1e-12)
     for delta in (1e-7, 1e-5, 1e-2):
         assert to_dp(closed, delta)[0] >= to_dp(numeric, delta)[0] - 1e-12
+
+
+def test_epsilon_does_not_rise_as_gamma_falls():
+    # stock train noise and sensitivity, 50 rounds: the amplification bound
+    # alone gave 75.76 at gamma = 0.9 against 41.09 at gamma = 1
+    sens = sensitivity(0.5, 32, 33)
+    eps = []
+    for gamma in np.linspace(1.0, 0.05, 20):
+        state = AccountantState(sigma=1.53, sensitivity=sens, gamma=float(gamma))
+        state.record_round(50)
+        eps.append(state.epsilon(1e-5)[0])
+    assert all(later <= earlier for earlier, later in zip(eps, eps[1:]))
+    base = AccountantState(sigma=1.53, sensitivity=sens, gamma=0.9).per_round.eps
+    assert np.all(base <= base_curve(1.53, sens).eps)
 
 
 def test_accountant_state_ledger():

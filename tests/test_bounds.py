@@ -1,22 +1,28 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latticefl import bounds
 from latticefl.bounds import (
     MseBoundInputs,
     comm_cost,
     empirical_mse,
+    empirical_mse_bytes,
     mse_bound,
     mse_bound_conservative,
     payload_bits_per_client,
     payload_bytes_per_client,
+    trial_seeds,
 )
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.errors import HypothesisViolated
 from latticefl.lattice import LatticeSpec
 
-from helpers import variance_oracle
+from helpers import empirical_mse_reference, variance_oracle
 
 
 def inputs(**overrides):
@@ -132,8 +138,60 @@ def test_empirical_below_bound():
 
 def test_empirical_mse_validation():
     spec = LatticeSpec(g_max=1.0, k=3, q=7)
-    with pytest.raises(ValueError):
-        empirical_mse(np.zeros((2, 4)), spec, 1.0, 1.0, trials=0, seed=0)
+    for trials, seed in ((0, 0), (2**32, 0), (1, -1)):
+        with pytest.raises(ValueError):
+            empirical_mse(np.zeros((2, 4)), spec, 1.0, 1.0, trials=trials, seed=seed)
+
+
+@st.composite
+def mse_cells(draw):
+    m, d = draw(st.integers(1, 12)), draw(st.integers(1, 70))
+    k = 2 * draw(st.integers(1, 8)) + 1
+    spec = LatticeSpec(g_max=draw(st.floats(0.05, 2.0)), k=k, q=k + 2 * draw(st.integers(0, 2000)))
+    sigma_units = draw(st.one_of(st.just(0.0), st.floats(0.2, 4.0)))
+    seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**63 - 1)))
+    updates = np.random.default_rng(seed).normal(size=(m, d)) * draw(st.floats(0.1, 3.0))
+    return updates, spec, sigma_units, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(mse_cells(), st.integers(1, 30), st.sampled_from([1, 3000, 40000, None]))
+def test_empirical_mse_equals_the_per_trial_loop(cell, trials, chunk_bytes):
+    # small chunk budgets split the trials into several chunks (down to one
+    # trial each), so the trial counts cross chunk boundaries
+    updates, spec, sigma_units, seed = cell
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_bytes is not None:
+            patch.setattr(bounds, "_CHUNK_BYTES", chunk_bytes)
+        batched = empirical_mse(updates, spec, 1.0, sigma_units, trials, seed)
+    assert batched == empirical_mse_reference(updates, spec, 1.0, sigma_units, trials, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 8, 123, 2**32 - 1, 2**32, 5 * 10**12, 2**63 - 1, 2**64 + 5, 2**100])
+def test_trial_seeds_match_spawned_generators(seed):
+    seeds = trial_seeds(seed, 997, 4, 6)
+    assert seeds.shape == (4, 6, 4) and seeds.dtype == np.uint64
+    generator = np.random.Generator(np.random.PCG64(0))
+    for t in range(4):
+        for i, child in enumerate(np.random.SeedSequence([seed, 997 + t]).spawn(6)):
+            assert seeds[t, i].tolist() == child.generate_state(4, np.uint64).tolist()
+            expected = np.random.default_rng(child).bit_generator.state
+            assert bounds._loaded(generator, seeds[t, i]).bit_generator.state == expected
+
+
+@pytest.mark.parametrize("m, d, trials", [(1, 1, 1300), (2, 64, 200), (4, 64, 100), (8, 1, 120),
+                                          (10, 64, 20), (3, 4096, 3), (64, 1024, 2), (200, 256, 1)])
+def test_empirical_mse_bytes_bounds_the_peak(m, d, trials):
+    # the peak is one chunk's, so two chunks and a bit show it
+    updates = np.random.default_rng(m).normal(size=(m, d))
+    spec = LatticeSpec(g_max=1.0, k=9, q=1001)
+    tracemalloc.start()
+    try:
+        empirical_mse(updates, spec, 1.0, 1.0, trials, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert updates.nbytes + peak <= empirical_mse_bytes(m, d)
 
 
 def test_comm_cost_reference_point():
@@ -143,10 +201,6 @@ def test_comm_cost_reference_point():
 
 def test_comm_cost_unit_group():
     assert comm_cost(1, 7, 1) == 7  # ceil(log2(2)) = 1 bit per coordinate
-
-
-def test_comm_cost_header_accounting():
-    assert comm_cost(3, 10, 101, include_header=True) == comm_cost(3, 10, 101) + 3 * 128
 
 
 def test_payload_bytes_round_up():

@@ -309,11 +309,13 @@ def test_non_finite_protocol_value_rejected(tmp_path, capsys, key, value):
         ("k", "5001"),
         ("g_max", "-1"),
         ("q", "-3"),
+        ("q", "429496731"),
     ],
 )
 def test_out_of_range_protocol_value_rejected(tmp_path, capsys, monkeypatch, key, value):
     # rejected before any task data is drawn: n = 1e9 would need 149 GiB,
-    # and the lattice (k odd, q >= k, g_max > 0) is checked first
+    # and the lattice (k odd, q >= k, g_max > 0) and the wire group (10 q
+    # below 2**32) are checked first
     def no_task(*args, **kwargs):
         raise AssertionError("task data drawn for a rejected config")
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,19 @@ def test_sensitivity_rejects_non_finite_bound(bound):
     # a NaN or infinite bound would give the accountant a NaN or infinite sensitivity
     with pytest.raises(NonFiniteInput):
         sensitivity(bound, 16, 5)
+
+
+@pytest.mark.parametrize("bad", [[math.inf, 1.0], [math.nan, 1.0], [0.0, -math.inf]])
+def test_clip_rejects_non_finite_rows(bad):
+    # dividing an infinite row by its infinite norm used to raise numpy's
+    # "invalid value" RuntimeWarning before quantize could reject the row
+    G = np.ones((3, 2))
+    G[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in (np.array(bad), G):
+            with pytest.raises(NonFiniteInput):
+                clip(g, 1.0)
 
 
 STACK_SHAPES = [(1, 1), (2, 7), (5, 20), (40, 64), (16, 333), (8, 1000)]

@@ -214,6 +214,7 @@ def test_seed_override_is_checked_in_every_mode(tmp_path, capsys, monkeypatch, c
         ("mse-bench", "clients", "0"),
         ("mse-bench", "gammas", "1.5"),
         ("mse-bench", "g_maxes", "0"),
+        ("mse-bench", "qs", "2147483649"),
         ("sample", "count", "1000000000000"),
     ],
 )

@@ -25,7 +25,13 @@ GOLDEN = {
     "sample": "e2cd50852c9fedd200b64e74b5dfd10fa997d811831593367c091fe49c586d5b",
     "accountant": "405f717829fb4725481bbf0b578e261be8aec25cf203d0fedb73734c26620898",
     "train-payloads": "037c38103118dd07d4801a91d60a403f1ef9ee85fe4ae21d7b032ae414bd53c9",
+    "mse-bench-63-bit-seed": "66a7a31d870121813bf4e73eed5b0b9d015816690dc17c25f30490b921b1dc3e",
 }
+
+# Cell i of mse-bench runs at seed + i, so this pins seeds 2**63 - 12 to
+# 2**63 - 1: two uint32 words each, like the benchmark's 63-bit seeds,
+# where the stock seed 8 takes one.
+SEED_63_BIT = (1 << 63) - 12
 
 
 def sha256(data: bytes) -> str:
@@ -50,15 +56,26 @@ def test_train_payload_digest(tmp_path):
     assert sha256((tmp_path / "payloads.csv").read_bytes()) == GOLDEN["train-payloads"]
 
 
-def test_mse_bench_digest(tmp_path):
+def mse_config(tmp_path: Path) -> Path:
     parser = configparser.ConfigParser(interpolation=None)
     parser.read(CONFIGS / "mse_bench.cfg")
     parser["mse"]["trials"] = str(MSE_TRIALS)
     config = tmp_path / "mse.cfg"
     with open(config, "w") as fh:
         parser.write(fh)
-    data = run_cli("mse-bench", config, tmp_path / "mse.csv")
+    return config
+
+
+def test_mse_bench_digest(tmp_path):
+    data = run_cli("mse-bench", mse_config(tmp_path), tmp_path / "mse.csv")
     assert sha256(data) == GOLDEN["mse-bench"]
+
+
+def test_mse_bench_digest_at_a_63_bit_seed(tmp_path):
+    out = tmp_path / "mse.csv"
+    argv = ["mse-bench", "--config", str(mse_config(tmp_path)), "--seed", str(SEED_63_BIT)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == GOLDEN["mse-bench-63-bit-seed"]
 
 
 def test_sample_digest(tmp_path):

@@ -9,8 +9,6 @@ from latticefl.errors import ConfigError, OverflowSuspected
 from latticefl.lattice import LatticeSpec, wrap_centered
 from latticefl.secagg import (
     aggregate_round,
-    derive_masks,
-    mask_stream,
     net_masks,
     pair_keys,
     server_aggregate,
@@ -18,7 +16,7 @@ from latticefl.secagg import (
     wire_modulus,
 )
 
-from helpers import gof_pvalue_uniform
+from helpers import gof_pvalue_uniform, summed_masks
 
 
 def masked_payloads(plains, ids, round_seed, q):
@@ -35,6 +33,14 @@ def test_wire_modulus_is_odd_and_large_enough():
         assert m * q <= w <= m * q + 1
     with pytest.raises(ValueError):
         wire_modulus(8, 2)
+
+
+def test_wire_modulus_stays_below_2_32():
+    # numpy draws a mask coordinate from a 64-bit word from 2**32 on
+    assert wire_modulus(2**31 - 1, 2) == 2**32 - 1
+    for q, m in ((2**31 + 1, 2), (2**32 + 1, 1), (429497, 10**4)):
+        with pytest.raises(ConfigError, match="2\\*\\*32"):
+            wire_modulus(q, m)
 
 
 def test_single_participant_passthrough():
@@ -54,99 +60,107 @@ def test_two_party_cancellation():
 
 
 def test_mask_determinism_and_pair_agreement():
-    masks1 = derive_masks(42, [3, 1, 7], 16, 1001)
-    masks2 = derive_masks(42, [1, 7, 3], 16, 1001)
-    assert len(masks1) == len(masks2) == 3
-    for m1, m2 in zip(masks1, masks2):
-        assert (m1.sender, m1.receiver) == (m2.sender, m2.receiver)
-        np.testing.assert_array_equal(m1.values, m2.values)
-    # the shared stream is reproducible on both endpoints
-    s1 = mask_stream(42, 1, 3).integers(0, 1001, size=8)
-    s2 = mask_stream(42, 1, 3).integers(0, 1001, size=8)
-    np.testing.assert_array_equal(s1, s2)
+    # each id's net mask depends on the ids, not on their order, and the
+    # pairs cancel in the sum
+    first = net_masks([42], [3, 1, 7], 16, 1001)[0]
+    again = net_masks([42], [1, 7, 3], 16, 1001)[0]
+    np.testing.assert_array_equal(first, again[[2, 0, 1]])
+    np.testing.assert_array_equal(first.sum(axis=0), 0)
+    np.testing.assert_array_equal(first, summed_masks(42, [3, 1, 7], 16, 1001))
 
 
 def test_mask_uniformity():
     q = 101
-    masks = derive_masks(2024, [0, 1], 10**6, q)
-    assert gof_pvalue_uniform(masks[0].values, q) > 0.01
+    sender = net_masks([2024], [0, 1], 10**6, q)[0, 0]  # the pair's mask itself
+    assert gof_pvalue_uniform(sender, q) > 0.01
 
 
-def test_derive_masks_validation():
-    for derive in (derive_masks, net_masks):
-        with pytest.raises(ValueError):
-            derive(0, [1, 1], 4, 101)
-        with pytest.raises(ValueError):
-            derive(0, [1, 2], 4, 100)
+def test_net_masks_validation():
+    with pytest.raises(ValueError):
+        net_masks([0], [1, 1], 4, 101)
+    with pytest.raises(ValueError):
+        net_masks([0], [1, 2], 4, 100)
+    with pytest.raises(ValueError):
+        net_masks([0], [1, 2], 4, 2**32 + 1)
+    with pytest.raises(ValueError):
+        net_masks([0, 2**64], [1, 2], 4, 101)
+    with pytest.raises(OverflowError):
+        net_masks([0], [1, 2**32], 4, 101)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1])
 def test_pair_keys_match_seed_sequence(seed):
     ids = [0, 1, 7, 2**31, 2**32 - 1]
-    keys = pair_keys(seed, ids)
-    assert keys.shape == (5, 5, 2) and keys.dtype == np.uint64
-    for a, i in enumerate(ids):
-        for b, j in enumerate(ids):
-            expected = np.random.SeedSequence([seed, i, j]).generate_state(2, np.uint64)
-            assert keys[a, b].tolist() == expected.tolist()
+    seeds = [seed, 5, 2**40 + 3]  # a batch mixing one- and two-word seeds
+    keys = pair_keys(seeds, ids)
+    assert keys.shape == (3, 10, 2) and keys.dtype == np.uint64
+    for r, s in enumerate(seeds):
+        for p, (a, b) in enumerate(zip(*np.triu_indices(len(ids), 1))):
+            expected = np.random.SeedSequence([s, ids[a], ids[b]]).generate_state(2, np.uint64)
+            assert keys[r, p].tolist() == expected.tolist()
     # and Philox takes exactly this key (with counter 0) from the sequence
     state = np.random.Philox(np.random.SeedSequence([seed, 0, 1])).state["state"]
-    assert state["key"].tolist() == keys[0, 1].tolist() and not state["counter"].any()
+    assert state["key"].tolist() == keys[0, 0].tolist() and not state["counter"].any()
 
 
 def test_pair_keys_reject_seeds_outside_the_pool():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
-            pair_keys(seed, [0, 1])
-
-
-def summed_masks(round_seed, ids, d_pad, wire_q):
-    """Per-client sums of the per-pair definition, row r for ids[r]."""
-    net = {cid: np.zeros(d_pad, dtype=np.int64) for cid in ids}
-    for mask in derive_masks(round_seed, ids, d_pad, wire_q):
-        net[mask.sender] += mask.values
-        net[mask.receiver] -= mask.values
-    return np.stack([net[cid] for cid in ids])
+            pair_keys([seed], [0, 1])
 
 
 @st.composite
 def mask_rounds(draw):
     m = draw(st.integers(1, 40))
     ids = draw(st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m, unique=True))
-    edge = draw(st.sampled_from([None, 0, 2**32 - 1, 2**32]))  # 2**32: reference path
+    edge = draw(st.sampled_from([None, 0, 2**32 - 1]))
     if edge is not None and edge not in ids:
         ids[draw(st.integers(0, m - 1))] = edge
-    seed = draw(st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1),
-                          st.just(2**64)))  # 2**64: reference path
+    seed = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1))
+    seeds = draw(st.lists(seed, min_size=1, max_size=3))
     d_pad = draw(st.integers(1, 256))
-    # wire_q in (2**31, 2**32) rejects up to half of numpy's 32-bit words;
-    # wire_q > 2**32 - 1 makes numpy draw 64-bit words (reference path)
-    half = draw(st.one_of(st.integers(0, 2**15), st.integers(2**30, 2**31 - 1),
-                          st.integers(2**31, 2**40)))
-    return seed, ids, d_pad, 2 * half + 1
+    # wire_q in (2**31, 2**32) rejects up to half of numpy's 32-bit words
+    half = draw(st.one_of(st.integers(0, 2**15), st.integers(2**30, 2**31 - 1)))
+    return seeds, ids, d_pad, 2 * half + 1
 
 
 @settings(max_examples=80, deadline=None)
 @given(mask_rounds())
 def test_net_masks_equal_summed_pair_masks(case):
-    seed, ids, d_pad, wire_q = case
-    net = net_masks(seed, ids, d_pad, wire_q)
-    assert net.dtype == np.int64 and net.shape == (len(ids), d_pad)
-    assert net.tobytes() == summed_masks(seed, ids, d_pad, wire_q).tobytes()
+    seeds, ids, d_pad, wire_q = case
+    net = net_masks(seeds, ids, d_pad, wire_q)
+    assert net.dtype == np.int64 and net.shape == (len(seeds), len(ids), d_pad)
+    for r, seed in enumerate(seeds):
+        assert net[r].tobytes() == summed_masks(seed, ids, d_pad, wire_q).tobytes()
 
 
-def test_net_masks_derive_most_pairs_without_a_generator(monkeypatch):
-    # the bulk path: only pairs that hit numpy's rejection zone (about one
-    # in 10**4 here) are drawn through mask_stream
-    calls = []
-    reference = secagg.mask_stream
-    monkeypatch.setattr(secagg, "mask_stream", lambda *key: calls.append(key) or reference(*key))
-    m = 30
+@pytest.mark.parametrize("spare", [None, 0])
+@pytest.mark.parametrize("wire_q", [2**31 + 1, 3 * 10**9 + 1, 2**32 - 1])
+def test_net_masks_in_the_rejection_band(monkeypatch, spare, wire_q):
+    # about 30-50% of numpy's words are rejected here; with no spare words
+    # nearly every row runs short and is drawn again, longer
+    if spare is not None:
+        monkeypatch.setattr(secagg, "_spare_words", lambda d_pad, threshold: spare)
+    ids = [0, 3, 9, 2**32 - 1]
+    for d_pad in (1, 2, 7, 64, 300):
+        net = net_masks([11, 2**63 + 5], ids, d_pad, wire_q)
+        for r, seed in enumerate([11, 2**63 + 5]):
+            assert net[r].tobytes() == summed_masks(seed, ids, d_pad, wire_q).tobytes()
+
+
+def test_net_masks_build_one_philox_for_a_batch_of_rounds(monkeypatch):
+    # no generator per pair: one Philox, reloaded with each pair's key
+    m, seeds = 30, [5, 6, 7]
     wire_q = wire_modulus(1001, m)
-    net = net_masks(5, list(range(m)), 64, wire_q)
-    assert len(calls) <= 2
-    monkeypatch.setattr(secagg, "mask_stream", reference)
-    np.testing.assert_array_equal(net, summed_masks(5, list(range(m)), 64, wire_q))
+    expected = [summed_masks(s, list(range(m)), 64, wire_q) for s in seeds]
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(a) or philox(*a, **k))
+    monkeypatch.setattr(np.random, "Generator", None)
+    net = net_masks(seeds, list(range(m)), 64, wire_q)
+    assert len(built) == 1
+    for r in range(len(seeds)):
+        np.testing.assert_array_equal(net[r], expected[r])
 
 
 def test_split_examples():
@@ -222,12 +236,30 @@ def test_unmasked_payloads_are_wrapped_plaintext():
 
 
 def test_aggregate_round_headroom_guard():
-    # m + 1 values of the wire group m q must fit an int64 accumulator
+    # a wire group m q past 2**32 is refused before anything is summed
     m = 1 << 10
     spec = LatticeSpec(g_max=1.0, k=3, q=(1 << 45) + 1)
     with pytest.raises(ConfigError):
         aggregate_round(np.zeros((m, 1), dtype=np.int64), np.zeros(1, dtype=np.int64),
                         list(range(m)), None, spec)
+    # and m + 1 values of a wire group must fit an int64 accumulator
+    with pytest.raises(ConfigError):
+        server_aggregate(np.zeros((m, 1), dtype=np.int64), m, (1 << 52) + 1, spec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rounds(), st.integers(1, 4), st.booleans())
+def test_aggregate_round_batch_equals_one_round_at_a_time(case, count, masked):
+    spec, rows, noise, ids, seed = case
+    rng = np.random.default_rng(seed)
+    batch = np.stack([rng.permutation(rows) for _ in range(count)])
+    noises = np.stack([rng.permutation(noise) for _ in range(count)])
+    seeds = [seed + r if masked else None for r in range(count)]
+    means, payloads = aggregate_round(batch, noises, ids, seeds if masked else None, spec)
+    assert means.shape == (count, rows.shape[1]) and payloads.shape == batch.shape
+    for r in range(count):
+        mean, payload = aggregate_round(batch[r], noises[r], ids, seeds[r], spec)
+        assert means[r].tobytes() == mean.tobytes() and payloads[r].tobytes() == payload.tobytes()
 
 
 def test_payload_conditionally_uniform():
