@@ -115,10 +115,11 @@ def comm_cost(n_participants: int, d_pad: int, q: int) -> int:
 
 # Trials run in chunks of about this many bytes, so that each call's fixed
 # cost is spread over many trials while a chunk's arrays stay small beside
-# the process.  A trial's pairs, client rows and two shared streams each
-# count 8 B per coordinate (a mask or row word) plus 128 B (a pair's key
-# or a generator's seed, and their hashing).
+# the process.  A trial's client rows and two shared streams each count 8 B
+# per coordinate plus 128 B (a generator's seed and its hashing).
 _CHUNK_BYTES = 256 << 10
+
+TRIALS_LIMIT = 1 << 32  # a trial's index is one uint32 word of its seed entropy
 
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -128,12 +129,11 @@ _MASK128 = (1 << 128) - 1
 def empirical_mse_bytes(m: int, d: int) -> int:
     """Peak bytes :func:`empirical_mse` allocates for ``m`` updates of
     dimension ``d``, counting the caller's update stack, whatever the
-    trial count: about 16 float64 ``(m, d_pad)`` arrays and 82 B per pair
-    of clients for a trial too large to share a chunk (tracemalloc, m = 2
-    to 1000, d_pad = 1 to 2^18), plus six chunks' worth of bytes for a
-    chunk's arrays (under four in tracemalloc, m = 1 to 200, d_pad = 1 to
-    2^14)."""
-    return 16 * 8 * m * compress.padded_dim(d) + 82 * m * m + 6 * _CHUNK_BYTES
+    trial count: about 16 float64 ``(m, d_pad)`` arrays for a trial too
+    large to share a chunk (tracemalloc, m = 2 to 2000, d_pad = 1 to
+    2^18), plus ten chunks' worth of bytes for a chunk's arrays (under
+    seven in tracemalloc, m = 1 to 200, d_pad = 1 to 2^14)."""
+    return 16 * 8 * m * compress.padded_dim(d) + 10 * _CHUNK_BYTES
 
 
 def trial_seeds(seed: int, first: int, count: int, n_children: int) -> np.ndarray:
@@ -184,43 +184,43 @@ def empirical_mse(
     sigma_units: float,
     trials: int,
     seed: int,
-    rotation_seed: int = 0,
 ) -> float:
     """Mean squared error of the masked mean-estimation pipeline.
 
-    Runs clip -> rotate -> quantize -> noise-share -> mask -> aggregate
-    -> unrotate on the fixed ``updates`` (shape ``(m, d)``) ``trials``
-    times with fresh quantizer, noise, and mask randomness, and averages
-    the squared L2 error against the exact mean of the clipped updates.
-    ``sigma_units = 0`` disables the noise.
+    Runs clip -> rotate -> quantize -> noise-share -> aggregate ->
+    unrotate on the fixed ``updates`` (shape ``(m, d)``) ``trials`` times
+    with fresh quantizer and noise randomness, and averages the squared
+    L2 error against the exact mean of the clipped updates.  The rotation
+    has seed 0; ``sigma_units = 0`` disables the noise.  Trials skip the
+    pairwise masks, which cancel exactly: the recovered mean, the only
+    thing kept, equals the masked one bit for bit.
 
     Trial ``t`` draws from ``SeedSequence([seed, t]).spawn(m + 2)``: child
-    0 seeds the round's masks, child 1 the noise, child ``2 + r`` client
-    ``r``'s quantizer, each through ``default_rng``.  Trials run in
-    chunks through one quantize, aggregate and unrotate call each, with
-    one reused generator loaded with each child's state in turn; the
-    result equals running the trials one by one, bit for bit.
+    1 seeds the noise and child ``2 + r`` client ``r``'s quantizer, each
+    through ``default_rng``; child 0 (the masks' seed once) is unused, so
+    every other stream keeps its bytes.  Trials run in chunks through one
+    quantize, aggregate and unrotate call each, with one reused generator
+    loaded with each child's state in turn; the result equals running the
+    trials one by one, bit for bit.
     """
-    if not 1 <= trials < 1 << 32:
+    if not 1 <= trials < TRIALS_LIMIT:
         raise ValueError(f"trials must be in [1, 2**32), got {trials}")
     updates = np.asarray(updates, dtype=float)
     m, d = updates.shape
     d_pad = compress.padded_dim(d)
-    rs = compress.RotationSeed(rotation_seed, d_pad)
+    rs = compress.RotationSeed(0, d_pad)
     clipped = compress.clip(updates, clip_bound)
     reference = clipped.mean(axis=0)
     rotated = compress.rotate(clipped, rs)
 
     dist = DiscreteGaussian(sigma_units * spec.step, spec) if sigma_units > 0 else None
-    participants = list(range(m))
     generator = np.random.Generator(np.random.PCG64(0))
-    chunk = max(1, _CHUNK_BYTES // ((m * (m - 1) // 2 + m + 2) * (8 * d_pad + 128)))
+    chunk = max(1, _CHUNK_BYTES // ((m + 2) * (8 * d_pad + 128)))
 
     total_sq = 0.0
     for first in range(0, trials, chunk):
         count = min(chunk, trials - first)
         streams = trial_seeds(seed, first, count, m + 2)
-        round_seeds = [int(_loaded(generator, s[0]).integers(1 << 62)) for s in streams]
         if dist is not None:
             noise_z = np.stack([dist.sample(_loaded(generator, s[1]), d_pad) for s in streams])
         else:
@@ -228,7 +228,7 @@ def empirical_mse(
         quantizers = (_loaded(generator, words) for s in streams for words in s[2:])
         quantized = compress.quantize(np.tile(rotated, (count, 1)), spec, quantizers)
         agg, _ = secagg.aggregate_round(
-            quantized.reshape(count, m, d_pad), noise_z, participants, round_seeds, spec
+            quantized.reshape(count, m, d_pad), noise_z, list(range(m)), None, spec
         )
         # Added trial by trial, as one trial at a time would: a batched
         # sum would round differently.

@@ -26,6 +26,7 @@ from .accountant import AccountantState
 from .config import ExperimentConfig, format_real, load_config
 from .dgauss import sample_integer_gaussian
 from .errors import ConfigError, HypothesisViolated, LatticeflError
+from .lattice import LatticeSpec
 from .simulate import OVERFLOW_BUDGET, make_plan, run_training
 
 
@@ -67,8 +68,6 @@ def cmd_train(cfg: ExperimentConfig, override_overflow: bool) -> int:
 
 
 def cmd_mse_bench(cfg: ExperimentConfig) -> int:
-    from .lattice import LatticeSpec
-
     grid = cfg.mse_grid
     header = [
         "d", "n", "k", "q", "sigma_units", "gamma", "g_max",
@@ -152,11 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment file (key = value sections)")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
         p.add_argument("--out", default=None, help="override the configured output path")
-        p.add_argument(
-            "--override-overflow-check",
-            action="store_true",
-            help="run even if the per-round overflow probability exceeds the budget",
-        )
+    sub.choices["train"].add_argument(
+        "--override-overflow-check",
+        action="store_true",
+        help="run even if the per-round overflow probability exceeds the budget",
+    )
     return parser
 
 

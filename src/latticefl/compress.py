@@ -176,12 +176,13 @@ def sensitivity(clip_bound: float, d: int, k: int) -> float:
     return 2.0 * (clip_bound + math.sqrt(d) * clip_bound / (k - 1))
 
 
-def default_g_max(clip_bound: float, n: int, d_pad: int, delta_rot: float = 1e-3) -> float:
-    """Clamp bound ``2 sqrt(log(2 n d / delta)) * clip_bound / sqrt(d)``.
+DELTA_ROT = 1e-3  # chance that default_g_max clamps a rotated coordinate
+
+
+def default_g_max(clip_bound: float, n: int, d_pad: int) -> float:
+    """Clamp bound ``2 sqrt(log(2 n d / DELTA_ROT)) * clip_bound / sqrt(d)``.
 
     With this choice the probability that any rotated coordinate of any
-    of ``n`` unit-norm updates exceeds the bound is at most ``delta_rot``.
+    of ``n`` unit-norm updates exceeds the bound is at most ``DELTA_ROT``.
     """
-    if not 0.0 < delta_rot < 1.0:
-        raise ValueError(f"delta_rot must be in (0, 1), got {delta_rot}")
-    return 2.0 * math.sqrt(math.log(2.0 * n * d_pad / delta_rot)) * clip_bound / math.sqrt(d_pad)
+    return 2.0 * math.sqrt(math.log(2.0 * n * d_pad / DELTA_ROT)) * clip_bound / math.sqrt(d_pad)

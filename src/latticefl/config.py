@@ -17,8 +17,9 @@ import math
 from dataclasses import MISSING, dataclass
 from pathlib import Path
 
-from .bounds import MseBoundInputs, empirical_mse_bytes
+from .bounds import TRIALS_LIMIT, MseBoundInputs, empirical_mse_bytes
 from .compress import padded_dim, sensitivity
+from .dgauss import check_sigma_units
 from .errors import ConfigError
 from .lattice import LatticeSpec
 from .secagg import wire_modulus
@@ -60,8 +61,7 @@ class SampleParams:
     count: int
 
     def __post_init__(self):
-        if self.sigma_units <= 0:
-            raise ValueError(f"sigma_units must be positive, got {self.sigma_units}")
+        check_sigma_units(self.sigma_units)
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
         check_memory_budget(
@@ -88,15 +88,17 @@ class MseGrid:
     trials: int = 1000
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials < TRIALS_LIMIT:
+            raise ValueError(f"trials must be in [1, 2**32), got {self.trials}")
         if self.clip_bound <= 0:
             raise ValueError(f"clip must be positive, got {self.clip_bound}")
         for cell in self.cells():
             d, n, k, q, su, gamma, g_max = cell
             try:
-                LatticeSpec(g_max=g_max, k=k, q=q)
+                spec = LatticeSpec(g_max=g_max, k=k, q=q)
                 MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=su, gamma=gamma, g_max=g_max)
+                if su > 0:  # the scale empirical_mse hands the sampler
+                    check_sigma_units(spec.sigma_units(su * spec.step))
                 wire_modulus(q, n)
             except (ValueError, ConfigError) as exc:
                 raise ValueError(f"mse cell (d, n, k, q, sigma, gamma, g_max) = {cell}: {exc}") from None

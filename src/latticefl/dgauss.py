@@ -36,6 +36,19 @@ MAX_REJECTIONS_PER_SAMPLE = 10**6
 # bracket the discrete one from below (see DiscreteGaussian.tail_bound).
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Noise scales, in lattice steps, where the draws are exact.  A geometric
+# proposal floor(-t log(1 - u)), t = floor(sigma) + 1, stays below 37 t as
+# 1 - u >= 2**-53; above the maximum it could pass 2**53, where float64
+# stops holding every integer.  Below the minimum, the accept exponent's
+# division by sigma^2 overflows (and from 2**-511, sigma^2 is subnormal).
+MAX_SIGMA_UNITS = 2.0**53 / 37.0 - 1.0
+MIN_SIGMA_UNITS = 2.0**-500
+
+
+def check_sigma_units(sigma_units: float) -> None:
+    if not MIN_SIGMA_UNITS <= sigma_units <= MAX_SIGMA_UNITS:
+        raise ValueError(f"sigma_units = {sigma_units:g} is outside [2**-500, 2**53 / 37 - 1]: inexact draws")
+
 
 def _std_normal_sf(x: float) -> float:
     """P[N(0,1) >= x] via the complementary error function."""
@@ -51,9 +64,9 @@ def sample_integer_gaussian(
     ``t = floor(sigma) + 1``; a proposal ``y`` is accepted with
     probability ``exp(-(|y| - sigma^2/t)^2 / (2 sigma^2))``, which makes
     the output law exactly proportional to ``exp(-y^2 / (2 sigma^2))``.
+    Raises ValueError outside ``[MIN_SIGMA_UNITS, MAX_SIGMA_UNITS]``.
     """
-    if sigma_units <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma_units}")
+    check_sigma_units(sigma_units)
     size = int(size)
     if size == 0:
         return np.empty(0, dtype=np.int64)
@@ -120,10 +133,8 @@ class DiscreteGaussian:
     def sigma_units(self) -> float:
         return self.spec.sigma_units(self.sigma)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Exact sample(s) in lattice steps; scalar when ``size`` is None."""
-        if size is None:
-            return int(sample_integer_gaussian(self.sigma_units, rng, 1)[0])
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` exact samples in lattice steps."""
         return sample_integer_gaussian(self.sigma_units, rng, size)
 
     def log_pmf(self, z) -> float | np.ndarray:

@@ -21,11 +21,11 @@ participant set is fixed within a round.
 The mask of pair ``i < j`` is ``Generator(Philox(SeedSequence([round_seed,
 i, j]))).integers(-half, half + 1, size=d_pad)``.  A round does not build
 its ``m (m - 1) / 2`` generators: :func:`net_masks` derives each client's
-net mask in bulk, for one round or a batch of rounds (every pair key in
-one vectorized pass of SeedSequence's hash, raw Philox words from one
-reused generator, and numpy's own bounded-integer reduction), and
-reproduces the per-pair draws bit for bit, so payloads do not change.
-The wire group stays below ``2**32``, where numpy draws from 32-bit words.
+net mask in bulk (every pair key in one vectorized pass of SeedSequence's
+hash, raw Philox words from one reused generator, and numpy's own
+bounded-integer reduction), and reproduces the per-pair draws bit for
+bit, so payloads do not change.  The wire group stays below ``2**32``,
+where numpy draws from 32-bit words.
 """
 
 from __future__ import annotations
@@ -162,35 +162,27 @@ def seed_sequence_state(entropy, n_words: int) -> np.ndarray:
     return _hashmix(pool, *_columns(_hash_constants(_INIT_B, _MULT_B, n_words)))
 
 
-def pair_keys(round_seeds, ids) -> np.ndarray:
-    """Philox keys of every pair of ids, in each of a batch of rounds.
+def pair_keys(round_seed: int, ids) -> np.ndarray:
+    """Philox keys of every pair of ids in the round seeded ``round_seed``.
 
-    Entry ``[r, p]`` is ``SeedSequence([round_seeds[r], ids[a],
-    ids[b]]).generate_state(2, np.uint64)`` for the ``p``-th pair
-    ``a < b`` in ``np.triu_indices(len(ids), 1)`` order: the key Philox
-    takes from that seed sequence (its counter starts at 0).  The entropy
-    must fit SeedSequence's pool of 4 words: every seed in ``[0, 2**64)``
-    and every id in ``[0, 2**32)``.
+    Row ``p`` is ``SeedSequence([round_seed, ids[a],
+    ids[b]]).generate_state(2, np.uint64)`` for the ``p``-th pair ``a <
+    b`` in ``np.triu_indices(len(ids), 1)`` order: the key Philox takes
+    from that seed sequence (its counter starts at 0).  The entropy must
+    fit SeedSequence's pool of 4 words: the seed in ``[0, 2**64)`` and
+    every id in ``[0, 2**32)``.
     """
     ids = np.asarray(ids, dtype=np.uint32)  # OverflowError outside [0, 2**32)
-    seeds = [int(s) for s in round_seeds]
-    for seed in seeds:
-        if not 0 <= seed < 1 << 64:
-            raise ValueError(f"round seed must be in [0, 2**64), got {seed}")
-    seeds = np.array(seeds, dtype=np.uint64)[:, None]
+    round_seed = int(round_seed)
+    if not 0 <= round_seed < 1 << 64:
+        raise ValueError(f"round seed must be in [0, 2**64), got {round_seed}")
+    seed_words = [round_seed & _MASK32] + ([round_seed >> 32] if round_seed >> 32 else [])
     a, b = np.nonzero(np.arange(ids.size)[:, None] < np.arange(ids.size))  # np.triu_indices order
-    i, j = ids[a], ids[b]
-    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
-    high = (seeds >> np.uint64(32)).astype(np.uint32)
-    wide = high > 0  # entropy words [low, high, i, j], else [low, i, j]
-    entropy = np.empty((_POOL_SIZE, len(seeds), a.size), dtype=np.uint32)
-    entropy[0] = low
-    entropy[1] = np.where(wide, high, i)
-    entropy[2] = np.where(wide, i, j)
-    entropy[3] = np.where(wide, j, 0)
-    state = seed_sequence_state(entropy.reshape(_POOL_SIZE, -1), 4).astype(np.uint64)
-    keys = state[0::2] | state[1::2] << np.uint64(32)  # little-endian pairs of words
-    return np.moveaxis(keys.reshape(2, len(seeds), a.size), 0, -1)
+    entropy = np.empty((len(seed_words) + 2, a.size), dtype=np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[-2], entropy[-1] = ids[a], ids[b]
+    state = seed_sequence_state(entropy, 4).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T  # little-endian pairs of words
 
 
 def _spare_words(d_pad: int, threshold: int) -> int:
@@ -252,36 +244,32 @@ def _pair_masks(philox, keys: np.ndarray, d_pad: int, wire_q: int) -> np.ndarray
     return masks
 
 
-def net_masks(round_seeds, participants, d_pad: int, wire_q: int) -> np.ndarray:
-    """Each participant's sum of its pairwise masks, in each of a batch of
-    rounds, derived in bulk.
+def net_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> np.ndarray:
+    """Each participant's sum of its pairwise masks, derived in bulk.
 
-    Entry ``[r, c]`` is what ``participants[c]`` adds in the round seeded
-    ``round_seeds[r]``: the masks of the pairs it sends minus those it
+    Row ``c`` is what ``participants[c]`` adds in the round seeded
+    ``round_seed``: the masks of the pairs it sends minus those it
     receives (see the module docstring for a pair's mask).  Equal bit for
     bit to the per-pair draws, without a generator per pair: the keys of
-    every round's pairs come from one :func:`pair_keys` call and one
-    reused Philox emits each pair's raw words (see :func:`_pair_masks`).
-    Extra memory is the batch's key table and one sender's
-    ``(rounds, m - 1, d_pad)`` block of masks.
+    every pair come from one :func:`pair_keys` call and one reused Philox
+    emits each pair's raw words (see :func:`_pair_masks`).  Extra memory
+    is the key table and one sender's ``(m - 1, d_pad)`` block of masks.
     """
     ids = _sorted_ids(participants, wire_q)
     m = len(ids)
-    seeds = list(round_seeds)
-    net = np.zeros((len(seeds), m, d_pad), dtype=np.int64)
-    if m > 1 and seeds:
-        keys = pair_keys(seeds, ids)
+    net = np.zeros((m, d_pad), dtype=np.int64)
+    if m > 1:
+        keys = pair_keys(round_seed, ids)
         philox = np.random.Philox(0)
         first = 0
         for a in range(m - 1):
             last = first + m - 1 - a  # sender a's pairs are [first, last)
-            block = _pair_masks(philox, keys[:, first:last].reshape(-1, 2), d_pad, wire_q)
-            block = block.reshape(len(seeds), m - 1 - a, d_pad)
-            net[:, a] += block.sum(axis=1)
-            net[:, a + 1 :] -= block
+            block = _pair_masks(philox, keys[first:last], d_pad, wire_q)
+            net[a] += block.sum(axis=0)
+            net[a + 1 :] -= block
             first = last
     position = {cid: a for a, cid in enumerate(ids)}
-    return net[:, [position[cid] for cid in participants]]
+    return net[[position[cid] for cid in participants]]
 
 
 def split_integer(v, m: int) -> np.ndarray:
@@ -308,8 +296,8 @@ def aggregate_round(
     spec: LatticeSpec,
     plaintext_bound: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Noise, mask, wrap and aggregate one round, or a batch of rounds, of
-    quantized updates.
+    """Noise, mask, wrap and aggregate one round, or a batch of unmasked
+    rounds, of quantized updates.
 
     ``quantized`` is the ``(m, d_pad)`` matrix of lattice-step rows, row
     ``r`` belonging to ``participants[r]``.  Row ``r`` adds share ``r`` of
@@ -317,10 +305,10 @@ def aggregate_round(
     ``mask_seed`` (``None``: unmasked), and wraps into the wire group.
     Returns the recovered mean (see :func:`server_aggregate`) and the
     ``(m, d_pad)`` payload matrix.  The recovered mean does not depend
-    on the masks.  A batch of rounds stacks them on a leading axis:
-    ``quantized`` of shape ``(rounds, m, d_pad)``, ``noise_z`` of shape
-    ``(rounds, d_pad)`` and one mask seed per round; each round's results
-    equal those of its own call bit for bit.
+    on the masks, which sum to exactly 0.  A batch of unmasked rounds
+    stacks them on a leading axis: ``quantized`` of shape ``(rounds, m,
+    d_pad)`` and ``noise_z`` of shape ``(rounds, d_pad)``; each round's
+    results equal those of its own call bit for bit.
     """
     quantized = np.asarray(quantized, dtype=np.int64)
     if quantized.ndim not in (2, 3):
@@ -331,8 +319,9 @@ def aggregate_round(
     wire_q = wire_modulus(spec.q, m)
     plain = quantized + np.moveaxis(split_integer(noise_z, m), 0, -2)
     if mask_seed is not None:
-        seeds = mask_seed if quantized.ndim == 3 else [mask_seed]
-        plain += net_masks(seeds, participants, d_pad, wire_q).reshape(plain.shape)
+        if quantized.ndim == 3:
+            raise ValueError("a batch of rounds is aggregated unmasked; mask one round per call")
+        plain += net_masks(mask_seed, participants, d_pad, wire_q)
     payloads = wrap_centered(plain, wire_q)
     return server_aggregate(payloads, m, wire_q, spec, plaintext_bound), payloads
 

@@ -15,14 +15,13 @@ tests assert it).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bounds, compress, secagg
 from .accountant import AccountantState
-from .dgauss import DiscreteGaussian
+from .dgauss import DiscreteGaussian, check_sigma_units
 from .errors import ConfigError
 from .lattice import LatticeSpec
 from .tasks import LocalTrainerSpec, Task, data_bytes, make_task, model_dim
@@ -121,7 +120,6 @@ class RoundTranscript:
     loss: float
     accuracy: float
     epsilon: float
-    wall_time: float
     raw_mean: np.ndarray | None = None  # mean un-clipped update (oracle runs)
     full_grad: np.ndarray | None = None  # pooled-loss gradient at round start
 
@@ -175,6 +173,7 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
     # once the m quantized rows take their largest magnitude.
     margin_steps = (wire_q - 1) // 2 - m * spec.half_levels
     if cfg.sigma > 0:
+        check_sigma_units(spec.sigma_units(cfg.sigma))  # before the task data is drawn
         if margin_steps < 1:
             overflow_probability = 1.0
         else:
@@ -222,7 +221,6 @@ def run_round(
     if model.t != round_index - 1:
         raise ValueError(f"model is at round {model.t}, cannot run round {round_index}")
     cfg, spec, m = plan.cfg, plan.spec, plan.m
-    started = time.perf_counter()
     master = cfg.seed
 
     full_grad = plan.task.full_gradient(model.w) if record_gradient else None
@@ -266,7 +264,6 @@ def run_round(
         loss=math.nan,
         accuracy=math.nan,
         epsilon=math.nan,
-        wall_time=time.perf_counter() - started,
         raw_mean=raw.mean(axis=0),
         full_grad=full_grad,
     )

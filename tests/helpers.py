@@ -129,14 +129,14 @@ def summed_masks(round_seed: int, ids, d_pad: int, wire_q: int) -> np.ndarray:
     return np.stack([net[cid] for cid in ids])
 
 
-def empirical_mse_reference(updates, spec, clip_bound, sigma_units, trials, seed, rotation_seed=0):
+def empirical_mse_reference(updates, spec, clip_bound, sigma_units, trials, seed):
     """``bounds.empirical_mse`` one trial at a time: per trial, a spawned
-    seed sequence, one ``default_rng`` per stream and one round through
-    ``secagg.aggregate_round``."""
+    seed sequence, one ``default_rng`` per stream and one masked round
+    through ``secagg.aggregate_round``, its masks seeded by child 0."""
     updates = np.asarray(updates, dtype=float)
     m, d = updates.shape
     d_pad = compress.padded_dim(d)
-    rs = compress.RotationSeed(rotation_seed, d_pad)
+    rs = compress.RotationSeed(0, d_pad)
     clipped = compress.clip(updates, clip_bound)
     reference = clipped.mean(axis=0)
     rotated = compress.rotate(clipped, rs)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticefl import bounds
+from latticefl import bounds, secagg
 from latticefl.bounds import (
     MseBoundInputs,
     comm_cost,
@@ -167,6 +167,19 @@ def test_empirical_mse_equals_the_per_trial_loop(cell, trials, chunk_bytes):
     assert batched == empirical_mse_reference(updates, spec, 1.0, sigma_units, trials, seed)
 
 
+def test_empirical_mse_derives_no_masks(monkeypatch):
+    # the masks cancel exactly, so trials skip them; the masked per-trial
+    # reference above shows that no bit changes
+    def no_masks(*args, **kwargs):
+        raise AssertionError("empirical_mse derived pairwise masks")
+
+    monkeypatch.setattr(secagg, "net_masks", no_masks)
+    monkeypatch.setattr(secagg, "pair_keys", no_masks)
+    updates = np.random.default_rng(9).normal(size=(6, 20))
+    spec = LatticeSpec(g_max=1.0, k=9, q=1001)
+    assert empirical_mse(updates, spec, 1.0, 1.0, 40, seed=5) > 0
+
+
 @pytest.mark.parametrize("seed", [0, 8, 123, 2**32 - 1, 2**32, 5 * 10**12, 2**63 - 1, 2**64 + 5, 2**100])
 def test_trial_seeds_match_spawned_generators(seed):
     seeds = trial_seeds(seed, 997, 4, 6)
@@ -180,7 +193,8 @@ def test_trial_seeds_match_spawned_generators(seed):
 
 
 @pytest.mark.parametrize("m, d, trials", [(1, 1, 1300), (2, 64, 200), (4, 64, 100), (8, 1, 120),
-                                          (10, 64, 20), (3, 4096, 3), (64, 1024, 2), (200, 256, 1)])
+                                          (10, 64, 20), (3, 4096, 3), (64, 1024, 2), (200, 256, 1),
+                                          (10, 256, 21), (2000, 64, 2)])
 def test_empirical_mse_bytes_bounds_the_peak(m, d, trials):
     # the peak is one chunk's, so two chunks and a bit show it
     updates = np.random.default_rng(m).normal(size=(m, d))

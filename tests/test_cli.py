@@ -127,6 +127,14 @@ def test_overflow_guard_and_override(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--out", str(out), "--override-overflow-check"]) == 0
 
 
+@pytest.mark.parametrize("command", ["mse-bench", "accountant", "sample"])
+def test_overflow_override_is_train_only(command):
+    config = Path(__file__).resolve().parent.parent / "configs" / f"{command.replace('-', '_')}.cfg"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config), "--override-overflow-check"])
+    assert exc.value.code == 2
+
+
 def test_sample_empty_count(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SAMPLE_CFG.format(count=0))
     assert main(["sample", "--config", cfg]) == 0
@@ -310,6 +318,7 @@ def test_non_finite_protocol_value_rejected(tmp_path, capsys, key, value):
         ("g_max", "-1"),
         ("q", "-3"),
         ("q", "429496731"),
+        ("sigma", "1e19"),  # sigma / step about 2e20 lattice steps: past the sampler's range
     ],
 )
 def test_out_of_range_protocol_value_rejected(tmp_path, capsys, monkeypatch, key, value):

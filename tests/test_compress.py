@@ -234,7 +234,7 @@ def test_rotation_concentration():
 
 
 def test_default_g_max_matches_formula():
-    got = default_g_max(2.0, 100, 4096, 1e-3)
+    got = default_g_max(2.0, 100, 4096)  # DELTA_ROT = 1e-3
     want = 2.0 * math.sqrt(math.log(2 * 100 * 4096 / 1e-3)) * 2.0 / math.sqrt(4096)
     assert got == pytest.approx(want)
 

@@ -110,6 +110,18 @@ REQUIRED = {
 }
 
 
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fail the test if anything draws random values or runs a cell or the sampler."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew random values for a rejected config")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(bounds, "empirical_mse", refuse)
+    monkeypatch.setattr(cli, "sample_integer_gaussian", refuse)
+
+
 def write(tmp_path: Path, text: str) -> Path:
     path = tmp_path / "exp.cfg"
     path.write_text(text)
@@ -192,11 +204,7 @@ def test_malformed_input_rejected(tmp_path, text, fragment):
 
 @pytest.mark.parametrize("seed", [str(1 << 63), "100000000000000000000000", "-4"])
 @pytest.mark.parametrize("command", ["train", "mse-bench", "accountant", "sample"])
-def test_seed_override_is_checked_in_every_mode(tmp_path, capsys, monkeypatch, command, seed):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drew random values for a rejected seed")
-
-    monkeypatch.setattr(np.random, "default_rng", no_draw)
+def test_seed_override_is_checked_in_every_mode(tmp_path, capsys, no_draw, command, seed):
     config = CONFIGS / f"{command.replace('-', '_')}.cfg"
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--seed", seed, "--out", str(out)]) == 2
@@ -215,16 +223,14 @@ def test_seed_override_is_checked_in_every_mode(tmp_path, capsys, monkeypatch, c
         ("mse-bench", "gammas", "1.5"),
         ("mse-bench", "g_maxes", "0"),
         ("mse-bench", "qs", "2147483649"),
+        ("mse-bench", "trials", "4294967296"),
+        ("mse-bench", "sigmas", "1e20"),
         ("sample", "count", "1000000000000"),
+        ("sample", "sigma_units", "1e20"),
+        ("sample", "sigma_units", "1e-200"),
     ],
 )
-def test_rejected_at_parse_time_before_anything_is_drawn(tmp_path, capsys, monkeypatch, command, key, value):
-    def no_draw(*args, **kwargs):
-        raise AssertionError("drew random values for a rejected config")
-
-    monkeypatch.setattr(np.random, "default_rng", no_draw)
-    monkeypatch.setattr(bounds, "empirical_mse", no_draw)
-    monkeypatch.setattr(cli, "sample_integer_gaussian", no_draw)
+def test_rejected_at_parse_time_before_anything_is_drawn(tmp_path, capsys, no_draw, command, key, value):
     text = (CONFIGS / f"{command.replace('-', '_')}.cfg").read_text()
     # the edited key's section is the file's last one
     config = write(tmp_path, without(text, key) + f"\n{key} = {value}\n")
@@ -240,7 +246,7 @@ def test_memory_budget_bounds_sample_count_and_mse_cells():
     with pytest.raises(ConfigError, match="count"):
         SampleParams(sigma_units=1.0, count=50_000_000)
     with pytest.raises(ConfigError, match="clients"):
-        MseGrid(clients=(10_000,))
+        MseGrid(clients=(300_000,))  # 128 B per client per padded coordinate: 2.3 GiB
 
 
 reals = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -306,7 +312,9 @@ def mse_grids(draw):
         clients=values(st.integers(1, 50)),
         ks=values(st.integers(1, 20).map(lambda i: 2 * i + 1)),
         qs=values(st.integers(0, 5000).map(lambda i: 2 * i + 1)),
-        sigmas=values(st.floats(min_value=0.0, max_value=100.0)),
+        # clear of the sampler's lower limit, 2**-500 lattice steps, which
+        # the conversion to and from real units could round across
+        sigmas=values(st.just(0.0) | st.floats(min_value=1e-150, max_value=100.0)),
         gammas=values(st.floats(min_value=1e-6, max_value=1.0)),
         g_maxes=values(reals),
         clip_bound=draw(reals),

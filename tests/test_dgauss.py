@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from latticefl.dgauss import DiscreteGaussian, sample_integer_gaussian
+from latticefl.dgauss import MAX_SIGMA_UNITS, MIN_SIGMA_UNITS, DiscreteGaussian, sample_integer_gaussian
 from latticefl.lattice import LatticeSpec
 
 from helpers import gof_pvalue_discrete, tail_oracle, variance_oracle
@@ -39,8 +39,22 @@ def test_sampler_determinism():
 
 
 def test_sampler_rejects_bad_sigma():
-    with pytest.raises(ValueError):
-        sample_integer_gaussian(0.0, np.random.default_rng(0), 10)
+    # above the range a proposal could pass 2**53 (at 1e20 the int64 cast
+    # overflowed to zeros); below it sigma^2 nears the subnormals and at
+    # 1e-200 is 0 (nothing was ever accepted)
+    outside = (np.nextafter(MAX_SIGMA_UNITS, math.inf), 1e20, np.nextafter(MIN_SIGMA_UNITS, 0.0), 1e-200)
+    for sigma_units in (0.0, -1.0, math.nan) + outside:
+        with pytest.raises(ValueError, match="sigma_units"):
+            sample_integer_gaussian(float(sigma_units), np.random.default_rng(0), 10)
+
+
+def test_sampler_draws_at_the_edges_of_its_range():
+    z = sample_integer_gaussian(MAX_SIGMA_UNITS, np.random.default_rng(0), 2000)
+    assert np.abs(z).max() < 2**53
+    assert 0.9 < np.std(z) / MAX_SIGMA_UNITS < 1.1  # 6 standard errors
+    # sigma^2 = 2**-1000, and far proposals still get a finite exponent:
+    # all mass sits at 0
+    assert not sample_integer_gaussian(MIN_SIGMA_UNITS, np.random.default_rng(0), 10**5).any()
 
 
 def test_goodness_of_fit_moderate_sizes():

@@ -62,8 +62,8 @@ def test_two_party_cancellation():
 def test_mask_determinism_and_pair_agreement():
     # each id's net mask depends on the ids, not on their order, and the
     # pairs cancel in the sum
-    first = net_masks([42], [3, 1, 7], 16, 1001)[0]
-    again = net_masks([42], [1, 7, 3], 16, 1001)[0]
+    first = net_masks(42, [3, 1, 7], 16, 1001)
+    again = net_masks(42, [1, 7, 3], 16, 1001)
     np.testing.assert_array_equal(first, again[[2, 0, 1]])
     np.testing.assert_array_equal(first.sum(axis=0), 0)
     np.testing.assert_array_equal(first, summed_masks(42, [3, 1, 7], 16, 1001))
@@ -71,42 +71,41 @@ def test_mask_determinism_and_pair_agreement():
 
 def test_mask_uniformity():
     q = 101
-    sender = net_masks([2024], [0, 1], 10**6, q)[0, 0]  # the pair's mask itself
+    sender = net_masks(2024, [0, 1], 10**6, q)[0]  # the pair's mask itself
     assert gof_pvalue_uniform(sender, q) > 0.01
 
 
 def test_net_masks_validation():
     with pytest.raises(ValueError):
-        net_masks([0], [1, 1], 4, 101)
+        net_masks(0, [1, 1], 4, 101)
     with pytest.raises(ValueError):
-        net_masks([0], [1, 2], 4, 100)
+        net_masks(0, [1, 2], 4, 100)
     with pytest.raises(ValueError):
-        net_masks([0], [1, 2], 4, 2**32 + 1)
+        net_masks(0, [1, 2], 4, 2**32 + 1)
     with pytest.raises(ValueError):
-        net_masks([0, 2**64], [1, 2], 4, 101)
+        net_masks(2**64, [1, 2], 4, 101)
     with pytest.raises(OverflowError):
-        net_masks([0], [1, 2**32], 4, 101)
+        net_masks(0, [1, 2**32], 4, 101)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1])
 def test_pair_keys_match_seed_sequence(seed):
     ids = [0, 1, 7, 2**31, 2**32 - 1]
-    seeds = [seed, 5, 2**40 + 3]  # a batch mixing one- and two-word seeds
-    keys = pair_keys(seeds, ids)
-    assert keys.shape == (3, 10, 2) and keys.dtype == np.uint64
-    for r, s in enumerate(seeds):
+    for s in (seed, 5, 2**40 + 3):  # one- and two-word seeds
+        keys = pair_keys(s, ids)
+        assert keys.shape == (10, 2) and keys.dtype == np.uint64
         for p, (a, b) in enumerate(zip(*np.triu_indices(len(ids), 1))):
             expected = np.random.SeedSequence([s, ids[a], ids[b]]).generate_state(2, np.uint64)
-            assert keys[r, p].tolist() == expected.tolist()
+            assert keys[p].tolist() == expected.tolist()
     # and Philox takes exactly this key (with counter 0) from the sequence
     state = np.random.Philox(np.random.SeedSequence([seed, 0, 1])).state["state"]
-    assert state["key"].tolist() == keys[0, 0].tolist() and not state["counter"].any()
+    assert state["key"].tolist() == pair_keys(seed, ids)[0].tolist() and not state["counter"].any()
 
 
 def test_pair_keys_reject_seeds_outside_the_pool():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
-            pair_keys([seed], [0, 1])
+            pair_keys(seed, [0, 1])
 
 
 @st.composite
@@ -116,22 +115,20 @@ def mask_rounds(draw):
     edge = draw(st.sampled_from([None, 0, 2**32 - 1]))
     if edge is not None and edge not in ids:
         ids[draw(st.integers(0, m - 1))] = edge
-    seed = st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1))
-    seeds = draw(st.lists(seed, min_size=1, max_size=3))
+    seed = draw(st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1)))
     d_pad = draw(st.integers(1, 256))
     # wire_q in (2**31, 2**32) rejects up to half of numpy's 32-bit words
     half = draw(st.one_of(st.integers(0, 2**15), st.integers(2**30, 2**31 - 1)))
-    return seeds, ids, d_pad, 2 * half + 1
+    return seed, ids, d_pad, 2 * half + 1
 
 
 @settings(max_examples=80, deadline=None)
 @given(mask_rounds())
 def test_net_masks_equal_summed_pair_masks(case):
-    seeds, ids, d_pad, wire_q = case
-    net = net_masks(seeds, ids, d_pad, wire_q)
-    assert net.dtype == np.int64 and net.shape == (len(seeds), len(ids), d_pad)
-    for r, seed in enumerate(seeds):
-        assert net[r].tobytes() == summed_masks(seed, ids, d_pad, wire_q).tobytes()
+    seed, ids, d_pad, wire_q = case
+    net = net_masks(seed, ids, d_pad, wire_q)
+    assert net.dtype == np.int64 and net.shape == (len(ids), d_pad)
+    assert net.tobytes() == summed_masks(seed, ids, d_pad, wire_q).tobytes()
 
 
 @pytest.mark.parametrize("spare", [None, 0])
@@ -143,12 +140,12 @@ def test_net_masks_in_the_rejection_band(monkeypatch, spare, wire_q):
         monkeypatch.setattr(secagg, "_spare_words", lambda d_pad, threshold: spare)
     ids = [0, 3, 9, 2**32 - 1]
     for d_pad in (1, 2, 7, 64, 300):
-        net = net_masks([11, 2**63 + 5], ids, d_pad, wire_q)
-        for r, seed in enumerate([11, 2**63 + 5]):
-            assert net[r].tobytes() == summed_masks(seed, ids, d_pad, wire_q).tobytes()
+        for seed in (11, 2**63 + 5):
+            net = net_masks(seed, ids, d_pad, wire_q)
+            assert net.tobytes() == summed_masks(seed, ids, d_pad, wire_q).tobytes()
 
 
-def test_net_masks_build_one_philox_for_a_batch_of_rounds(monkeypatch):
+def test_net_masks_build_one_philox_per_round(monkeypatch):
     # no generator per pair: one Philox, reloaded with each pair's key
     m, seeds = 30, [5, 6, 7]
     wire_q = wire_modulus(1001, m)
@@ -157,10 +154,9 @@ def test_net_masks_build_one_philox_for_a_batch_of_rounds(monkeypatch):
     philox = np.random.Philox
     monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(a) or philox(*a, **k))
     monkeypatch.setattr(np.random, "Generator", None)
-    net = net_masks(seeds, list(range(m)), 64, wire_q)
-    assert len(built) == 1
-    for r in range(len(seeds)):
-        np.testing.assert_array_equal(net[r], expected[r])
+    for r, seed in enumerate(seeds):
+        np.testing.assert_array_equal(net_masks(seed, list(range(m)), 64, wire_q), expected[r])
+        assert len(built) == r + 1
 
 
 def test_split_examples():
@@ -248,18 +244,25 @@ def test_aggregate_round_headroom_guard():
 
 
 @settings(max_examples=30, deadline=None)
-@given(rounds(), st.integers(1, 4), st.booleans())
-def test_aggregate_round_batch_equals_one_round_at_a_time(case, count, masked):
+@given(rounds(), st.integers(1, 4))
+def test_aggregate_round_batch_equals_one_round_at_a_time(case, count):
     spec, rows, noise, ids, seed = case
     rng = np.random.default_rng(seed)
     batch = np.stack([rng.permutation(rows) for _ in range(count)])
     noises = np.stack([rng.permutation(noise) for _ in range(count)])
-    seeds = [seed + r if masked else None for r in range(count)]
-    means, payloads = aggregate_round(batch, noises, ids, seeds if masked else None, spec)
+    means, payloads = aggregate_round(batch, noises, ids, None, spec)
     assert means.shape == (count, rows.shape[1]) and payloads.shape == batch.shape
     for r in range(count):
-        mean, payload = aggregate_round(batch[r], noises[r], ids, seeds[r], spec)
+        mean, payload = aggregate_round(batch[r], noises[r], ids, None, spec)
         assert means[r].tobytes() == mean.tobytes() and payloads[r].tobytes() == payload.tobytes()
+
+
+def test_aggregate_round_refuses_a_masked_batch():
+    # masks are derived one round per call; a batch carries no round seeds
+    spec = LatticeSpec(g_max=1.0, k=3, q=101)
+    batch = np.zeros((2, 3, 4), dtype=np.int64)
+    with pytest.raises(ValueError, match="unmasked"):
+        aggregate_round(batch, np.zeros((2, 4), dtype=np.int64), [0, 1, 2], 7, spec)
 
 
 def test_payload_conditionally_uniform():
