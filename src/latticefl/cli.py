@@ -125,6 +125,34 @@ def cmd_accountant(cfg: ExperimentConfig) -> int:
     return 0
 
 
+# Draws formatted per write by ``sample``, so that the text of at most
+# this many values exists at once.
+WRITE_CHUNK = 1 << 16
+
+# 10 .. 10**18: a magnitude's count of powers at or below it is its digit
+# count less one (|v| <= 2**63 has at most 19 digits).
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
+
+
+def format_int_lines(z: np.ndarray) -> bytes:
+    """The bytes of ``"".join(f"{v}\\n" for v in z)`` for an int64 array."""
+    neg = z < 0
+    mag = z.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)  # -v modulo 2**64: |v| even at -2**63
+    digits = np.searchsorted(_POWERS_OF_TEN, mag, side="right") + 1
+    ends = np.cumsum(digits + neg + 1)  # one past each line's newline
+    text = np.empty(ends[-1] if ends.size else 0, dtype=np.uint8)
+    text[ends - 1] = ord("\n")
+    text[(ends - digits - 2)[neg]] = ord("-")
+    pos = ends - 2  # each line's last digit
+    while pos.size:  # least significant digit first, over the rows that have one left
+        mag, digit = np.divmod(mag, 10)
+        text[pos] = digit + ord("0")
+        more = mag != 0
+        mag, pos = mag[more], pos[more] - 1
+    return text.tobytes()
+
+
 def cmd_sample(cfg: ExperimentConfig) -> int:
     p = cfg.sample_params
     if p.count == 0:
@@ -133,7 +161,8 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     z = sample_integer_gaussian(p.sigma_units, rng, p.count)
     out = sys.stdout if cfg.out is None else open(cfg.out, "w")
     try:
-        out.write("\n".join(str(int(v)) for v in z) + "\n")
+        for start in range(0, z.size, WRITE_CHUNK):
+            out.write(format_int_lines(z[start : start + WRITE_CHUNK]).decode("ascii"))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -189,7 +218,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except LatticeflError as exc:
+    except (LatticeflError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

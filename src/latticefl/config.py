@@ -25,9 +25,15 @@ from .lattice import LatticeSpec
 from .secagg import wire_modulus
 from .simulate import RoundConfig, check_memory_budget
 
-# Peak bytes per draw of the ``sample`` command: the int64 draw plus its
-# text line (about 107 B measured at 1e6 and 4e6 draws).
-SAMPLE_BYTES_PER_DRAW = 110
+# Peak bytes of the ``sample`` command: SAMPLE_BYTES_PER_DRAW a draw plus
+# SAMPLE_BYTES_FIXED.  The per-draw peak is the sampler's first batch (two
+# candidates a draw, each an int64, a float and a uniform, plus the int64
+# output): 58 B a draw by tracemalloc at 1e5 and 1e6 draws, with 10%
+# added.  The fixed part covers the generator, the 64-candidate minimum
+# batch and the text of one write chunk at 16 digits a value, which peak
+# 1.2 MB above 64 B a draw.
+SAMPLE_BYTES_PER_DRAW = 64
+SAMPLE_BYTES_FIXED = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,9 @@ class SampleParams:
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count}")
         check_memory_budget(
-            self.count * SAMPLE_BYTES_PER_DRAW, f"count = {self.count} draws", "reduce count"
+            self.count * SAMPLE_BYTES_PER_DRAW + SAMPLE_BYTES_FIXED,
+            f"count = {self.count} draws",
+            "reduce count",
         )
 
 
@@ -141,6 +149,8 @@ class ExperimentConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not 0 <= self.seed < 1 << 63:
             raise ValueError(f"seed must be a non-negative 63-bit integer, got {self.seed}")
+        if self.out == "":
+            raise ValueError("out must name a file")
 
 
 def _real(raw: str) -> float:

@@ -55,6 +55,15 @@ def _std_normal_sf(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+def _geometric(rng: np.random.Generator, buf: np.ndarray, log_p: float) -> np.ndarray:
+    """``floor(log(1 - U) / log_p)`` for ``buf.size`` uniforms ``U``, in ``buf``."""
+    rng.random(out=buf)
+    np.subtract(1.0, buf, out=buf)
+    np.log(buf, out=buf)
+    np.divide(buf, log_p, out=buf)
+    return np.floor(buf, out=buf)
+
+
 def sample_integer_gaussian(
     sigma_units: float, rng: np.random.Generator, size: int
 ) -> np.ndarray:
@@ -81,12 +90,17 @@ def sample_integer_gaussian(
     drawn = 0
     while filled < size:
         batch = max(64, 2 * (size - filled))
+        # Each step below is evaluated in place in ``buf``.
+        buf = np.empty(batch)
         # Difference of two iid geometrics is a two-sided discrete Laplace.
-        g1 = np.floor(np.log(1.0 - rng.random(batch)) / log_p).astype(np.int64)
-        g2 = np.floor(np.log(1.0 - rng.random(batch)) / log_p).astype(np.int64)
-        y = g1 - g2
-        dev = np.abs(y).astype(float) - shift
-        accepted = y[rng.random(batch) < np.exp(-(dev * dev) / (2.0 * var))]
+        y = _geometric(rng, buf, log_p).astype(np.int64)
+        y -= _geometric(rng, buf, log_p).astype(np.int64)
+        np.abs(y, out=buf)
+        buf -= shift  # dev
+        buf *= buf
+        np.negative(buf, out=buf)
+        buf /= 2.0 * var
+        accepted = y[rng.random(batch) < np.exp(buf, out=buf)]
         take = min(accepted.size, size - filled)
         out[filled : filled + take] = accepted[:take]
         filled += take

@@ -56,15 +56,27 @@ class Task:
     def grad(self, w, X, y) -> np.ndarray:
         raise NotImplementedError
 
-    def loss(self, w, X, y) -> float:
+    def _outputs(self, w, X) -> np.ndarray:
+        """The model's output per row of ``X``, which loss and accuracy read."""
         raise NotImplementedError
 
-    def accuracy(self, w, X, y) -> float:
+    def _loss_of(self, out, y) -> float:
+        raise NotImplementedError
+
+    def _accuracy_of(self, out, y) -> float:
         return float("nan")
 
+    def loss(self, w, X, y) -> float:
+        return self._loss_of(self._outputs(w, X), y)
+
+    def accuracy(self, w, X, y) -> float:
+        return self._accuracy_of(self._outputs(w, X), y)
+
     def eval_metrics(self, w) -> tuple[float, float]:
+        """Loss and accuracy on the evaluation set, from one forward pass."""
         X, y = self.eval_set
-        return self.loss(w, X, y), self.accuracy(w, X, y)
+        out = self._outputs(w, X)
+        return self._loss_of(out, y), self._accuracy_of(out, y)
 
     def full_gradient(self, w) -> np.ndarray:
         """Exact gradient of the pooled training loss."""
@@ -119,8 +131,11 @@ class LinearRegressionTask(Task):
     def grad(self, w, X, y):
         return X.T @ (X @ w - y) / len(y)
 
-    def loss(self, w, X, y):
-        r = X @ w - y
+    def _outputs(self, w, X):
+        return X @ w
+
+    def _loss_of(self, out, y):
+        r = out - y
         return float(0.5 * (r @ r) / len(y))
 
     def smoothness(self) -> float:
@@ -155,13 +170,15 @@ class LogisticBlobsTask(Task):
     def grad(self, w, X, y):
         return X.T @ (_sigmoid(X @ w) - y) / len(y)
 
-    def loss(self, w, X, y):
-        z = X @ w
+    def _outputs(self, w, X):
+        return X @ w
+
+    def _loss_of(self, z, y):
         # log(1 + e^z) - y z, computed stably
         return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
-    def accuracy(self, w, X, y):
-        return float(np.mean((X @ w > 0) == (y > 0.5)))
+    def _accuracy_of(self, z, y):
+        return float(np.mean((z > 0) == (y > 0.5)))
 
 
 class SpiralMlpTask(Task):
@@ -225,13 +242,14 @@ class SpiralMlpTask(Task):
         db1 = dz1.sum(axis=0)
         return np.concatenate([g.ravel() for g in (dW1, db1, dW2, db2, dW3, db3)])
 
-    def loss(self, w, X, y):
-        _, _, p = self._forward(w, X)
+    def _outputs(self, w, X):
+        return self._forward(w, X)[2]
+
+    def _loss_of(self, p, y):
         p = np.clip(p, 1e-12, 1.0 - 1e-12)
         return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
-    def accuracy(self, w, X, y):
-        _, _, p = self._forward(w, X)
+    def _accuracy_of(self, p, y):
         return float(np.mean((p > 0.5) == (y > 0.5)))
 
 

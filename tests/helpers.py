@@ -3,19 +3,21 @@
 These stay independent of the code paths they check: the wrap oracle is
 a brute-force search, the distribution oracles are truncated sums over
 the pmf, goodness-of-fit runs through scipy's chi-square, pairwise masks
-come from one numpy generator per pair, and the empirical MSE reference
-runs one trial at a time with one generator per stream.
+come from one numpy generator per pair, the empirical MSE reference
+runs one trial at a time with one generator per stream, and the sampler
+reference evaluates each rejection step as a fresh array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from latticefl import compress, secagg
-from latticefl.dgauss import DiscreteGaussian
+from latticefl.dgauss import DiscreteGaussian, check_sigma_units
 
 
 def brute_force_wrap(z: int, modulus: int) -> int:
@@ -155,3 +157,27 @@ def empirical_mse_reference(updates, spec, clip_bound, sigma_units, trials, seed
         diff = compress.unrotate(agg, rs, d) - reference
         total_sq += float(diff @ diff)
     return total_sq / trials
+
+
+def sample_integer_gaussian_reference(sigma_units: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``dgauss.sample_integer_gaussian`` as plain expressions: the same
+    batches, the same ``rng`` calls in the same order, every step a new
+    array."""
+    check_sigma_units(sigma_units)
+    t = math.floor(sigma_units) + 1
+    log_p = -1.0 / t
+    var = sigma_units * sigma_units
+    shift = var / t
+    out = np.empty(size, dtype=np.int64)
+    filled = 0
+    while filled < size:
+        batch = max(64, 2 * (size - filled))
+        g1 = np.floor(np.log(1.0 - rng.random(batch)) / log_p).astype(np.int64)
+        g2 = np.floor(np.log(1.0 - rng.random(batch)) / log_p).astype(np.int64)
+        y = g1 - g2
+        dev = np.abs(y).astype(float) - shift
+        accepted = y[rng.random(batch) < np.exp(-(dev * dev) / (2.0 * var))]
+        take = min(accepted.size, size - filled)
+        out[filled : filled + take] = accepted[:take]
+        filled += take
+    return out

@@ -1,10 +1,18 @@
 import configparser
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticefl import simulate
-from latticefl.cli import main
+from latticefl.cli import WRITE_CHUNK, cmd_sample, format_int_lines, main
+from latticefl.config import SAMPLE_BYTES_FIXED, SAMPLE_BYTES_PER_DRAW, ExperimentConfig, SampleParams
+from latticefl.dgauss import MAX_SIGMA_UNITS, MIN_SIGMA_UNITS
+
+from helpers import sample_integer_gaussian_reference
 
 
 def write_cfg(tmp_path: Path, text: str, name="exp.cfg") -> str:
@@ -149,6 +157,57 @@ def test_sample_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
     values = [int(v) for v in first.strip().split("\n")]
     assert len(values) == 50
+
+
+def str_lines(z) -> bytes:
+    return "".join(f"{int(v)}\n" for v in z).encode()
+
+
+INT64_EDGES = [-(2**63), -(2**63) + 1, 2**63 - 1, 0] + [
+    sign * value for k in range(1, 19) for value in (10**k, 10**k - 1) for sign in (1, -1)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1) | st.sampled_from(INT64_EDGES), max_size=300))
+def test_format_int_lines_equals_str(values):
+    z = np.array(values, dtype=np.int64)
+    assert format_int_lines(z) == str_lines(z)
+
+
+@pytest.mark.parametrize("size", [0, 1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1])
+def test_format_int_lines_at_chunk_sizes(size):
+    rng = np.random.default_rng(size)
+    z = rng.integers(-(2**63), 2**63 - 1, size=size, dtype=np.int64, endpoint=True)
+    z[: len(INT64_EDGES)] = INT64_EDGES[:size]
+    assert format_int_lines(z) == str_lines(z)
+
+
+@pytest.mark.parametrize("count", [1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1])
+def test_sample_to_stdout_and_to_a_file_write_the_same_lines(tmp_path, capsys, count):
+    cfg = write_cfg(tmp_path, SAMPLE_CFG.format(count=count))
+    assert main(["sample", "--config", cfg]) == 0
+    stdout = capsys.readouterr().out.encode()
+    out = tmp_path / "draws.txt"
+    assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
+    rng = np.random.default_rng(np.random.SeedSequence([9, 0]))
+    assert out.read_bytes() == stdout == str_lines(sample_integer_gaussian_reference(1.0, rng, count))
+
+
+@pytest.mark.parametrize("sigma_units", [MIN_SIGMA_UNITS, 1.0, 1e9, MAX_SIGMA_UNITS])
+@pytest.mark.parametrize("count", [0, 1, 64, 10**4, WRITE_CHUNK, 10**6])
+def test_sample_bytes_bound_the_peak(tmp_path, sigma_units, count):
+    cfg = ExperimentConfig(
+        mode="sample", seed=3, out=str(tmp_path / "draws.txt"),
+        sample_params=SampleParams(sigma_units=sigma_units, count=count),
+    )
+    tracemalloc.start()
+    try:
+        cmd_sample(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= count * SAMPLE_BYTES_PER_DRAW + SAMPLE_BYTES_FIXED
 
 
 def test_accountant_zero_rounds(tmp_path, capsys):

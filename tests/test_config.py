@@ -1,6 +1,8 @@
 """Experiment-file parsing: expected values, defaults, required keys,
 rejections, and a write-then-parse round trip."""
 
+import configparser
+import math
 import sys
 from pathlib import Path
 
@@ -247,6 +249,81 @@ def test_memory_budget_bounds_sample_count_and_mse_cells():
         SampleParams(sigma_units=1.0, count=50_000_000)
     with pytest.raises(ConfigError, match="clients"):
         MseGrid(clients=(300_000,))  # 128 B per client per padded coordinate: 2.3 GiB
+
+
+# Malformed values tried at each key of each stock config, one key at a time.
+FUZZ_VALUES = ("", "abc", "0", "-1", "nan", "inf", "1e30")
+# The stock sizes cut so that each run that is accepted takes milliseconds;
+# the key itself still takes every fuzz value.
+FUZZ_SIZES = {"mse_bench.cfg": ("mse", "trials", "2"), "sample.cfg": ("sample", "count", "1000")}
+
+
+def fuzz_cases():
+    for name in sorted(STOCK):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(CONFIGS / name)
+        for section in parser.sections():
+            for key in parser[section]:
+                yield pytest.param(name, section, key, id=f"{name}-{key}")
+
+
+def is_finite_real(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def written_reals(command: str, cfg: ExperimentConfig, stdout: str) -> list:
+    """The real cells a run printed or wrote, less the documented non-finite
+    ones: epsilon at sigma = 0, the bound of a ``hypothesis`` cell, and
+    alpha_star at zero rounds."""
+    written = [] if cfg.out is None else Path(cfg.out).read_text().splitlines()
+    if command == "sample":
+        return written or stdout.splitlines()
+    rows = [line.split(",") for line in written[1:]]
+    if command == "accountant":
+        printed = dict(line.split(" = ") for line in stdout.splitlines())
+        if cfg.accountant_params.rounds == 0:
+            assert printed.pop("alpha_star") == "inf"
+        return list(printed.values()) + [cell for row in rows for cell in row]
+    cells = []
+    for row in rows:
+        if command == "train" and cfg.round_config.sigma == 0:
+            assert row.pop(1) == "inf"  # epsilon
+        if command == "mse-bench":
+            flag = row.pop()
+            if flag == "hypothesis":
+                assert row.pop(9) == "nan"  # bound
+        cells += row
+    return cells
+
+
+@pytest.mark.parametrize("name, section, key", fuzz_cases())
+def test_malformed_values_exit_cleanly(tmp_path, monkeypatch, capsys, name, section, key):
+    # each value exits 0 with finite output or 2 with one error line
+    monkeypatch.chdir(tmp_path)  # where the mutated configs' relative outputs go
+    command = STOCK[name].mode
+    for value in FUZZ_VALUES:
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(CONFIGS / name)
+        if name in FUZZ_SIZES:
+            size_section, size_key, size = FUZZ_SIZES[name]
+            parser[size_section][size_key] = size
+        parser[section][key] = value
+        config = tmp_path / f"{value or 'empty'}.cfg"
+        with open(config, "w") as fh:
+            parser.write(fh)
+        rc = main([command, "--config", str(config)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err, value
+        if rc == 2:
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:"), (value, err)
+            continue
+        assert rc == 0, (value, captured.err)
+        cells = written_reals(command, load_config(config), captured.out)
+        assert all(map(is_finite_real, cells)), value
 
 
 reals = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)

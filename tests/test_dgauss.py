@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latticefl.dgauss import MAX_SIGMA_UNITS, MIN_SIGMA_UNITS, DiscreteGaussian, sample_integer_gaussian
 from latticefl.lattice import LatticeSpec
 
-from helpers import gof_pvalue_discrete, tail_oracle, variance_oracle
+from helpers import gof_pvalue_discrete, sample_integer_gaussian_reference, tail_oracle, variance_oracle
 
 UNIT = LatticeSpec(g_max=1.0, k=3, q=7)  # step == 1
 
@@ -55,6 +57,48 @@ def test_sampler_draws_at_the_edges_of_its_range():
     # sigma^2 = 2**-1000, and far proposals still get a finite exponent:
     # all mass sits at 0
     assert not sample_integer_gaussian(MIN_SIGMA_UNITS, np.random.default_rng(0), 10**5).any()
+
+
+class CountingRng:
+    """A generator that counts its ``random`` calls: three per batch."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+
+def test_sampler_equals_the_expression_reference():
+    batches = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log2_sigma=st.floats(math.log2(MIN_SIGMA_UNITS), math.log2(MAX_SIGMA_UNITS)),
+        size=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # below sigma = 1 fewer than half of the candidates are accepted, so a
+    # size near 3000 needs a second batch
+    @example(log2_sigma=math.log2(0.01), size=3000, seed=0)
+    @example(log2_sigma=math.log2(MIN_SIGMA_UNITS), size=2999, seed=1)
+    @example(log2_sigma=math.log2(MAX_SIGMA_UNITS), size=1, seed=2)
+    def check(log2_sigma, size, seed):
+        sigma_units = min(max(2.0**log2_sigma, MIN_SIGMA_UNITS), MAX_SIGMA_UNITS)
+        counting = CountingRng(seed)
+        reference_rng = np.random.default_rng(seed)
+        z = sample_integer_gaussian(sigma_units, counting, size)
+        expected = sample_integer_gaussian_reference(sigma_units, reference_rng, size)
+        assert z.dtype == expected.dtype == np.int64
+        assert z.tobytes() == expected.tobytes()
+        # the same draws were taken from the generator
+        assert counting.rng.bit_generator.state == reference_rng.bit_generator.state
+        batches.append(counting.calls // 3)
+
+    check()
+    assert max(batches) >= 2
 
 
 def test_goodness_of_fit_moderate_sizes():

@@ -26,6 +26,7 @@ GOLDEN = {
     "accountant": "405f717829fb4725481bbf0b578e261be8aec25cf203d0fedb73734c26620898",
     "train-payloads": "037c38103118dd07d4801a91d60a403f1ef9ee85fe4ae21d7b032ae414bd53c9",
     "mse-bench-63-bit-seed": "66a7a31d870121813bf4e73eed5b0b9d015816690dc17c25f30490b921b1dc3e",
+    "sample-whole-file": "5a524555aa4a07b8edf4ecf6d171c4a876e0d786c4fcd73e0d5a77bfda89568b",
 }
 
 # Cell i of mse-bench runs at seed + i, so this pins seeds 2**63 - 12 to
@@ -82,6 +83,8 @@ def test_sample_digest(tmp_path):
     data = run_cli("sample", CONFIGS / "sample.cfg", tmp_path / "draws.txt")
     head = b"".join(data.splitlines(keepends=True)[:10**4])
     assert sha256(head) == GOLDEN["sample"]
+    # all 10**6 lines, so every write chunk is pinned too
+    assert sha256(data) == GOLDEN["sample-whole-file"]
 
 
 def test_accountant_curve_digest(tmp_path, capsys):
