@@ -146,16 +146,15 @@ def trial_seeds(seed: int, first: int, count: int, n_children: int) -> np.ndarra
     seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    seed_words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    words = secagg.seed_words(seed)
     # SeedSequence pads a spawned child's entropy with zeros to its pool
     # of 4 words, then appends the spawn key.
-    rows = max(len(seed_words) + 1, 4) + 1
+    rows = max(len(words) + 1, 4) + 1
     entropy = np.zeros((rows, count, n_children), dtype=np.uint32)
-    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None, None]
-    entropy[len(seed_words)] = np.arange(first, first + count, dtype=np.uint32)[:, None]
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None, None]
+    entropy[len(words)] = np.arange(first, first + count, dtype=np.uint32)[:, None]
     entropy[-1] = np.arange(n_children, dtype=np.uint32)
-    words = secagg.seed_sequence_state(entropy.reshape(rows, -1), 8).astype(np.uint64)
-    seeds = words[0::2] | words[1::2] << np.uint64(32)  # little-endian pairs of words
+    seeds = secagg.seed_sequence_state(entropy.reshape(rows, -1), 4)
     return np.moveaxis(seeds, 0, -1).reshape(count, n_children, 4)
 
 

@@ -23,14 +23,13 @@ i, j]))).integers(-half, half + 1, size=d_pad)``.  A round does not build
 its ``m (m - 1) / 2`` generators: :func:`net_masks` derives each client's
 net mask in bulk (every pair key in one vectorized pass of SeedSequence's
 hash, raw Philox words from one reused generator, and numpy's own
-bounded-integer reduction), and reproduces the per-pair draws bit for
-bit, so payloads do not change.  The wire group stays below ``2**32``,
+bounded-integer reduction, or numpy itself for a mask that meets a word
+the reduction rejects), and reproduces the per-pair draws bit for bit,
+so payloads do not change.  The wire group stays below ``2**32``,
 where numpy draws from 32-bit words.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -133,16 +132,22 @@ def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
     return mixed ^ (mixed >> _XSHIFT)
 
 
+def seed_words(seed: int) -> list[int]:
+    """The uint32 words SeedSequence takes from the non-negative int
+    ``seed``, low word first (0 is one word)."""
+    return [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+
+
 def seed_sequence_state(entropy, n_words: int) -> np.ndarray:
-    """``generate_state(n_words, np.uint32)`` of many SeedSequences at once.
+    """``generate_state(n_words, np.uint64)`` of many SeedSequences at once.
 
     Column ``c`` of the uint32 matrix ``entropy`` (one row per word) is
     one sequence's assembled entropy, as SeedSequence builds it: the
-    uint32 words of its entropy and, for a spawned child, zeros up to the
-    pool size of 4 followed by the words of its spawn key.  Returns the
-    ``(n_words, columns)`` uint32 states.  A vectorized port of
-    SeedSequence's hash pool of 4 words: words beyond the pool are hashed
-    into every pool word after the pool is mixed.
+    words of its entropy (see :func:`seed_words`) and, for a spawned
+    child, zeros up to the pool size of 4 followed by the words of its
+    spawn key.  Returns the ``(n_words, columns)`` uint64 states.  A
+    vectorized port of SeedSequence's hash pool of 4 words: words beyond
+    the pool are hashed into every pool word after the pool is mixed.
     """
     entropy = np.asarray(entropy, dtype=np.uint32)
     pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
@@ -157,9 +162,12 @@ def seed_sequence_state(entropy, n_words: int) -> np.ndarray:
         consts = _hash_constants(_POOL_CONSTS[-1][1], _MULT_A, _POOL_SIZE * len(extra))
         for a, word in enumerate(extra):
             pool = _mix(pool, _hashmix(word, *_columns(consts[_POOL_SIZE * a : _POOL_SIZE * (a + 1)])))
-    # generate_state cycles through the pool, one hashmix call per word.
-    pool = np.tile(pool, (-(-n_words // _POOL_SIZE), 1))[:n_words]
-    return _hashmix(pool, *_columns(_hash_constants(_INIT_B, _MULT_B, n_words)))
+    # generate_state cycles through the pool, one hashmix call per uint32
+    # word, and pairs the words little-endian into uint64 words.
+    n_words32 = 2 * n_words
+    pool = np.tile(pool, (-(-n_words32 // _POOL_SIZE), 1))[:n_words32]
+    state = _hashmix(pool, *_columns(_hash_constants(_INIT_B, _MULT_B, n_words32))).astype(np.uint64)
+    return state[0::2] | state[1::2] << np.uint64(32)
 
 
 def pair_keys(round_seed: int, ids) -> np.ndarray:
@@ -176,71 +184,43 @@ def pair_keys(round_seed: int, ids) -> np.ndarray:
     round_seed = int(round_seed)
     if not 0 <= round_seed < 1 << 64:
         raise ValueError(f"round seed must be in [0, 2**64), got {round_seed}")
-    seed_words = [round_seed & _MASK32] + ([round_seed >> 32] if round_seed >> 32 else [])
+    words = seed_words(round_seed)
     a, b = np.nonzero(np.arange(ids.size)[:, None] < np.arange(ids.size))  # np.triu_indices order
-    entropy = np.empty((len(seed_words) + 2, a.size), dtype=np.uint32)
-    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy = np.empty((len(words) + 2, a.size), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
     entropy[-2], entropy[-1] = ids[a], ids[b]
-    state = seed_sequence_state(entropy, 4).astype(np.uint64)
-    return (state[0::2] | state[1::2] << np.uint64(32)).T  # little-endian pairs of words
+    return seed_sequence_state(entropy, 2).T
 
 
-def _spare_words(d_pad: int, threshold: int) -> int:
-    """Words drawn per mask beyond ``d_pad``, so that few masks run short
-    of accepted words: the expected number of rejected words plus four
-    standard deviations, plus two."""
-    rejected = threshold / 2**32
-    expected = d_pad * rejected / (1.0 - rejected)
-    return math.ceil(expected + 4.0 * math.sqrt(expected)) + 2
-
-
-def _scaled_words(philox, keys: np.ndarray, n_raw: int, wire_q: int) -> np.ndarray:
-    """``w * wire_q`` for the first ``2 n_raw`` 32-bit words ``w`` of the
-    Philox stream of each key (counter 0), one row per key."""
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    raw = np.empty((len(keys), n_raw), dtype=np.uint64)
-    for r, key in enumerate(keys.tolist()):
-        state["state"]["key"] = key
-        philox.state = state
-        raw[r] = philox.random_raw(n_raw)
-    # numpy reads each 64-bit word as two 32-bit draws, low half first.
-    words = raw.astype("<u8", copy=False).view("<u4")
-    return np.multiply(words, np.uint64(wire_q), dtype=np.uint64)
-
-
-def _pair_masks(philox, keys: np.ndarray, d_pad: int, wire_q: int) -> np.ndarray:
+def _pair_masks(philox, generator, keys: np.ndarray, d_pad: int, wire_q: int) -> np.ndarray:
     """The masks of the pairs whose Philox keys are the rows of ``keys``.
 
     Row ``r`` equals ``Generator(Philox(key=keys[r])).integers(-half, half
     + 1, size=d_pad)``.  numpy maps each 32-bit word ``w`` to ``(w wire_q)
     >> 32`` (Lemire's multiply-shift) and skips a word whose low product
     half is below ``2**32 mod wire_q``, taking the next word instead.  So
-    each row draws a few spare words, and a row with a rejected word keeps
-    its first ``d_pad`` accepted ones; a row left short draws again from
-    counter 0, with twice as many words.
+    each row maps its first ``d_pad`` words of the stream at once, and a
+    row holding a rejected word is drawn again by ``generator``, which
+    wraps ``philox``, from counter 0.
     """
-    threshold = np.uint64((1 << 32) % wire_q)  # numpy's (2**32 - wire_q) % wire_q
-    low = np.uint64(_MASK32)
-    n_raw = (d_pad + _spare_words(d_pad, int(threshold)) + 1) // 2
-    scaled = _scaled_words(philox, keys, n_raw, wire_q)
-    masks = (scaled[:, :d_pad] >> np.uint64(32)).view(np.int64)
-    rows = np.flatnonzero(((scaled[:, :d_pad] & low) < threshold).any(axis=1))
-    if rows.size:
-        scaled = scaled[rows]
-        accepted = (scaled & low) >= threshold
-        while True:
-            rank = np.cumsum(accepted, axis=1)
-            done = rank[:, -1] >= d_pad
-            keep = accepted & (rank <= d_pad) & done[:, None]
-            masks[rows[done]] = (scaled[keep] >> np.uint64(32)).reshape(-1, d_pad)
-            rows = rows[~done]
-            if not rows.size:
-                break
-            n_raw *= 2
-            scaled = _scaled_words(philox, keys[rows], n_raw, wire_q)
-            accepted = (scaled & low) >= threshold
-    masks -= (wire_q - 1) // 2
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    raw = np.empty((len(keys), (d_pad + 1) // 2), dtype=np.uint64)
+    for r, key in enumerate(keys.tolist()):
+        state["state"]["key"] = key
+        philox.state = state
+        raw[r] = philox.random_raw(raw.shape[1])
+    # numpy reads each 64-bit word as two 32-bit draws, low half first.
+    words = raw.astype("<u8", copy=False).view("<u4")[:, :d_pad]
+    scaled = np.multiply(words, np.uint64(wire_q), dtype=np.uint64)
+    half = (wire_q - 1) // 2
+    masks = (scaled >> np.uint64(32)).view(np.int64)
+    masks -= half
+    rejected = (scaled & np.uint64(_MASK32)) < np.uint64((1 << 32) % wire_q)
+    for r in np.flatnonzero(rejected.any(axis=1)).tolist():
+        state["state"]["key"] = keys[r].tolist()
+        philox.state = state
+        masks[r] = generator.integers(-half, half + 1, size=d_pad)
     return masks
 
 
@@ -261,10 +241,11 @@ def net_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> np.ndar
     if m > 1:
         keys = pair_keys(round_seed, ids)
         philox = np.random.Philox(0)
+        generator = np.random.Generator(philox)
         first = 0
         for a in range(m - 1):
             last = first + m - 1 - a  # sender a's pairs are [first, last)
-            block = _pair_masks(philox, keys[first:last], d_pad, wire_q)
+            block = _pair_masks(philox, generator, keys[first:last], d_pad, wire_q)
             net[a] += block.sum(axis=0)
             net[a + 1 :] -= block
             first = last

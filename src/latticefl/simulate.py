@@ -40,7 +40,7 @@ OVERFLOW_BUDGET = 1e-9
 
 # Largest allocation one command may make: a plan's task data, the
 # sample command's draws, or one mse-bench cell's client stacks.  Task
-# sharding briefly holds about three copies, so this keeps a desk-scale
+# sharding briefly holds about two copies, so this keeps a desk-scale
 # run within a few GiB and turns an oversized n, samples_per_client,
 # count, dims or clients into a configuration error before anything is
 # allocated.

@@ -44,10 +44,16 @@ def _sigmoid(z):
 
 
 class Task:
-    """Shared plumbing: client shards, minibatch SGD, pooled gradient."""
+    """Shared plumbing: client shards, minibatch SGD, pooled gradient.
+
+    The training data is stacked client-major: client ``c`` holds
+    ``points[c]`` (shape ``(samples_per_client, features)``) and
+    ``targets[c]``.
+    """
 
     dim: int
-    client_sets: list[tuple[np.ndarray, np.ndarray]]
+    points: np.ndarray
+    targets: np.ndarray
     eval_set: tuple[np.ndarray, np.ndarray]
 
     def init_weights(self) -> np.ndarray:
@@ -78,16 +84,19 @@ class Task:
         out = self._outputs(w, X)
         return self._loss_of(out, y), self._accuracy_of(out, y)
 
+    def pooled(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every client's points and targets as one training set, client by
+        client (views, not copies)."""
+        return self.points.reshape(-1, self.points.shape[-1]), self.targets.reshape(-1)
+
     def full_gradient(self, w) -> np.ndarray:
         """Exact gradient of the pooled training loss."""
-        X = np.concatenate([c[0] for c in self.client_sets])
-        y = np.concatenate([c[1] for c in self.client_sets])
-        return self.grad(w, X, y)
+        return self.grad(w, *self.pooled())
 
     def local_update(
         self, w: np.ndarray, client: int, trainer: LocalTrainerSpec, rng: np.random.Generator
     ) -> np.ndarray:
-        X, y = self.client_sets[client]
+        X, y = self.points[client], self.targets[client]
         w = w.copy()
         for _ in range(trainer.steps):
             if trainer.batch_size is None or trainer.batch_size >= len(y):
@@ -99,19 +108,16 @@ class Task:
         return w
 
     @staticmethod
-    def _shard(X, y, n_clients, iid, rng):
-        """IID shuffle or label-sorted contiguous chunks (non-IID)."""
+    def _shard(X, y, n_clients, iid, rng) -> tuple[np.ndarray, np.ndarray]:
+        """The clients' points and targets, stacked by one gather: IID
+        deals a shuffle round robin, non-IID cuts the stable label sort
+        into contiguous chunks."""
         if iid:
-            order = rng.permutation(len(y))
-            X, y = X[order], y[order]
-            return [(X[i::n_clients].copy(), y[i::n_clients].copy()) for i in range(n_clients)]
-        order = np.argsort(y, kind="stable")
-        X, y = X[order], y[order]
-        edges = [i * len(y) // n_clients for i in range(n_clients + 1)]
-        return [
-            (X[edges[i] : edges[i + 1]].copy(), y[edges[i] : edges[i + 1]].copy())
-            for i in range(n_clients)
-        ]
+            index = rng.permutation(len(y)).reshape(-1, n_clients).T
+        else:
+            index = np.argsort(y, kind="stable").reshape(n_clients, -1)
+        index = np.ascontiguousarray(index)  # so each client's rows are contiguous
+        return X[index], y[index]
 
 
 class LinearRegressionTask(Task):
@@ -124,7 +130,7 @@ class LinearRegressionTask(Task):
         total = n_clients * samples_per_client
         X = rng.normal(size=(total, dim))
         y = X @ self.w_star + noise * rng.normal(size=total)
-        self.client_sets = self._shard(X, y, n_clients, iid, rng)
+        self.points, self.targets = self._shard(X, y, n_clients, iid, rng)
         Xe = rng.normal(size=(EVAL_SIZE, dim))
         self.eval_set = (Xe, Xe @ self.w_star + noise * rng.normal(size=EVAL_SIZE))
 
@@ -141,7 +147,7 @@ class LinearRegressionTask(Task):
     def smoothness(self) -> float:
         """Largest eigenvalue of the pooled design covariance (the L of
         the convergence report)."""
-        X = np.concatenate([c[0] for c in self.client_sets])
+        X = self.pooled()[0]
         return float(np.linalg.eigvalsh(X.T @ X / len(X)).max())
 
 
@@ -164,7 +170,7 @@ class LogisticBlobsTask(Task):
             return np.hstack([points, np.ones((count, 1))]), labels.astype(float)
 
         X, y = draw(n_clients * samples_per_client)
-        self.client_sets = self._shard(X, y, n_clients, iid, rng)
+        self.points, self.targets = self._shard(X, y, n_clients, iid, rng)
         self.eval_set = draw(EVAL_SIZE)
 
     def grad(self, w, X, y):
@@ -201,7 +207,7 @@ class SpiralMlpTask(Task):
             return pts + noise * rng.normal(size=pts.shape), labels.astype(float)
 
         X, y = draw(n_clients * samples_per_client)
-        self.client_sets = self._shard(X, y, n_clients, iid, rng)
+        self.points, self.targets = self._shard(X, y, n_clients, iid, rng)
         self.eval_set = draw(EVAL_SIZE)
         # Fixed small random init; zeros would be a saddle for the MLP.
         init_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))

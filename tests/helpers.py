@@ -4,8 +4,10 @@ These stay independent of the code paths they check: the wrap oracle is
 a brute-force search, the distribution oracles are truncated sums over
 the pmf, goodness-of-fit runs through scipy's chi-square, pairwise masks
 come from one numpy generator per pair, the empirical MSE reference
-runs one trial at a time with one generator per stream, and the sampler
-reference evaluates each rejection step as a fresh array.
+runs one trial at a time with one generator per stream, the sampler
+reference evaluates each rejection step as a fresh array, and the task
+shards are sliced out of a reordered copy of the data, one copy per
+client.
 """
 
 from __future__ import annotations
@@ -181,3 +183,20 @@ def sample_integer_gaussian_reference(sigma_units: float, rng: np.random.Generat
         out[filled : filled + take] = accepted[:take]
         filled += take
     return out
+
+
+def client_shards_reference(X, y, n_clients, iid, rng) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each client's ``(points, targets)``: IID shuffles the data and deals
+    every ``n_clients``-th row to a client; non-IID sorts it by label
+    (stable) and cuts it into ``n_clients`` contiguous chunks."""
+    if iid:
+        order = rng.permutation(len(y))
+        X, y = X[order], y[order]
+        return [(X[i::n_clients].copy(), y[i::n_clients].copy()) for i in range(n_clients)]
+    order = np.argsort(y, kind="stable")
+    X, y = X[order], y[order]
+    edges = [i * len(y) // n_clients for i in range(n_clients + 1)]
+    return [
+        (X[edges[i] : edges[i + 1]].copy(), y[edges[i] : edges[i + 1]].copy())
+        for i in range(n_clients)
+    ]

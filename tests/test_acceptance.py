@@ -230,8 +230,7 @@ def test_11_end_to_end_learning():
         _, plain, _ = run_training(RoundConfig(sigma=0.0, **shared))
         _, noisy, _ = run_training(RoundConfig(sigma=sigma_dp, **shared))
         task = make_plan(RoundConfig(sigma=0.0, **shared)).task
-        X = np.concatenate([c[0] for c in task.client_sets])
-        y = np.concatenate([c[1] for c in task.client_sets])
+        X, y = task.pooled()
         w = task.init_weights()
         for _ in range(50):
             w -= lr * task.grad(w, X, y)

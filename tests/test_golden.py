@@ -7,13 +7,22 @@ change only together with a note in CHANGES.md saying why.
 
 import configparser
 import hashlib
+import json
+import sys
 from pathlib import Path
+
+import pytest
 
 from latticefl.cli import main
 from latticefl.config import load_config
 from latticefl.simulate import run_training, write_payload_csv
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+sys.path.insert(0, str(ROOT / "bench"))
+import run as bench  # noqa: E402
+
+BENCH_DIGESTS = json.loads((ROOT / "bench" / "digests.json").read_text())
 
 # Stock mse-bench grid with fewer trials than configs/mse_bench.cfg, so the
 # whole module stays within a few seconds.
@@ -91,3 +100,16 @@ def test_accountant_curve_digest(tmp_path, capsys):
     data = run_cli("accountant", CONFIGS / "accountant.cfg", tmp_path / "curve.csv")
     capsys.readouterr()
     assert sha256(data) == GOLDEN["accountant"]
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_DIGESTS))
+def test_bench_workload_digest(tmp_path, capsys, workload):
+    # The benchmark pins its own outputs on configs far from the stock
+    # ones (up to n = 2000 and d = 1000); this catches a changed stream
+    # there before a benchmark run does.
+    spec = bench.WORKLOADS[workload]
+    config, out = tmp_path / "config.cfg", tmp_path / "output"
+    bench.write_config(spec, bench.DEFAULT_SEED, 0, config, out)
+    assert main([spec.command, "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert sha256(out.read_bytes()) == BENCH_DIGESTS[workload]

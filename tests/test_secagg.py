@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticefl import secagg
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.errors import ConfigError, OverflowSuspected
 from latticefl.lattice import LatticeSpec, wrap_centered
@@ -131,13 +130,10 @@ def test_net_masks_equal_summed_pair_masks(case):
     assert net.tobytes() == summed_masks(seed, ids, d_pad, wire_q).tobytes()
 
 
-@pytest.mark.parametrize("spare", [None, 0])
 @pytest.mark.parametrize("wire_q", [2**31 + 1, 3 * 10**9 + 1, 2**32 - 1])
-def test_net_masks_in_the_rejection_band(monkeypatch, spare, wire_q):
-    # about 30-50% of numpy's words are rejected here; with no spare words
-    # nearly every row runs short and is drawn again, longer
-    if spare is not None:
-        monkeypatch.setattr(secagg, "_spare_words", lambda d_pad, threshold: spare)
+def test_net_masks_in_the_rejection_band(wire_q):
+    # about 30-50% of numpy's words are rejected here, so nearly every row
+    # past a few coordinates is drawn again by numpy
     ids = [0, 3, 9, 2**32 - 1]
     for d_pad in (1, 2, 7, 64, 300):
         for seed in (11, 2**63 + 5):
@@ -146,17 +142,18 @@ def test_net_masks_in_the_rejection_band(monkeypatch, spare, wire_q):
 
 
 def test_net_masks_build_one_philox_per_round(monkeypatch):
-    # no generator per pair: one Philox, reloaded with each pair's key
+    # no generator per pair: one Philox, reloaded with each pair's key,
+    # and one Generator wrapping it for the rows drawn again
     m, seeds = 30, [5, 6, 7]
     wire_q = wire_modulus(1001, m)
     expected = [summed_masks(s, list(range(m)), 64, wire_q) for s in seeds]
-    built = []
-    philox = np.random.Philox
+    built, wrapped = [], []
+    philox, generator = np.random.Philox, np.random.Generator
     monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(a) or philox(*a, **k))
-    monkeypatch.setattr(np.random, "Generator", None)
+    monkeypatch.setattr(np.random, "Generator", lambda *a, **k: wrapped.append(a) or generator(*a, **k))
     for r, seed in enumerate(seeds):
         np.testing.assert_array_equal(net_masks(seed, list(range(m)), 64, wire_q), expected[r])
-        assert len(built) == r + 1
+        assert len(built) == len(wrapped) == r + 1
 
 
 def test_split_examples():

@@ -300,8 +300,7 @@ def test_convergence_report_on_quadratic_task():
     L = plan.task.smoothness()
     rho = max(np.linalg.norm(tr.full_grad) for tr in transcripts) * 1.1
     w0 = plan.task.init_weights()
-    X = np.concatenate([c[0] for c in plan.task.client_sets])
-    y = np.concatenate([c[1] for c in plan.task.client_sets])
+    X, y = plan.task.pooled()
     rho_f = plan.task.loss(w0, X, y)  # loss is nonnegative, so gap <= loss(w0)
     report = convergence_report(transcripts, L, rho, rho_f, cfg.local.learning_rate)
     # the stationarity bound holds along the recorded trajectory

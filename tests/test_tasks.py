@@ -1,7 +1,11 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from latticefl.tasks import LocalTrainerSpec, data_bytes, make_task
+from helpers import client_shards_reference
+from latticefl.tasks import LocalTrainerSpec, Task, data_bytes, make_task
 
 
 def finite_difference_grad(task, w, X, y, eps=1e-6):
@@ -19,7 +23,7 @@ def test_gradients_match_finite_differences(name, dim):
     task = make_task(name, dim, n_clients=4, samples_per_client=10, seed=3)
     rng = np.random.default_rng(0)
     w = rng.normal(size=task.dim) * 0.3
-    X, y = task.client_sets[0]
+    X, y = task.points[0], task.targets[0]
     np.testing.assert_allclose(
         task.grad(w, X, y), finite_difference_grad(task, w, X, y), rtol=1e-4, atol=1e-6
     )
@@ -28,16 +32,53 @@ def test_gradients_match_finite_differences(name, dim):
 @pytest.mark.parametrize("name,dim", [("linear", 6), ("logistic", 7), ("mlp", 0)])
 def test_data_bytes_counts_what_the_task_draws(name, dim):
     task = make_task(name, dim, n_clients=4, samples_per_client=10, seed=3)
-    arrays = [a for shard in task.client_sets for a in shard] + list(task.eval_set)
+    arrays = [task.points, task.targets, *task.eval_set]
     assert data_bytes(name, dim, 4, 10) == sum(a.size * 8 for a in arrays)
+
+
+@pytest.mark.parametrize("iid", [True, False])
+@pytest.mark.parametrize("name,dim", [("linear", 6), ("logistic", 7), ("mlp", 0)])
+def test_stacked_shards_equal_per_client_copies(monkeypatch, name, dim, iid):
+    drawn = []
+    shard = Task._shard
+
+    def capture(X, y, n_clients, iid, rng):
+        drawn.append((X.copy(), y.copy(), n_clients, iid, copy.deepcopy(rng)))
+        stacked = shard(X, y, n_clients, iid, rng)
+        drawn.append(rng.bit_generator.state)
+        return stacked
+
+    monkeypatch.setattr(Task, "_shard", staticmethod(capture))
+    task = make_task(name, dim, n_clients=5, samples_per_client=12, seed=3, iid=iid)
+    (X, y, n_clients, iid, rng), state_after = drawn
+    shards = client_shards_reference(X, y, n_clients, iid, rng)
+    assert task.points.shape == (5, 12, X.shape[1]) and task.targets.shape == (5, 12)
+    assert task.points.flags.c_contiguous and task.targets.flags.c_contiguous
+    assert task.points.tobytes() == np.stack([sx for sx, _ in shards]).tobytes()
+    assert task.targets.tobytes() == np.stack([sy for _, sy in shards]).tobytes()
+    assert rng.bit_generator.state == state_after  # the same draws from rng
+
+
+@pytest.mark.parametrize("iid", [True, False])
+@pytest.mark.parametrize("name,dim,limit", [("linear", 20, 2.1), ("logistic", 20, 2.1), ("mlp", 0, 3.1)])
+def test_make_task_peak_memory(name, dim, limit, iid):
+    # one gather into the stacked shards: no shuffled copy of the whole
+    # draw and no per-client copies beside it
+    n_clients, samples = 40, 500
+    tracemalloc.start()
+    try:
+        make_task(name, dim, n_clients, samples, seed=3, iid=iid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * data_bytes(name, dim, n_clients, samples)
 
 
 def test_task_determinism():
     a = make_task("logistic", 9, 5, 8, seed=11)
     b = make_task("logistic", 9, 5, 8, seed=11)
-    for (xa, ya), (xb, yb) in zip(a.client_sets, b.client_sets):
-        np.testing.assert_array_equal(xa, xb)
-        np.testing.assert_array_equal(ya, yb)
+    np.testing.assert_array_equal(a.points, b.points)
+    np.testing.assert_array_equal(a.targets, b.targets)
 
 
 def test_linear_task_knows_optimum():
@@ -53,7 +94,7 @@ def test_local_update_descends():
     task = make_task("logistic", 7, 4, 30, seed=5)
     trainer = LocalTrainerSpec(steps=3, learning_rate=0.5, batch_size=10)
     w0 = task.init_weights()
-    X, y = task.client_sets[1]
+    X, y = task.points[1], task.targets[1]
     w1 = task.local_update(w0, 1, trainer, np.random.default_rng(0))
     assert task.loss(w1, X, y) < task.loss(w0, X, y)
 
@@ -69,7 +110,7 @@ def test_local_update_deterministic_given_stream():
 
 def test_non_iid_shards_are_label_sorted():
     task = make_task("logistic", 5, 4, 25, seed=7, iid=False)
-    per_client_label_spread = [len(np.unique(y)) for _, y in task.client_sets]
+    per_client_label_spread = [len(np.unique(y)) for y in task.targets]
     # at least the edge shards are single-label under the sorted split
     assert per_client_label_spread[0] == 1
     assert per_client_label_spread[-1] == 1
