@@ -192,6 +192,14 @@ def pair_keys(round_seed: int, ids) -> np.ndarray:
     return seed_sequence_state(entropy, 2).T
 
 
+def _redrawn_rows(scaled: np.ndarray, wire_q: int) -> np.ndarray:
+    """The rows of ``scaled`` (words times ``wire_q``) holding a word that
+    numpy rejects, one whose low product half is below ``2**32 mod
+    wire_q``."""
+    rejected = (scaled & np.uint64(_MASK32)) < np.uint64((1 << 32) % wire_q)
+    return np.flatnonzero(rejected.any(axis=1))
+
+
 def _pair_masks(philox, generator, keys: np.ndarray, d_pad: int, wire_q: int) -> np.ndarray:
     """The masks of the pairs whose Philox keys are the rows of ``keys``.
 
@@ -216,8 +224,7 @@ def _pair_masks(philox, generator, keys: np.ndarray, d_pad: int, wire_q: int) ->
     half = (wire_q - 1) // 2
     masks = (scaled >> np.uint64(32)).view(np.int64)
     masks -= half
-    rejected = (scaled & np.uint64(_MASK32)) < np.uint64((1 << 32) % wire_q)
-    for r in np.flatnonzero(rejected.any(axis=1)).tolist():
+    for r in _redrawn_rows(scaled, wire_q).tolist():
         state["state"]["key"] = keys[r].tolist()
         philox.state = state
         masks[r] = generator.integers(-half, half + 1, size=d_pad)

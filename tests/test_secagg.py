@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticefl import secagg
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.errors import ConfigError, OverflowSuspected
 from latticefl.lattice import LatticeSpec, wrap_centered
@@ -130,10 +131,14 @@ def test_net_masks_equal_summed_pair_masks(case):
     assert net.tobytes() == summed_masks(seed, ids, d_pad, wire_q).tobytes()
 
 
+@pytest.mark.parametrize("kept", [None, 0])
 @pytest.mark.parametrize("wire_q", [2**31 + 1, 3 * 10**9 + 1, 2**32 - 1])
-def test_net_masks_in_the_rejection_band(wire_q):
+def test_net_masks_in_the_rejection_band(monkeypatch, kept, wire_q):
     # about 30-50% of numpy's words are rejected here, so nearly every row
-    # past a few coordinates is drawn again by numpy
+    # past a few coordinates is drawn again by numpy; with no row kept from
+    # the bulk mapping, every row is drawn again, one after another
+    if kept is not None:
+        monkeypatch.setattr(secagg, "_redrawn_rows", lambda scaled, wire_q: np.arange(len(scaled)))
     ids = [0, 3, 9, 2**32 - 1]
     for d_pad in (1, 2, 7, 64, 300):
         for seed in (11, 2**63 + 5):
