@@ -12,11 +12,13 @@ is therefore a single curve scaled by the round count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+
+from .dgauss import logsumexp
 
 
 def default_alpha_grid() -> np.ndarray:
@@ -71,8 +73,26 @@ def base_curve(sigma: float, sensitivity: float, alphas: np.ndarray | None = Non
     return RdpCurve(alphas, alphas * rate)
 
 
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+
+
+def _log_factorial(n: int) -> float:
+    """``log(n!)``, bit for bit cephes' ``lgam(n + 1)`` (scipy's ``gammaln``); above
+    1e8 cephes drops the Stirling series, which rounds away there anyway."""
+    x = float(n + 1)
+    if x < 13.0:
+        return math.log(float(math.factorial(n)))
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        series = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+    else:
+        series = functools.reduce(lambda acc, coeff: acc * p + coeff, _LGAM_A)
+    return (x - 0.5) * math.log(x) - x + 0.91893853320467274178 + series / x  # log(sqrt(2 pi))
+
+
 def _log_comb(n: int, k: int) -> float:
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    return _log_factorial(n) - _log_factorial(k) - _log_factorial(n - k)
 
 
 def _amplified_at_integer(curve: RdpCurve, gamma: float, alpha: int) -> float:
@@ -97,7 +117,7 @@ def _amplified_at_integer(curve: RdpCurve, gamma: float, alpha: int) -> float:
         log_terms.append(
             math.log(2.0) + j * log_gamma + _log_comb(alpha, j) + (j - 1) * curve.at(float(j))
         )
-    return float(logsumexp(log_terms)) / (alpha - 1)
+    return logsumexp(log_terms) / (alpha - 1)
 
 
 def amplify_by_subsampling(curve: RdpCurve, gamma: float) -> RdpCurve:
@@ -114,14 +134,9 @@ def amplify_by_subsampling(curve: RdpCurve, gamma: float) -> RdpCurve:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     if gamma == 1.0:
         return curve
-    cache: dict[int, float] = {}
-
-    def at_int(a: int) -> float:
-        if a not in cache:
-            cache[a] = _amplified_at_integer(curve, gamma, a)
-        return cache[a]
-
-    eps = np.array([at_int(max(2, math.ceil(a))) for a in curve.alphas])
+    orders = [max(2, math.ceil(a)) for a in curve.alphas]
+    at_order = {a: _amplified_at_integer(curve, gamma, a) for a in set(orders)}
+    eps = np.array([at_order[a] for a in orders])
     return RdpCurve(curve.alphas.copy(), eps)
 
 

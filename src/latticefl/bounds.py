@@ -3,9 +3,9 @@
 The mean-squared-error bound takes the noise scale in lattice-step units
 (``sigma_units``) everywhere, including inside the normal-CDF overflow
 terms; the dimension field is the padded dimension the pipeline actually
-quantizes.  The overflow terms involve CDF arguments like ``n * q`` that
-underflow double precision, so survival probabilities are computed in
-log space and clamped to zero below 1e-300.
+quantizes.  The overflow terms involve CDF arguments like ``n * q`` far
+in the normal tail, so their survival probabilities are clamped to zero
+below 1e-300.
 """
 
 from __future__ import annotations
@@ -14,20 +14,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from . import compress, secagg
-from .dgauss import INV_SQRT_2PI, DiscreteGaussian
+from .dgauss import INV_SQRT_2PI, DiscreteGaussian, std_normal_sf
 from .errors import HypothesisViolated
 from .lattice import LatticeSpec
-
-_LOG_FLOOR = math.log(1e-300)
 
 
 def _normal_sf(x: float) -> float:
     """1 - Phi(x), exactly 0 below the documented 1e-300 floor."""
-    log_sf = float(log_ndtr(-x))
-    return 0.0 if log_sf < _LOG_FLOOR else math.exp(log_sf)
+    sf = std_normal_sf(x)
+    return 0.0 if sf < 1e-300 else sf
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import SamplerStall
 from .lattice import LatticeSpec
@@ -50,9 +49,21 @@ def check_sigma_units(sigma_units: float) -> None:
         raise ValueError(f"sigma_units = {sigma_units:g} is outside [2**-500, 2**53 / 37 - 1]: inexact draws")
 
 
-def _std_normal_sf(x: float) -> float:
+def std_normal_sf(x: float) -> float:
     """P[N(0,1) >= x] via the complementary error function."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def logsumexp(a) -> float:
+    """``log(sum(exp(a)))`` by scipy.special.logsumexp's steps on real input,
+    to the bit: the maxima are counted, not summed, and all -inf gives -inf."""
+    a = np.asarray(a, dtype=float)
+    a_max = a.max()
+    is_max = a == a_max
+    m = np.count_nonzero(is_max)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a - a_max))) / m
+        return float(np.log1p(s) + np.log(m) + a_max)
 
 
 def _geometric(rng: np.random.Generator, buf: np.ndarray, log_p: float) -> np.ndarray:
@@ -185,9 +196,9 @@ class DiscreteGaussian:
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         su = self.sigma_units
-        upper = _std_normal_sf((m - 1) / su)
+        upper = std_normal_sf((m - 1) / su)
         if su >= INV_SQRT_2PI:
-            lower = _std_normal_sf(m / su) / (1.0 + 3.0 * math.exp(-2.0 * math.pi**2 * su * su))
+            lower = std_normal_sf(m / su) / (1.0 + 3.0 * math.exp(-2.0 * math.pi**2 * su * su))
         else:
             lower = 0.0
         return upper, lower
@@ -213,7 +224,7 @@ class DiscreteGaussian:
         while True:
             x = np.arange(math.floor(center) - radius, math.floor(center) + radius + 1, dtype=float)
             log_terms = -(alpha * x * x + (1.0 - alpha) * (x - mu) ** 2) / (2.0 * var)
-            log_num = float(logsumexp(log_terms))
+            log_num = logsumexp(log_terms)
             edge = max(log_terms[0], log_terms[-1])
             if edge < log_num + math.log(SERIES_RTOL):
                 break

@@ -199,12 +199,19 @@ class SpiralMlpTask(Task):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
 
         def draw(count):
-            labels = rng.integers(0, 2, size=count)
+            labels = rng.integers(0, 2, size=count).astype(float)
             t = rng.uniform(0.5, 3.0 * math.pi, size=count)
-            radius = t / (3.0 * math.pi)
             angle = t + labels * math.pi
-            pts = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-            return pts + noise * rng.normal(size=pts.shape), labels.astype(float)
+            t /= 3.0 * math.pi  # the radius
+            on_spiral = np.empty((2, count))
+            np.cos(angle, out=on_spiral[0])
+            np.sin(angle, out=on_spiral[1])
+            on_spiral *= t
+            del t, angle  # so that at most five floats per point are ever live
+            pts = rng.normal(size=(count, 2))
+            pts *= noise
+            pts += on_spiral.T
+            return pts, labels
 
         X, y = draw(n_clients * samples_per_client)
         self.points, self.targets = self._shard(X, y, n_clients, iid, rng)

@@ -5,9 +5,9 @@ a brute-force search, the distribution oracles are truncated sums over
 the pmf, goodness-of-fit runs through scipy's chi-square, pairwise masks
 come from one numpy generator per pair, the empirical MSE reference
 runs one trial at a time with one generator per stream, the sampler
-reference evaluates each rejection step as a fresh array, and the task
+reference evaluates each rejection step as a fresh array, the task
 shards are sliced out of a reordered copy of the data, one copy per
-client.
+client, and the spiral draw stacks fresh arrays.
 """
 
 from __future__ import annotations
@@ -200,3 +200,14 @@ def client_shards_reference(X, y, n_clients, iid, rng) -> list[tuple[np.ndarray,
         (X[edges[i] : edges[i + 1]].copy(), y[edges[i] : edges[i + 1]].copy())
         for i in range(n_clients)
     ]
+
+
+def spiral_draw_reference(rng: np.random.Generator, count: int, noise: float) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` noisy points on two interleaved spirals and their labels,
+    each step a fresh array."""
+    labels = rng.integers(0, 2, size=count)
+    t = rng.uniform(0.5, 3.0 * math.pi, size=count)
+    radius = t / (3.0 * math.pi)
+    angle = t + labels * math.pi
+    pts = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+    return pts + noise * rng.normal(size=pts.shape), labels.astype(float)

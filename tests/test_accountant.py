@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from latticefl.accountant import (
     AccountantState,
     RdpCurve,
+    _log_factorial,
     amplify_by_subsampling,
     base_curve,
     compose,
@@ -211,3 +213,12 @@ def test_accountant_state_ledger():
     state.record_round(3)
     np.testing.assert_allclose(state.cumulative.eps, 3 * state.per_round.eps)
     assert state.rounds_recorded == 3
+
+
+def test_log_factorial_equals_scipy_gammaln():
+    # bit for bit, across the small-argument product and both Stirling branches
+    n = np.arange(0, 10**5 + 1)
+    ours = np.array([_log_factorial(int(i)) for i in n])
+    assert ours.tobytes() == gammaln(n + 1.0).tobytes()
+    for big in (10**8 - 2, 10**8 - 1, 10**8, 10**12):
+        assert _log_factorial(big) == gammaln(big + 1.0)

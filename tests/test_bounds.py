@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr
 
 from latticefl import bounds, secagg
 from latticefl.bounds import (
@@ -68,6 +69,19 @@ def test_bound_overflow_terms_engage_at_tiny_q():
     assert literal != normalized
     assert literal > 0 and normalized > 0
     assert mse_bound(i) < dominant_term(i)  # the no-overflow factor is < 1 here
+
+
+def test_normal_sf_matches_scipy_log_ndtr():
+    # the erfc tail against scipy's log-space form: the same to a relative
+    # 1e-12 wherever scipy's, floored at 1e-300, is non-zero, and exactly
+    # 0 from 37.1 on
+    for x in np.linspace(-5.0, 37.0, 20001):
+        log_sf = float(log_ndtr(-x))
+        reference = 0.0 if log_sf < math.log(1e-300) else math.exp(log_sf)
+        if reference > 0.0:
+            assert bounds._normal_sf(x) == pytest.approx(reference, rel=1e-12, abs=0.0), x
+    for x in (37.1, 38.0, 100.0, 3932.0, 1e6, math.inf):
+        assert bounds._normal_sf(x) == 0.0
 
 
 def test_bound_hypothesis_gate():

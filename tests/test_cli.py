@@ -1,4 +1,7 @@
 import configparser
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latticefl
 from latticefl import simulate
 from latticefl.cli import WRITE_CHUNK, cmd_sample, format_int_lines, main
 from latticefl.config import SAMPLE_BYTES_FIXED, SAMPLE_BYTES_PER_DRAW, ExperimentConfig, SampleParams
@@ -62,6 +66,57 @@ gamma = {gamma}
 rounds = {rounds}
 delta = {delta}
 """
+
+
+MSE_CFG = """
+[experiment]
+mode = mse-bench
+seed = 4
+
+[mse]
+dims = 16
+clients = 4
+ks = 5
+qs = 1001
+sigmas = 1.0
+gammas = 0.5
+g_maxes = 1.0
+trials = 30
+"""
+
+IMPORT_GUARD = """
+import sys
+from latticefl.cli import main
+loaded = [sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]
+for command, config, out in {runs!r}:
+    assert main([command, "--config", config, "--out", out]) == 0, command
+    loaded.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(loaded)
+"""
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # scipy is a test-only dependency: importing the CLI and running each
+    # command on a small config, in a fresh interpreter, loads none of it
+    configs = {
+        "train": TRAIN_CFG,
+        "mse-bench": MSE_CFG,
+        "accountant": ACCT_CFG.format(sigma=2.0, gamma=0.1, rounds=100, delta=1e-5),
+        "sample": SAMPLE_CFG.format(count=1000),
+    }
+    runs = [
+        (command, write_cfg(tmp_path, text, f"{command}.cfg"), str(tmp_path / f"{command}.out"))
+        for command, text in configs.items()
+    ]
+    src = str(Path(latticefl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD.format(runs=runs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([[]] * (1 + len(runs)))
+    assert all(Path(out).stat().st_size > 0 for _, _, out in runs)
 
 
 def test_missing_config_names_path(tmp_path, capsys):

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import client_shards_reference
-from latticefl.tasks import LocalTrainerSpec, Task, data_bytes, make_task
+from helpers import client_shards_reference, spiral_draw_reference
+from latticefl.tasks import EVAL_SIZE, LocalTrainerSpec, SpiralMlpTask, Task, data_bytes, make_task
 
 
 def finite_difference_grad(task, w, X, y, eps=1e-6):
@@ -60,7 +60,7 @@ def test_stacked_shards_equal_per_client_copies(monkeypatch, name, dim, iid):
 
 
 @pytest.mark.parametrize("iid", [True, False])
-@pytest.mark.parametrize("name,dim,limit", [("linear", 20, 2.1), ("logistic", 20, 2.1), ("mlp", 0, 3.1)])
+@pytest.mark.parametrize("name,dim,limit", [("linear", 20, 2.1), ("logistic", 20, 2.1), ("mlp", 0, 2.3)])
 def test_make_task_peak_memory(name, dim, limit, iid):
     # one gather into the stacked shards: no shuffled copy of the whole
     # draw and no per-client copies beside it
@@ -72,6 +72,21 @@ def test_make_task_peak_memory(name, dim, limit, iid):
     finally:
         tracemalloc.stop()
     assert peak <= limit * data_bytes(name, dim, n_clients, samples)
+
+
+@pytest.mark.parametrize("iid", [True, False])
+def test_spiral_draw_equals_fresh_array_reference(iid):
+    # the in-place draw keeps the stream and the bytes of the plain formula
+    n_clients, samples, seed, noise = 6, 7, 4, 0.08
+    task = SpiralMlpTask(n_clients, samples, seed, iid, noise)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    X, y = spiral_draw_reference(rng, n_clients * samples, noise)
+    shards = client_shards_reference(X, y, n_clients, iid, rng)
+    assert task.points.tobytes() == np.stack([sx for sx, _ in shards]).tobytes()
+    assert task.targets.tobytes() == np.stack([sy for _, sy in shards]).tobytes()
+    Xe, ye = spiral_draw_reference(rng, EVAL_SIZE, noise)
+    assert task.eval_set[0].flags.c_contiguous
+    assert task.eval_set[0].tobytes() == Xe.tobytes() and task.eval_set[1].tobytes() == ye.tobytes()
 
 
 def test_task_determinism():
