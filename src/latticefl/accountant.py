@@ -52,9 +52,6 @@ class RdpCurve:
         """
         return float(np.interp(alpha, self.alphas, self.eps))
 
-    def is_nondecreasing(self, slack: float = 0.0) -> bool:
-        return bool(np.all(np.diff(self.eps) >= -slack))
-
 
 def base_curve(sigma: float, sensitivity: float, alphas: np.ndarray | None = None) -> RdpCurve:
     """Unamplified per-round curve ``alpha * sensitivity^2 / (2 sigma^2)``.

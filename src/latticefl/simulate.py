@@ -38,12 +38,11 @@ _DOM_MASKS = 24
 # Per-round overflow probability above which a configuration is rejected.
 OVERFLOW_BUDGET = 1e-9
 
-# Largest allocation one command may make: a plan's task data, the
-# sample command's draws, or one mse-bench cell's client stacks.  Task
-# sharding briefly holds about two copies, so this keeps a desk-scale
-# run within a few GiB and turns an oversized n, samples_per_client,
-# count, dims or clients into a configuration error before anything is
-# allocated.
+# Largest allocation one command may make: a plan's task data (built in
+# one copy plus a bounded block), the sample command's draws, or one
+# mse-bench cell's client stacks.  This keeps a desk-scale run within a few
+# GiB and turns an oversized n, samples_per_client, count, dims or clients
+# into a configuration error before anything is allocated.
 TASK_DATA_BUDGET_BYTES = 2 << 30
 
 
@@ -366,14 +365,6 @@ def convergence_report(
     )
 
 
-def payload_table(transcripts: list[RoundTranscript]):
-    """Debug rows (round, client, coordinate, payload_int) for replay."""
-    for tr in transcripts:
-        for rank, cid in enumerate(tr.clients):
-            for coord, value in enumerate(tr.payloads[rank]):
-                yield tr.round_index, cid, coord, int(value)
-
-
 def write_payload_csv(transcripts: list[RoundTranscript], path) -> None:
     """Dump wire payloads in the documented debug layout.
 
@@ -383,5 +374,6 @@ def write_payload_csv(transcripts: list[RoundTranscript], path) -> None:
     """
     with open(path, "w") as fh:
         fh.write("round,client,coordinate,payload_int\n")
-        for row in payload_table(transcripts):
-            fh.write(",".join(str(v) for v in row) + "\n")
+        for tr in transcripts:
+            for cid, row in zip(tr.clients, tr.payloads):
+                fh.writelines(f"{tr.round_index},{cid},{j},{int(v)}\n" for j, v in enumerate(row))

@@ -17,6 +17,9 @@ import numpy as np
 # Points in every task's evaluation set.
 EVAL_SIZE = 1000
 
+DRAW_CHUNK_BYTES = 1 << 20  # bytes per normal() call of the logistic draw
+SHARD_BLOCK_BYTES = 16 << 20  # most bytes one column block of sharding gathers
+
 
 @dataclass(frozen=True)
 class LocalTrainerSpec:
@@ -75,9 +78,6 @@ class Task:
     def loss(self, w, X, y) -> float:
         return self._loss_of(self._outputs(w, X), y)
 
-    def accuracy(self, w, X, y) -> float:
-        return self._accuracy_of(self._outputs(w, X), y)
-
     def eval_metrics(self, w) -> tuple[float, float]:
         """Loss and accuracy on the evaluation set, from one forward pass."""
         X, y = self.eval_set
@@ -109,15 +109,18 @@ class Task:
 
     @staticmethod
     def _shard(X, y, n_clients, iid, rng) -> tuple[np.ndarray, np.ndarray]:
-        """The clients' points and targets, stacked by one gather: IID
-        deals a shuffle round robin, non-IID cuts the stable label sort
-        into contiguous chunks."""
+        """The clients' points and targets, stacked client-major: IID deals a
+        shuffle round robin, non-IID cuts the stable label sort into chunks.
+        The points view ``X``, its rows permuted in place by blocks of one
+        column or more, up to ``min(SHARD_BLOCK_BYTES, X.nbytes // 8)`` bytes."""
         if iid:
-            index = rng.permutation(len(y)).reshape(-1, n_clients).T
+            index = rng.permutation(len(y)).reshape(-1, n_clients).T.ravel()
         else:
-            index = np.argsort(y, kind="stable").reshape(n_clients, -1)
-        index = np.ascontiguousarray(index)  # so each client's rows are contiguous
-        return X[index], y[index]
+            index = np.argsort(y, kind="stable")
+        width = max(1, min(SHARD_BLOCK_BYTES, X.nbytes // 8) // (len(X) * X.itemsize or 1))
+        for c in range(0, X.shape[1], width):
+            X[:, c : c + width] = X[index, c : c + width]
+        return X.reshape(n_clients, -1, X.shape[1]), y[index].reshape(n_clients, -1)
 
 
 class LinearRegressionTask(Task):
@@ -165,9 +168,16 @@ class LogisticBlobsTask(Task):
         self.centers = separation * direction
 
         def draw(count):
+            # same stream and bytes as one normal() call + outer(±1, centers)
             labels = rng.integers(0, 2, size=count)
-            points = rng.normal(size=(count, features)) + np.outer(2 * labels - 1, self.centers)
-            return np.hstack([points, np.ones((count, 1))]), labels.astype(float)
+            points = np.empty((count, features + 1))
+            points[:, features] = 1.0  # the bias feature
+            rows = max(1, DRAW_CHUNK_BYTES // (8 * features))
+            for at in range(0, count, rows):
+                chunk = points[at : at + rows, :features]
+                chunk[...] = rng.normal(size=chunk.shape)
+                chunk += (2.0 * labels[at : at + rows, None] - 1.0) * self.centers
+            return points, labels.astype(float)
 
         X, y = draw(n_clients * samples_per_client)
         self.points, self.targets = self._shard(X, y, n_clients, iid, rng)

@@ -7,7 +7,9 @@ come from one numpy generator per pair, the empirical MSE reference
 runs one trial at a time with one generator per stream, the sampler
 reference evaluates each rejection step as a fresh array, the task
 shards are sliced out of a reordered copy of the data, one copy per
-client, and the spiral draw stacks fresh arrays.
+client, or gathered into a new array in one step, the spiral draw
+stacks fresh arrays, and the logistic draw adds an ``np.outer`` term
+and appends the bias column with ``np.hstack``.
 """
 
 from __future__ import annotations
@@ -200,6 +202,26 @@ def client_shards_reference(X, y, n_clients, iid, rng) -> list[tuple[np.ndarray,
         (X[edges[i] : edges[i + 1]].copy(), y[edges[i] : edges[i + 1]].copy())
         for i in range(n_clients)
     ]
+
+
+def shard_gather_reference(X, y, n_clients, iid, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked ``(n_clients, s, features)`` points and ``(n_clients, s)``
+    targets gathered into new arrays by one C-contiguous client-major
+    index, leaving ``X`` and ``y`` as they are."""
+    if iid:
+        index = rng.permutation(len(y)).reshape(-1, n_clients).T
+    else:
+        index = np.argsort(y, kind="stable").reshape(n_clients, -1)
+    index = np.ascontiguousarray(index)
+    return X[index], y[index]
+
+
+def logistic_draw_reference(rng: np.random.Generator, count: int, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` points of the two Gaussian blobs at ``±centers`` with a
+    bias column of ones, and their labels."""
+    labels = rng.integers(0, 2, size=count)
+    points = rng.normal(size=(count, centers.size)) + np.outer(2 * labels - 1, centers)
+    return np.hstack([points, np.ones((count, 1))]), labels.astype(float)
 
 
 def spiral_draw_reference(rng: np.random.Generator, count: int, noise: float) -> tuple[np.ndarray, np.ndarray]:

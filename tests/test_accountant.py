@@ -101,7 +101,7 @@ def test_amplify_direct_formula_alpha_four():
 def test_amplified_curve_nondecreasing():
     for gamma in (0.01, 0.1, 0.5):
         amped = amplify_by_subsampling(base_curve(3.0, 1.0), gamma)
-        assert amped.is_nondecreasing(slack=1e-12)
+        assert np.all(np.diff(amped.eps) >= -1e-12)
 
 
 def test_amplify_never_hurts_at_small_gamma():

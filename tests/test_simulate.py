@@ -1,18 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latticefl
 from latticefl.errors import ConfigError
 from latticefl.simulate import (
     GlobalModel,
     RoundConfig,
     convergence_report,
     make_plan,
-    payload_table,
     run_round,
     run_training,
     subsample_clients,
+    write_payload_csv,
 )
 from latticefl.tasks import LocalTrainerSpec
 
@@ -35,6 +40,45 @@ def small_cfg(**overrides):
     )
     base.update(overrides)
     return RoundConfig(**base)
+
+
+RSS_GUARD = """
+import numpy.random
+from latticefl.simulate import RoundConfig, make_plan
+from latticefl.tasks import LocalTrainerSpec, data_bytes
+
+
+def status_kb(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key + ":"))
+
+
+cfg = RoundConfig(
+    n=2000, gamma=0.1, rounds=2, dim=200, clip_bound=0.5, k=33, q=4097, sigma=1.53,
+    delta=1e-5, seed=0, task="logistic", samples_per_client=20,
+    local=LocalTrainerSpec(steps=1, learning_rate=1.0),
+)
+before = status_kb("VmRSS")
+make_plan(cfg)
+print((status_kb("VmHWM") - before) * 1024 / data_bytes(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client))
+"""
+
+
+def test_make_plan_peak_rss():
+    # The peak resident set that the benchmark reports and tracemalloc
+    # does not see: a train-cohort-sized plan (66 MB of task data) grows
+    # it by one copy of the data and a bounded block, not by two copies.
+    # The fresh interpreter reads its own high-water mark (VmHWM), since
+    # Linux carries the launching process's peak into ru_maxrss across exec.
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("reads the resident set from /proc/self/status (Linux)")
+    src = str(Path(latticefl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_GUARD], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 1.5
 
 
 def test_subsample_full_population():
@@ -228,26 +272,27 @@ def test_reported_bytes_match_the_wire_group(m, dim, q):
     assert int(np.abs(tr.payloads).max()) < 1 << (bits - 1)
 
 
-def test_payload_table_layout():
+def test_payload_table_layout(tmp_path):
     _, transcripts, _ = run_training(small_cfg(rounds=1))
-    rows = list(payload_table(transcripts))
+    path = tmp_path / "payloads.csv"
+    write_payload_csv(transcripts, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     plan = make_plan(small_cfg(rounds=1))
     assert len(rows) == plan.m * plan.d_pad
-    rnd, client, coord, value = rows[0]
-    assert rnd == 1 and coord == 0
-    assert client in transcripts[0].clients
-    assert value == int(transcripts[0].payloads[0][0])
+    tr = transcripts[0]
+    for r, (rnd, client, coord, value) in enumerate(rows):
+        rank, at = divmod(r, plan.d_pad)
+        assert (int(rnd), int(client), int(coord)) == (1, tr.clients[rank], at)
+        assert int(value) == int(tr.payloads[rank][at])
 
 
 def test_payload_csv_dump(tmp_path):
-    from latticefl.simulate import write_payload_csv
-
     _, transcripts, _ = run_training(small_cfg(rounds=2))
     path = tmp_path / "payloads.csv"
     write_payload_csv(transcripts, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "round,client,coordinate,payload_int"
-    assert len(lines) == 1 + len(list(payload_table(transcripts)))
+    assert len(lines) == 1 + sum(tr.payloads.size for tr in transcripts)
     rnd, client, coord, value = lines[1].split(",")
     assert (int(rnd), int(coord)) == (1, 0)
     assert int(client) in transcripts[0].clients

@@ -3,9 +3,26 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import client_shards_reference, spiral_draw_reference
-from latticefl.tasks import EVAL_SIZE, LocalTrainerSpec, SpiralMlpTask, Task, data_bytes, make_task
+from helpers import (
+    client_shards_reference,
+    logistic_draw_reference,
+    shard_gather_reference,
+    spiral_draw_reference,
+)
+from latticefl import tasks
+from latticefl.tasks import (
+    DRAW_CHUNK_BYTES,
+    EVAL_SIZE,
+    LocalTrainerSpec,
+    LogisticBlobsTask,
+    SpiralMlpTask,
+    Task,
+    data_bytes,
+    make_task,
+)
 
 
 def finite_difference_grad(task, w, X, y, eps=1e-6):
@@ -59,12 +76,45 @@ def test_stacked_shards_equal_per_client_copies(monkeypatch, name, dim, iid):
     assert rng.bit_generator.state == state_after  # the same draws from rng
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    n_clients=st.integers(1, 6),
+    samples=st.integers(1, 8),
+    features=st.integers(1, 40),
+    iid=st.booleans(),
+    block=st.integers(1, 4096),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shard_in_place_equals_one_gather(n_clients, samples, features, iid, block, seed):
+    # any column block, down to one column of a many-column row
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_clients * samples, features))
+    y = rng.integers(0, 3, size=len(X)).astype(float)
+    ref_rng = copy.deepcopy(rng)
+    want_X, want_y = shard_gather_reference(X, y, n_clients, iid, ref_rng)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tasks, "SHARD_BLOCK_BYTES", block)
+        points, targets = Task._shard(X.copy(), y, n_clients, iid, rng)
+    assert points.shape == want_X.shape and targets.shape == want_y.shape
+    assert points.flags.c_contiguous and targets.flags.c_contiguous
+    assert points.tobytes() == want_X.tobytes() and targets.tobytes() == want_y.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("iid", [True, False])
-@pytest.mark.parametrize("name,dim,limit", [("linear", 20, 2.1), ("logistic", 20, 2.1), ("mlp", 0, 2.3)])
-def test_make_task_peak_memory(name, dim, limit, iid):
-    # one gather into the stacked shards: no shuffled copy of the whole
-    # draw and no per-client copies beside it
-    n_clients, samples = 40, 500
+@pytest.mark.parametrize(
+    "name,dim,n_clients,samples,limit",
+    [
+        pytest.param("linear", 20, 40, 500, 1.15, id="linear-20"),
+        pytest.param("logistic", 20, 40, 500, 1.4, id="logistic-20"),
+        pytest.param("mlp", 0, 40, 500, 1.8, id="mlp-0"),
+        # 66 MB, beside which the 1 MiB draw chunk is small
+        pytest.param("logistic", 200, 2000, 20, 1.15, id="logistic-200"),
+    ],
+)
+def test_make_task_peak_memory(name, dim, n_clients, samples, limit, iid):
+    # the data is drawn into its final buffer and sharded there: no second
+    # copy of the draw, only a bounded draw chunk or column block beside it
     tracemalloc.start()
     try:
         make_task(name, dim, n_clients, samples, seed=3, iid=iid)
@@ -86,6 +136,25 @@ def test_spiral_draw_equals_fresh_array_reference(iid):
     assert task.targets.tobytes() == np.stack([sy for _, sy in shards]).tobytes()
     Xe, ye = spiral_draw_reference(rng, EVAL_SIZE, noise)
     assert task.eval_set[0].flags.c_contiguous
+    assert task.eval_set[0].tobytes() == Xe.tobytes() and task.eval_set[1].tobytes() == ye.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 7])
+@pytest.mark.parametrize("chunks,extra", [(0, 1), (1, 0), (1, 1), (3, 7)])
+def test_logistic_draw_equals_outer_hstack_reference(dim, chunks, extra):
+    # count = 1, one chunk, one chunk + 1 and several chunks of the
+    # in-place draw keep the stream and the bytes of the plain formula
+    count = chunks * max(1, DRAW_CHUNK_BYTES // (8 * (dim - 1))) + extra
+    seed, separation = 5, 2.0
+    task = LogisticBlobsTask(dim, 1, count, seed, iid=False, separation=separation)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    direction = rng.normal(size=dim - 1)
+    centers = separation * (direction / np.linalg.norm(direction))
+    X, y = logistic_draw_reference(rng, count, centers)
+    shards = client_shards_reference(X, y, 1, False, rng)
+    assert task.points.tobytes() == np.stack([sx for sx, _ in shards]).tobytes()
+    assert task.targets.tobytes() == np.stack([sy for _, sy in shards]).tobytes()
+    Xe, ye = logistic_draw_reference(rng, EVAL_SIZE, centers)
     assert task.eval_set[0].tobytes() == Xe.tobytes() and task.eval_set[1].tobytes() == ye.tobytes()
 
 
