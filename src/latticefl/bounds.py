@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import compress, secagg
+from . import compress, secagg, streams
 from .dgauss import INV_SQRT_2PI, DiscreteGaussian, std_normal_sf
 from .errors import HypothesisViolated
 from .lattice import LatticeSpec
@@ -105,11 +105,6 @@ def payload_bytes_per_client(n_participants: int, d_pad: int, q: int) -> int:
     return -(-payload_bits_per_client(n_participants, d_pad, q) // 8)
 
 
-def comm_cost(n_participants: int, d_pad: int, q: int) -> int:
-    """Total per-round upload in bits across the participants."""
-    return n_participants * payload_bits_per_client(n_participants, d_pad, q)
-
-
 # Trials run in chunks of about this many bytes, so that each call's fixed
 # cost is spread over many trials while a chunk's arrays stay small beside
 # the process.  A trial's client rows and two shared streams each count 8 B
@@ -117,10 +112,6 @@ def comm_cost(n_participants: int, d_pad: int, q: int) -> int:
 _CHUNK_BYTES = 256 << 10
 
 TRIALS_LIMIT = 1 << 32  # a trial's index is one uint32 word of its seed entropy
-
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def empirical_mse_bytes(m: int, d: int) -> int:
@@ -131,46 +122,6 @@ def empirical_mse_bytes(m: int, d: int) -> int:
     2^18), plus ten chunks' worth of bytes for a chunk's arrays (under
     seven in tracemalloc, m = 1 to 200, d_pad = 1 to 2^14)."""
     return 16 * 8 * m * compress.padded_dim(d) + 10 * _CHUNK_BYTES
-
-
-def trial_seeds(seed: int, first: int, count: int, n_children: int) -> np.ndarray:
-    """Seed words of the generators a block of trials spawns, in bulk.
-
-    Entry ``[t, i]`` is ``SeedSequence([seed, first +
-    t]).spawn(n_children)[i].generate_state(4, np.uint64)``, the words
-    ``default_rng`` seeds that child's PCG64 from (see :func:`_loaded`).
-    """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    words = secagg.seed_words(seed)
-    # SeedSequence pads a spawned child's entropy with zeros to its pool
-    # of 4 words, then appends the spawn key.
-    rows = max(len(words) + 1, 4) + 1
-    entropy = np.zeros((rows, count, n_children), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None, None]
-    entropy[len(words)] = np.arange(first, first + count, dtype=np.uint32)[:, None]
-    entropy[-1] = np.arange(n_children, dtype=np.uint32)
-    seeds = secagg.seed_sequence_state(entropy.reshape(rows, -1), 4)
-    return np.moveaxis(seeds, 0, -1).reshape(count, n_children, 4)
-
-
-def _loaded(generator: np.random.Generator, seed_words: np.ndarray) -> np.random.Generator:
-    """``generator`` with its PCG64 in the state ``PCG64`` takes from the
-    four uint64 ``seed_words`` of its seed sequence.
-
-    PCG64's seeding step (``pcg64_set_seed``) on Python ints: the first
-    two words are the initial state and the last two the stream, and the
-    128-bit LCG steps once before and once after the state is added.
-    """
-    state_high, state_low, stream_high, stream_low = seed_words.tolist()
-    inc = ((stream_high << 64 | stream_low) << 1 | 1) & _MASK128
-    state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULT + inc) & _MASK128
-    generator.bit_generator.state = {
-        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-        "has_uint32": 0, "uinteger": 0,
-    }
-    return generator
 
 
 def empirical_mse(
@@ -195,9 +146,9 @@ def empirical_mse(
     1 seeds the noise and child ``2 + r`` client ``r``'s quantizer, each
     through ``default_rng``; child 0 (the masks' seed once) is unused, so
     every other stream keeps its bytes.  Trials run in chunks through one
-    quantize, aggregate and unrotate call each, with one reused generator
-    loaded with each child's state in turn; the result equals running the
-    trials one by one, bit for bit.
+    quantize, aggregate and unrotate call each, their generators seeded in
+    bulk (see :func:`latticefl.streams.generators`); the result equals
+    running the trials one by one, bit for bit.
     """
     if not 1 <= trials < TRIALS_LIMIT:
         raise ValueError(f"trials must be in [1, 2**32), got {trials}")
@@ -210,19 +161,22 @@ def empirical_mse(
     rotated = compress.rotate(clipped, rs)
 
     dist = DiscreteGaussian(sigma_units * spec.step, spec) if sigma_units > 0 else None
-    generator = np.random.Generator(np.random.PCG64(0))
     chunk = max(1, _CHUNK_BYTES // ((m + 2) * (8 * d_pad + 128)))
 
     total_sq = 0.0
     for first in range(0, trials, chunk):
         count = min(chunk, trials - first)
-        streams = trial_seeds(seed, first, count, m + 2)
-        if dist is not None:
-            noise_z = np.stack([dist.sample(_loaded(generator, s[1]), d_pad) for s in streams])
-        else:
-            noise_z = np.zeros((count, d_pad), dtype=np.int64)
-        quantizers = (_loaded(generator, words) for s in streams for words in s[2:])
-        quantized = compress.quantize(np.tile(rotated, (count, 1)), spec, quantizers)
+        trial = np.arange(first, first + count)
+        # Every trial's noise generator (child 1), then each trial's
+        # quantizers (children 2 to m + 1), trial by trial.
+        noise_seeds = streams.entropy(seed, trial, child=1)
+        quantizer_seeds = streams.entropy(seed, trial[:, None], child=np.arange(2, m + 2))
+        generators = streams.generators(np.hstack([noise_seeds, quantizer_seeds]))
+        noise_z = np.zeros((count, d_pad), dtype=np.int64)
+        for t, rng in zip(range(count), generators):
+            if dist is not None:
+                noise_z[t] = dist.sample(rng, d_pad)
+        quantized = compress.quantize(np.tile(rotated, (count, 1)), spec, generators)
         agg, _ = secagg.aggregate_round(
             quantized.reshape(count, m, d_pad), noise_z, list(range(m)), None, spec
         )

@@ -155,8 +155,6 @@ def format_int_lines(z: np.ndarray) -> bytes:
 
 def cmd_sample(cfg: ExperimentConfig) -> int:
     p = cfg.sample_params
-    if p.count == 0:
-        return 0
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     z = sample_integer_gaussian(p.sigma_units, rng, p.count)
     out = sys.stdout if cfg.out is None else open(cfg.out, "w")

@@ -122,8 +122,6 @@ class MseGrid:
         )
 
 
-DEFAULT_MSE_GRID = MseGrid()
-
 # mode -> (section, ExperimentConfig field, dataclass the section builds)
 _MODES = {
     "train": ("protocol", "round_config", RoundConfig),

@@ -22,17 +22,19 @@ The mask of pair ``i < j`` is ``Generator(Philox(SeedSequence([round_seed,
 i, j]))).integers(-half, half + 1, size=d_pad)``.  A round does not build
 its ``m (m - 1) / 2`` generators: :func:`net_masks` derives each client's
 net mask in bulk (every pair key in one vectorized pass of SeedSequence's
-hash, raw Philox words from one reused generator, and numpy's own
-bounded-integer reduction, or numpy itself for a mask that meets a word
-the reduction rejects), and reproduces the per-pair draws bit for bit,
-so payloads do not change.  The wire group stays below ``2**32``,
-where numpy draws from 32-bit words.
+hash, ported in :mod:`latticefl.streams`, raw Philox words from one
+reused generator, and numpy's own bounded-integer reduction, or numpy
+itself for a mask that meets a word the reduction rejects), and
+reproduces the per-pair draws bit for bit, so payloads do not change.
+The wire group stays below ``2**32``, where numpy draws from 32-bit
+words.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import streams
 from .errors import ConfigError, OverflowSuspected
 from .lattice import LatticeSpec, ensure_accumulator_headroom, wrap_centered
 
@@ -66,110 +68,6 @@ def wire_modulus(q: int, m: int) -> int:
     return wire_q
 
 
-def _sorted_ids(participants, wire_q: int) -> list:
-    if wire_q % 2 == 0 or not 0 < wire_q < _WIRE_LIMIT:
-        raise ValueError(f"wire modulus must be odd and below 2**32, got {wire_q}")
-    ids = sorted(participants)
-    if len(set(ids)) != len(ids):
-        raise ValueError("participant ids must be distinct")
-    return ids
-
-
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
-_POOL_SIZE = 4
-
-
-def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """(xor, multiply) constants of ``count`` successive hashmix calls.
-
-    The constant advances by ``mult`` on every call whatever the data, so
-    the sequence is fixed.
-    """
-    out, const = [], init
-    for _ in range(count):
-        out.append((const, const * mult & _MASK32))
-        const = out[-1][1]
-    return out
-
-
-def _columns(consts) -> tuple[np.ndarray, np.ndarray]:
-    xor, mul = zip(*consts)
-    return np.array(xor, dtype=np.uint32)[:, None], np.array(mul, dtype=np.uint32)[:, None]
-
-
-def _mixing_columns() -> list[tuple[np.ndarray, np.ndarray]]:
-    """Constants of SeedSequence's 12 mixing hashmix calls, by source word.
-
-    Source word ``s`` is hashed once for each other word ``d``, in order
-    of ``d``; row ``s`` of table ``s`` is a placeholder whose result is
-    discarded.
-    """
-    calls = iter(_POOL_CONSTS[_POOL_SIZE:])
-    return [
-        _columns([(0, 0) if d == s else next(calls) for d in range(_POOL_SIZE)])
-        for s in range(_POOL_SIZE)
-    ]
-
-
-# SeedSequence fills its pool with 4 hashmix calls and mixes it with 12.
-_POOL_CONSTS = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
-_FILL = _columns(_POOL_CONSTS[:_POOL_SIZE])
-_MIX = _mixing_columns()
-
-
-def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    values = (values ^ xor) * mul
-    return values ^ (values >> _XSHIFT)
-
-
-def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
-    mixed = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
-    return mixed ^ (mixed >> _XSHIFT)
-
-
-def seed_words(seed: int) -> list[int]:
-    """The uint32 words SeedSequence takes from the non-negative int
-    ``seed``, low word first (0 is one word)."""
-    return [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-
-
-def seed_sequence_state(entropy, n_words: int) -> np.ndarray:
-    """``generate_state(n_words, np.uint64)`` of many SeedSequences at once.
-
-    Column ``c`` of the uint32 matrix ``entropy`` (one row per word) is
-    one sequence's assembled entropy, as SeedSequence builds it: the
-    words of its entropy (see :func:`seed_words`) and, for a spawned
-    child, zeros up to the pool size of 4 followed by the words of its
-    spawn key.  Returns the ``(n_words, columns)`` uint64 states.  A
-    vectorized port of SeedSequence's hash pool of 4 words: words beyond
-    the pool are hashed into every pool word after the pool is mixed.
-    """
-    entropy = np.asarray(entropy, dtype=np.uint32)
-    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
-    pool[: len(entropy)] = entropy[:_POOL_SIZE]  # a missing word counts as 0
-    pool = _hashmix(pool, *_FILL)
-    for src, consts in enumerate(_MIX):
-        mixed = _mix(pool, _hashmix(pool[src], *consts))
-        mixed[src] = pool[src]
-        pool = mixed
-    if len(entropy) > _POOL_SIZE:
-        extra = entropy[_POOL_SIZE:]
-        consts = _hash_constants(_POOL_CONSTS[-1][1], _MULT_A, _POOL_SIZE * len(extra))
-        for a, word in enumerate(extra):
-            pool = _mix(pool, _hashmix(word, *_columns(consts[_POOL_SIZE * a : _POOL_SIZE * (a + 1)])))
-    # generate_state cycles through the pool, one hashmix call per uint32
-    # word, and pairs the words little-endian into uint64 words.
-    n_words32 = 2 * n_words
-    pool = np.tile(pool, (-(-n_words32 // _POOL_SIZE), 1))[:n_words32]
-    state = _hashmix(pool, *_columns(_hash_constants(_INIT_B, _MULT_B, n_words32))).astype(np.uint64)
-    return state[0::2] | state[1::2] << np.uint64(32)
-
-
 def pair_keys(round_seed: int, ids) -> np.ndarray:
     """Philox keys of every pair of ids in the round seeded ``round_seed``.
 
@@ -181,22 +79,17 @@ def pair_keys(round_seed: int, ids) -> np.ndarray:
     every id in ``[0, 2**32)``.
     """
     ids = np.asarray(ids, dtype=np.uint32)  # OverflowError outside [0, 2**32)
-    round_seed = int(round_seed)
     if not 0 <= round_seed < 1 << 64:
         raise ValueError(f"round seed must be in [0, 2**64), got {round_seed}")
-    words = seed_words(round_seed)
     a, b = np.nonzero(np.arange(ids.size)[:, None] < np.arange(ids.size))  # np.triu_indices order
-    entropy = np.empty((len(words) + 2, a.size), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[-2], entropy[-1] = ids[a], ids[b]
-    return seed_sequence_state(entropy, 2).T
+    return streams.seed_sequence_state(streams.entropy(round_seed, ids[a], ids[b]), 2).T
 
 
 def _redrawn_rows(scaled: np.ndarray, wire_q: int) -> np.ndarray:
     """The rows of ``scaled`` (words times ``wire_q``) holding a word that
     numpy rejects, one whose low product half is below ``2**32 mod
     wire_q``."""
-    rejected = (scaled & np.uint64(_MASK32)) < np.uint64((1 << 32) % wire_q)
+    rejected = (scaled & np.uint64(0xFFFFFFFF)) < np.uint64((1 << 32) % wire_q)
     return np.flatnonzero(rejected.any(axis=1))
 
 
@@ -242,7 +135,11 @@ def net_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> np.ndar
     emits each pair's raw words (see :func:`_pair_masks`).  Extra memory
     is the key table and one sender's ``(m - 1, d_pad)`` block of masks.
     """
-    ids = _sorted_ids(participants, wire_q)
+    if wire_q % 2 == 0 or not 0 < wire_q < _WIRE_LIMIT:
+        raise ValueError(f"wire modulus must be odd and below 2**32, got {wire_q}")
+    ids = sorted(participants)
+    if len(set(ids)) != len(ids):
+        raise ValueError("participant ids must be distinct")
     m = len(ids)
     net = np.zeros((m, d_pad), dtype=np.int64)
     if m > 1:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds, compress, secagg
+from . import bounds, compress, secagg, streams
 from .accountant import AccountantState
 from .dgauss import DiscreteGaussian, check_sigma_units
 from .errors import ConfigError
@@ -225,16 +225,14 @@ def run_round(
     full_grad = plan.task.full_gradient(model.w) if record_gradient else None
 
     ids = subsample_clients(cfg.n, cfg.gamma, np.random.SeedSequence([master, _DOM_SUBSAMPLE, round_index]))
+    # Each client's default_rng(SeedSequence([master, domain, round_index, cid])),
+    # every client's local-training one first, then every client's quantizer one.
+    rngs = streams.generators(streams.entropy(master, [[_DOM_LOCAL], [_DOM_QUANTIZE]], round_index, ids))
     raw = np.empty((m, plan.d))
-    quantizer_rngs = []
-    for rank, cid in enumerate(ids):
-        rng = np.random.default_rng(np.random.SeedSequence([master, _DOM_LOCAL, round_index, int(cid)]))
-        raw[rank] = plan.task.local_update(model.w, int(cid), cfg.local, rng) - model.w
-        quantizer_rngs.append(
-            np.random.default_rng(np.random.SeedSequence([master, _DOM_QUANTIZE, round_index, int(cid)]))
-        )
+    for rank, (cid, rng) in enumerate(zip(ids.tolist(), rngs)):
+        raw[rank] = plan.task.local_update(model.w, cid, cfg.local, rng) - model.w
     clipped = compress.clip(raw, cfg.clip_bound)
-    quantized = compress.quantize(compress.rotate(clipped, plan.rotation), spec, quantizer_rngs)
+    quantized = compress.quantize(compress.rotate(clipped, plan.rotation), spec, rngs)
 
     if cfg.sigma > 0:
         noise_rng = np.random.default_rng(np.random.SeedSequence([master, _DOM_NOISE, round_index]))
@@ -244,7 +242,7 @@ def run_round(
 
     mask_seed = _derived_int(master, _DOM_MASKS) + round_index if use_masks else None
     agg_rotated, payloads = secagg.aggregate_round(
-        quantized, noise_z, [int(i) for i in ids], mask_seed, spec, plan.plaintext_bound
+        quantized, noise_z, ids.tolist(), mask_seed, spec, plan.plaintext_bound
     )
     estimate = compress.unrotate(agg_rotated, plan.rotation, plan.d)
     new_w = model.w + estimate
@@ -254,7 +252,7 @@ def run_round(
     clipped_mean = clipped.mean(axis=0)
     transcript = RoundTranscript(
         round_index=round_index,
-        clients=tuple(int(i) for i in ids),
+        clients=tuple(ids.tolist()),
         payload_bytes_per_client=bounds.payload_bytes_per_client(m, plan.d_pad, cfg.q),
         aggregate=estimate,
         noise_z=noise_z,

@@ -1,0 +1,115 @@
+"""Seed ports: numpy's SeedSequence hash pool and PCG64 seeding, in bulk.
+
+A round seeds many streams at once (pair masks, client generators, MSE
+trials), so this module hashes many seed sequences in one vectorized
+pass and loads each state into one reused generator; every state equals
+numpy's own bit for bit.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterator
+
+import numpy as np
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_POOL_SIZE = 4
+
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(const: int, mult: int) -> Iterator[tuple[int, int]]:
+    """(xor, multiply) constants of successive hashmix calls, whatever the data."""
+    while True:
+        xor, const = const, const * mult & _MASK32
+        yield xor, const
+
+
+def _hashmix(values: np.ndarray, calls: int, constants: Iterator[tuple[int, int]]) -> np.ndarray:
+    """``calls`` hashmix calls, one per row of ``values`` broadcast to
+    ``calls`` rows, each taking the next constant."""
+    xor, mul = np.array([next(constants) for _ in range(calls)], dtype=np.uint32).T[:, :, None]
+    rows = values ^ xor
+    rows *= mul
+    rows ^= rows >> _XSHIFT
+    return rows
+
+
+def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of ``hashed`` into ``pool``: overwrites both, returns ``pool``."""
+    pool *= _MIX_MULT_L
+    hashed *= _MIX_MULT_R
+    pool -= hashed
+    pool ^= pool >> _XSHIFT
+    return pool
+
+
+def seed_words(seed: int) -> list[int]:
+    """The uint32 words SeedSequence takes from the non-negative int
+    ``seed``, low word first (0 is one word)."""
+    return [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+
+
+def entropy(seed: int, *words, child=None) -> np.ndarray:
+    """Entropy columns of ``SeedSequence([seed, *words])``, or of its
+    spawned child ``child``, for the broadcast uint32 words (ints or
+    arrays) ``words`` and ``child``: one column per sequence, as
+    :func:`seed_sequence_state` takes them."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    rows = [*seed_words(seed), *words]
+    if child is not None:  # a child pads the entropy to the pool, then appends its spawn key
+        rows += [0] * (_POOL_SIZE - len(rows)) + [child]
+    out = np.empty((len(rows),) + np.broadcast_shapes(*map(np.shape, rows)), dtype=np.uint32)
+    for i, row in enumerate(rows):
+        out[i] = row  # OverflowError for an int outside [0, 2**32)
+    return out.reshape(len(rows), -1)
+
+
+def seed_sequence_state(entropy, n_words: int) -> np.ndarray:
+    """``generate_state(n_words, np.uint64)`` of the SeedSequence of each
+    column of the uint32 matrix ``entropy`` (see :func:`entropy`), as an
+    ``(n_words, columns)`` array.  Follows ``mix_entropy`` and then
+    ``generate_state`` one hashmix call at a time; a call on ``k`` rows
+    takes the next ``k`` constants, one per row."""
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL_SIZE]  # a missing word counts as 0
+    pool = _hashmix(pool, _POOL_SIZE, constants)
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _POOL_SIZE - 1, constants))
+    for word in entropy[_POOL_SIZE:]:  # words beyond the pool are hashed into every pool word
+        _mix(pool, _hashmix(word, _POOL_SIZE, constants))
+    # generate_state cycles through the pool, one hashmix call per uint32
+    # word, and pairs the words little-endian into uint64 words.
+    pool = pool[np.arange(2 * n_words) % _POOL_SIZE]
+    state = _hashmix(pool, 2 * n_words, _hash_constants(_INIT_B, _MULT_B)).astype(np.uint64)
+    return state[0::2] | state[1::2] << np.uint64(32)
+
+
+def generators(entropy) -> Iterator[np.random.Generator]:
+    """``default_rng(SeedSequence(...))`` of each column of ``entropy``, in
+    order: one Generator whose PCG64 is reloaded per column (so use each
+    before taking the next) by PCG64's seeding step, ``pcg64_set_seed``:
+    of the four state words, the first two are the initial state and the
+    last two the stream, and the LCG steps once before and once after
+    adding the state."""
+    generator = np.random.Generator(np.random.PCG64(0))
+    for state_high, state_low, stream_high, stream_low in seed_sequence_state(entropy, 4).T.tolist():
+        inc = ((stream_high << 64 | stream_low) << 1 | 1) & _MASK128
+        state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULT + inc) & _MASK128
+        generator.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        yield generator

@@ -3,8 +3,9 @@
 These stay independent of the code paths they check: the wrap oracle is
 a brute-force search, the distribution oracles are truncated sums over
 the pmf, goodness-of-fit runs through scipy's chi-square, pairwise masks
-come from one numpy generator per pair, the empirical MSE reference
-runs one trial at a time with one generator per stream, the sampler
+come from one numpy generator per pair, a client's round streams from
+one ``default_rng`` each, the empirical MSE reference runs one trial at
+a time with one generator per stream, the sampler
 reference evaluates each rejection step as a fresh array, the task
 shards are sliced out of a reordered copy of the data, one copy per
 client, or gathered into a new array in one step, the spiral draw
@@ -133,6 +134,12 @@ def summed_masks(round_seed: int, ids, d_pad: int, wire_q: int) -> np.ndarray:
         net[mask.sender] += mask.values
         net[mask.receiver] -= mask.values
     return np.stack([net[cid] for cid in ids])
+
+
+def client_rng_reference(master: int, domain: int, round_index: int, cid: int) -> np.random.Generator:
+    """Client ``cid``'s generator of one round's stream ``domain``, as
+    ``simulate.run_round`` seeds it."""
+    return np.random.default_rng(np.random.SeedSequence([master, domain, round_index, cid]))
 
 
 def empirical_mse_reference(updates, spec, clip_bound, sigma_units, trials, seed):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from latticefl.accountant import AccountantState, amplify_by_subsampling, base_curve
-from latticefl.bounds import MseBoundInputs, comm_cost, empirical_mse, mse_bound_conservative
+from latticefl.bounds import MseBoundInputs, empirical_mse, mse_bound_conservative, payload_bits_per_client
 from latticefl.compress import quantize, sensitivity
 from latticefl.dgauss import DiscreteGaussian, sample_integer_gaussian
 from latticefl.lattice import LatticeSpec, wrap_centered
@@ -210,7 +210,7 @@ def test_10_communication_accounting():
         )
         plan = make_plan(cfg)
         _, transcripts, _ = run_training(cfg)
-        per_client_bits = comm_cost(plan.m, plan.d_pad, q) // plan.m
+        per_client_bits = payload_bits_per_client(plan.m, plan.d_pad, q)
         ok &= transcripts[0].payload_bytes_per_client == -(-per_client_bits // 8)
     report(10, "transcript byte counts equal the closed-form cost, 20 configs", bool(ok))
 

@@ -7,17 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
-from latticefl import bounds, secagg
+from latticefl import bounds, secagg, streams
 from latticefl.bounds import (
     MseBoundInputs,
-    comm_cost,
     empirical_mse,
     empirical_mse_bytes,
     mse_bound,
     mse_bound_conservative,
     payload_bits_per_client,
     payload_bytes_per_client,
-    trial_seeds,
 )
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.errors import HypothesisViolated
@@ -196,14 +194,13 @@ def test_empirical_mse_derives_no_masks(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 8, 123, 2**32 - 1, 2**32, 5 * 10**12, 2**63 - 1, 2**64 + 5, 2**100])
 def test_trial_seeds_match_spawned_generators(seed):
-    seeds = trial_seeds(seed, 997, 4, 6)
-    assert seeds.shape == (4, 6, 4) and seeds.dtype == np.uint64
-    generator = np.random.Generator(np.random.PCG64(0))
+    # empirical_mse seeds child i of trial t's SeedSequence([seed, t]).spawn
+    trial, child = np.meshgrid(997 + np.arange(4), np.arange(6), indexing="ij")
+    generators = streams.generators(streams.entropy(seed, trial, child=child))
     for t in range(4):
-        for i, child in enumerate(np.random.SeedSequence([seed, 997 + t]).spawn(6)):
-            assert seeds[t, i].tolist() == child.generate_state(4, np.uint64).tolist()
-            expected = np.random.default_rng(child).bit_generator.state
-            assert bounds._loaded(generator, seeds[t, i]).bit_generator.state == expected
+        for i, spawned in enumerate(np.random.SeedSequence([seed, 997 + t]).spawn(6)):
+            assert next(generators).bit_generator.state == np.random.default_rng(spawned).bit_generator.state
+    assert next(generators, None) is None
 
 
 @pytest.mark.parametrize("m, d, trials", [(1, 1, 1300), (2, 64, 200), (4, 64, 100), (8, 1, 120),
@@ -223,12 +220,12 @@ def test_empirical_mse_bytes_bounds_the_peak(m, d, trials):
 
 
 def test_comm_cost_reference_point():
+    # 100 coordinates of ceil(log2(10 * 255 + 1)) = 12 bits
     assert payload_bits_per_client(10, 100, 255) == 1200
-    assert comm_cost(10, 100, 255) == 12000
 
 
 def test_comm_cost_unit_group():
-    assert comm_cost(1, 7, 1) == 7  # ceil(log2(2)) = 1 bit per coordinate
+    assert payload_bits_per_client(1, 7, 1) == 7  # ceil(log2(2)) = 1 bit per coordinate
 
 
 def test_payload_bytes_round_up():
@@ -238,4 +235,4 @@ def test_payload_bytes_round_up():
 
 def test_comm_cost_validation():
     with pytest.raises(ValueError):
-        comm_cost(0, 10, 101)
+        payload_bits_per_client(0, 10, 101)

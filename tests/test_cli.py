@@ -238,12 +238,13 @@ def test_format_int_lines_at_chunk_sizes(size):
     assert format_int_lines(z) == str_lines(z)
 
 
-@pytest.mark.parametrize("count", [1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1])
+@pytest.mark.parametrize("count", [0, 1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1])
 def test_sample_to_stdout_and_to_a_file_write_the_same_lines(tmp_path, capsys, count):
     cfg = write_cfg(tmp_path, SAMPLE_CFG.format(count=count))
     assert main(["sample", "--config", cfg]) == 0
     stdout = capsys.readouterr().out.encode()
     out = tmp_path / "draws.txt"
+    out.write_text("stale")  # replaced, even by no draws
     assert main(["sample", "--config", cfg, "--out", str(out)]) == 0
     rng = np.random.default_rng(np.random.SeedSequence([9, 0]))
     assert out.read_bytes() == stdout == str_lines(sample_integer_gaussian_reference(1.0, rng, count))

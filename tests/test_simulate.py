@@ -247,14 +247,14 @@ def test_non_iid_split_runs():
 
 
 def test_transcript_byte_counts():
-    from latticefl.bounds import comm_cost
+    from latticefl.bounds import payload_bits_per_client
 
     cfg = small_cfg(rounds=1)
     plan = make_plan(cfg)
     _, transcripts, _ = run_training(cfg)
     tr = transcripts[0]
-    total_bits = comm_cost(plan.m, plan.d_pad, cfg.q)
-    assert tr.payload_bytes_per_client == -(-total_bits // plan.m // 8)
+    per_client_bits = payload_bits_per_client(plan.m, plan.d_pad, cfg.q)
+    assert tr.payload_bytes_per_client == -(-per_client_bits // 8)
 
 
 @pytest.mark.parametrize("m, dim, q", [(1, 8, 9), (7, 8, 3001), (10, 1000, 4097), (200, 20, 4097)])
