@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compress, secagg, streams
-from .dgauss import INV_SQRT_2PI, DiscreteGaussian, std_normal_sf
+from .dgauss import INV_SQRT_2PI, sample_integer_gaussian, std_normal_sf
 from .errors import HypothesisViolated
 from .lattice import LatticeSpec
 
@@ -91,14 +91,16 @@ def ceil_log2(v: int) -> int:
 
 
 def payload_bits_per_client(n_participants: int, d_pad: int, q: int) -> int:
-    """Bits one client uploads per round: ``d * ceil(log2(n q + 1))``.
+    """Bits one client uploads per round: ``d`` coordinates of the wire
+    group :func:`latticefl.secagg.wire_modulus`, ``ceil(log2(n q + 1))``
+    bits each.
 
     The factor ``n`` inside the log is the field expansion secure
     aggregation needs so the sum of ``n`` group elements cannot wrap.
     """
     if min(n_participants, d_pad, q) < 1:
         raise ValueError("participants, dimension and q must all be >= 1")
-    return d_pad * ceil_log2(n_participants * q + 1)
+    return d_pad * ceil_log2(secagg.wire_modulus(q, n_participants))
 
 
 def payload_bytes_per_client(n_participants: int, d_pad: int, q: int) -> int:
@@ -160,7 +162,6 @@ def empirical_mse(
     reference = clipped.mean(axis=0)
     rotated = compress.rotate(clipped, rs)
 
-    dist = DiscreteGaussian(sigma_units * spec.step, spec) if sigma_units > 0 else None
     chunk = max(1, _CHUNK_BYTES // ((m + 2) * (8 * d_pad + 128)))
 
     total_sq = 0.0
@@ -174,8 +175,8 @@ def empirical_mse(
         generators = streams.generators(np.hstack([noise_seeds, quantizer_seeds]))
         noise_z = np.zeros((count, d_pad), dtype=np.int64)
         for t, rng in zip(range(count), generators):
-            if dist is not None:
-                noise_z[t] = dist.sample(rng, d_pad)
+            if sigma_units > 0:
+                noise_z[t] = sample_integer_gaussian(sigma_units, rng, d_pad)
         quantized = compress.quantize(np.tile(rotated, (count, 1)), spec, generators)
         agg, _ = secagg.aggregate_round(
             quantized.reshape(count, m, d_pad), noise_z, list(range(m)), None, spec

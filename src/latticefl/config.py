@@ -103,10 +103,10 @@ class MseGrid:
         for cell in self.cells():
             d, n, k, q, su, gamma, g_max = cell
             try:
-                spec = LatticeSpec(g_max=g_max, k=k, q=q)
+                LatticeSpec(g_max=g_max, k=k, q=q)
                 MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=su, gamma=gamma, g_max=g_max)
-                if su > 0:  # the scale empirical_mse hands the sampler
-                    check_sigma_units(spec.sigma_units(su * spec.step))
+                if su > 0:
+                    check_sigma_units(su)
                 wire_modulus(q, n)
             except (ValueError, ConfigError) as exc:
                 raise ValueError(f"mse cell (d, n, k, q, sigma, gamma, g_max) = {cell}: {exc}") from None

@@ -85,13 +85,15 @@ def ensure_accumulator_headroom(count: int, modulus: int) -> None:
 
 
 def wrap_centered(z, modulus: int):
-    """Map integers onto the centered residues ``[-(m-1)/2, (m-1)/2]``.
+    """Map integers onto the centered residues ``[-(m // 2), (m - 1) // 2]``.
 
-    Uses the non-negative remainder, so the result is total and
-    sign-stable for negative inputs.  ``modulus`` must be odd.  Accepts a
-    Python int or an integer ndarray and returns the same kind.
+    For an odd modulus that is ``|z| <= (m - 1) / 2``; for ``2**b`` it is
+    the ``b``-bit two's-complement range.  Uses the non-negative
+    remainder, so the result is total and sign-stable for negative
+    inputs.  Accepts a Python int or an integer ndarray and returns the
+    same kind.
     """
-    half = (modulus - 1) // 2
+    half = modulus // 2
     if isinstance(z, np.ndarray):
         return (z + half) % modulus - half
     return (int(z) + half) % modulus - half

@@ -4,11 +4,12 @@ Every value here is an integer count of lattice steps.  Each client adds
 its exact integer share of one shared discrete-Gaussian draw to its
 quantized row (the shares sum to the draw, so the aggregate carries one
 noise sample per coordinate, never a sum of independent ones) and sends
-the result in the wire group of size ``m q`` (rounded up to odd), so a
-payload coordinate takes ``ceil(log2(m q + 1))`` bits.  The group leaves
-about ``m (q - k) / 2`` steps of room for the draw above the largest sum
-of ``m`` quantized rows; the run's plan bounds the chance that the draw
-exceeds it.
+the result in the wire group of size ``2**b``, the smallest power of two
+above ``m q`` (``b = ceil(log2(m q + 1))``), so a payload coordinate is a
+``b``-bit two's-complement integer.  The group leaves at least ``m (q -
+k) / 2`` steps of room for the draw above the largest sum of ``m``
+quantized rows; the run's plan bounds the chance that the draw exceeds
+it.
 
 Each unordered client pair derives an identical uniform mask vector from
 the round seed, as in Bonawitz et al., *Practical Secure Aggregation for
@@ -18,16 +19,12 @@ modular sum and the server learns nothing but the total.  Key agreement,
 dropout recovery, and malicious-party defenses are out of scope; the
 participant set is fixed within a round.
 
-The mask of pair ``i < j`` is ``Generator(Philox(SeedSequence([round_seed,
-i, j]))).integers(-half, half + 1, size=d_pad)``.  A round does not build
-its ``m (m - 1) / 2`` generators: :func:`net_masks` derives each client's
-net mask in bulk (every pair key in one vectorized pass of SeedSequence's
-hash, ported in :mod:`latticefl.streams`, raw Philox words from one
-reused generator, and numpy's own bounded-integer reduction, or numpy
-itself for a mask that meets a word the reduction rejects), and
-reproduces the per-pair draws bit for bit, so payloads do not change.
-The wire group stays below ``2**32``, where numpy draws from 32-bit
-words.
+The mask of pair ``i < j`` is the first ``d_pad`` 32-bit words of
+``Philox(SeedSequence([round_seed, i, j]))`` (each 64-bit word read low
+half first), each ANDed with ``2**b - 1``: uniform on the group.  A round
+does not build its ``m (m - 1) / 2`` generators: :func:`net_masks` takes
+every pair key from one vectorized pass of SeedSequence's hash (ported in
+:mod:`latticefl.streams`) and the raw words from one reused Philox.
 """
 
 from __future__ import annotations
@@ -38,8 +35,8 @@ from . import streams
 from .errors import ConfigError, OverflowSuspected
 from .lattice import LatticeSpec, ensure_accumulator_headroom, wrap_centered
 
-# Wire groups from here on would make numpy draw each mask coordinate from
-# a 64-bit word, which net_masks does not port.
+# A mask coordinate is the low b bits of one 32-bit Philox word, so the
+# wire group is at most 2**32.
 _WIRE_LIMIT = 1 << 32
 
 
@@ -47,21 +44,21 @@ def wire_modulus(q: int, m: int) -> int:
     """Group size (in lattice steps) carrying the masked payloads.
 
     The per-client coarse group of size ``q`` expands by the participant
-    count ``m`` so the plaintext sum cannot wrap; the result is rounded up
-    to odd so the centered wrap is symmetric.  Raises ConfigError when the
-    group reaches ``2**32``, or when ``m + 1`` wire values (a
-    payload plus its ``m - 1`` masks, or the server's sum) could overflow
-    the int64 accumulators.
+    count ``m`` so the plaintext sum cannot wrap; the result is the
+    smallest power of two above ``m q``, so a payload coordinate is a
+    ``ceil(log2(m q + 1))``-bit two's-complement integer.  Raises
+    ConfigError when the group exceeds ``2**32``, or when ``m + 1`` wire
+    values (a payload plus its ``m - 1`` masks, or the server's sum)
+    could overflow the int64 accumulators.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError(f"q must be a positive odd integer, got {q}")
     if m < 1:
         raise ValueError(f"participant count must be >= 1, got {m}")
-    wide = m * q
-    wire_q = wide if wide % 2 else wide + 1
-    if wire_q >= _WIRE_LIMIT:
+    wire_q = 1 << (m * q).bit_length()
+    if wire_q > _WIRE_LIMIT:
         raise ConfigError(
-            f"wire group {wire_q} (participants {m} times q = {q}) must be below 2**32; "
+            f"wire group {wire_q} (participants {m} times q = {q}) must be at most 2**32; "
             "reduce q or the participant count"
         )
     ensure_accumulator_headroom(m + 1, wire_q)
@@ -78,32 +75,17 @@ def pair_keys(round_seed: int, ids) -> np.ndarray:
     fit SeedSequence's pool of 4 words: the seed in ``[0, 2**64)`` and
     every id in ``[0, 2**32)``.
     """
-    ids = np.asarray(ids, dtype=np.uint32)  # OverflowError outside [0, 2**32)
+    ids = np.asarray(ids)  # streams.entropy raises OverflowError outside [0, 2**32)
     if not 0 <= round_seed < 1 << 64:
         raise ValueError(f"round seed must be in [0, 2**64), got {round_seed}")
     a, b = np.nonzero(np.arange(ids.size)[:, None] < np.arange(ids.size))  # np.triu_indices order
     return streams.seed_sequence_state(streams.entropy(round_seed, ids[a], ids[b]), 2).T
 
 
-def _redrawn_rows(scaled: np.ndarray, wire_q: int) -> np.ndarray:
-    """The rows of ``scaled`` (words times ``wire_q``) holding a word that
-    numpy rejects, one whose low product half is below ``2**32 mod
-    wire_q``."""
-    rejected = (scaled & np.uint64(0xFFFFFFFF)) < np.uint64((1 << 32) % wire_q)
-    return np.flatnonzero(rejected.any(axis=1))
-
-
-def _pair_masks(philox, generator, keys: np.ndarray, d_pad: int, wire_q: int) -> np.ndarray:
-    """The masks of the pairs whose Philox keys are the rows of ``keys``.
-
-    Row ``r`` equals ``Generator(Philox(key=keys[r])).integers(-half, half
-    + 1, size=d_pad)``.  numpy maps each 32-bit word ``w`` to ``(w wire_q)
-    >> 32`` (Lemire's multiply-shift) and skips a word whose low product
-    half is below ``2**32 mod wire_q``, taking the next word instead.  So
-    each row maps its first ``d_pad`` words of the stream at once, and a
-    row holding a rejected word is drawn again by ``generator``, which
-    wraps ``philox``, from counter 0.
-    """
+def _pair_masks(philox, keys: np.ndarray, d_pad: int, wire_q: int) -> np.ndarray:
+    """The masks of the pairs whose Philox keys are the rows of ``keys``:
+    row ``r`` is the first ``d_pad`` 32-bit words of ``Philox(key=keys[r])``
+    from counter 0, each ANDed with ``wire_q - 1``."""
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     raw = np.empty((len(keys), (d_pad + 1) // 2), dtype=np.uint64)
@@ -111,17 +93,9 @@ def _pair_masks(philox, generator, keys: np.ndarray, d_pad: int, wire_q: int) ->
         state["state"]["key"] = key
         philox.state = state
         raw[r] = philox.random_raw(raw.shape[1])
-    # numpy reads each 64-bit word as two 32-bit draws, low half first.
+    # Each 64-bit word holds two 32-bit words, low half first.
     words = raw.astype("<u8", copy=False).view("<u4")[:, :d_pad]
-    scaled = np.multiply(words, np.uint64(wire_q), dtype=np.uint64)
-    half = (wire_q - 1) // 2
-    masks = (scaled >> np.uint64(32)).view(np.int64)
-    masks -= half
-    for r in _redrawn_rows(scaled, wire_q).tolist():
-        state["state"]["key"] = keys[r].tolist()
-        philox.state = state
-        masks[r] = generator.integers(-half, half + 1, size=d_pad)
-    return masks
+    return (words & np.uint32(wire_q - 1)).astype(np.int64)
 
 
 def net_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> np.ndarray:
@@ -129,14 +103,15 @@ def net_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> np.ndar
 
     Row ``c`` is what ``participants[c]`` adds in the round seeded
     ``round_seed``: the masks of the pairs it sends minus those it
-    receives (see the module docstring for a pair's mask).  Equal bit for
-    bit to the per-pair draws, without a generator per pair: the keys of
-    every pair come from one :func:`pair_keys` call and one reused Philox
-    emits each pair's raw words (see :func:`_pair_masks`).  Extra memory
-    is the key table and one sender's ``(m - 1, d_pad)`` block of masks.
+    receives (see the module docstring for a pair's mask), for the wire
+    group of size ``wire_q``, a power of two up to ``2**32``.  No generator
+    per pair: the keys of every pair come from one :func:`pair_keys` call
+    and one reused Philox emits each pair's raw words (see
+    :func:`_pair_masks`).  Extra memory is the key table and one sender's
+    ``(m - 1, d_pad)`` block of masks.
     """
-    if wire_q % 2 == 0 or not 0 < wire_q < _WIRE_LIMIT:
-        raise ValueError(f"wire modulus must be odd and below 2**32, got {wire_q}")
+    if not 0 < wire_q <= _WIRE_LIMIT or wire_q & (wire_q - 1):
+        raise ValueError(f"wire modulus must be a power of two up to 2**32, got {wire_q}")
     ids = sorted(participants)
     if len(set(ids)) != len(ids):
         raise ValueError("participant ids must be distinct")
@@ -145,11 +120,10 @@ def net_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> np.ndar
     if m > 1:
         keys = pair_keys(round_seed, ids)
         philox = np.random.Philox(0)
-        generator = np.random.Generator(philox)
         first = 0
         for a in range(m - 1):
             last = first + m - 1 - a  # sender a's pairs are [first, last)
-            block = _pair_masks(philox, generator, keys[first:last], d_pad, wire_q)
+            block = _pair_masks(philox, keys[first:last], d_pad, wire_q)
             net[a] += block.sum(axis=0)
             net[a + 1 :] -= block
             first = last

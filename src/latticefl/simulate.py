@@ -119,8 +119,7 @@ class RoundTranscript:
     loss: float
     accuracy: float
     epsilon: float
-    raw_mean: np.ndarray | None = None  # mean un-clipped update (oracle runs)
-    full_grad: np.ndarray | None = None  # pooled-loss gradient at round start
+    raw_mean: np.ndarray  # mean un-clipped update
 
 
 @dataclass(frozen=True)
@@ -214,15 +213,12 @@ def run_round(
     plan: SimPlan,
     round_index: int,
     use_masks: bool = True,
-    record_gradient: bool = False,
 ) -> tuple[GlobalModel, RoundTranscript]:
     """Execute one protocol round; the model's round counter must match."""
     if model.t != round_index - 1:
         raise ValueError(f"model is at round {model.t}, cannot run round {round_index}")
     cfg, spec, m = plan.cfg, plan.spec, plan.m
     master = cfg.seed
-
-    full_grad = plan.task.full_gradient(model.w) if record_gradient else None
 
     ids = subsample_clients(cfg.n, cfg.gamma, np.random.SeedSequence([master, _DOM_SUBSAMPLE, round_index]))
     # Each client's default_rng(SeedSequence([master, domain, round_index, cid])),
@@ -262,7 +258,6 @@ def run_round(
         accuracy=math.nan,
         epsilon=math.nan,
         raw_mean=raw.mean(axis=0),
-        full_grad=full_grad,
     )
     return GlobalModel(new_w, round_index), transcript
 
@@ -270,7 +265,6 @@ def run_round(
 def run_training(
     cfg: RoundConfig,
     use_masks: bool = True,
-    record_gradients: bool = False,
     plan: SimPlan | None = None,
 ) -> tuple[GlobalModel, list[RoundTranscript], AccountantState | None]:
     """Run the full T-round protocol with a privacy ledger.
@@ -285,13 +279,11 @@ def run_training(
         plan = make_plan(cfg)
     elif plan.cfg != cfg:
         raise ValueError("plan was built from a different configuration")
-    if record_gradients and cfg.local.steps != 1:
-        raise ConfigError("gradient recording assumes one local step per round")
     acct = AccountantState(cfg.sigma, plan.sensitivity, cfg.gamma) if cfg.sigma > 0 else None
     model = GlobalModel(plan.task.init_weights(), 0)
     transcripts: list[RoundTranscript] = []
     for t in range(1, cfg.rounds + 1):
-        model, tr = run_round(model, plan, t, use_masks=use_masks, record_gradient=record_gradients)
+        model, tr = run_round(model, plan, t, use_masks=use_masks)
         if acct is not None:
             acct.record_round()
             tr.epsilon = acct.epsilon(cfg.delta)[0]
@@ -316,23 +308,30 @@ class ConvergenceReport:
 
 
 def convergence_report(
+    plan: SimPlan,
     transcripts: list[RoundTranscript],
     smoothness: float,
     grad_bound: float,
     initial_gap: float,
-    learning_rate: float,
 ) -> ConvergenceReport:
-    """Evaluate the stationarity bound from recorded rounds.
+    """Evaluate the stationarity bound from the rounds of a run of ``plan``.
 
     With one full-batch local step per round, a client's update is
     ``-lr * grad``; dividing the recorded update means by ``-lr`` turns
-    them back into gradient estimates.  ``smoothness``, ``grad_bound``
-    and ``initial_gap`` (L, rho, rho_F) are supplied by the caller.
+    them back into gradient estimates.  Each round's starting weights are
+    rebuilt from the initial weights plus the earlier rounds' aggregates,
+    as :func:`run_round` applies them, so the transcripts must run from
+    round 1.  ``smoothness``, ``grad_bound`` and ``initial_gap`` (L, rho,
+    rho_F) are supplied by the caller.
     """
+    if plan.cfg.local.steps != 1:
+        raise ConfigError("the convergence report assumes one local step per round")
     if not transcripts:
         raise ValueError("need at least one recorded round")
-    if any(tr.full_grad is None or tr.raw_mean is None for tr in transcripts):
-        raise ValueError("transcripts lack gradient recordings; rerun with record_gradients=True")
+    if [tr.round_index for tr in transcripts] != list(range(1, len(transcripts) + 1)):
+        raise ValueError("transcripts must hold every round of the run from round 1, in order")
+    learning_rate = plan.cfg.local.learning_rate
+    w = plan.task.init_weights()
     T = len(transcripts)
     sample_dev_sq = 0.0
     est_dev_sq = 0.0
@@ -341,7 +340,8 @@ def convergence_report(
     for tr in transcripts:
         g = -np.asarray(tr.raw_mean) / learning_rate
         g_est = -np.asarray(tr.aggregate) / learning_rate
-        full = np.asarray(tr.full_grad)
+        full = plan.task.full_gradient(w)
+        w = w + tr.aggregate
         sample_dev_sq = max(sample_dev_sq, float(np.sum((g - full) ** 2)))
         est_dev_sq = max(est_dev_sq, float(np.sum((g - g_est) ** 2)))
         dev_bound = max(dev_bound, float(np.linalg.norm(g - g_est)))

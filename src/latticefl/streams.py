@@ -70,7 +70,10 @@ def entropy(seed: int, *words, child=None) -> np.ndarray:
         rows += [0] * (_POOL_SIZE - len(rows)) + [child]
     out = np.empty((len(rows),) + np.broadcast_shapes(*map(np.shape, rows)), dtype=np.uint32)
     for i, row in enumerate(rows):
-        out[i] = row  # OverflowError for an int outside [0, 2**32)
+        row = np.asarray(row)
+        if row.size and not (0 <= row.min() and row.max() <= _MASK32):
+            raise OverflowError(f"entropy words must lie in [0, 2**32), got words from {row.min()} to {row.max()}")
+        out[i] = row
     return out.reshape(len(rows), -1)
 
 

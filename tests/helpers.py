@@ -3,7 +3,7 @@
 These stay independent of the code paths they check: the wrap oracle is
 a brute-force search, the distribution oracles are truncated sums over
 the pmf, goodness-of-fit runs through scipy's chi-square, pairwise masks
-come from one numpy generator per pair, a client's round streams from
+come from one fresh Philox per pair, a client's round streams from
 one ``default_rng`` each, the empirical MSE reference runs one trial at
 a time with one generator per stream, the sampler
 reference evaluates each rejection step as a fresh array, the task
@@ -22,16 +22,16 @@ import numpy as np
 from scipy import stats
 
 from latticefl import compress, secagg
-from latticefl.dgauss import DiscreteGaussian, check_sigma_units
+from latticefl.dgauss import check_sigma_units, sample_integer_gaussian
 
 
 def brute_force_wrap(z: int, modulus: int) -> int:
     """The unique centered residue congruent to z, found by search."""
-    half = (modulus - 1) // 2
-    for y in range(-half, half + 1):
+    half = modulus // 2
+    for y in range(-half, modulus - half):
         if (y - z) % modulus == 0:
             return y
-    raise AssertionError("no residue found; modulus not odd?")
+    raise AssertionError("no residue found")
 
 
 def pmf_oracle(dist, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +81,7 @@ def gof_pvalue_uniform(residues: np.ndarray, modulus: int, n_buckets: int = 32) 
     from the exact number of residues per range, so uneven splits do not
     bias the statistic).
     """
-    half = (modulus - 1) // 2
+    half = modulus // 2
     shifted = np.asarray(residues, dtype=np.int64).ravel() + half
     assert shifted.min() >= 0 and shifted.max() < modulus
     n_buckets = min(n_buckets, modulus)
@@ -105,16 +105,16 @@ class PairwiseMask:
     values: np.ndarray
 
 
-def mask_stream(round_seed: int, i: int, j: int) -> np.random.Generator:
-    """Counter-based generator both endpoints of a pair can reproduce."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([round_seed, i, j])))
-
-
 def pair_mask(round_seed: int, i: int, j: int, d_pad: int, wire_q: int) -> np.ndarray:
-    """The mask of pair ``(i, j)``: ``d_pad`` uniform draws from the
-    centered residues mod ``wire_q``."""
-    half = (wire_q - 1) // 2
-    return mask_stream(round_seed, i, j).integers(-half, half + 1, size=d_pad, dtype=np.int64)
+    """The mask of pair ``(i, j)`` in the wire group of size ``wire_q``, a
+    power of two: the first ``d_pad`` 32-bit words of the pair's own
+    Philox, low half of each 64-bit word first, each ANDed with
+    ``wire_q - 1``."""
+    philox = np.random.Philox(np.random.SeedSequence([round_seed, i, j]))
+    words = []
+    for word in philox.random_raw(-(-d_pad // 2)).tolist():
+        words += [word & 0xFFFFFFFF, word >> 32]
+    return np.array(words[:d_pad], dtype=np.int64) & (wire_q - 1)
 
 
 def derive_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> list[PairwiseMask]:
@@ -153,13 +153,12 @@ def empirical_mse_reference(updates, spec, clip_bound, sigma_units, trials, seed
     clipped = compress.clip(updates, clip_bound)
     reference = clipped.mean(axis=0)
     rotated = compress.rotate(clipped, rs)
-    dist = DiscreteGaussian(sigma_units * spec.step, spec) if sigma_units > 0 else None
     total_sq = 0.0
     for trial in range(trials):
         children = np.random.SeedSequence([seed, trial]).spawn(m + 2)
         round_seed = int(np.random.default_rng(children[0]).integers(1 << 62))
-        if dist is not None:
-            noise_z = dist.sample(np.random.default_rng(children[1]), d_pad)
+        if sigma_units > 0:
+            noise_z = sample_integer_gaussian(sigma_units, np.random.default_rng(children[1]), d_pad)
         else:
             noise_z = np.zeros(d_pad, dtype=np.int64)
         quantizers = [np.random.default_rng(child) for child in children[2:]]

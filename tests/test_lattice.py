@@ -28,6 +28,13 @@ def test_phi_q_matches_brute_force():
         q = 2 * int(rng.integers(1, 200)) + 1
         z = int(rng.integers(-10 * q, 10 * q))
         assert wrap_centered(z, q) == brute_force_wrap(z, q)
+    # the power-of-two wire groups: the b-bit two's-complement range
+    for q in (2, 4, 2**16, 2**32):
+        edges = [q // 2 - 1, q // 2, -(q // 2), -(q // 2) - 1]
+        for z in edges + rng.integers(-10 * q, 10 * q, size=20).tolist():
+            # 2**32 is past a search; its residue is z's low 32 bits as an int32
+            expected = int(np.int64(z).astype(np.int32)) if q == 2**32 else brute_force_wrap(z, q)
+            assert wrap_centered(z, q) == expected
 
 
 def test_phi_q_vec_coordinatewise():
@@ -52,8 +59,10 @@ def test_phi_q_idempotent_and_periodic():
 def test_wrap_sum_homomorphism():
     # wrap(sum of wrapped values) == wrap(plain sum), on random vectors
     rng = np.random.default_rng(2)
-    for _ in range(300):
+    for trial in range(340):
         q = 2 * int(rng.integers(1, 1 << 16)) + 1
+        if trial >= 300:  # power-of-two moduli, as the wire groups are
+            q = (2, 4, 2**16, 2**32)[trial % 4]
         parts = rng.integers(-(10 * q), 10 * q, size=(int(rng.integers(1, 20)), int(rng.integers(1, 64))))
         wrapped_sum = wrap_centered(wrap_centered(parts, q).sum(axis=0), q)
         np.testing.assert_array_equal(wrapped_sum, wrap_centered(parts.sum(axis=0), q))

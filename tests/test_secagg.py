@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticefl import secagg
+from latticefl.bounds import payload_bits_per_client
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.errors import ConfigError, OverflowSuspected
 from latticefl.lattice import LatticeSpec, wrap_centered
@@ -26,18 +26,17 @@ def masked_payloads(plains, ids, round_seed, q):
     return aggregate_round(rows, np.zeros(rows.shape[1], dtype=np.int64), ids, round_seed, spec)[1]
 
 
-def test_wire_modulus_is_odd_and_large_enough():
-    for q, m in ((7, 1), (101, 4), (1001, 10)):
-        w = wire_modulus(q, m)
-        assert w % 2 == 1
-        assert m * q <= w <= m * q + 1
+def test_wire_modulus_is_the_power_of_two_above_m_q():
+    for q, m, w in ((1, 1, 2), (7, 1, 8), (101, 4, 512), (1001, 10, 16384), (255, 1, 256), (3, 5, 16)):
+        assert wire_modulus(q, m) == w
+        assert w & (w - 1) == 0 and w // 2 <= m * q < w
     with pytest.raises(ValueError):
         wire_modulus(8, 2)
 
 
 def test_wire_modulus_stays_below_2_32():
-    # numpy draws a mask coordinate from a 64-bit word from 2**32 on
-    assert wire_modulus(2**31 - 1, 2) == 2**32 - 1
+    # a mask coordinate is the low bits of one 32-bit Philox word
+    assert wire_modulus(2**31 - 1, 2) == wire_modulus(2**32 - 1, 1) == 2**32
     for q, m in ((2**31 + 1, 2), (2**32 + 1, 1), (429497, 10**4)):
         with pytest.raises(ConfigError, match="2\\*\\*32"):
             wire_modulus(q, m)
@@ -62,30 +61,31 @@ def test_two_party_cancellation():
 def test_mask_determinism_and_pair_agreement():
     # each id's net mask depends on the ids, not on their order, and the
     # pairs cancel in the sum
-    first = net_masks(42, [3, 1, 7], 16, 1001)
-    again = net_masks(42, [1, 7, 3], 16, 1001)
+    first = net_masks(42, [3, 1, 7], 16, 1024)
+    again = net_masks(42, [1, 7, 3], 16, 1024)
     np.testing.assert_array_equal(first, again[[2, 0, 1]])
     np.testing.assert_array_equal(first.sum(axis=0), 0)
-    np.testing.assert_array_equal(first, summed_masks(42, [3, 1, 7], 16, 1001))
+    np.testing.assert_array_equal(first, summed_masks(42, [3, 1, 7], 16, 1024))
 
 
 def test_mask_uniformity():
-    q = 101
+    q = 128
     sender = net_masks(2024, [0, 1], 10**6, q)[0]  # the pair's mask itself
-    assert gof_pvalue_uniform(sender, q) > 0.01
+    assert gof_pvalue_uniform(wrap_centered(sender, q), q) > 0.01
 
 
 def test_net_masks_validation():
     with pytest.raises(ValueError):
-        net_masks(0, [1, 1], 4, 101)
+        net_masks(0, [1, 1], 4, 128)
+    for wire_q in (0, 100, 101, 2**32 - 1, 2**32 + 1, 2**33):
+        with pytest.raises(ValueError):
+            net_masks(0, [1, 2], 4, wire_q)
     with pytest.raises(ValueError):
-        net_masks(0, [1, 2], 4, 100)
-    with pytest.raises(ValueError):
-        net_masks(0, [1, 2], 4, 2**32 + 1)
-    with pytest.raises(ValueError):
-        net_masks(2**64, [1, 2], 4, 101)
-    with pytest.raises(OverflowError):
-        net_masks(0, [1, 2**32], 4, 101)
+        net_masks(2**64, [1, 2], 4, 128)
+    # ids outside [0, 2**32) are refused, never wrapped into the uint32 range
+    for ids in ([1, 2**32], np.array([1, 2**32 + 1]), np.array([-1, 2])):
+        with pytest.raises(OverflowError):
+            net_masks(0, ids, 4, 128)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1])
@@ -106,6 +106,10 @@ def test_pair_keys_reject_seeds_outside_the_pool():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError):
             pair_keys(seed, [0, 1])
+    # and ids outside [0, 2**32), as a list or as an int64 array
+    for ids in ([1, 2**32], [-1, 2], np.array([1, 2**32 + 1]), np.array([-1, 2])):
+        with pytest.raises(OverflowError):
+            pair_keys(0, ids)
 
 
 @st.composite
@@ -117,9 +121,8 @@ def mask_rounds(draw):
         ids[draw(st.integers(0, m - 1))] = edge
     seed = draw(st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1)))
     d_pad = draw(st.integers(1, 256))
-    # wire_q in (2**31, 2**32) rejects up to half of numpy's 32-bit words
-    half = draw(st.one_of(st.integers(0, 2**15), st.integers(2**30, 2**31 - 1)))
-    return seed, ids, d_pad, 2 * half + 1
+    bits = draw(st.one_of(st.integers(1, 32), st.sampled_from([1, 31, 32])))
+    return seed, ids, d_pad, 1 << bits
 
 
 @settings(max_examples=80, deadline=None)
@@ -131,24 +134,9 @@ def test_net_masks_equal_summed_pair_masks(case):
     assert net.tobytes() == summed_masks(seed, ids, d_pad, wire_q).tobytes()
 
 
-@pytest.mark.parametrize("kept", [None, 0])
-@pytest.mark.parametrize("wire_q", [2**31 + 1, 3 * 10**9 + 1, 2**32 - 1])
-def test_net_masks_in_the_rejection_band(monkeypatch, kept, wire_q):
-    # about 30-50% of numpy's words are rejected here, so nearly every row
-    # past a few coordinates is drawn again by numpy; with no row kept from
-    # the bulk mapping, every row is drawn again, one after another
-    if kept is not None:
-        monkeypatch.setattr(secagg, "_redrawn_rows", lambda scaled, wire_q: np.arange(len(scaled)))
-    ids = [0, 3, 9, 2**32 - 1]
-    for d_pad in (1, 2, 7, 64, 300):
-        for seed in (11, 2**63 + 5):
-            net = net_masks(seed, ids, d_pad, wire_q)
-            assert net.tobytes() == summed_masks(seed, ids, d_pad, wire_q).tobytes()
-
-
 def test_net_masks_build_one_philox_per_round(monkeypatch):
     # no generator per pair: one Philox, reloaded with each pair's key,
-    # and one Generator wrapping it for the rows drawn again
+    # and no Generator
     m, seeds = 30, [5, 6, 7]
     wire_q = wire_modulus(1001, m)
     expected = [summed_masks(s, list(range(m)), 64, wire_q) for s in seeds]
@@ -158,7 +146,7 @@ def test_net_masks_build_one_philox_per_round(monkeypatch):
     monkeypatch.setattr(np.random, "Generator", lambda *a, **k: wrapped.append(a) or generator(*a, **k))
     for r, seed in enumerate(seeds):
         np.testing.assert_array_equal(net_masks(seed, list(range(m)), 64, wire_q), expected[r])
-        assert len(built) == len(wrapped) == r + 1
+        assert len(built) == r + 1 and not wrapped
 
 
 def test_split_examples():
@@ -218,9 +206,8 @@ def test_aggregate_round_properties(case):
     # the shares sum to the draw
     np.testing.assert_array_equal(split_integer(noise, m).sum(axis=0), noise)
     # every payload lies in the centered range of the wire group
-    half = (wire_q - 1) // 2
     assert payloads.shape == rows.shape
-    assert np.abs(payloads).max() <= half
+    assert -(wire_q // 2) <= payloads.min() and payloads.max() <= wire_q // 2 - 1
 
 
 def test_unmasked_payloads_are_wrapped_plaintext():
@@ -284,15 +271,20 @@ def test_payload_conditionally_uniform():
 
 def test_aggregate_equals_unmasked_sum():
     rng = np.random.default_rng(1)
-    for trial in range(50):
+    for trial in range(51):
         m = int(rng.integers(1, 21))
         q = 2 * int(rng.integers(1, 1 << 16)) + 1
+        if trial == 50:  # the largest group: m q = 2**32 - 1, wire group 2**32
+            m, q = 5, (2**32 - 1) // 5
         wire_q = wire_modulus(q, m)
         d = int(rng.integers(1, 33))
         plains = [rng.integers(-q, q, size=d).astype(np.int64) for _ in range(m)]
         payloads = masked_payloads(plains, list(range(m)), round_seed=trial, q=q)
         total = wrap_centered(np.sum(payloads, axis=0, dtype=np.int64), wire_q)
         np.testing.assert_array_equal(total, wrap_centered(np.sum(plains, axis=0), wire_q))
+        # every payload fits the reported width as a two's-complement integer
+        bits = payload_bits_per_client(m, d, q) // d
+        assert -(1 << (bits - 1)) <= payloads.min() and payloads.max() < 1 << (bits - 1)
 
 
 def test_server_aggregate_recovers_quantized_values():

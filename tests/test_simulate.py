@@ -126,8 +126,8 @@ def test_plan_derivations():
     assert plan.m == 5
     assert plan.d == 8
     assert plan.d_pad == 8
-    assert plan.wire_q % 2 == 1
-    assert plan.wire_q >= plan.m * plan.cfg.q
+    assert plan.wire_q & (plan.wire_q - 1) == 0  # a power of two
+    assert plan.wire_q // 2 <= plan.m * plan.cfg.q < plan.wire_q
     assert plan.overflow_probability <= 1e-12
     assert plan.sensitivity == pytest.approx(2 * (1 + math.sqrt(8) / 8))
 
@@ -341,13 +341,18 @@ def test_convergence_report_on_quadratic_task():
         local=LocalTrainerSpec(steps=1, learning_rate=0.3),
     )
     plan = make_plan(cfg)
-    model, transcripts, _ = run_training(cfg, record_gradients=True)
+    model, transcripts, _ = run_training(cfg, plan=plan)
     L = plan.task.smoothness()
-    rho = max(np.linalg.norm(tr.full_grad) for tr in transcripts) * 1.1
-    w0 = plan.task.init_weights()
+    w = plan.task.init_weights()
     X, y = plan.task.pooled()
-    rho_f = plan.task.loss(w0, X, y)  # loss is nonnegative, so gap <= loss(w0)
-    report = convergence_report(transcripts, L, rho, rho_f, cfg.local.learning_rate)
+    rho_f = plan.task.loss(w, X, y)  # loss is nonnegative, so gap <= loss(w0)
+    grad_norms = []
+    for tr in transcripts:
+        grad_norms.append(np.linalg.norm(plan.task.full_gradient(w)))
+        w = w + tr.aggregate
+    np.testing.assert_array_equal(w, model.w)  # the report's rebuilt weights are the run's
+    rho = max(grad_norms) * 1.1
+    report = convergence_report(plan, transcripts, L, rho, rho_f)
     # the stationarity bound holds along the recorded trajectory
     assert report.grad_sq_mean <= report.rhs
     # noiseless huge-k limit: the estimate deviation is bounded by the
@@ -370,14 +375,19 @@ def test_convergence_report_on_quadratic_task():
 
 
 def test_convergence_report_requires_recordings():
-    _, transcripts, _ = run_training(small_cfg(rounds=2))
-    with pytest.raises(ValueError):
-        convergence_report(transcripts, 1.0, 1.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        convergence_report([], 1.0, 1.0, 1.0, 0.5)
+    # the report rebuilds each round's weights from round 1 on, so it needs
+    # every round, in order
+    cfg = small_cfg(rounds=3)
+    plan = make_plan(cfg)
+    _, transcripts, _ = run_training(cfg, plan=plan)
+    for partial in ([], transcripts[1:], transcripts[::-1]):
+        with pytest.raises(ValueError):
+            convergence_report(plan, partial, 1.0, 1.0, 1.0)
 
 
-def test_record_gradients_needs_single_step():
-    cfg = small_cfg(local=LocalTrainerSpec(steps=3, learning_rate=0.1, batch_size=4))
+def test_convergence_report_needs_single_step():
+    cfg = small_cfg(rounds=1, local=LocalTrainerSpec(steps=3, learning_rate=0.1, batch_size=4))
+    plan = make_plan(cfg)
+    _, transcripts, _ = run_training(cfg, plan=plan)
     with pytest.raises(ConfigError):
-        run_training(cfg, record_gradients=True)
+        convergence_report(plan, transcripts, 1.0, 1.0, 1.0)

@@ -45,8 +45,10 @@ def test_entropy_broadcasts_words_into_columns():
     assert columns.T.tolist() == [[7, 3, 1, 0, 5], [7, 3, 2, 0, 6], [7, 3, 3, 0, 5], [7, 3, 4, 0, 6]]
     with pytest.raises(ValueError):
         streams.entropy(-1, 0)
-    with pytest.raises(OverflowError):
-        streams.entropy(0, 2**32)
+    # a word outside [0, 2**32) is refused, never wrapped, in any form
+    for word in (2**32, -1, np.array([1, 2**32 + 1]), np.array([-1, 2]), [[0], [2**32]]):
+        with pytest.raises(OverflowError):
+            streams.entropy(0, word)
 
 
 @pytest.mark.parametrize("master", [0, 2**32 - 1, 2**32, 2**63 - 1])
