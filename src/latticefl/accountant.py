@@ -181,7 +181,8 @@ class AccountantState:
         self.rounds_recorded += count
 
     def epsilon(self, delta: float) -> tuple[float, float]:
-        """Spent ``(epsilon, alpha*)`` after the recorded rounds."""
+        """Spent ``(epsilon, alpha*)`` after the recorded rounds; nothing is
+        spent before the first, at no optimal order: ``(0.0, inf)``."""
         if self.rounds_recorded == 0:
-            return 0.0, float(self.alphas[-1])
+            return 0.0, math.inf
         return to_dp(self.cumulative, delta)

@@ -103,25 +103,15 @@ def cmd_mse_bench(cfg: ExperimentConfig) -> int:
 
 def cmd_accountant(cfg: ExperimentConfig) -> int:
     p = cfg.accountant_params
-    if p.rounds == 0:
-        eps, alpha = 0.0, math.inf
-        curve = None
-    else:
-        state = AccountantState(sigma=p.sigma, sensitivity=p.sensitivity, gamma=p.gamma)
-        state.record_round(p.rounds)
-        eps, alpha = state.epsilon(p.delta)
-        curve = state.cumulative
+    state = AccountantState(sigma=p.sigma, sensitivity=p.sensitivity, gamma=p.gamma)
+    state.record_round(p.rounds)
+    eps, alpha = state.epsilon(p.delta)
     print(f"epsilon = {format_real(eps)}")
     print(f"alpha_star = {format_real(alpha)}")
     if cfg.out is not None:
-        if curve is None:
-            _write_csv(cfg.out, ["alpha", "eps"], [])
-        else:
-            _write_csv(
-                cfg.out,
-                ["alpha", "eps"],
-                [[format_real(a), format_real(e)] for a, e in zip(curve.alphas, curve.eps)],
-            )
+        curve = state.cumulative  # nothing spent at zero rounds: the header only
+        rows = [[format_real(a), format_real(e)] for a, e in zip(curve.alphas, curve.eps)] if p.rounds else []
+        _write_csv(cfg.out, ["alpha", "eps"], rows)
     return 0
 
 

@@ -19,19 +19,19 @@ modular sum and the server learns nothing but the total.  Key agreement,
 dropout recovery, and malicious-party defenses are out of scope; the
 participant set is fixed within a round.
 
-The mask of pair ``i < j`` is the first ``d_pad`` 32-bit words of
-``Philox(SeedSequence([round_seed, i, j]))`` (each 64-bit word read low
-half first), each ANDed with ``2**b - 1``: uniform on the group.  A round
-does not build its ``m (m - 1) / 2`` generators: :func:`net_masks` takes
-every pair key from one vectorized pass of SeedSequence's hash (ported in
-:mod:`latticefl.streams`) and the raw words from one reused Philox.
+A round's masks come from one counter-based stream, ``Philox(key=
+round_seed)`` from counter 0 (Salmon et al., *Parallel Random Numbers: As
+Easy as 1, 2, 3*, SC 2011), cut into consecutive blocks of ``ceil(d_pad /
+2)`` 64-bit words.  Pair ``p``, the ``p``-th pair ``a < b`` of the sorted
+ids in ``np.triu_indices`` order, takes block ``p``: its first ``d_pad``
+32-bit words (each 64-bit word read low half first), each ANDed with
+``2**b - 1``, uniform on the group.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import streams
 from .errors import ConfigError, OverflowSuspected
 from .lattice import LatticeSpec, ensure_accumulator_headroom, wrap_centered
 
@@ -65,68 +65,32 @@ def wire_modulus(q: int, m: int) -> int:
     return wire_q
 
 
-def pair_keys(round_seed: int, ids) -> np.ndarray:
-    """Philox keys of every pair of ids in the round seeded ``round_seed``.
-
-    Row ``p`` is ``SeedSequence([round_seed, ids[a],
-    ids[b]]).generate_state(2, np.uint64)`` for the ``p``-th pair ``a <
-    b`` in ``np.triu_indices(len(ids), 1)`` order: the key Philox takes
-    from that seed sequence (its counter starts at 0).  The entropy must
-    fit SeedSequence's pool of 4 words: the seed in ``[0, 2**64)`` and
-    every id in ``[0, 2**32)``.
-    """
-    ids = np.asarray(ids)  # streams.entropy raises OverflowError outside [0, 2**32)
-    if not 0 <= round_seed < 1 << 64:
-        raise ValueError(f"round seed must be in [0, 2**64), got {round_seed}")
-    a, b = np.nonzero(np.arange(ids.size)[:, None] < np.arange(ids.size))  # np.triu_indices order
-    return streams.seed_sequence_state(streams.entropy(round_seed, ids[a], ids[b]), 2).T
-
-
-def _pair_masks(philox, keys: np.ndarray, d_pad: int, wire_q: int) -> np.ndarray:
-    """The masks of the pairs whose Philox keys are the rows of ``keys``:
-    row ``r`` is the first ``d_pad`` 32-bit words of ``Philox(key=keys[r])``
-    from counter 0, each ANDed with ``wire_q - 1``."""
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    raw = np.empty((len(keys), (d_pad + 1) // 2), dtype=np.uint64)
-    for r, key in enumerate(keys.tolist()):
-        state["state"]["key"] = key
-        philox.state = state
-        raw[r] = philox.random_raw(raw.shape[1])
-    # Each 64-bit word holds two 32-bit words, low half first.
-    words = raw.astype("<u8", copy=False).view("<u4")[:, :d_pad]
-    return (words & np.uint32(wire_q - 1)).astype(np.int64)
-
-
 def net_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> np.ndarray:
     """Each participant's sum of its pairwise masks, derived in bulk.
 
     Row ``c`` is what ``participants[c]`` adds in the round seeded
-    ``round_seed``: the masks of the pairs it sends minus those it
-    receives (see the module docstring for a pair's mask), for the wire
-    group of size ``wire_q``, a power of two up to ``2**32``.  No generator
-    per pair: the keys of every pair come from one :func:`pair_keys` call
-    and one reused Philox emits each pair's raw words (see
-    :func:`_pair_masks`).  Extra memory is the key table and one sender's
-    ``(m - 1, d_pad)`` block of masks.
+    ``round_seed``, in ``[0, 2**64)``: the masks of the pairs it sends
+    minus those it receives (see the module docstring for a pair's mask),
+    for the wire group of size ``wire_q``, a power of two up to ``2**32``.
+    A sender's pairs are adjacent blocks of the round's stream, so each
+    sender reads all of its masks with one draw; extra memory is that
+    ``(m - 1, d_pad)`` block.
     """
     if not 0 < wire_q <= _WIRE_LIMIT or wire_q & (wire_q - 1):
         raise ValueError(f"wire modulus must be a power of two up to 2**32, got {wire_q}")
+    if not 0 <= round_seed < 1 << 64:  # Philox itself takes keys up to 2**128
+        raise ValueError(f"round seed must be in [0, 2**64), got {round_seed}")
     ids = sorted(participants)
     if len(set(ids)) != len(ids):
         raise ValueError("participant ids must be distinct")
     m = len(ids)
     net = np.zeros((m, d_pad), dtype=np.int64)
-    if m > 1:
-        keys = pair_keys(round_seed, ids)
-        philox = np.random.Philox(0)
-        first = 0
-        for a in range(m - 1):
-            last = first + m - 1 - a  # sender a's pairs are [first, last)
-            block = _pair_masks(philox, keys[first:last], d_pad, wire_q)
-            net[a] += block.sum(axis=0)
-            net[a + 1 :] -= block
-            first = last
+    philox = np.random.Philox(key=round_seed)
+    for a in range(m - 1):
+        raw = philox.random_raw((m - 1 - a, (d_pad + 1) // 2))
+        block = raw.astype("<u8", copy=False).view("<u4")[:, :d_pad] & np.uint32(wire_q - 1)
+        net[a] += block.sum(axis=0, dtype=np.int64)
+        net[a + 1 :] -= block
     position = {cid: a for a, cid in enumerate(ids)}
     return net[[position[cid] for cid in participants]]
 

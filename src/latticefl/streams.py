@@ -1,9 +1,9 @@
 """Seed ports: numpy's SeedSequence hash pool and PCG64 seeding, in bulk.
 
-A round seeds many streams at once (pair masks, client generators, MSE
-trials), so this module hashes many seed sequences in one vectorized
-pass and loads each state into one reused generator; every state equals
-numpy's own bit for bit.
+A round seeds many streams at once (client generators, MSE trials), so
+this module hashes many seed sequences in one vectorized pass and loads
+each state into one reused generator; every state equals numpy's own bit
+for bit.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 These stay independent of the code paths they check: the wrap oracle is
 a brute-force search, the distribution oracles are truncated sums over
-the pmf, goodness-of-fit runs through scipy's chi-square, pairwise masks
-come from one fresh Philox per pair, a client's round streams from
+the pmf, goodness-of-fit runs through scipy's chi-square, each pairwise
+mask is read from its own fresh copy of the round's Philox stream after
+skipping the blocks of the pairs before it, a client's round streams from
 one ``default_rng`` each, the empirical MSE reference runs one trial at
 a time with one generator per stream, the sampler
 reference evaluates each rejection step as a fresh array, the task
@@ -105,25 +106,31 @@ class PairwiseMask:
     values: np.ndarray
 
 
-def pair_mask(round_seed: int, i: int, j: int, d_pad: int, wire_q: int) -> np.ndarray:
-    """The mask of pair ``(i, j)`` in the wire group of size ``wire_q``, a
-    power of two: the first ``d_pad`` 32-bit words of the pair's own
-    Philox, low half of each 64-bit word first, each ANDed with
-    ``wire_q - 1``."""
-    philox = np.random.Philox(np.random.SeedSequence([round_seed, i, j]))
+def pair_mask(round_seed: int, p: int, d_pad: int, wire_q: int) -> np.ndarray:
+    """The mask of the round's ``p``-th pair in the wire group of size
+    ``wire_q``, a power of two: block ``p`` of ``ceil(d_pad / 2)`` 64-bit
+    words of ``Philox(key=round_seed)``, read by a fresh generator that
+    skips the ``p`` blocks before it; the block's first ``d_pad`` 32-bit
+    words, low half of each 64-bit word first, each ANDed with ``wire_q -
+    1``."""
+    words_per_pair = -(-d_pad // 2)
+    philox = np.random.Philox(key=round_seed)
+    philox.random_raw(p * words_per_pair)
     words = []
-    for word in philox.random_raw(-(-d_pad // 2)).tolist():
+    for word in philox.random_raw(words_per_pair).tolist():
         words += [word & 0xFFFFFFFF, word >> 32]
     return np.array(words[:d_pad], dtype=np.int64) & (wire_q - 1)
 
 
 def derive_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> list[PairwiseMask]:
-    """All pairwise masks of a round, one per unordered pair, lower id sending."""
+    """All pairwise masks of a round, one per unordered pair, lower id
+    sending; pair ``p`` is the ``p``-th pair of the sorted ids, taken
+    sender by sender."""
     ids = sorted(participants)
+    pairs = [(i, j) for a, i in enumerate(ids) for j in ids[a + 1 :]]
     return [
-        PairwiseMask(sender=i, receiver=j, values=pair_mask(round_seed, i, j, d_pad, wire_q))
-        for a, i in enumerate(ids)
-        for j in ids[a + 1 :]
+        PairwiseMask(sender=i, receiver=j, values=pair_mask(round_seed, p, d_pad, wire_q))
+        for p, (i, j) in enumerate(pairs)
     ]
 
 

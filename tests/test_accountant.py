@@ -209,8 +209,11 @@ def test_epsilon_does_not_rise_as_gamma_falls():
 
 def test_accountant_state_ledger():
     state = AccountantState(sigma=2.0, sensitivity=1.0, gamma=0.5)
-    assert state.epsilon(1e-5)[0] == 0.0
+    # nothing spent at no optimal order, as `latticefl accountant` prints it
+    assert state.epsilon(1e-5) == (0.0, math.inf)
     state.record_round(3)
+    eps, alpha = state.epsilon(1e-5)
+    assert 0 < eps < math.inf and alpha in state.alphas
     np.testing.assert_allclose(state.cumulative.eps, 3 * state.per_round.eps)
     assert state.rounds_recorded == 3
 

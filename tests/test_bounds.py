@@ -186,7 +186,6 @@ def test_empirical_mse_derives_no_masks(monkeypatch):
         raise AssertionError("empirical_mse derived pairwise masks")
 
     monkeypatch.setattr(secagg, "net_masks", no_masks)
-    monkeypatch.setattr(secagg, "pair_keys", no_masks)
     updates = np.random.default_rng(9).normal(size=(6, 20))
     spec = LatticeSpec(g_max=1.0, k=9, q=1001)
     assert empirical_mse(updates, spec, 1.0, 1.0, 40, seed=5) > 0

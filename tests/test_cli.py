@@ -268,8 +268,10 @@ def test_sample_bytes_bound_the_peak(tmp_path, sigma_units, count):
 
 def test_accountant_zero_rounds(tmp_path, capsys):
     cfg = write_cfg(tmp_path, ACCT_CFG.format(sigma=1.0, gamma=1.0, rounds=0, delta=1e-5))
-    assert main(["accountant", "--config", cfg]) == 0
-    assert "epsilon = 0" in capsys.readouterr().out
+    out = tmp_path / "curve.csv"
+    assert main(["accountant", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["epsilon = 0", "alpha_star = inf"]
+    assert out.read_text().splitlines() == ["alpha,eps"]
 
 
 def test_accountant_known_point(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticefl import streams
 from latticefl.bounds import payload_bits_per_client
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.errors import ConfigError, OverflowSuspected
@@ -10,7 +11,6 @@ from latticefl.lattice import LatticeSpec, wrap_centered
 from latticefl.secagg import (
     aggregate_round,
     net_masks,
-    pair_keys,
     server_aggregate,
     split_integer,
     wire_modulus,
@@ -80,36 +80,25 @@ def test_net_masks_validation():
     for wire_q in (0, 100, 101, 2**32 - 1, 2**32 + 1, 2**33):
         with pytest.raises(ValueError):
             net_masks(0, [1, 2], 4, wire_q)
-    with pytest.raises(ValueError):
-        net_masks(2**64, [1, 2], 4, 128)
-    # ids outside [0, 2**32) are refused, never wrapped into the uint32 range
-    for ids in ([1, 2**32], np.array([1, 2**32 + 1]), np.array([-1, 2])):
-        with pytest.raises(OverflowError):
-            net_masks(0, ids, 4, 128)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 - 1])
-def test_pair_keys_match_seed_sequence(seed):
-    ids = [0, 1, 7, 2**31, 2**32 - 1]
-    for s in (seed, 5, 2**40 + 3):  # one- and two-word seeds
-        keys = pair_keys(s, ids)
-        assert keys.shape == (10, 2) and keys.dtype == np.uint64
-        for p, (a, b) in enumerate(zip(*np.triu_indices(len(ids), 1))):
-            expected = np.random.SeedSequence([s, ids[a], ids[b]]).generate_state(2, np.uint64)
-            assert keys[p].tolist() == expected.tolist()
-    # and Philox takes exactly this key (with counter 0) from the sequence
-    state = np.random.Philox(np.random.SeedSequence([seed, 0, 1])).state["state"]
-    assert state["key"].tolist() == pair_keys(seed, ids)[0].tolist() and not state["counter"].any()
-
-
-def test_pair_keys_reject_seeds_outside_the_pool():
-    for seed in (-1, 2**64):
+    # Philox itself would take any key below 2**128
+    for seed in (-1, 2**64, 2**127):
         with pytest.raises(ValueError):
-            pair_keys(seed, [0, 1])
-    # and ids outside [0, 2**32), as a list or as an int64 array
-    for ids in ([1, 2**32], [-1, 2], np.array([1, 2**32 + 1]), np.array([-1, 2])):
-        with pytest.raises(OverflowError):
-            pair_keys(0, ids)
+            net_masks(seed, [1, 2], 4, 128)
+
+
+def test_pair_masks_differ_across_pairs_and_rounds():
+    # pair 0 of a round is block 0 of its stream at any m, so a two-party
+    # round gives it alone and the three-party net masks give the others
+    d_pad, wire_q = 1 << 16, 128
+    masks = []
+    for seed in (40, 41):  # rounds r and r + 1
+        first = net_masks(seed, [0, 1], d_pad, wire_q)[0]
+        net = net_masks(seed, [0, 1, 2], d_pad, wire_q)
+        masks += [first, net[0] - first, net[1] + first]  # pairs (0, 1), (0, 2), (1, 2)
+    for a, mask in enumerate(masks):
+        assert gof_pvalue_uniform(wrap_centered(mask, wire_q), wire_q) > 0.01
+        for other in masks[a + 1 :]:
+            assert not np.array_equal(mask, other)
 
 
 @st.composite
@@ -135,18 +124,20 @@ def test_net_masks_equal_summed_pair_masks(case):
 
 
 def test_net_masks_build_one_philox_per_round(monkeypatch):
-    # no generator per pair: one Philox, reloaded with each pair's key,
-    # and no Generator
+    # no generator per pair and no seed hashing: one Philox keyed by the
+    # round seed, and no Generator
     m, seeds = 30, [5, 6, 7]
     wire_q = wire_modulus(1001, m)
     expected = [summed_masks(s, list(range(m)), 64, wire_q) for s in seeds]
     built, wrapped = [], []
     philox, generator = np.random.Philox, np.random.Generator
-    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(a) or philox(*a, **k))
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(k) or philox(*a, **k))
     monkeypatch.setattr(np.random, "Generator", lambda *a, **k: wrapped.append(a) or generator(*a, **k))
+    for name in ("entropy", "seed_sequence_state", "generators"):
+        monkeypatch.setattr(streams, name, lambda *a, **k: pytest.fail("net_masks called into streams"))
     for r, seed in enumerate(seeds):
         np.testing.assert_array_equal(net_masks(seed, list(range(m)), 64, wire_q), expected[r])
-        assert len(built) == r + 1 and not wrapped
+        assert built == [{"key": s} for s in seeds[: r + 1]] and not wrapped
 
 
 def test_split_examples():

@@ -269,7 +269,8 @@ def test_reported_bytes_match_the_wire_group(m, dim, q):
     bits = ceil_log2(plan.wire_q)
     assert tr.payload_bytes_per_client == -(-plan.d_pad * bits // 8)
     assert tr.payloads.shape == (m, plan.d_pad)
-    assert int(np.abs(tr.payloads).max()) < 1 << (bits - 1)
+    # a payload is a bits-bit two's-complement integer: -2**(bits - 1) is legal
+    assert tr.payloads.min() >= -(1 << (bits - 1)) and tr.payloads.max() < 1 << (bits - 1)
 
 
 def test_payload_table_layout(tmp_path):
