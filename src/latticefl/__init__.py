@@ -15,7 +15,6 @@ from .errors import (
     HypothesisViolated,
     LatticeflError,
     NonFiniteInput,
-    OverflowSuspected,
     SamplerStall,
 )
 from .lattice import LatticeSpec, wrap_centered

@@ -18,10 +18,6 @@ class SamplerStall(LatticeflError):
     """
 
 
-class OverflowSuspected(LatticeflError):
-    """A recovered aggregate coordinate exceeded the plaintext bound."""
-
-
 class HypothesisViolated(LatticeflError):
     """A closed-form bound was requested outside its hypothesis."""
 

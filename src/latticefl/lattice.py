@@ -2,12 +2,13 @@
 
 Every protocol value lives on the lattice ``step * Z`` with
 ``step = 2 * g_max / (k - 1)``.  Scalars are plain Python ints counting
-lattice steps; vectors are int64 numpy arrays, so all modular arithmetic
-is exact.
+lattice steps; vectors are int64 numpy arrays.
 
 Quantized updates, noise shares, masks and wire payloads all count the
-same lattice steps; only the modulus of the wrap differs (the coarse
-group of size ``q`` here, the wire group in :mod:`latticefl.secagg`).
+same lattice steps.  The package wraps them only into the wire group of
+:mod:`latticefl.secagg`, a power of two that divides ``2**64``, so int64
+array sums, which wrap mod ``2**64`` without a warning, still give the
+exact residue in that group.
 """
 
 from __future__ import annotations
@@ -15,11 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConfigError
-
-# int64 accumulators: sums must stay strictly below 2**63.
-_ACCUMULATOR_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -35,8 +31,9 @@ class LatticeSpec:
         for even ``k`` the levels would sit half a step off the lattice
         and could not be carried as integers.
     q:
-        Odd modulus of the coarse cyclic group (``wrap_centered(z, q)``
-        maps onto ``{z : |z| <= (q - 1) / 2}``).
+        Odd bound that sizes the wire group: with ``m`` participants the
+        payloads travel mod the power of two above ``m q`` (see
+        :func:`latticefl.secagg.wire_modulus`).  Nothing wraps mod ``q``.
     """
 
     g_max: float
@@ -68,20 +65,6 @@ class LatticeSpec:
     def sigma_units(self, sigma: float) -> float:
         """Convert a real-valued noise scale to lattice-step units."""
         return sigma / self.step
-
-
-def ensure_accumulator_headroom(count: int, modulus: int) -> None:
-    """Reject configurations whose integer sums could overflow int64.
-
-    ``count`` values wrapped to magnitude ``< modulus`` are summed before
-    re-wrapping; their total must stay below the int64 accumulator limit
-    (with a factor-two margin for intermediates).
-    """
-    if count * modulus >= _ACCUMULATOR_LIMIT:
-        raise ConfigError(
-            f"accumulating {count} values mod {modulus} could overflow int64; "
-            "reduce q, the participant count, or the quantization level"
-        )
 
 
 def wrap_centered(z, modulus: int):

@@ -9,7 +9,10 @@ above ``m q`` (``b = ceil(log2(m q + 1))``), so a payload coordinate is a
 ``b``-bit two's-complement integer.  The group leaves at least ``m (q -
 k) / 2`` steps of room for the draw above the largest sum of ``m``
 quantized rows; the run's plan bounds the chance that the draw exceeds
-it.
+it.  A draw that does exceed it wraps, like any sum in the group: the
+server recovers the residue, a modular clip, and raises nothing.  The
+group divides ``2**64``, so int64 sums, which wrap mod ``2**64`` without
+a warning, leave the exact residue however far they overflow.
 
 Each unordered client pair derives an identical uniform mask vector from
 the round seed, as in Bonawitz et al., *Practical Secure Aggregation for
@@ -32,8 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, OverflowSuspected
-from .lattice import LatticeSpec, ensure_accumulator_headroom, wrap_centered
+from .errors import ConfigError
+from .lattice import LatticeSpec, wrap_centered
 
 # A mask coordinate is the low b bits of one 32-bit Philox word, so the
 # wire group is at most 2**32.
@@ -43,13 +46,10 @@ _WIRE_LIMIT = 1 << 32
 def wire_modulus(q: int, m: int) -> int:
     """Group size (in lattice steps) carrying the masked payloads.
 
-    The per-client coarse group of size ``q`` expands by the participant
-    count ``m`` so the plaintext sum cannot wrap; the result is the
-    smallest power of two above ``m q``, so a payload coordinate is a
-    ``ceil(log2(m q + 1))``-bit two's-complement integer.  Raises
-    ConfigError when the group exceeds ``2**32``, or when ``m + 1`` wire
-    values (a payload plus its ``m - 1`` masks, or the server's sum)
-    could overflow the int64 accumulators.
+    The smallest power of two above ``m q``, so a payload coordinate is a
+    ``ceil(log2(m q + 1))``-bit two's-complement integer and the sum of
+    ``m`` rows of at most ``q / 2`` steps each stays inside the group.
+    Raises ConfigError when the group exceeds ``2**32``.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError(f"q must be a positive odd integer, got {q}")
@@ -61,7 +61,6 @@ def wire_modulus(q: int, m: int) -> int:
             f"wire group {wire_q} (participants {m} times q = {q}) must be at most 2**32; "
             "reduce q or the participant count"
         )
-    ensure_accumulator_headroom(m + 1, wire_q)
     return wire_q
 
 
@@ -117,21 +116,20 @@ def aggregate_round(
     participants,
     mask_seed,
     spec: LatticeSpec,
-    plaintext_bound: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise, mask, wrap and aggregate one round, or a batch of unmasked
     rounds, of quantized updates.
 
     ``quantized`` is the ``(m, d_pad)`` matrix of lattice-step rows, row
     ``r`` belonging to ``participants[r]``.  Row ``r`` adds share ``r`` of
-    the shared draw ``noise_z``, then every pairwise mask derived from
-    ``mask_seed`` (``None``: unmasked), and wraps into the wire group.
-    Returns the recovered mean (see :func:`server_aggregate`) and the
-    ``(m, d_pad)`` payload matrix.  The recovered mean does not depend
-    on the masks, which sum to exactly 0.  A batch of unmasked rounds
-    stacks them on a leading axis: ``quantized`` of shape ``(rounds, m,
-    d_pad)`` and ``noise_z`` of shape ``(rounds, d_pad)``; each round's
-    results equal those of its own call bit for bit.
+    the shared draw ``noise_z``, of shape ``(d_pad,)``, then every pairwise
+    mask derived from ``mask_seed`` (``None``: unmasked), and wraps into
+    the wire group.  Returns the recovered mean (see
+    :func:`server_aggregate`) and the ``(m, d_pad)`` payload matrix.  The
+    recovered mean does not depend on the masks, which sum to exactly 0.
+    A batch of unmasked rounds stacks them on a leading axis: ``quantized``
+    of shape ``(rounds, m, d_pad)`` and ``noise_z`` of shape ``(rounds,
+    d_pad)``; each round's results equal those of its own call bit for bit.
     """
     quantized = np.asarray(quantized, dtype=np.int64)
     if quantized.ndim not in (2, 3):
@@ -139,6 +137,9 @@ def aggregate_round(
     m, d_pad = quantized.shape[-2:]
     if len(participants) != m:
         raise ValueError(f"expected {m} participant ids, got {len(participants)}")
+    noise_z = np.asarray(noise_z, dtype=np.int64)
+    if noise_z.shape != quantized.shape[:-2] + (d_pad,):
+        raise ValueError(f"expected a noise draw of shape {quantized.shape[:-2] + (d_pad,)}, got {noise_z.shape}")
     wire_q = wire_modulus(spec.q, m)
     plain = quantized + np.moveaxis(split_integer(noise_z, m), 0, -2)
     if mask_seed is not None:
@@ -146,37 +147,25 @@ def aggregate_round(
             raise ValueError("a batch of rounds is aggregated unmasked; mask one round per call")
         plain += net_masks(mask_seed, participants, d_pad, wire_q)
     payloads = wrap_centered(plain, wire_q)
-    return server_aggregate(payloads, m, wire_q, spec, plaintext_bound), payloads
+    return server_aggregate(payloads, spec), payloads
 
 
-def server_aggregate(
-    payloads,
-    m: int,
-    wire_q: int,
-    spec: LatticeSpec,
-    plaintext_bound: int | None = None,
-) -> np.ndarray:
+def server_aggregate(payloads, spec: LatticeSpec) -> np.ndarray:
     """Recover the averaged aggregate from the masked payloads.
 
-    Sums mod ``wire_q``, recenters, converts lattice steps to real values,
-    and divides by ``m``.  Equals ``(sum quantized + noise) / m`` exactly
-    whenever the plaintext sum stayed inside the group.  When
-    ``plaintext_bound`` (lattice steps) is given, any recovered coordinate
-    beyond it raises OverflowSuspected: a wrapped sum, i.e. a bug or an
-    inconsistent configuration, never statistical noise at the validated
-    settings.  ``payloads`` is one round's ``(m, d_pad)`` matrix or a
-    ``(rounds, m, d_pad)`` batch, which gives one mean per round.
+    ``payloads`` is one round's ``(m, d_pad)`` matrix or a ``(rounds, m,
+    d_pad)`` batch, which gives one mean per round; ``m`` is its second
+    to last axis and the group is ``wire_modulus(spec.q, m)``.  Sums mod
+    the group, recenters, converts lattice steps to real values, and
+    divides by ``m``: ``(sum quantized + noise) / m`` exactly when that
+    sum stays inside the group, and its residue, a modular clip, when it
+    does not.
     """
     payloads = np.asarray(payloads, dtype=np.int64)  # ValueError when ragged
-    if payloads.ndim not in (2, 3) or payloads.shape[-2] != m:
-        raise ValueError(f"expected {m} equal-length payloads, got shape {payloads.shape}")
-    ensure_accumulator_headroom(m + 1, wire_q)
-    total = wrap_centered(payloads.sum(axis=-2), wire_q)
-    if plaintext_bound is not None and int(np.abs(total).max(initial=0)) > plaintext_bound:
-        raise OverflowSuspected(
-            f"recovered coordinate magnitude {int(np.abs(total).max())} exceeds "
-            f"plaintext bound {plaintext_bound}"
-        )
+    if payloads.ndim not in (2, 3):
+        raise ValueError(f"expected (m, d_pad) or (rounds, m, d_pad) payloads, got shape {payloads.shape}")
+    m = payloads.shape[-2]
+    total = wrap_centered(payloads.sum(axis=-2), wire_modulus(spec.q, m))
     # Not total * step / m: the pinned output digests were made with this
     # order of float operations, and the plain form differs from it in the
     # last bit on many coordinates.

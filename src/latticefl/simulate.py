@@ -135,8 +135,6 @@ class SimPlan:
     rotation: compress.RotationSeed
     wire_q: int
     sensitivity: float
-    noise_margin_steps: int
-    plaintext_bound: int
     overflow_probability: float
 
 
@@ -193,8 +191,6 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
         rotation=compress.RotationSeed(_derived_int(cfg.seed, _DOM_ROTATION), d_pad),
         wire_q=wire_q,
         sensitivity=sensitivity,
-        noise_margin_steps=max(0, margin_steps),
-        plaintext_bound=m * spec.half_levels + max(0, margin_steps),
         overflow_probability=overflow_probability,
     )
 
@@ -237,9 +233,7 @@ def run_round(
         noise_z = np.zeros(plan.d_pad, dtype=np.int64)
 
     mask_seed = _derived_int(master, _DOM_MASKS) + round_index if use_masks else None
-    agg_rotated, payloads = secagg.aggregate_round(
-        quantized, noise_z, ids.tolist(), mask_seed, spec, plan.plaintext_bound
-    )
+    agg_rotated, payloads = secagg.aggregate_round(quantized, noise_z, ids.tolist(), mask_seed, spec)
     estimate = compress.unrotate(agg_rotated, plan.rotation, plan.d)
     new_w = model.w + estimate
     if not np.all(np.isfinite(new_w)):

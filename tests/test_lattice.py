@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from latticefl.errors import ConfigError
-from latticefl.lattice import LatticeSpec, ensure_accumulator_headroom, wrap_centered
+from latticefl.lattice import LatticeSpec, wrap_centered
 
 from helpers import brute_force_wrap
 
@@ -83,9 +82,3 @@ def test_step_invariant():
     spec = LatticeSpec(g_max=3.0, k=7, q=13)
     assert spec.step == pytest.approx(2 * 3.0 / 6)
     assert spec.half_levels == 3
-
-
-def test_accumulator_headroom_guard():
-    ensure_accumulator_headroom(100, 1 << 20)
-    with pytest.raises(ConfigError):
-        ensure_accumulator_headroom(1 << 40, 1 << 30)

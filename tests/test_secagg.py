@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from latticefl import streams
 from latticefl.bounds import payload_bits_per_client
 from latticefl.dgauss import DiscreteGaussian
-from latticefl.errors import ConfigError, OverflowSuspected
+from latticefl.errors import ConfigError
 from latticefl.lattice import LatticeSpec, wrap_centered
 from latticefl.secagg import (
     aggregate_round,
@@ -218,9 +218,59 @@ def test_aggregate_round_headroom_guard():
     with pytest.raises(ConfigError):
         aggregate_round(np.zeros((m, 1), dtype=np.int64), np.zeros(1, dtype=np.int64),
                         list(range(m)), None, spec)
-    # and m + 1 values of a wire group must fit an int64 accumulator
-    with pytest.raises(ConfigError):
-        server_aggregate(np.zeros((m, 1), dtype=np.int64), m, (1 << 52) + 1, spec)
+
+
+def test_aggregate_round_rejects_a_mis_shaped_noise_draw():
+    # a draw is never broadcast: one integer per coordinate, one row per round
+    spec = LatticeSpec(g_max=1.0, k=3, q=101)
+    with pytest.raises(ValueError, match="noise"):
+        aggregate_round(np.zeros((2, 4), dtype=np.int64), np.array([6]), [0, 1], None, spec)
+    with pytest.raises(ValueError, match="noise"):
+        aggregate_round(np.zeros((3, 2, 4), dtype=np.int64), np.zeros(4, dtype=np.int64),
+                        [0, 1], None, spec)
+    with pytest.raises(ValueError, match="noise"):
+        aggregate_round(np.zeros((2, 4), dtype=np.int64), np.zeros((1, 4), dtype=np.int64),
+                        [0, 1], 7, spec)
+
+
+@st.composite
+def overflowing_columns(draw):
+    """int64 rows whose every column sum lies beyond the int64 range."""
+    m = draw(st.integers(2, 8))
+    d = draw(st.integers(1, 4))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=d, max_size=d))
+    magnitudes = st.integers((1 << 62) + 1, (1 << 63) - 1)
+    rows = [[s * draw(magnitudes) for s in signs] for _ in range(m)]
+    return np.array(rows, dtype=np.int64), draw(st.integers(1, 32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(overflowing_columns())
+def test_wrapped_int64_sums_keep_the_residue_mod_2_b(case):
+    # numpy's int64 sums wrap mod 2**64, which 2**b divides, so the wrapped
+    # sum and the true one leave the same residue
+    rows, bits = case
+    for column, total in zip(rows.T.tolist(), wrap_centered(rows.sum(axis=0), 1 << bits).tolist()):
+        true_sum = sum(column)
+        assert not -(1 << 63) <= true_sum < 1 << 63
+        assert total == wrap_centered(true_sum, 1 << bits)
+
+
+def test_aggregate_round_with_rows_near_2_62_recovers_the_residue_mean():
+    # the caller's rows are any int64s: their noised sum, mod the wire
+    # group, is still recovered exactly, however far it passes 2**63
+    spec = LatticeSpec(g_max=1.0, k=3, q=101)  # step 1
+    m, wire_q = 4, wire_modulus(101, 4)
+    rows = np.array([[(1 << 62) + 3, -(1 << 62) - 5, (1 << 63) - 2],
+                     [(1 << 62) + 11, -(1 << 62) - 1, (1 << 62)],
+                     [(1 << 62) - 7, -(1 << 62) - 9, (1 << 62) + 1],
+                     [(1 << 62) + 2, -(1 << 62), 5]], dtype=np.int64)
+    noise = np.array([17, -23, 9], dtype=np.int64)
+    expected = [wrap_centered(sum(col) + z, wire_q) for col, z in zip(rows.T.tolist(), noise.tolist())]
+    for mask_seed in (None, 3):
+        mean, payloads = aggregate_round(rows, noise, [0, 1, 2, 3], mask_seed, spec)
+        np.testing.assert_array_equal(np.rint(mean * m / spec.step), expected)
+        np.testing.assert_array_equal(wrap_centered(payloads.sum(axis=0), wire_q), expected)
 
 
 @settings(max_examples=30, deadline=None)
@@ -282,21 +332,27 @@ def test_server_aggregate_recovers_quantized_values():
     # m = 1, zero noise: output is exactly the quantized update
     spec = LatticeSpec(g_max=1.0, k=5, q=101)
     z = np.array([2, -1, 0], dtype=np.int64)
-    wire_q = wire_modulus(spec.q, 1)
     payloads = masked_payloads([z], [0], round_seed=3, q=spec.q)
-    np.testing.assert_allclose(server_aggregate(payloads, 1, wire_q, spec), z * spec.step)
+    np.testing.assert_allclose(server_aggregate(payloads, spec), z * spec.step)
+
+
+def test_server_aggregate_recovers_a_sum_of_minus_half_the_group():
+    # -2**(b-1) is the group's lowest residue, a legal unwrapped sum
+    spec = LatticeSpec(g_max=1.0, k=3, q=7)  # step 1, wire group 16 for m = 2
+    mean, payloads = aggregate_round(np.array([[1], [1]]), np.array([-10]), [0, 1], 5, spec)
+    np.testing.assert_array_equal(mean, [-4.0])
+    np.testing.assert_array_equal(server_aggregate(payloads, spec), [-4.0])
 
 
 def test_transcript_replay_reconstructs_noise():
     # aggregate * m - sum(quantized) returns the shared draw bit-exactly
     m, d = 3, 16
     spec = LatticeSpec(g_max=1.0, k=9, q=4001)
-    wire_q = wire_modulus(spec.q, m)
     rng = np.random.default_rng(5)
     noise = DiscreteGaussian(2.0 * spec.step, spec).sample(rng, d)
     quantized = np.stack([rng.integers(-4, 5, size=d) for _ in range(m)])
     _, payloads = aggregate_round(quantized, noise, list(range(m)), 11, spec)
-    agg = server_aggregate(payloads, m, wire_q, spec)
+    agg = server_aggregate(payloads, spec)
     reconstructed = np.rint(agg * m / spec.step - np.sum(quantized, axis=0)).astype(np.int64)
     np.testing.assert_array_equal(reconstructed, noise)
 
@@ -316,15 +372,6 @@ def test_masked_equals_unmasked_aggregate():
 def test_server_aggregate_validation():
     spec = LatticeSpec(g_max=1.0, k=3, q=7)
     with pytest.raises(ValueError):
-        server_aggregate([np.zeros(3, dtype=np.int64)], 2, 7, spec)
+        server_aggregate(np.zeros(3, dtype=np.int64), spec)
     with pytest.raises(ValueError):
-        server_aggregate(
-            [np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64)], 2, 7, spec
-        )
-
-
-def test_overflow_diagnostic():
-    spec = LatticeSpec(g_max=1.0, k=3, q=7)
-    payload = np.array([3], dtype=np.int64)
-    with pytest.raises(OverflowSuspected):
-        server_aggregate([payload], 1, 7, spec, plaintext_bound=2)
+        server_aggregate([np.zeros(3, dtype=np.int64), np.zeros(4, dtype=np.int64)], spec)
