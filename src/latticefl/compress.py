@@ -148,12 +148,12 @@ def quantize(v: np.ndarray, spec: LatticeSpec, rng) -> np.ndarray:
     # strict: a generator count other than the row count is a ValueError
     for row, row_rng in zip(uniforms, [rng] if v.ndim == 1 else rng, strict=True):
         row_rng.random(out=row)
-    v = np.clip(v, -spec.g_max, spec.g_max)
-    step = spec.step
-    low = np.floor((v + spec.g_max) / step).astype(np.int64)
+    # The fraction is taken from the same grid position as the floor, so a
+    # position that is an integer stays on that level for every uniform.
+    position = (np.clip(v, -spec.g_max, spec.g_max) + spec.g_max) / spec.step
+    low = np.floor(position).astype(np.int64)
     np.clip(low, 0, spec.k - 2, out=low)
-    frac = (v - (low * step - spec.g_max)) / step
-    level = low + (uniforms.reshape(v.shape) < frac)
+    level = low + (uniforms.reshape(v.shape) < position - low)
     return level.astype(np.int64) - spec.half_levels
 
 

@@ -9,7 +9,9 @@ Everything is derived from the master seed through fixed-purpose seed
 sequences, so a run is a pure function of its configuration: transcripts
 are bit-identical across reruns, and the masked and unmasked execution
 paths consume identical streams (their aggregates must agree exactly;
-tests assert it).
+tests assert it).  A round's transcript keeps what the run reports and
+what the server learns, the recovered mean; the per-client payloads and
+the noise draw are dropped once the round is aggregated.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ _DOM_MASKS = 24
 OVERFLOW_BUDGET = 1e-9
 
 # Largest allocation one command may make: a plan's task data (built in
-# one copy plus a bounded block), the sample command's draws, or one
-# mse-bench cell's client stacks.  This keeps a desk-scale run within a few
-# GiB and turns an oversized n, samples_per_client, count, dims or clients
-# into a configuration error before anything is allocated.
+# one copy plus a bounded block) with the aggregates its rounds keep, the
+# sample command's draws, or one mse-bench cell's client stacks.  This
+# keeps a desk-scale run within a few GiB and turns an oversized n,
+# samples_per_client, rounds, count, dims or clients into a configuration
+# error before anything is allocated.
 TASK_DATA_BUDGET_BYTES = 2 << 30
 
 
@@ -107,19 +110,17 @@ class GlobalModel:
 
 @dataclass
 class RoundTranscript:
-    """Everything one round produced (desk scale: arrays kept in full)."""
+    """What one round reports and what the server learns from it; a run
+    keeps one ``d``-vector per round, whatever the number of participants."""
 
     round_index: int
     clients: tuple[int, ...]
     payload_bytes_per_client: int
     aggregate: np.ndarray  # recovered mean update, original dimension
-    noise_z: np.ndarray  # realized shared draw, lattice steps, padded dim
-    payloads: np.ndarray  # (m, d_pad) wire integers
     round_mse: float  # ||aggregate - mean clipped update||^2
     loss: float
     accuracy: float
     epsilon: float
-    raw_mean: np.ndarray  # mean un-clipped update
 
 
 @dataclass(frozen=True)
@@ -150,11 +151,12 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
     CLI offers an override flag).
     """
     m = participants_per_round(cfg.n, cfg.gamma)
-    check_memory_budget(
-        data_bytes(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client),
-        "task data", "reduce n, samples_per_client or dim",
-    )
     d = model_dim(cfg.task, cfg.dim)
+    # a run keeps its task data and one float64 aggregate per round
+    check_memory_budget(
+        data_bytes(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client) + cfg.rounds * d * 8,
+        "task data and per-round aggregates", "reduce n, samples_per_client, dim or rounds",
+    )
     d_pad = compress.padded_dim(d)
     if cfg.q < cfg.k:
         raise ConfigError(
@@ -233,7 +235,7 @@ def run_round(
         noise_z = np.zeros(plan.d_pad, dtype=np.int64)
 
     mask_seed = _derived_int(master, _DOM_MASKS) + round_index if use_masks else None
-    agg_rotated, payloads = secagg.aggregate_round(quantized, noise_z, ids.tolist(), mask_seed, spec)
+    agg_rotated, _ = secagg.aggregate_round(quantized, noise_z, ids.tolist(), mask_seed, spec)
     estimate = compress.unrotate(agg_rotated, plan.rotation, plan.d)
     new_w = model.w + estimate
     if not np.all(np.isfinite(new_w)):
@@ -245,13 +247,10 @@ def run_round(
         clients=tuple(ids.tolist()),
         payload_bytes_per_client=bounds.payload_bytes_per_client(m, plan.d_pad, cfg.q),
         aggregate=estimate,
-        noise_z=noise_z,
-        payloads=payloads,
         round_mse=float(np.sum((estimate - clipped_mean) ** 2)),
         loss=math.nan,
         accuracy=math.nan,
         epsilon=math.nan,
-        raw_mean=raw.mean(axis=0),
     )
     return GlobalModel(new_w, round_index), transcript
 
@@ -311,30 +310,33 @@ def convergence_report(
     """Evaluate the stationarity bound from the rounds of a run of ``plan``.
 
     With one full-batch local step per round, a client's update is
-    ``-lr * grad``; dividing the recorded update means by ``-lr`` turns
-    them back into gradient estimates.  Each round's starting weights are
+    ``-lr * grad`` of its shard's loss, so each round's gradient estimate
+    is the mean of the participants' shard gradients and the server's is
+    the aggregate divided by ``-lr``.  Each round's starting weights are
     rebuilt from the initial weights plus the earlier rounds' aggregates,
     as :func:`run_round` applies them, so the transcripts must run from
     round 1.  ``smoothness``, ``grad_bound`` and ``initial_gap`` (L, rho,
     rho_F) are supplied by the caller.
     """
-    if plan.cfg.local.steps != 1:
-        raise ConfigError("the convergence report assumes one local step per round")
+    cfg, task = plan.cfg, plan.task
+    batch = cfg.local.batch_size
+    if cfg.local.steps != 1 or (batch is not None and batch < cfg.samples_per_client):
+        raise ConfigError("the convergence report assumes one full-batch local step per round")
     if not transcripts:
         raise ValueError("need at least one recorded round")
     if [tr.round_index for tr in transcripts] != list(range(1, len(transcripts) + 1)):
         raise ValueError("transcripts must hold every round of the run from round 1, in order")
-    learning_rate = plan.cfg.local.learning_rate
-    w = plan.task.init_weights()
+    learning_rate = cfg.local.learning_rate
+    w = task.init_weights()
     T = len(transcripts)
     sample_dev_sq = 0.0
     est_dev_sq = 0.0
     dev_bound = 0.0
     grad_sq = 0.0
     for tr in transcripts:
-        g = -np.asarray(tr.raw_mean) / learning_rate
+        g = np.mean([task.grad(w, task.points[c], task.targets[c]) for c in tr.clients], axis=0)
         g_est = -np.asarray(tr.aggregate) / learning_rate
-        full = plan.task.full_gradient(w)
+        full = task.full_gradient(w)
         w = w + tr.aggregate
         sample_dev_sq = max(sample_dev_sq, float(np.sum((g - full) ** 2)))
         est_dev_sq = max(est_dev_sq, float(np.sum((g - g_est) ** 2)))
@@ -355,17 +357,3 @@ def convergence_report(
         rhs=rhs,
         grad_sq_mean=grad_sq / T,
     )
-
-
-def write_payload_csv(transcripts: list[RoundTranscript], path) -> None:
-    """Dump wire payloads in the documented debug layout.
-
-    Columns: round, client, coordinate, payload_int.  Together with the
-    run's seeds this is enough to replay the aggregation and reconstruct
-    the realized noise draw.
-    """
-    with open(path, "w") as fh:
-        fh.write("round,client,coordinate,payload_int\n")
-        for tr in transcripts:
-            for cid, row in zip(tr.clients, tr.payloads):
-                fh.writelines(f"{tr.round_index},{cid},{j},{int(v)}\n" for j, v in enumerate(row))

@@ -11,7 +11,9 @@ reference evaluates each rejection step as a fresh array, the task
 shards are sliced out of a reordered copy of the data, one copy per
 client, or gathered into a new array in one step, the spiral draw
 stacks fresh arrays, and the logistic draw adds an ``np.outer`` term
-and appends the bias column with ``np.hstack``.
+and appends the bias column with ``np.hstack``.  A spy on
+``secagg.aggregate_round`` records the wire state that transcripts do
+not keep, and writes it out in the payload debug layout.
 """
 
 from __future__ import annotations
@@ -141,6 +143,44 @@ def summed_masks(round_seed: int, ids, d_pad: int, wire_q: int) -> np.ndarray:
         net[mask.sender] += mask.values
         net[mask.receiver] -= mask.values
     return np.stack([net[cid] for cid in ids])
+
+
+@dataclass(frozen=True)
+class WireRound:
+    """One call of ``secagg.aggregate_round``: the participants, the
+    shared noise draw and the ``(m, d_pad)`` payload matrix."""
+
+    clients: tuple[int, ...]
+    noise_z: np.ndarray
+    payloads: np.ndarray
+
+
+def record_wire(monkeypatch) -> list[WireRound]:
+    """Wrap ``secagg.aggregate_round`` so that every later call appends its
+    wire state to the returned list, in call order: round 1 first for a
+    run of ``simulate.run_training``."""
+    rounds: list[WireRound] = []
+    aggregate_round = secagg.aggregate_round
+
+    def spy(quantized, noise_z, participants, mask_seed, spec):
+        mean, payloads = aggregate_round(quantized, noise_z, participants, mask_seed, spec)
+        rounds.append(WireRound(tuple(participants), np.array(noise_z), payloads))
+        return mean, payloads
+
+    monkeypatch.setattr(secagg, "aggregate_round", spy)
+    return rounds
+
+
+def write_payload_csv(rounds: list[WireRound], path) -> None:
+    """Dump the recorded payloads of rounds 1, 2, ... in the debug layout:
+    columns round, client, coordinate, payload_int.  Together with the
+    run's seeds this is enough to replay the aggregation and reconstruct
+    the realized noise draw."""
+    with open(path, "w") as fh:
+        fh.write("round,client,coordinate,payload_int\n")
+        for round_index, wire in enumerate(rounds, 1):
+            for cid, row in zip(wire.clients, wire.payloads):
+                fh.writelines(f"{round_index},{cid},{j},{int(v)}\n" for j, v in enumerate(row))
 
 
 def client_rng_reference(master: int, domain: int, round_index: int, cid: int) -> np.random.Generator:

@@ -429,6 +429,7 @@ def test_non_finite_protocol_value_rejected(tmp_path, capsys, key, value):
         ("samples_per_client", "0"),
         ("samples_per_client", "-3"),
         ("n", "1000000000"),
+        ("rounds", "20000000"),  # 20e6 aggregates of 20 floats: 3.2 GB kept by the run
         ("k", "4"),
         ("q", "4"),
         ("k", "5001"),

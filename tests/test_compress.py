@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from latticefl.compress import (
     RotationSeed,
@@ -276,6 +279,69 @@ def test_quantize_output_in_level_range():
 def test_quantize_clamps_out_of_range():
     z = quantize(np.array([57.0, -57.0]), SPEC, np.random.default_rng(10))
     np.testing.assert_array_equal(z, [SPEC.half_levels, -SPEC.half_levels])
+
+
+class FixedUniforms:
+    """Generator stub: ``random(out=row)`` fills the row with ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, out):
+        out.fill(self.u)
+
+
+BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def quantize_with(v, spec, uniforms):
+    """``quantize`` of a vector or stack whose row ``r`` draws ``uniforms[r]``."""
+    stubs = [FixedUniforms(u) for u in uniforms]
+    return quantize(v, spec, stubs[0] if v.ndim == 1 else stubs)
+
+
+@st.composite
+def specs_and_stacks(draw):
+    spec = LatticeSpec(g_max=draw(st.floats(1e-6, 1e6)), k=2 * draw(st.integers(1, 40)) + 1, q=101)
+    near = st.floats(-1.5 * spec.g_max, 1.5 * spec.g_max)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    shape = draw(st.sampled_from([(), (1,), (3,)])) + (draw(st.integers(1, 9)),)
+    v = draw(hnp.arrays(np.float64, shape, elements=st.one_of(near, finite)))
+    return spec, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=specs_and_stacks(), u=st.floats(0.0, 1.0, exclude_max=True))
+def test_quantize_rounds_to_a_neighbouring_level(case, u):
+    # x is a coordinate's grid position plus (k - 1)/2, which rounding can
+    # put an ulp above the top level k - 1: the output plus (k - 1)/2 is
+    # ceil(x) when the uniforms are 0, floor(x) when they are just below 1,
+    # and one of the two for any uniform.
+    spec, v = case
+    rows = 1 if v.ndim == 1 else len(v)
+    x = np.minimum((np.clip(v, -spec.g_max, spec.g_max) + spec.g_max) / spec.step, spec.k - 1)
+    for uniform, expected in ((u, None), (0.0, np.ceil(x)), (BELOW_ONE, np.floor(x))):
+        z = quantize_with(v, spec, [uniform] * rows) + spec.half_levels
+        assert z.min() >= 0 and z.max() <= spec.k - 1
+        assert np.all((z == np.floor(x)) | (z == np.ceil(x)))
+        if expected is not None:
+            np.testing.assert_array_equal(z, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    exponent=st.integers(-20, 20),
+    bits=st.integers(1, 8),
+    levels=hnp.arrays(np.int64, st.tuples(st.integers(1, 3), st.integers(1, 9)), elements=st.integers(0, 256)),
+)
+def test_quantize_keeps_a_coordinate_on_a_level(exponent, bits, levels):
+    # with k - 1 and g_max powers of two every level -g_max + r step is an
+    # exact float, so its grid position is exact too
+    spec = LatticeSpec(g_max=2.0**exponent, k=2**bits + 1, q=2**bits + 1)
+    levels = levels % spec.k
+    v = -spec.g_max + levels * spec.step
+    for u in (0.0, BELOW_ONE):
+        np.testing.assert_array_equal(quantize_with(v, spec, [u] * len(v)), levels - spec.half_levels)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

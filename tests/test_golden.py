@@ -15,7 +15,9 @@ import pytest
 
 from latticefl.cli import main
 from latticefl.config import load_config
-from latticefl.simulate import run_training, write_payload_csv
+from latticefl.simulate import run_training
+
+from helpers import record_wire, write_payload_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -58,11 +60,12 @@ def test_train_digest(tmp_path):
     assert sha256(data) == GOLDEN["train"]
 
 
-def test_train_payload_digest(tmp_path):
+def test_train_payload_digest(tmp_path, monkeypatch):
     # the masks cancel in the aggregate, so only the wire payloads pin them
     cfg = load_config(CONFIGS / "train.cfg")
-    _, transcripts, _ = run_training(cfg.round_config)
-    write_payload_csv(transcripts, tmp_path / "payloads.csv")
+    wire = record_wire(monkeypatch)
+    run_training(cfg.round_config)
+    write_payload_csv(wire, tmp_path / "payloads.csv")
     assert sha256((tmp_path / "payloads.csv").read_bytes()) == GOLDEN["train-payloads"]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -17,9 +18,10 @@ from latticefl.simulate import (
     run_round,
     run_training,
     subsample_clients,
-    write_payload_csv,
 )
 from latticefl.tasks import LocalTrainerSpec
+
+from helpers import record_wire, write_payload_csv
 
 
 def small_cfg(**overrides):
@@ -171,25 +173,31 @@ def test_zero_updates_leave_model_unchanged(monkeypatch):
     assert tr.round_mse == 0.0
 
 
-def test_masked_and_unmasked_agree_bitwise():
+def test_masked_and_unmasked_agree_bitwise(monkeypatch):
     cfg = small_cfg()
+    wire = record_wire(monkeypatch)
     m1, t1, _ = run_training(cfg, use_masks=True)
     m2, t2, _ = run_training(cfg, use_masks=False)
     np.testing.assert_array_equal(m1.w, m2.w)
     for a, b in zip(t1, t2):
         np.testing.assert_array_equal(a.aggregate, b.aggregate)
+    assert len(wire) == 2 * cfg.rounds
+    for a, b in zip(wire[: cfg.rounds], wire[cfg.rounds :]):
         np.testing.assert_array_equal(a.noise_z, b.noise_z)
 
 
-def test_training_is_deterministic():
+def test_training_is_deterministic(monkeypatch):
     cfg = small_cfg()
+    wire = record_wire(monkeypatch)
     m1, t1, _ = run_training(cfg)
     m2, t2, _ = run_training(cfg)
     np.testing.assert_array_equal(m1.w, m2.w)
     for a, b in zip(t1, t2):
-        np.testing.assert_array_equal(a.payloads, b.payloads)
         assert a.clients == b.clients
         assert a.epsilon == b.epsilon
+    assert len(wire) == 2 * cfg.rounds
+    for a, b in zip(wire[: cfg.rounds], wire[cfg.rounds :]):
+        np.testing.assert_array_equal(a.payloads, b.payloads)
 
 
 def test_noiseless_round_tracks_plain_averaging():
@@ -201,9 +209,11 @@ def test_noiseless_round_tracks_plain_averaging():
     plan = make_plan(cfg)
     model = GlobalModel(plan.task.init_weights(), 0)
     new_model, tr = run_round(model, plan, 1)
-    assert tr.raw_mean is not None
+    # one full-batch step draws no randomness, so the clients' updates replay without their generators
+    updates = [plan.task.local_update(model.w, c, cfg.local, None) - model.w for c in tr.clients]
+    raw_mean = np.mean(updates, axis=0)
     tolerance = plan.spec.step * math.sqrt(plan.d_pad)
-    assert np.linalg.norm(new_model.w - (model.w + tr.raw_mean)) <= tolerance
+    assert np.linalg.norm(new_model.w - (model.w + raw_mean)) <= tolerance
 
 
 def test_training_zero_rounds():
@@ -258,46 +268,62 @@ def test_transcript_byte_counts():
 
 
 @pytest.mark.parametrize("m, dim, q", [(1, 8, 9), (7, 8, 3001), (10, 1000, 4097), (200, 20, 4097)])
-def test_reported_bytes_match_the_wire_group(m, dim, q):
+def test_reported_bytes_match_the_wire_group(monkeypatch, m, dim, q):
     # the reported per-client upload is exactly what the payloads need
     from latticefl.bounds import ceil_log2
 
     cfg = small_cfg(n=m, gamma=1.0, rounds=1, dim=dim, q=q, samples_per_client=2)
     plan = make_plan(cfg)
     model = GlobalModel(plan.task.init_weights(), 0)
+    wire = record_wire(monkeypatch)
     _, tr = run_round(model, plan, 1)
     bits = ceil_log2(plan.wire_q)
     assert tr.payload_bytes_per_client == -(-plan.d_pad * bits // 8)
-    assert tr.payloads.shape == (m, plan.d_pad)
+    (sent,) = wire
+    assert sent.clients == tr.clients and sent.payloads.shape == (m, plan.d_pad)
     # a payload is a bits-bit two's-complement integer: -2**(bits - 1) is legal
-    assert tr.payloads.min() >= -(1 << (bits - 1)) and tr.payloads.max() < 1 << (bits - 1)
+    assert sent.payloads.min() >= -(1 << (bits - 1)) and sent.payloads.max() < 1 << (bits - 1)
 
 
-def test_payload_table_layout(tmp_path):
+def test_no_per_client_arrays_retained():
+    # a run keeps one d-vector per round, not the m x d_pad wire rows
+    cfg = small_cfg(rounds=2, dim=6)
+    plan = make_plan(cfg)
+    _, transcripts, _ = run_training(cfg, plan=plan)
+    assert plan.m * plan.d_pad > plan.d
+    for tr in transcripts:
+        for field in dataclasses.fields(tr):
+            value = getattr(tr, field.name)
+            assert not isinstance(value, np.ndarray) or value.size <= plan.d, field.name
+
+
+def test_payload_table_layout(tmp_path, monkeypatch):
+    wire = record_wire(monkeypatch)
     _, transcripts, _ = run_training(small_cfg(rounds=1))
     path = tmp_path / "payloads.csv"
-    write_payload_csv(transcripts, path)
+    write_payload_csv(wire, path)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     plan = make_plan(small_cfg(rounds=1))
     assert len(rows) == plan.m * plan.d_pad
-    tr = transcripts[0]
+    tr, (sent,) = transcripts[0], wire
     for r, (rnd, client, coord, value) in enumerate(rows):
         rank, at = divmod(r, plan.d_pad)
         assert (int(rnd), int(client), int(coord)) == (1, tr.clients[rank], at)
-        assert int(value) == int(tr.payloads[rank][at])
+        assert int(value) == int(sent.payloads[rank][at])
 
 
-def test_payload_csv_dump(tmp_path):
+def test_payload_csv_dump(tmp_path, monkeypatch):
+    wire = record_wire(monkeypatch)
     _, transcripts, _ = run_training(small_cfg(rounds=2))
     path = tmp_path / "payloads.csv"
-    write_payload_csv(transcripts, path)
+    write_payload_csv(wire, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "round,client,coordinate,payload_int"
-    assert len(lines) == 1 + sum(tr.payloads.size for tr in transcripts)
+    assert len(lines) == 1 + sum(sent.payloads.size for sent in wire)
     rnd, client, coord, value = lines[1].split(",")
     assert (int(rnd), int(coord)) == (1, 0)
     assert int(client) in transcripts[0].clients
-    assert int(value) == int(transcripts[0].payloads[0][0])
+    assert int(value) == int(wire[0].payloads[0][0])
 
 
 def test_aggregation_unbiased_without_noise():
@@ -392,3 +418,23 @@ def test_convergence_report_needs_single_step():
     _, transcripts, _ = run_training(cfg, plan=plan)
     with pytest.raises(ConfigError):
         convergence_report(plan, transcripts, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("batch_size, full", [(4, False), (11, False), (12, True), (50, True), (None, True)])
+def test_convergence_report_needs_a_full_batch(batch_size, full):
+    # the report recomputes each participant's gradient on its whole shard
+    # (samples_per_client = 12), which a mini-batch step does not take
+    cfg = small_cfg(rounds=2, local=LocalTrainerSpec(steps=1, learning_rate=0.5, batch_size=batch_size))
+    plan = make_plan(cfg)
+    _, transcripts, _ = run_training(cfg, plan=plan)
+    if full:
+        assert convergence_report(plan, transcripts, 1.0, 1.0, 1.0).rounds == 2
+    else:
+        with pytest.raises(ConfigError):
+            convergence_report(plan, transcripts, 1.0, 1.0, 1.0)
+
+
+def test_make_plan_counts_the_aggregates_a_run_keeps():
+    # 300000 rounds of a 1000-vector: 2.4 GB of aggregates beside 48 kB of data
+    with pytest.raises(ConfigError, match="rounds"):
+        make_plan(small_cfg(n=1, gamma=1.0, dim=1000, rounds=300_000))
