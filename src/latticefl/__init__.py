@@ -20,11 +20,9 @@ from .errors import (
 from .lattice import LatticeSpec, wrap_centered
 from .secagg import aggregate_round, server_aggregate, split_integer, wire_modulus
 from .simulate import (
-    ConvergenceReport,
     GlobalModel,
     RoundConfig,
     RoundTranscript,
-    convergence_report,
     make_plan,
     run_round,
     run_training,

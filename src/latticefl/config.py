@@ -279,7 +279,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name the section "", so no section supplies defaults
+    # to the others: [DEFAULT] is one more unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(path.read_text())
     except configparser.Error as exc:

@@ -1,4 +1,4 @@
-"""Discrete Gaussian on the lattice: exact sampling and mass utilities.
+"""Discrete Gaussian on the lattice: exact sampling, variance and tail bounds.
 
 The distribution puts mass proportional to ``exp(-x^2 / (2 sigma^2))`` on
 each lattice point ``x``.  Internally everything is computed on the
@@ -15,16 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import SamplerStall
 from .lattice import LatticeSpec
-
-# Terms of every truncated series stop once they drop below this fraction
-# of the running sum; the minimum summation radius is 20 sigma.
-SERIES_RTOL = 1e-20
 
 # Candidate draws per requested sample before the sampler is declared
 # stalled.  The accept rate is bounded away from zero for all sigma, so
@@ -124,21 +119,6 @@ def sample_integer_gaussian(
     return out
 
 
-@lru_cache(maxsize=256)
-def _log_normalizer(sigma_units: float) -> float:
-    """log of ``sum_z exp(-z^2 / (2 sigma^2))`` over integers ``z``."""
-    var = sigma_units * sigma_units
-    radius = max(1, math.ceil(20.0 * sigma_units))
-    z = np.arange(-radius, radius + 1, dtype=float)
-    total = float(np.exp(-(z * z) / (2.0 * var)).sum())
-    while True:
-        radius += 1
-        term = 2.0 * math.exp(-(radius * radius) / (2.0 * var))
-        if term < SERIES_RTOL * total:
-            return math.log(total)
-        total += term
-
-
 @dataclass(frozen=True)
 class DiscreteGaussian:
     """Symmetric discrete Gaussian ``N_L(sigma)`` on a lattice.
@@ -161,15 +141,6 @@ class DiscreteGaussian:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` exact samples in lattice steps."""
         return sample_integer_gaussian(self.sigma_units, rng, size)
-
-    def log_pmf(self, z) -> float | np.ndarray:
-        zz = np.asarray(z, dtype=float)
-        su = self.sigma_units
-        out = -(zz * zz) / (2.0 * su * su) - _log_normalizer(su)
-        return float(out) if np.isscalar(z) else out
-
-    def pmf(self, z) -> float | np.ndarray:
-        return np.exp(self.log_pmf(z))
 
     def variance_upper_bound(self) -> float:
         """Closed-form upper bound on the variance, in real units.
@@ -202,31 +173,3 @@ class DiscreteGaussian:
         else:
             lower = 0.0
         return upper, lower
-
-    def renyi_divergence(self, mu: int, alpha: float) -> float:
-        """Order-``alpha`` Renyi divergence between the distribution and
-        its shift by ``mu`` lattice steps, by truncated summation.
-
-        This is the numeric ground truth the accountant's closed form
-        ``alpha * mu^2 / (2 sigma_units^2)`` must dominate.
-        """
-        if alpha <= 1.0:
-            raise ValueError(f"alpha must be > 1, got {alpha}")
-        mu = int(mu)
-        if mu == 0:
-            return 0.0
-        su = self.sigma_units
-        var = su * su
-        # Summand exp(-(alpha x^2 + (1-alpha)(x-mu)^2) / (2 var)) peaks at
-        # x = (1 - alpha) mu with unit curvature, hence width ~ sigma.
-        center = (1.0 - alpha) * mu
-        radius = max(1, math.ceil(20.0 * su)) + 5
-        while True:
-            x = np.arange(math.floor(center) - radius, math.floor(center) + radius + 1, dtype=float)
-            log_terms = -(alpha * x * x + (1.0 - alpha) * (x - mu) ** 2) / (2.0 * var)
-            log_num = logsumexp(log_terms)
-            edge = max(log_terms[0], log_terms[-1])
-            if edge < log_num + math.log(SERIES_RTOL):
-                break
-            radius *= 2
-        return (log_num - _log_normalizer(su)) / (alpha - 1.0)

@@ -285,75 +285,3 @@ def run_training(
         tr.loss, tr.accuracy = plan.task.eval_metrics(model.w)
         transcripts.append(tr)
     return model, transcripts, acct
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Gradient-stationarity bound and the measured quantities behind it."""
-
-    rounds: int
-    sampling_dev_sq: float  # max_t ||g_t - grad F(w_t)||^2
-    estimate_dev_sq: float  # max_t ||g_t - estimate_t||^2
-    lambda_sq: float  # 2 * sampling_dev_sq + 2 * estimate_dev_sq
-    deviation_bound: float  # max_t ||g_t - estimate_t||
-    rhs: float
-    grad_sq_mean: float  # mean ||grad F(w_t)||^2 over recorded rounds
-
-
-def convergence_report(
-    plan: SimPlan,
-    transcripts: list[RoundTranscript],
-    smoothness: float,
-    grad_bound: float,
-    initial_gap: float,
-) -> ConvergenceReport:
-    """Evaluate the stationarity bound from the rounds of a run of ``plan``.
-
-    With one full-batch local step per round, a client's update is
-    ``-lr * grad`` of its shard's loss, so each round's gradient estimate
-    is the mean of the participants' shard gradients and the server's is
-    the aggregate divided by ``-lr``.  Each round's starting weights are
-    rebuilt from the initial weights plus the earlier rounds' aggregates,
-    as :func:`run_round` applies them, so the transcripts must run from
-    round 1.  ``smoothness``, ``grad_bound`` and ``initial_gap`` (L, rho,
-    rho_F) are supplied by the caller.
-    """
-    cfg, task = plan.cfg, plan.task
-    batch = cfg.local.batch_size
-    if cfg.local.steps != 1 or (batch is not None and batch < cfg.samples_per_client):
-        raise ConfigError("the convergence report assumes one full-batch local step per round")
-    if not transcripts:
-        raise ValueError("need at least one recorded round")
-    if [tr.round_index for tr in transcripts] != list(range(1, len(transcripts) + 1)):
-        raise ValueError("transcripts must hold every round of the run from round 1, in order")
-    learning_rate = cfg.local.learning_rate
-    w = task.init_weights()
-    T = len(transcripts)
-    sample_dev_sq = 0.0
-    est_dev_sq = 0.0
-    dev_bound = 0.0
-    grad_sq = 0.0
-    for tr in transcripts:
-        g = np.mean([task.grad(w, task.points[c], task.targets[c]) for c in tr.clients], axis=0)
-        g_est = -np.asarray(tr.aggregate) / learning_rate
-        full = task.full_gradient(w)
-        w = w + tr.aggregate
-        sample_dev_sq = max(sample_dev_sq, float(np.sum((g - full) ** 2)))
-        est_dev_sq = max(est_dev_sq, float(np.sum((g - g_est) ** 2)))
-        dev_bound = max(dev_bound, float(np.linalg.norm(g - g_est)))
-        grad_sq += float(full @ full)
-    lambda_sq = 2.0 * sample_dev_sq + 2.0 * est_dev_sq
-    rhs = (
-        2.0 * initial_gap * smoothness / T
-        + 2.0 * math.sqrt(2.0) * math.sqrt(lambda_sq) * math.sqrt(smoothness * initial_gap) / math.sqrt(T)
-        + grad_bound * dev_bound
-    )
-    return ConvergenceReport(
-        rounds=T,
-        sampling_dev_sq=sample_dev_sq,
-        estimate_dev_sq=est_dev_sq,
-        lambda_sq=lambda_sq,
-        deviation_bound=dev_bound,
-        rhs=rhs,
-        grad_sq_mean=grad_sq / T,
-    )

@@ -3,8 +3,8 @@
 Three tasks back the simulator: linear regression with a known optimum,
 two-class logistic regression on Gaussian blobs, and a tiny MLP on 2-D
 spirals.  All are deterministic given the seed, cheap enough for
-thousand-round runs, and expose the full-batch gradient needed by the
-convergence report.
+thousand-round runs, and expose an exact gradient, which local training
+steps along.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class LocalTrainerSpec:
     """Per-round local optimization: plain SGD.
 
     ``batch_size = None`` means full-batch, so ``steps = 1`` performs one
-    exact gradient step (the mode the convergence report assumes).
+    exact gradient step on the client's shard.
     """
 
     steps: int = 1
@@ -47,11 +47,12 @@ def _sigmoid(z):
 
 
 class Task:
-    """Shared plumbing: client shards, minibatch SGD, pooled gradient.
+    """Shared plumbing: client shards, minibatch SGD, evaluation.
 
     The training data is stacked client-major: client ``c`` holds
     ``points[c]`` (shape ``(samples_per_client, features)``) and
-    ``targets[c]``.
+    ``targets[c]``.  Each task defines ``grad(w, X, y)``, and the
+    ``_outputs(w, X)`` and ``_loss_of(out, y)`` that evaluation reads.
     """
 
     dim: int
@@ -62,36 +63,14 @@ class Task:
     def init_weights(self) -> np.ndarray:
         return np.zeros(self.dim)
 
-    def grad(self, w, X, y) -> np.ndarray:
-        raise NotImplementedError
-
-    def _outputs(self, w, X) -> np.ndarray:
-        """The model's output per row of ``X``, which loss and accuracy read."""
-        raise NotImplementedError
-
-    def _loss_of(self, out, y) -> float:
-        raise NotImplementedError
-
     def _accuracy_of(self, out, y) -> float:
         return float("nan")
-
-    def loss(self, w, X, y) -> float:
-        return self._loss_of(self._outputs(w, X), y)
 
     def eval_metrics(self, w) -> tuple[float, float]:
         """Loss and accuracy on the evaluation set, from one forward pass."""
         X, y = self.eval_set
         out = self._outputs(w, X)
         return self._loss_of(out, y), self._accuracy_of(out, y)
-
-    def pooled(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every client's points and targets as one training set, client by
-        client (views, not copies)."""
-        return self.points.reshape(-1, self.points.shape[-1]), self.targets.reshape(-1)
-
-    def full_gradient(self, w) -> np.ndarray:
-        """Exact gradient of the pooled training loss."""
-        return self.grad(w, *self.pooled())
 
     def local_update(
         self, w: np.ndarray, client: int, trainer: LocalTrainerSpec, rng: np.random.Generator
@@ -146,12 +125,6 @@ class LinearRegressionTask(Task):
     def _loss_of(self, out, y):
         r = out - y
         return float(0.5 * (r @ r) / len(y))
-
-    def smoothness(self) -> float:
-        """Largest eigenvalue of the pooled design covariance (the L of
-        the convergence report)."""
-        X = self.pooled()[0]
-        return float(np.linalg.eigvalsh(X.T @ X / len(X)).max())
 
 
 class LogisticBlobsTask(Task):

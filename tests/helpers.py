@@ -1,19 +1,26 @@
 """Shared oracles and reference implementations for the test suite.
 
-These stay independent of the code paths they check: the wrap oracle is
-a brute-force search, the distribution oracles are truncated sums over
-the pmf, goodness-of-fit runs through scipy's chi-square, each pairwise
-mask is read from its own fresh copy of the round's Philox stream after
-skipping the blocks of the pairs before it, a client's round streams from
-one ``default_rng`` each, the empirical MSE reference runs one trial at
-a time with one generator per stream, the sampler
-reference evaluates each rejection step as a fresh array, the task
-shards are sliced out of a reordered copy of the data, one copy per
-client, or gathered into a new array in one step, the spiral draw
-stacks fresh arrays, and the logistic draw adds an ``np.outer`` term
-and appends the bias column with ``np.hstack``.  A spy on
-``secagg.aggregate_round`` records the wire state that transcripts do
-not keep, and writes it out in the payload debug layout.
+These stay independent of the code paths they check:
+- the wrap oracle is a brute-force search;
+- the discrete Gaussian's pmf and its Renyi divergence are truncated sums
+  of ``exp(-z^2 / (2 sigma^2))``, and the variance and tail oracles sum
+  that pmf; goodness-of-fit runs through scipy's chi-square;
+- each pairwise mask is read from its own fresh copy of the round's
+  Philox stream after skipping the blocks of the pairs before it;
+- a client's round streams come from one ``default_rng`` each;
+- the empirical MSE reference runs one trial at a time with one generator
+  per stream;
+- the sampler reference evaluates each rejection step as a fresh array;
+- the task shards are sliced out of a reordered copy of the data, one
+  copy per client, or gathered into a new array in one step; the spiral
+  draw stacks fresh arrays, and the logistic draw adds an ``np.outer``
+  term and appends the bias column with ``np.hstack``;
+- a task's pooled loss, gradient and smoothness read every client's
+  shard at once, and the convergence report checks the paper's
+  stationarity bound from each round's recomputed client gradients.
+
+A spy on ``secagg.aggregate_round`` records the wire state that
+transcripts do not keep, and writes it out in the payload debug layout.
 """
 
 from __future__ import annotations
@@ -22,10 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from latticefl import compress, secagg
 from latticefl.dgauss import check_sigma_units, sample_integer_gaussian
+from latticefl.errors import ConfigError
 
 
 def brute_force_wrap(z: int, modulus: int) -> int:
@@ -37,10 +45,38 @@ def brute_force_wrap(z: int, modulus: int) -> int:
     raise AssertionError("no residue found")
 
 
+def _log_normaliser(sigma_units: float) -> float:
+    """log of ``sum_z exp(-z^2 / (2 sigma^2))`` over ``|z| <= 20 sigma``;
+    the terms past it add less than 1e-87 of the sum."""
+    radius = max(1, math.ceil(20.0 * sigma_units))
+    z = np.arange(-radius, radius + 1, dtype=float)
+    return math.log(np.exp(-(z * z) / (2.0 * sigma_units * sigma_units)).sum())
+
+
+def pmf(dist, z):
+    """Mass of the discrete Gaussian ``dist`` at the integers ``z``, in
+    lattice steps."""
+    z = np.asarray(z, dtype=float)
+    su = dist.sigma_units
+    return np.exp(-(z * z) / (2.0 * su * su) - _log_normaliser(su))
+
+
+def renyi_divergence(dist, mu: int, alpha: float) -> float:
+    """Order-``alpha`` Renyi divergence between ``dist`` and its shift by
+    ``mu`` lattice steps: ``log sum_x p(x)^alpha p(x - mu)^(1 - alpha)``
+    over ``alpha - 1``.  The summand is a Gaussian of width sigma about
+    ``(1 - alpha) mu``, summed 20 sigma + 5 either side."""
+    su = dist.sigma_units
+    centre, radius = math.floor((1.0 - alpha) * mu), max(1, math.ceil(20.0 * su)) + 5
+    x = np.arange(centre - radius, centre + radius + 1, dtype=float)
+    log_terms = -(alpha * x * x + (1.0 - alpha) * (x - mu) ** 2) / (2.0 * su * su)
+    return (special.logsumexp(log_terms) - _log_normaliser(su)) / (alpha - 1.0)
+
+
 def pmf_oracle(dist, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Support [-radius, radius] and pmf values on it."""
     support = np.arange(-radius, radius + 1)
-    return support, np.asarray(dist.pmf(support))
+    return support, pmf(dist, support)
 
 
 def variance_oracle(dist, radius: int | None = None) -> float:
@@ -56,7 +92,7 @@ def tail_oracle(dist, m: int, radius: int | None = None) -> float:
     if radius is None:
         radius = max(m + 5, int(np.ceil(25 * dist.sigma_units)))
     support = np.arange(m, radius + 1)
-    return float(np.sum(dist.pmf(support)))
+    return float(np.sum(pmf(dist, support)))
 
 
 def gof_pvalue_discrete(samples: np.ndarray, dist, min_pmf: float = 1e-6) -> float:
@@ -286,3 +322,78 @@ def spiral_draw_reference(rng: np.random.Generator, count: int, noise: float) ->
     angle = t + labels * math.pi
     pts = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
     return pts + noise * rng.normal(size=pts.shape), labels.astype(float)
+
+
+def pooled(task) -> tuple[np.ndarray, np.ndarray]:
+    """Every client's points and targets as one training set, client by
+    client."""
+    return task.points.reshape(-1, task.points.shape[-1]), task.targets.reshape(-1)
+
+
+def loss(task, w, X, y) -> float:
+    """The task's loss of weights ``w`` on the points ``X`` and targets ``y``."""
+    return task._loss_of(task._outputs(w, X), y)
+
+
+def full_gradient(task, w) -> np.ndarray:
+    """Exact gradient of the pooled training loss."""
+    return task.grad(w, *pooled(task))
+
+
+def smoothness(task) -> float:
+    """Largest eigenvalue of the pooled design covariance: the smoothness
+    L of a linear task's loss."""
+    X = pooled(task)[0]
+    return float(np.linalg.eigvalsh(X.T @ X / len(X)).max())
+
+
+@dataclass(frozen=True)
+class ConvergenceReport:
+    """Gradient-stationarity bound and the measured quantities behind it."""
+
+    rounds: int
+    sampling_dev_sq: float  # max_t ||g_t - grad F(w_t)||^2
+    estimate_dev_sq: float  # max_t ||g_t - estimate_t||^2
+    lambda_sq: float  # 2 * sampling_dev_sq + 2 * estimate_dev_sq
+    deviation_bound: float  # max_t ||g_t - estimate_t||
+    rhs: float
+    grad_sq_mean: float  # mean ||grad F(w_t)||^2 over recorded rounds
+
+
+def convergence_report(plan, transcripts, smoothness, grad_bound, initial_gap) -> ConvergenceReport:
+    """The paper's stationarity bound along the rounds of a run of ``plan``.
+
+    With one full-batch local step per round, a client's update is
+    ``-lr * grad`` of its shard's loss, so each round's gradient estimate
+    is the mean of the participants' shard gradients and the server's is
+    the aggregate divided by ``-lr``.  Each round's starting weights are
+    rebuilt from the initial weights plus the earlier rounds' aggregates,
+    as ``simulate.run_round`` applies them, so the transcripts must run
+    from round 1.  ``smoothness``, ``grad_bound`` and ``initial_gap`` are
+    the bound's L, rho and rho_F.
+    """
+    cfg, task = plan.cfg, plan.task
+    batch = cfg.local.batch_size
+    if cfg.local.steps != 1 or (batch is not None and batch < cfg.samples_per_client):
+        raise ConfigError("the convergence report assumes one full-batch local step per round")
+    T = len(transcripts)
+    if T == 0 or [tr.round_index for tr in transcripts] != list(range(1, T + 1)):
+        raise ValueError("transcripts must hold every round of the run from round 1, in order")
+    w = task.init_weights()
+    sample_dev_sq = est_dev_sq = dev_bound = grad_sq = 0.0
+    for tr in transcripts:
+        g = np.mean([task.grad(w, task.points[c], task.targets[c]) for c in tr.clients], axis=0)
+        g_est = -np.asarray(tr.aggregate) / cfg.local.learning_rate
+        full = full_gradient(task, w)
+        w = w + tr.aggregate
+        sample_dev_sq = max(sample_dev_sq, float(np.sum((g - full) ** 2)))
+        est_dev_sq = max(est_dev_sq, float(np.sum((g - g_est) ** 2)))
+        dev_bound = max(dev_bound, float(np.linalg.norm(g - g_est)))
+        grad_sq += float(full @ full)
+    lambda_sq = 2.0 * sample_dev_sq + 2.0 * est_dev_sq
+    rhs = (
+        2.0 * initial_gap * smoothness / T
+        + 2.0 * math.sqrt(2.0) * math.sqrt(lambda_sq) * math.sqrt(smoothness * initial_gap) / math.sqrt(T)
+        + grad_bound * dev_bound
+    )
+    return ConvergenceReport(T, sample_dev_sq, est_dev_sq, lambda_sq, dev_bound, rhs, grad_sq / T)

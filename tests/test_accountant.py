@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from latticefl.accountant import (
@@ -17,6 +19,8 @@ from latticefl.accountant import (
 from latticefl.compress import sensitivity
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.lattice import LatticeSpec
+
+from helpers import renyi_divergence
 
 
 def test_grid_covers_required_orders():
@@ -187,10 +191,22 @@ def test_closed_form_dominates_numeric_oracle():
     d = DiscreteGaussian(sigma_units * spec.step, spec)
     grid = default_alpha_grid()
     closed = compose(base_curve(sigma_units, 1.0, grid), 5)
-    numeric = RdpCurve(grid, 5 * np.array([d.renyi_divergence(1, a) for a in grid]))
+    numeric = RdpCurve(grid, 5 * np.array([renyi_divergence(d, 1, a) for a in grid]))
     assert np.all(closed.eps >= numeric.eps - 1e-12)
     for delta in (1e-7, 1e-5, 1e-2):
         assert to_dp(closed, delta)[0] >= to_dp(numeric, delta)[0] - 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(sigma_units=st.floats(0.5, 8.0), mu=st.integers(1, 5))
+@example(sigma_units=0.5, mu=5)
+def test_closed_form_dominates_the_divergence_at_every_order(sigma_units, mu):
+    # At an integer order the two are equal, so the slack covers rounding:
+    # 1.8e-12 of it at sigma_units 0.6, mu 5, order 256, where both are 8889.
+    spec = LatticeSpec(g_max=1.0, k=3, q=7)  # step 1
+    d = DiscreteGaussian(sigma_units * spec.step, spec)
+    numeric = np.array([renyi_divergence(d, mu, a) for a in default_alpha_grid()])
+    assert np.all(base_curve(sigma_units, mu).eps >= numeric - 1e-9)
 
 
 def test_epsilon_does_not_rise_as_gamma_falls():

@@ -186,6 +186,7 @@ def test_sentinel_and_boolean_values(tmp_path):
     [
         pytest.param(REQUIRED["protocol"] + "turbo = yes\n", "turbo", id="turbo"),
         pytest.param(REQUIRED["protocol"] + "[plugins]\nname = x\n", "plugins", id="plugins"),
+        pytest.param("[DEFAULT]\nseed = 5\n[experiment]\nmode = mse-bench\n", r"\[DEFAULT\]", id="DEFAULT"),
         pytest.param(REQUIRED["protocol"] + "[mse]\ndimz = 4\n", "dimz", id="dimz"),
         pytest.param(REQUIRED["protocol"] + "iid = maybe\n", "iid", id="iid"),
         pytest.param(REQUIRED["protocol"].replace("n = 10", "n = ten"), "n = ten", id="n = ten"),

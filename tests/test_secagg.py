@@ -211,7 +211,7 @@ def test_unmasked_payloads_are_wrapped_plaintext():
     )
 
 
-def test_aggregate_round_headroom_guard():
+def test_aggregate_round_refuses_a_wire_group_above_2_32():
     # a wire group m q past 2**32 is refused before anything is summed
     m = 1 << 10
     spec = LatticeSpec(g_max=1.0, k=3, q=(1 << 45) + 1)

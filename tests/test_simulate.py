@@ -13,7 +13,6 @@ from latticefl.errors import ConfigError
 from latticefl.simulate import (
     GlobalModel,
     RoundConfig,
-    convergence_report,
     make_plan,
     run_round,
     run_training,
@@ -21,7 +20,7 @@ from latticefl.simulate import (
 )
 from latticefl.tasks import LocalTrainerSpec
 
-from helpers import record_wire, write_payload_csv
+from helpers import convergence_report, full_gradient, loss, pooled, record_wire, smoothness, write_payload_csv
 
 
 def small_cfg(**overrides):
@@ -369,13 +368,13 @@ def test_convergence_report_on_quadratic_task():
     )
     plan = make_plan(cfg)
     model, transcripts, _ = run_training(cfg, plan=plan)
-    L = plan.task.smoothness()
+    L = smoothness(plan.task)
     w = plan.task.init_weights()
-    X, y = plan.task.pooled()
-    rho_f = plan.task.loss(w, X, y)  # loss is nonnegative, so gap <= loss(w0)
+    X, y = pooled(plan.task)
+    rho_f = loss(plan.task, w, X, y)  # loss is nonnegative, so gap <= loss(w0)
     grad_norms = []
     for tr in transcripts:
-        grad_norms.append(np.linalg.norm(plan.task.full_gradient(w)))
+        grad_norms.append(np.linalg.norm(full_gradient(plan.task, w)))
         w = w + tr.aggregate
     np.testing.assert_array_equal(w, model.w)  # the report's rebuilt weights are the run's
     rho = max(grad_norms) * 1.1
