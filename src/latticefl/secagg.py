@@ -22,13 +22,17 @@ modular sum and the server learns nothing but the total.  Key agreement,
 dropout recovery, and malicious-party defenses are out of scope; the
 participant set is fixed within a round.
 
-A round's masks come from one counter-based stream, ``Philox(key=
-round_seed)`` from counter 0 (Salmon et al., *Parallel Random Numbers: As
-Easy as 1, 2, 3*, SC 2011), cut into consecutive blocks of ``ceil(d_pad /
-2)`` 64-bit words.  Pair ``p``, the ``p``-th pair ``a < b`` of the sorted
-ids in ``np.triu_indices`` order, takes block ``p``: its first ``d_pad``
-32-bit words (each 64-bit word read low half first), each ANDed with
-``2**b - 1``, uniform on the group.
+A round's masks come from one ``np.random.PCG64(round_seed)`` stream
+(O'Neill, *PCG: A Family of Simple Fast Space-Efficient Statistically
+Good Algorithms for Random Number Generation*, 2014; its SeedSequence
+hash gives consecutive round seeds unrelated streams), cut into
+consecutive blocks of ``ceil(d_pad / 2)`` 64-bit words.  Pair ``p``, the
+``p``-th pair ``a < b`` of the sorted ids in ``np.triu_indices`` order,
+takes block ``p``: its first ``d_pad`` 32-bit words (each 64-bit word read
+low half first), each ANDed with ``2**b - 1``, uniform on the group.
+Since ``2**b`` divides ``2**32``, senders sum and receivers subtract the
+raw words as uint32, wrapping mod ``2**32``, and one AND at the end
+leaves each net mask's exact residue.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 from .errors import ConfigError
 from .lattice import LatticeSpec, wrap_centered
 
-# A mask coordinate is the low b bits of one 32-bit Philox word, so the
+# A mask coordinate is the low b bits of one 32-bit PCG64 word, so the
 # wire group is at most 2**32.
 _WIRE_LIMIT = 1 << 32
 
@@ -68,28 +72,29 @@ def net_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> np.ndar
     """Each participant's sum of its pairwise masks, derived in bulk.
 
     Row ``c`` is what ``participants[c]`` adds in the round seeded
-    ``round_seed``, in ``[0, 2**64)``: the masks of the pairs it sends
-    minus those it receives (see the module docstring for a pair's mask),
-    for the wire group of size ``wire_q``, a power of two up to ``2**32``.
-    A sender's pairs are adjacent blocks of the round's stream, so each
-    sender reads all of its masks with one draw; extra memory is that
-    ``(m - 1, d_pad)`` block.
+    ``round_seed``: the masks of the pairs it sends minus those it
+    receives (see the module docstring for a pair's mask), as its residue
+    in ``[0, wire_q)``, a uint32, for the wire group of size ``wire_q``, a
+    power of two up to ``2**32``.  A sender's pairs are adjacent blocks of
+    the round's stream, so each sender reads all of its masks with one
+    draw; extra memory is that ``(m - 1, ceil(d_pad / 2))`` uint64 block.
     """
     if not 0 < wire_q <= _WIRE_LIMIT or wire_q & (wire_q - 1):
         raise ValueError(f"wire modulus must be a power of two up to 2**32, got {wire_q}")
-    if not 0 <= round_seed < 1 << 64:  # Philox itself takes keys up to 2**128
+    if not 0 <= round_seed < 1 << 64:  # PCG64 itself takes any seed >= 0
         raise ValueError(f"round seed must be in [0, 2**64), got {round_seed}")
     ids = sorted(participants)
     if len(set(ids)) != len(ids):
         raise ValueError("participant ids must be distinct")
     m = len(ids)
-    net = np.zeros((m, d_pad), dtype=np.int64)
-    philox = np.random.Philox(key=round_seed)
+    net = np.zeros((m, d_pad), dtype=np.uint32)
+    pcg = np.random.PCG64(round_seed)
     for a in range(m - 1):
-        raw = philox.random_raw((m - 1 - a, (d_pad + 1) // 2))
-        block = raw.astype("<u8", copy=False).view("<u4")[:, :d_pad] & np.uint32(wire_q - 1)
-        net[a] += block.sum(axis=0, dtype=np.int64)
+        block = pcg.random_raw((m - 1 - a, (d_pad + 1) // 2)).astype("<u8", copy=False).view("<u4")[:, :d_pad]
+        net[a] += block.sum(axis=0, dtype=np.uint32)
         net[a + 1 :] -= block
+        del block  # so the next sender's draw does not sit beside this one
+    net &= np.uint32(wire_q - 1)
     position = {cid: a for a, cid in enumerate(ids)}
     return net[[position[cid] for cid in participants]]
 

@@ -6,7 +6,8 @@ These stay independent of the code paths they check:
   of ``exp(-z^2 / (2 sigma^2))``, and the variance and tail oracles sum
   that pmf; goodness-of-fit runs through scipy's chi-square;
 - each pairwise mask is read from its own fresh copy of the round's
-  Philox stream after skipping the blocks of the pairs before it;
+  PCG64 stream, advanced past the blocks of the pairs before it, and a
+  client's net mask is the int64 sum of its pairs' masks;
 - a client's round streams come from one ``default_rng`` each;
 - the empirical MSE reference runs one trial at a time with one generator
   per stream;
@@ -147,15 +148,15 @@ class PairwiseMask:
 def pair_mask(round_seed: int, p: int, d_pad: int, wire_q: int) -> np.ndarray:
     """The mask of the round's ``p``-th pair in the wire group of size
     ``wire_q``, a power of two: block ``p`` of ``ceil(d_pad / 2)`` 64-bit
-    words of ``Philox(key=round_seed)``, read by a fresh generator that
-    skips the ``p`` blocks before it; the block's first ``d_pad`` 32-bit
-    words, low half of each 64-bit word first, each ANDed with ``wire_q -
-    1``."""
+    words of ``PCG64(round_seed)``, read by a fresh generator that
+    ``advance`` moves past the ``p * ceil(d_pad / 2)`` words of the blocks
+    before it; the block's first ``d_pad`` 32-bit words, low half of each
+    64-bit word first, each ANDed with ``wire_q - 1``."""
     words_per_pair = -(-d_pad // 2)
-    philox = np.random.Philox(key=round_seed)
-    philox.random_raw(p * words_per_pair)
+    pcg = np.random.PCG64(round_seed)
+    pcg.advance(p * words_per_pair)
     words = []
-    for word in philox.random_raw(words_per_pair).tolist():
+    for word in pcg.random_raw(words_per_pair).tolist():
         words += [word & 0xFFFFFFFF, word >> 32]
     return np.array(words[:d_pad], dtype=np.int64) & (wire_q - 1)
 

@@ -113,6 +113,40 @@ def test_clip_rejects_non_finite_rows(bad):
                 clip(g, 1.0)
 
 
+def direction(row: np.ndarray) -> np.ndarray:
+    """The unit vector along a nonzero row, through its largest entry so
+    that a row whose norm overflows float64 has one too."""
+    unit = row / np.abs(row).max()
+    return unit / math.hypot(*unit)
+
+
+@st.composite
+def clip_cases(draw):
+    """A stack of rows around a bound: entries near the bound's scale give
+    rows inside and outside the ball, wide ones rows whose squared norm
+    overflows float64."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 16)))
+    near = st.floats(-4.0, 4.0)
+    wide = st.floats(allow_nan=False, allow_infinity=False)
+    return draw(hnp.arrays(np.float64, shape, elements=st.one_of(near, wide))), draw(st.floats(0.01, 10.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(clip_cases())
+def test_clip_bounds_the_norm_keeps_the_direction_and_leaves_inner_rows_alone(case):
+    # math.hypot scales internally, so it is an independent oracle for the
+    # norm of any finite row
+    G, bound = case
+    out = clip(G, bound)
+    for row, clipped in zip(G, out):
+        assert math.hypot(*clipped) <= bound * (1 + 1e-13)
+        if math.hypot(*row) <= bound * (1 - 1e-13):
+            assert clipped.tobytes() == row.tobytes()
+        elif row.any():
+            assert math.hypot(*clipped) >= bound * (1 - 1e-13)
+            np.testing.assert_allclose(direction(clipped), direction(row), rtol=0, atol=1e-13)
+
+
 STACK_SHAPES = [(1, 1), (2, 7), (5, 20), (40, 64), (16, 333), (8, 1000)]
 
 
@@ -195,6 +229,21 @@ def test_rotation_isometry():
     for _ in range(10):
         g = rng.normal(size=100)
         assert np.linalg.norm(rotate(g, rs)) == pytest.approx(np.linalg.norm(g), rel=1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    x=hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 300)),
+                 elements=st.floats(-1e100, 1e100, allow_subnormal=False)),
+)
+def test_rotation_is_an_isometry_that_unrotate_inverts(seed, x):
+    rs = RotationSeed(seed, padded_dim(x.shape[-1]))
+    rotated = rotate(x, rs)
+    for row, turned, back in zip(x, rotated, unrotate(rotated, rs, x.shape[-1])):
+        norm = np.linalg.norm(row)
+        assert np.linalg.norm(turned) == pytest.approx(norm, rel=1e-12, abs=0)
+        assert np.linalg.norm(back - row) <= 1e-12 * norm
 
 
 def test_rotation_seed_validation():

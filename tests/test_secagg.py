@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,17 +62,17 @@ def test_two_party_cancellation():
 
 def test_mask_determinism_and_pair_agreement():
     # each id's net mask depends on the ids, not on their order, and the
-    # pairs cancel in the sum
+    # pairs cancel in the sum mod the group
     first = net_masks(42, [3, 1, 7], 16, 1024)
     again = net_masks(42, [1, 7, 3], 16, 1024)
     np.testing.assert_array_equal(first, again[[2, 0, 1]])
-    np.testing.assert_array_equal(first.sum(axis=0), 0)
-    np.testing.assert_array_equal(first, summed_masks(42, [3, 1, 7], 16, 1024))
+    np.testing.assert_array_equal(wrap_centered(first.sum(axis=0, dtype=np.int64), 1024), 0)
+    np.testing.assert_array_equal(first, summed_masks(42, [3, 1, 7], 16, 1024) & 1023)
 
 
 def test_mask_uniformity():
     q = 128
-    sender = net_masks(2024, [0, 1], 10**6, q)[0]  # the pair's mask itself
+    sender = net_masks(2024, [0, 1], 10**6, q)[0].astype(np.int64)  # the pair's mask itself
     assert gof_pvalue_uniform(wrap_centered(sender, q), q) > 0.01
 
 
@@ -80,7 +82,7 @@ def test_net_masks_validation():
     for wire_q in (0, 100, 101, 2**32 - 1, 2**32 + 1, 2**33):
         with pytest.raises(ValueError):
             net_masks(0, [1, 2], 4, wire_q)
-    # Philox itself would take any key below 2**128
+    # PCG64 itself would take any seed >= 0
     for seed in (-1, 2**64, 2**127):
         with pytest.raises(ValueError):
             net_masks(seed, [1, 2], 4, 128)
@@ -92,8 +94,8 @@ def test_pair_masks_differ_across_pairs_and_rounds():
     d_pad, wire_q = 1 << 16, 128
     masks = []
     for seed in (40, 41):  # rounds r and r + 1
-        first = net_masks(seed, [0, 1], d_pad, wire_q)[0]
-        net = net_masks(seed, [0, 1, 2], d_pad, wire_q)
+        first = net_masks(seed, [0, 1], d_pad, wire_q)[0].astype(np.int64)
+        net = net_masks(seed, [0, 1, 2], d_pad, wire_q).astype(np.int64)
         masks += [first, net[0] - first, net[1] + first]  # pairs (0, 1), (0, 2), (1, 2)
     for a, mask in enumerate(masks):
         assert gof_pvalue_uniform(wrap_centered(mask, wire_q), wire_q) > 0.01
@@ -118,26 +120,46 @@ def mask_rounds(draw):
 @given(mask_rounds())
 def test_net_masks_equal_summed_pair_masks(case):
     seed, ids, d_pad, wire_q = case
+    # each net mask is the residue, in [0, wire_q), of the int64 sum of its
+    # pairs' masks, and the residues cancel mod the group
     net = net_masks(seed, ids, d_pad, wire_q)
-    assert net.dtype == np.int64 and net.shape == (len(ids), d_pad)
-    assert net.tobytes() == summed_masks(seed, ids, d_pad, wire_q).tobytes()
+    assert net.dtype == np.uint32 and net.shape == (len(ids), d_pad)
+    expected = summed_masks(seed, ids, d_pad, wire_q) & (wire_q - 1)
+    assert net.tobytes() == expected.astype(np.uint32).tobytes()
+    np.testing.assert_array_equal(wrap_centered(net.sum(axis=0, dtype=np.int64), wire_q), 0)
 
 
-def test_net_masks_build_one_philox_per_round(monkeypatch):
-    # no generator per pair and no seed hashing: one Philox keyed by the
-    # round seed, and no Generator
+def test_net_masks_build_one_pcg64_per_round(monkeypatch):
+    # no generator per pair: one PCG64 seeded by the round seed, no
+    # Generator and no call into the streams port
     m, seeds = 30, [5, 6, 7]
     wire_q = wire_modulus(1001, m)
-    expected = [summed_masks(s, list(range(m)), 64, wire_q) for s in seeds]
+    expected = [summed_masks(s, list(range(m)), 64, wire_q) & (wire_q - 1) for s in seeds]
     built, wrapped = [], []
-    philox, generator = np.random.Philox, np.random.Generator
-    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(k) or philox(*a, **k))
+    pcg64, generator = np.random.PCG64, np.random.Generator
+    monkeypatch.setattr(np.random, "PCG64", lambda *a, **k: built.append((a, k)) or pcg64(*a, **k))
     monkeypatch.setattr(np.random, "Generator", lambda *a, **k: wrapped.append(a) or generator(*a, **k))
     for name in ("entropy", "seed_sequence_state", "generators"):
         monkeypatch.setattr(streams, name, lambda *a, **k: pytest.fail("net_masks called into streams"))
     for r, seed in enumerate(seeds):
         np.testing.assert_array_equal(net_masks(seed, list(range(m)), 64, wire_q), expected[r])
-        assert built == [{"key": s} for s in seeds[: r + 1]] and not wrapped
+        assert built == [((s,), {}) for s in seeds[: r + 1]] and not wrapped
+
+
+def test_net_masks_peak_memory_is_one_sender_block_beside_the_net_matrix():
+    # at train-cohort's shape, m = 200 and d_pad = 256: one sender's raw
+    # draw and the uint32 net matrix, never the round's 19,900 blocks (about
+    # 20 MB) at once, nor two senders' draws side by side
+    m, d_pad = 200, 256
+    wire_q = wire_modulus(4097, m)
+    tracemalloc.start()
+    try:
+        net = net_masks(1, list(range(m)), d_pad, wire_q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sender_block = (m - 1) * (d_pad // 2) * np.dtype(np.uint64).itemsize
+    assert peak <= sender_block + net.nbytes + 64 * 1024
 
 
 def test_split_examples():

@@ -10,6 +10,7 @@ import pytest
 
 import latticefl
 from latticefl.errors import ConfigError
+from latticefl.lattice import wrap_centered
 from latticefl.simulate import (
     GlobalModel,
     RoundConfig,
@@ -183,6 +184,26 @@ def test_masked_and_unmasked_agree_bitwise(monkeypatch):
     assert len(wire) == 2 * cfg.rounds
     for a, b in zip(wire[: cfg.rounds], wire[cfg.rounds :]):
         np.testing.assert_array_equal(a.noise_z, b.noise_z)
+
+
+def test_masked_round_at_the_cohort_shape_equals_the_unmasked_one(monkeypatch):
+    # the train-cohort benchmark's masking shape, m = 200 and d_pad = 256,
+    # with fewer samples per client: the last receiver subtracts 199 uint32
+    # words, which passes 2**32, so the masks cancel only through wraparound
+    cfg = small_cfg(n=2000, gamma=0.1, rounds=1, dim=200, clip_bound=0.5, k=33, q=4097, sigma=1.53,
+                    seed=0, samples_per_client=4, local=LocalTrainerSpec(steps=1, learning_rate=1.0))
+    plan = make_plan(cfg)
+    assert (plan.m, plan.d_pad) == (200, 256)
+    model = GlobalModel(np.zeros(plan.d), 0)
+    wire = record_wire(monkeypatch)
+    masked_model, masked = run_round(model, plan, 1, use_masks=True)
+    plain_model, plain = run_round(model, plan, 1, use_masks=False)
+    assert masked.aggregate.tobytes() == plain.aggregate.tobytes()
+    assert masked_model.w.tobytes() == plain_model.w.tobytes()
+    masked_wire, plain_wire = wire
+    assert not np.array_equal(masked_wire.payloads, plain_wire.payloads)
+    np.testing.assert_array_equal(wrap_centered(masked_wire.payloads.sum(axis=0), plan.wire_q),
+                                  wrap_centered(plain_wire.payloads.sum(axis=0), plan.wire_q))
 
 
 def test_training_is_deterministic(monkeypatch):
