@@ -127,19 +127,23 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
 def format_int_lines(z: np.ndarray) -> bytes:
     """The bytes of ``"".join(f"{v}\\n" for v in z)`` for an int64 array."""
     neg = z < 0
-    mag = z.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)  # -v modulo 2**64: |v| even at -2**63
-    digits = np.searchsorted(_POWERS_OF_TEN, mag, side="right") + 1
-    ends = np.cumsum(digits + neg + 1)  # one past each line's newline
-    text = np.empty(ends[-1] if ends.size else 0, dtype=np.uint8)
-    text[ends - 1] = ord("\n")
-    text[(ends - digits - 2)[neg]] = ord("-")
-    pos = ends - 2  # each line's last digit
+    mag = np.abs(z).view(np.uint64)  # |v|, exact at -2**63 too
+    width = neg + np.uint8(2)  # sign, last digit and newline
+    for power in _POWERS_OF_TEN[_POWERS_OF_TEN <= mag.max(initial=0)]:
+        width += mag >= power
+    pos = np.cumsum(width, dtype=np.int64)  # one past each line's newline
+    text = np.empty(pos[-1] if pos.size else 0, dtype=np.uint8)
+    text[(pos - width).compress(neg)] = ord("-")  # each negative line's first byte
+    pos -= 1
+    text[pos] = ord("\n")
     while pos.size:  # least significant digit first, over the rows that have one left
-        mag, digit = np.divmod(mag, 10)
-        text[pos] = digit + ord("0")
-        more = mag != 0
-        mag, pos = mag[more], pos[more] - 1
+        pos -= 1
+        quotient = mag // 10
+        mag -= quotient * 10
+        mag += ord("0")
+        text[pos] = mag
+        more = np.flatnonzero(quotient)
+        mag, pos = quotient[more], pos[more]
     return text.tobytes()
 
 

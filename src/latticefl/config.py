@@ -26,14 +26,12 @@ from .secagg import wire_modulus
 from .simulate import RoundConfig, check_memory_budget
 
 # Peak bytes of the ``sample`` command: SAMPLE_BYTES_PER_DRAW a draw plus
-# SAMPLE_BYTES_FIXED.  The per-draw peak is the sampler's first batch (two
-# candidates a draw, each an int64, a float and a uniform, plus the int64
-# output): 58 B a draw by tracemalloc at 1e5 and 1e6 draws, with 10%
-# added.  The fixed part covers the generator, the 64-candidate minimum
-# batch and the text of one write chunk at 16 digits a value, which peak
-# 1.2 MB above 64 B a draw.
-SAMPLE_BYTES_PER_DRAW = 64
-SAMPLE_BYTES_FIXED = 1 << 21
+# SAMPLE_BYTES_FIXED, from tracemalloc with 10% added.  A draw costs its
+# int64 output, 8 B; the sampler's chunk buffers are fixed.  The fixed part
+# peaks at 4.3 MB, formatting one write chunk at 18 characters a value
+# (sigma_units near its maximum), and covers the generator besides.
+SAMPLE_BYTES_PER_DRAW = 9
+SAMPLE_BYTES_FIXED = 5 << 20
 
 
 @dataclass(frozen=True)

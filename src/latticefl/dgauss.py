@@ -8,11 +8,13 @@ the public class converts at the boundary.
 The sampler is exact: rejection from a two-sided discrete-Laplace
 proposal, never a rounded continuous Gaussian (rounding would change the
 distribution and void the Renyi-divergence bound the accountant relies
-on).
+on).  It works through each batch of candidates in cache-sized chunks,
+reading the generator's stream as one pass over the whole batch would.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -25,6 +27,9 @@ from .lattice import LatticeSpec
 # stalled.  The accept rate is bounded away from zero for all sigma, so
 # the cap only ever trips on an arithmetic bug.
 MAX_REJECTIONS_PER_SAMPLE = 10**6
+
+# Candidates evaluated at a time: a chunk's three float64 rows (384 KiB) stay in cache.
+CHUNK = 1 << 14
 
 # Smallest noise scale, in lattice steps, at which the continuous tails
 # bracket the discrete one from below (see DiscreteGaussian.tail_bound).
@@ -80,6 +85,14 @@ def sample_integer_gaussian(
     probability ``exp(-(|y| - sigma^2/t)^2 / (2 sigma^2))``, which makes
     the output law exactly proportional to ``exp(-y^2 / (2 sigma^2))``.
     Raises ValueError outside ``[MIN_SIGMA_UNITS, MAX_SIGMA_UNITS]``.
+
+    A batch of ``B`` candidates reads words ``[0, B)`` of ``rng``'s stream
+    for its first geometrics, ``[B, 2B)`` for the second and ``[2B, 3B)``
+    for the accept uniforms, and leaves ``rng`` ``3B`` words on.  It is
+    evaluated ``CHUNK`` candidates at a time, and stops once ``size`` draws
+    are filled.  A batch above ``CHUNK`` reads its three ranges from copies
+    of the bit generator moved by ``advance``, which PCG64 (``default_rng``'s)
+    counts in 64-bit words; one without ``advance`` raises AttributeError.
     """
     check_sigma_units(sigma_units)
     size = int(size)
@@ -92,24 +105,35 @@ def sample_integer_gaussian(
     shift = var / t
 
     out = np.empty(size, dtype=np.int64)
+    # Candidates, accept exponents and uniforms of one chunk, each step in place.
+    buf = np.empty((3, min(CHUNK, max(64, 2 * size))))
     filled = 0
     drawn = 0
     while filled < size:
         batch = max(64, 2 * (size - filled))
-        # Each step below is evaluated in place in ``buf``.
-        buf = np.empty(batch)
-        # Difference of two iid geometrics is a two-sided discrete Laplace.
-        y = _geometric(rng, buf, log_p).astype(np.int64)
-        y -= _geometric(rng, buf, log_p).astype(np.int64)
-        np.abs(y, out=buf)
-        buf -= shift  # dev
-        buf *= buf
-        np.negative(buf, out=buf)
-        buf /= 2.0 * var
-        accepted = y[rng.random(batch) < np.exp(buf, out=buf)]
-        take = min(accepted.size, size - filled)
-        out[filled : filled + take] = accepted[:take]
-        filled += take
+        streams = [rng] * 3
+        if batch > CHUNK:
+            bg, start = rng.bit_generator, rng.bit_generator.state
+            streams = [np.random.Generator(copy.deepcopy(bg).advance(k * batch)) for k in range(3)]
+            # advance() drops a buffered 32-bit half-word, which sequential reads keep
+            bg.state = {**bg.advance(3 * batch).state, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"]}
+        for lo in range(0, batch, CHUNK):
+            n = min(CHUNK, batch - lo)
+            y, dev, u = buf[0, :n], buf[1, :n], buf[2, :n]
+            # Two iid geometrics' difference, a two-sided discrete Laplace; exact as both are < 2**53
+            _geometric(streams[0], y, log_p)
+            y -= _geometric(streams[1], dev, log_p)
+            np.abs(y, out=dev)
+            dev -= shift
+            dev *= dev
+            dev /= -2.0 * var  # -(dev * dev) / (2 var), to the bit
+            streams[2].random(out=u)
+            accepted = y.compress(u < np.exp(dev, out=dev))
+            take = min(accepted.size, size - filled)
+            out[filled : filled + take] = accepted[:take]
+            filled += take
+            if filled == size:
+                break
         drawn += batch
         if drawn > MAX_REJECTIONS_PER_SAMPLE * size:
             raise SamplerStall(

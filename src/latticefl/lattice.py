@@ -74,9 +74,10 @@ def wrap_centered(z, modulus: int):
     the ``b``-bit two's-complement range.  Uses the non-negative
     remainder, so the result is total and sign-stable for negative
     inputs.  Accepts a Python int or an integer ndarray and returns the
-    same kind.
+    same kind; an unsigned array comes back as int64.
     """
     half = modulus // 2
     if isinstance(z, np.ndarray):
+        z = (z % np.uint64(modulus)).astype(np.int64) if z.dtype.kind == "u" else z  # no wrap below 0
         return (z + half) % modulus - half
     return (int(z) + half) % modulus - half

@@ -96,7 +96,7 @@ def net_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> np.ndar
         del block  # so the next sender's draw does not sit beside this one
     net &= np.uint32(wire_q - 1)
     position = {cid: a for a, cid in enumerate(ids)}
-    return net[[position[cid] for cid in participants]]
+    return net if ids == list(participants) else net[[position[cid] for cid in participants]]
 
 
 def split_integer(v, m: int) -> np.ndarray:

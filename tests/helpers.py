@@ -253,10 +253,15 @@ def empirical_mse_reference(updates, spec, clip_bound, sigma_units, trials, seed
     return total_sq / trials
 
 
-def sample_integer_gaussian_reference(sigma_units: float, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_integer_gaussian_reference(
+    sigma_units: float, rng: np.random.Generator, size: int, batches: list | None = None
+) -> np.ndarray:
     """``dgauss.sample_integer_gaussian`` as plain expressions: the same
-    batches, the same ``rng`` calls in the same order, every step a new
-    array."""
+    batches, the generator read whole batch by whole batch (first
+    geometrics, second geometrics, accept uniforms), every step a new
+    array.  When ``batches`` is a list, each batch appends its
+    ``(candidates, used)``: ``used`` counts the candidates up to the last
+    one taken, all of them when the batch leaves draws to fill."""
     check_sigma_units(sigma_units)
     t = math.floor(sigma_units) + 1
     log_p = -1.0 / t
@@ -270,10 +275,12 @@ def sample_integer_gaussian_reference(sigma_units: float, rng: np.random.Generat
         g2 = np.floor(np.log(1.0 - rng.random(batch)) / log_p).astype(np.int64)
         y = g1 - g2
         dev = np.abs(y).astype(float) - shift
-        accepted = y[rng.random(batch) < np.exp(-(dev * dev) / (2.0 * var))]
-        take = min(accepted.size, size - filled)
-        out[filled : filled + take] = accepted[:take]
+        accept = np.flatnonzero(rng.random(batch) < np.exp(-(dev * dev) / (2.0 * var)))
+        take = min(accept.size, size - filled)
+        out[filled : filled + take] = y[accept[:take]]
         filled += take
+        if batches is not None:
+            batches.append((batch, accept[take - 1] + 1 if filled == size else batch))
     return out
 
 

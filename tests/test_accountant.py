@@ -223,6 +223,37 @@ def test_epsilon_does_not_rise_as_gamma_falls():
     assert np.all(base <= base_curve(1.53, sens).eps)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    sigma=st.floats(0.3, 10.0),
+    gamma=st.floats(0.01, 1.0),
+    rounds=st.integers(1, 1000),
+    more_rounds=st.integers(1, 1000),
+    gamma_scale=st.floats(0.05, 1.0, exclude_max=True),
+    sigma_scale=st.floats(1.0, 4.0, exclude_min=True),
+    delta=st.sampled_from([1e-7, 1e-5, 1e-2]),
+)
+# stock train's noise over its sensitivity, where the amplification bound
+# alone exceeds the unamplified curve just below gamma = 1
+@example(sigma=1.53 / sensitivity(0.5, 32, 33), gamma=1.0, rounds=50, more_rounds=1,
+         gamma_scale=0.9, sigma_scale=1.01, delta=1e-5)
+def test_ledger_epsilon_is_monotone_in_rounds_gamma_and_sigma(
+    sigma, gamma, rounds, more_rounds, gamma_scale, sigma_scale, delta
+):
+    # epsilon does not fall as rounds rise, and does not rise as gamma falls
+    # or sigma rises; the last two allow rounding in the log-sum-exp
+    def spent(sigma, gamma, rounds):
+        state = AccountantState(sigma=sigma, sensitivity=1.0, gamma=gamma)
+        state.record_round(rounds)
+        return state, state.epsilon(delta)[0]
+
+    state, eps = spent(sigma, gamma, rounds)
+    state.record_round(more_rounds)
+    assert state.epsilon(delta)[0] >= eps
+    assert spent(sigma, gamma * gamma_scale, rounds)[1] <= eps * (1 + 1e-12)
+    assert spent(sigma * sigma_scale, gamma, rounds)[1] <= eps * (1 + 1e-12)
+
+
 def test_accountant_state_ledger():
     state = AccountantState(sigma=2.0, sensitivity=1.0, gamma=0.5)
     # nothing spent at no optimal order, as `latticefl accountant` prints it

@@ -251,7 +251,7 @@ def test_sample_to_stdout_and_to_a_file_write_the_same_lines(tmp_path, capsys, c
 
 
 @pytest.mark.parametrize("sigma_units", [MIN_SIGMA_UNITS, 1.0, 1e9, MAX_SIGMA_UNITS])
-@pytest.mark.parametrize("count", [0, 1, 64, 10**4, WRITE_CHUNK, 10**6])
+@pytest.mark.parametrize("count", [0, 1, 64, 10**4, WRITE_CHUNK, 10**6, 4 * 10**6])
 def test_sample_bytes_bound_the_peak(tmp_path, sigma_units, count):
     cfg = ExperimentConfig(
         mode="sample", seed=3, out=str(tmp_path / "draws.txt"),

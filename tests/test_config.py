@@ -245,8 +245,9 @@ def test_rejected_at_parse_time_before_anything_is_drawn(tmp_path, capsys, no_dr
 
 def test_memory_budget_bounds_sample_count_and_mse_cells():
     SampleParams(sigma_units=1.0, count=2_000_000)  # the sample-stream workload's size
+    SampleParams(sigma_units=1.0, count=200_000_000)  # 9 B a draw and 5 MiB: 1.68 GiB
     with pytest.raises(ConfigError, match="count"):
-        SampleParams(sigma_units=1.0, count=50_000_000)
+        SampleParams(sigma_units=1.0, count=250_000_000)  # 2.10 GiB
     with pytest.raises(ConfigError, match="clients"):
         MseGrid(clients=(300_000,))  # 128 B per client per padded coordinate: 2.3 GiB
 

@@ -6,7 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from latticefl.dgauss import MAX_SIGMA_UNITS, MIN_SIGMA_UNITS, DiscreteGaussian, logsumexp, sample_integer_gaussian
+from latticefl.dgauss import (
+    CHUNK,
+    MAX_SIGMA_UNITS,
+    MIN_SIGMA_UNITS,
+    DiscreteGaussian,
+    logsumexp,
+    sample_integer_gaussian,
+)
 from latticefl.lattice import LatticeSpec
 
 from helpers import (
@@ -67,46 +74,67 @@ def test_sampler_draws_at_the_edges_of_its_range():
     assert not sample_integer_gaussian(MIN_SIGMA_UNITS, np.random.default_rng(0), 10**5).any()
 
 
-class CountingRng:
-    """A generator that counts its ``random`` calls: three per batch."""
-
-    def __init__(self, seed: int):
-        self.rng = np.random.default_rng(seed)
-        self.calls = 0
-
-    def random(self, *args, **kwargs):
-        self.calls += 1
-        return self.rng.random(*args, **kwargs)
-
-
 def test_sampler_equals_the_expression_reference():
-    batches = []
+    batches_per_call = []
 
     @settings(max_examples=150, deadline=None)
     @given(
         log2_sigma=st.floats(math.log2(MIN_SIGMA_UNITS), math.log2(MAX_SIGMA_UNITS)),
-        size=st.integers(0, 3000),
+        # up to batches of a dozen chunks
+        size=st.one_of(st.integers(0, 3000), st.integers(0, 6 * CHUNK)),
         seed=st.integers(0, 2**32 - 1),
+        buffered=st.booleans(),
     )
     # below sigma = 1 fewer than half of the candidates are accepted, so a
     # size near 3000 needs a second batch
-    @example(log2_sigma=math.log2(0.01), size=3000, seed=0)
-    @example(log2_sigma=math.log2(MIN_SIGMA_UNITS), size=2999, seed=1)
-    @example(log2_sigma=math.log2(MAX_SIGMA_UNITS), size=1, seed=2)
-    def check(log2_sigma, size, seed):
+    @example(log2_sigma=math.log2(0.01), size=3000, seed=0, buffered=False)
+    @example(log2_sigma=math.log2(MIN_SIGMA_UNITS), size=2999, seed=1, buffered=False)
+    @example(log2_sigma=math.log2(MAX_SIGMA_UNITS), size=1, seed=2, buffered=False)
+    # batches of several chunks; the generator enters holding the unused
+    # half of a 64-bit word, which advance() would drop
+    @example(log2_sigma=0.0, size=3 * CHUNK + 100, seed=3, buffered=True)
+    @example(log2_sigma=math.log2(0.01), size=3 * CHUNK, seed=4, buffered=True)
+    def check(log2_sigma, size, seed, buffered):
         sigma_units = min(max(2.0**log2_sigma, MIN_SIGMA_UNITS), MAX_SIGMA_UNITS)
-        counting = CountingRng(seed)
-        reference_rng = np.random.default_rng(seed)
-        z = sample_integer_gaussian(sigma_units, counting, size)
-        expected = sample_integer_gaussian_reference(sigma_units, reference_rng, size)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            assert rng.integers(0, 2**32, dtype=np.uint32) == reference_rng.integers(0, 2**32, dtype=np.uint32)
+        batches = []
+        z = sample_integer_gaussian(sigma_units, rng, size)
+        expected = sample_integer_gaussian_reference(sigma_units, reference_rng, size, batches)
         assert z.dtype == expected.dtype == np.int64
         assert z.tobytes() == expected.tobytes()
-        # the same draws were taken from the generator
-        assert counting.rng.bit_generator.state == reference_rng.bit_generator.state
-        batches.append(counting.calls // 3)
+        # the generator ends where whole-batch reads leave it, buffered
+        # half-word included
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        batches_per_call.append(batches)
 
     check()
-    assert max(batches) >= 2
+    assert max(map(len, batches_per_call)) >= 2
+    # a batch whose draws were filled in a chunk before its last, so the
+    # chunks after it were skipped
+    chunks = [(-(-used // CHUNK), -(-batch // CHUNK)) for batches in batches_per_call for batch, used in batches]
+    assert any(last_used < last for last_used, last in chunks)
+
+
+def test_a_batch_above_a_chunk_needs_a_bit_generator_with_advance():
+    # a batch of 2 * size candidates fits one chunk up to size CHUNK / 2,
+    # and is read from the generator itself; above it the sampler positions
+    # copies with advance(), which PCG64 counts in 64-bit words
+    size = CHUNK // 2
+    for bit_generator in (np.random.MT19937, np.random.SFC64):
+        z = sample_integer_gaussian(1.0, np.random.Generator(bit_generator(0)), size)
+        expected = sample_integer_gaussian_reference(1.0, np.random.Generator(bit_generator(0)), size)
+        assert z.tobytes() == expected.tobytes()
+        rng = np.random.Generator(bit_generator(0))
+        with pytest.raises(AttributeError, match="advance"):
+            sample_integer_gaussian(1.0, rng, size + 1)
+        # nothing was read
+        assert rng.random() == np.random.Generator(bit_generator(0)).random()
+    rng, reference_rng = np.random.default_rng(0), np.random.default_rng(0)
+    z = sample_integer_gaussian(1.0, rng, size + 1)
+    assert z.tobytes() == sample_integer_gaussian_reference(1.0, reference_rng, size + 1).tobytes()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_goodness_of_fit_moderate_sizes():

@@ -45,6 +45,22 @@ def test_phi_q_vec_empty_and_zeros():
     np.testing.assert_array_equal(wrap_centered(np.zeros(5, dtype=np.int64), SPEC7.q), np.zeros(5))
 
 
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+def test_phi_q_vec_unsigned(dtype):
+    # net_masks' rows are uint32 residues: an unsigned array wraps as the
+    # same integers would, not below 0 in its own dtype
+    rng = np.random.default_rng(3)
+    top = int(np.iinfo(dtype).max)
+    for q in (3, 7, 1001, 2, 128, 1024, 2**32):
+        z = np.array([v for v in (0, 1, q // 2, q // 2 + 1, q - 1, q, top - 1, top) if v <= top], dtype=dtype)
+        z = np.concatenate([z, rng.integers(0, top, size=30, dtype=dtype, endpoint=True)])
+        wrapped = wrap_centered(z, q)
+        assert wrapped.dtype == np.int64
+        # 2**32 is past a search; its residue is the low 32 bits as an int32
+        expected = z.astype(np.uint32).view(np.int32) if q == 2**32 else [brute_force_wrap(v, q) for v in z.tolist()]
+        assert wrapped.tolist() == list(np.asarray(expected).tolist())
+
+
 def test_phi_q_idempotent_and_periodic():
     rng = np.random.default_rng(1)
     for _ in range(100):

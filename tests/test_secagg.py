@@ -159,7 +159,16 @@ def test_net_masks_peak_memory_is_one_sender_block_beside_the_net_matrix():
     finally:
         tracemalloc.stop()
     sender_block = (m - 1) * (d_pad // 2) * np.dtype(np.uint64).itemsize
-    assert peak <= sender_block + net.nbytes + 64 * 1024
+    assert peak <= sender_block + net.nbytes + 16 * 1024
+
+
+def test_net_masks_rows_follow_the_callers_order():
+    # sorted ids (as run_round passes them) get the net matrix itself; any
+    # other order gets the same rows, reordered to match
+    ids = [5, 0, 9, 2]
+    in_order = net_masks(7, sorted(ids), 8, 256)
+    np.testing.assert_array_equal(net_masks(7, ids, 8, 256), in_order[[2, 0, 3, 1]])
+    np.testing.assert_array_equal(net_masks(7, np.array(sorted(ids)), 8, 256), in_order)
 
 
 def test_split_examples():
