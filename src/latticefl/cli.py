@@ -129,22 +129,34 @@ def format_int_lines(z: np.ndarray) -> bytes:
     neg = z < 0
     mag = np.abs(z).view(np.uint64)  # |v|, exact at -2**63 too
     width = neg + np.uint8(2)  # sign, last digit and newline
+    passes = 1  # digits of the largest magnitude
     for power in _POWERS_OF_TEN[_POWERS_OF_TEN <= mag.max(initial=0)]:
         width += mag >= power
+        passes += 1
     pos = np.cumsum(width, dtype=np.int64)  # one past each line's newline
-    text = np.empty(pos[-1] if pos.size else 0, dtype=np.uint8)
+    end = int(pos[-1]) if pos.size else 0
+    text = np.empty(end + 1, dtype=np.uint8)  # byte end takes the digits of finished lines
     text[(pos - width).compress(neg)] = ord("-")  # each negative line's first byte
     pos -= 1
     text[pos] = ord("\n")
-    while pos.size:  # least significant digit first, over the rows that have one left
+    quotient = np.empty_like(mag)
+    digit, tens = np.empty_like(width), np.empty_like(width)
+    finished = np.empty_like(neg)
+    for left in range(passes - 1, -1, -1):  # least significant digit first
         pos -= 1
-        quotient = mag // 10
-        mag -= quotient * 10
-        mag += ord("0")
-        text[pos] = mag
-        more = np.flatnonzero(quotient)
-        mag, pos = quotient[more], pos[more]
-    return text.tobytes()
+        np.floor_divide(mag, 10, out=quotient)
+        # mag - 10 quotient is below 10, so uint8 arithmetic on the low bytes gives it
+        np.copyto(digit, mag, casting="unsafe")
+        np.copyto(tens, quotient, casting="unsafe")
+        tens *= 10
+        digit -= tens
+        digit += ord("0")
+        text[pos] = digit
+        mag, quotient = quotient, mag
+        if left:
+            np.equal(mag, 0, out=finished)
+            pos[finished] = end + 1
+    return text[:end].tobytes()
 
 
 def cmd_sample(cfg: ExperimentConfig) -> int:

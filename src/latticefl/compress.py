@@ -10,7 +10,8 @@ the quantizer run with a small clamp bound ``g_max``.
 Every operation acts along the last axis, so a round passes its whole
 ``(m, d)`` stack of client updates at once; a single vector is the
 one-row case.  Each output row equals the one-row call on that row bit
-for bit.
+for bit.  The quantizer draws no randomness of its own: callers pass its
+uniforms, each client's read from that client's generator.
 """
 
 from __future__ import annotations
@@ -123,15 +124,15 @@ def unrotate(v: np.ndarray, rs: RotationSeed, d: int | None = None) -> np.ndarra
     return out if d is None else out[..., :d]
 
 
-def quantize(v: np.ndarray, spec: LatticeSpec, rng) -> np.ndarray:
+def quantize(v: np.ndarray, spec: LatticeSpec, uniforms: np.ndarray) -> np.ndarray:
     """Stochastically round each coordinate to the level grid
     ``-g_max + r * step``, unbiased in expectation.
 
-    ``rng`` is one Generator for a vector, or an iterable of Generators
-    for an ``(m, d)`` stack, one per row, taken in row order: row ``r``
-    draws its uniforms from the ``r``-th before the next is taken, so each
-    client's quantizer randomness is its own stream (and one Generator
-    whose state is reloaded between rows may serve every row).
+    ``uniforms`` holds the rounding uniforms in ``[0, 1)``, one per output
+    coordinate: its shape ends with ``v``'s, and each leading index rounds
+    a copy of ``v``, so the output has the uniforms' shape.  A coordinate
+    moves up a level when its uniform is below its fraction of a step.
+    Raises ValueError on any other shape.
 
     Coordinates are first clamped to ``[-g_max, g_max]``; the rotation's
     concentration bound makes the clamp a measure-delta event when
@@ -140,21 +141,19 @@ def quantize(v: np.ndarray, spec: LatticeSpec, rng) -> np.ndarray:
     infinite coordinate, whose integer cast would be garbage.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim > 2:
-        raise ValueError(f"need a vector or an (m, d) stack, got shape {v.shape}")
+    uniforms = np.asarray(uniforms, dtype=float)
+    if uniforms.shape[uniforms.ndim - v.ndim :] != v.shape:
+        raise ValueError(f"uniforms of shape {uniforms.shape} do not end with the input's shape {v.shape}")
     if not np.isfinite(v).all():
         raise NonFiniteInput("quantizer input has NaN or infinite coordinates")
-    uniforms = np.empty(v.reshape(-1, v.shape[-1]).shape)
-    # strict: a generator count other than the row count is a ValueError
-    for row, row_rng in zip(uniforms, [rng] if v.ndim == 1 else rng, strict=True):
-        row_rng.random(out=row)
     # The fraction is taken from the same grid position as the floor, so a
     # position that is an integer stays on that level for every uniform.
     position = (np.clip(v, -spec.g_max, spec.g_max) + spec.g_max) / spec.step
     low = np.floor(position).astype(np.int64)
     np.clip(low, 0, spec.k - 2, out=low)
-    level = low + (uniforms.reshape(v.shape) < position - low)
-    return level.astype(np.int64) - spec.half_levels
+    level = low + (uniforms < position - low)
+    level -= spec.half_levels
+    return level
 
 
 def sensitivity(clip_bound: float, d: int, k: int) -> float:

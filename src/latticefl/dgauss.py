@@ -10,6 +10,9 @@ proposal, never a rounded continuous Gaussian (rounding would change the
 distribution and void the Renyi-divergence bound the accountant relies
 on).  It works through each batch of candidates in cache-sized chunks,
 reading the generator's stream as one pass over the whole batch would.
+Many short draws, one per generator (a chunk of mse-bench trials), are
+one ``(rows, n)`` call: every row's first batch is evaluated in one
+block, and only the rows that batch leaves short continue one by one.
 """
 
 from __future__ import annotations
@@ -66,18 +69,96 @@ def logsumexp(a) -> float:
         return float(np.log1p(s) + np.log(m) + a_max)
 
 
-def _geometric(rng: np.random.Generator, buf: np.ndarray, log_p: float) -> np.ndarray:
-    """``floor(log(1 - U) / log_p)`` for ``buf.size`` uniforms ``U``, in ``buf``."""
-    rng.random(out=buf)
+def _geometric(buf: np.ndarray, log_p: float) -> np.ndarray:
+    """``floor(log(1 - U) / log_p)`` of the uniforms ``U`` in ``buf``, in place."""
     np.subtract(1.0, buf, out=buf)
     np.log(buf, out=buf)
     np.divide(buf, log_p, out=buf)
     return np.floor(buf, out=buf)
 
 
-def sample_integer_gaussian(
-    sigma_units: float, rng: np.random.Generator, size: int
+def _accept(batch: np.ndarray, sigma_units: float) -> np.ndarray:
+    """The rejection step, in place along the last two axes of ``batch``:
+    ``batch[..., 0, :]`` and ``batch[..., 1, :]`` hold the two geometrics'
+    uniforms and ``batch[..., 2, :]`` the accept uniforms.  The first
+    becomes the candidates and the second scratch; returns the mask of
+    accepted candidates."""
+    t = math.floor(sigma_units) + 1
+    var = sigma_units * sigma_units
+    # Two iid geometrics' difference, a two-sided discrete Laplace; exact as both are < 2**53
+    _geometric(batch[..., :2, :], -1.0 / t)  # -1/t: the Laplace magnitude's geometric parameter
+    y, dev, u = batch[..., 0, :], batch[..., 1, :], batch[..., 2, :]
+    y -= dev
+    np.abs(y, out=dev)
+    dev -= var / t
+    dev *= dev
+    dev /= -2.0 * var  # -(dev * dev) / (2 var), to the bit
+    return u < np.exp(dev, out=dev)
+
+
+def _fill(
+    sigma_units: float, rng: np.random.Generator, out: np.ndarray, filled: int = 0, drawn: int = 0
 ) -> np.ndarray:
+    """Fill ``out[filled:]`` by the batch loop from ``rng``'s stream as it
+    stands, ``drawn`` candidates having been drawn for ``out`` before."""
+    size = out.size
+    # Candidates, accept exponents and uniforms of one chunk, each step in place.
+    buf = np.empty(3 * min(CHUNK, max(64, 2 * (size - filled))))
+    while filled < size:
+        batch = max(64, 2 * (size - filled))
+        streams = [rng] * 3
+        if batch > CHUNK:
+            bg, start = rng.bit_generator, rng.bit_generator.state
+            streams = [np.random.Generator(copy.deepcopy(bg).advance(k * batch)) for k in range(3)]
+            # advance() drops a buffered 32-bit half-word, which sequential reads keep
+            bg.state = {**bg.advance(3 * batch).state, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"]}
+        for lo in range(0, batch, CHUNK):
+            n = min(CHUNK, batch - lo)
+            chunk = buf[: 3 * n].reshape(3, n)
+            for stream, row in zip(streams, chunk):
+                stream.random(out=row)
+            accepted = chunk[0].compress(_accept(chunk, sigma_units))
+            take = min(accepted.size, size - filled)
+            out[filled : filled + take] = accepted[:take]
+            filled += take
+            if filled == size:
+                break
+        drawn += batch
+        if drawn > MAX_REJECTIONS_PER_SAMPLE * size:
+            raise SamplerStall(
+                f"accept rate collapsed at sigma={sigma_units} "
+                f"({filled}/{size} after {drawn} draws)"
+            )
+    return out
+
+
+def _first_batches(sigma_units: float, generators, out: np.ndarray) -> None:
+    """Fill the rows of ``out`` from the next ``len(out)`` generators:
+    every row's first batch is read into one block and evaluated at once,
+    then each row the batch leaves short is resumed from its generator's
+    state after the batch."""
+    rows, size = out.shape
+    batch = max(64, 2 * size)
+    block = np.empty((rows, 3, batch))
+    states = []
+    for uniforms, rng in zip(block, generators):
+        rng.random(out=uniforms)  # the batch's three ranges, in stream order
+        states.append((rng, rng.bit_generator.state))
+    if len(states) < rows:
+        raise ValueError("fewer generators than rows")
+    accepted = _accept(block, sigma_units)
+    rank = accepted.cumsum(axis=-1)  # of each accepted candidate in its row, from 1
+    filled = np.minimum(rank[:, -1], size)
+    # each row's first accepted candidates, up to size, in row order
+    out[np.arange(size) < filled[:, None]] = block[:, 0][accepted & (rank <= size)]
+    # A first batch cannot stall (B <= 64 size), so each resume starts at the next batch.
+    for r in np.flatnonzero(filled < size).tolist():
+        rng, state = states[r]
+        rng.bit_generator.state = state
+        _fill(sigma_units, rng, out[r], int(filled[r]), batch)
+
+
+def sample_integer_gaussian(sigma_units: float, rng, size) -> np.ndarray:
     """Draw ``size`` exact samples of the integer-lattice Gaussian.
 
     Rejection sampling with a discrete-Laplace proposal of integer scale
@@ -93,53 +174,36 @@ def sample_integer_gaussian(
     are filled.  A batch above ``CHUNK`` reads its three ranges from copies
     of the bit generator moved by ``advance``, which PCG64 (``default_rng``'s)
     counts in 64-bit words; one without ``advance`` raises AttributeError.
+
+    With ``size = (rows, n)``, ``rng`` is an iterable of Generators and row
+    ``r`` of the ``(rows, n)`` result equals the call with ``n`` on the
+    ``r``-th of them, bit for bit.  The first ``rows`` generators are taken
+    in order, each read before the next is taken, so one Generator
+    reloaded between rows (as :func:`latticefl.streams.generators` yields)
+    may serve every row; fewer than ``rows`` raise ValueError.  Each row's
+    first batch (``3 max(64, 2n)`` words) is read into a block of rows
+    that holds up to ``CHUNK`` candidates, and each block is evaluated at
+    once.  A row that batch leaves short resumes the loop from the state
+    its generator had after that batch, reloaded into the generator.  Rows
+    whose first batch is above ``CHUNK`` are drawn one by one.
     """
     check_sigma_units(sigma_units)
-    size = int(size)
-    if size == 0:
-        return np.empty(0, dtype=np.int64)
-
-    t = math.floor(sigma_units) + 1
-    log_p = -1.0 / t  # geometric parameter of the Laplace magnitude
-    var = sigma_units * sigma_units
-    shift = var / t
-
-    out = np.empty(size, dtype=np.int64)
-    # Candidates, accept exponents and uniforms of one chunk, each step in place.
-    buf = np.empty((3, min(CHUNK, max(64, 2 * size))))
-    filled = 0
-    drawn = 0
-    while filled < size:
-        batch = max(64, 2 * (size - filled))
-        streams = [rng] * 3
-        if batch > CHUNK:
-            bg, start = rng.bit_generator, rng.bit_generator.state
-            streams = [np.random.Generator(copy.deepcopy(bg).advance(k * batch)) for k in range(3)]
-            # advance() drops a buffered 32-bit half-word, which sequential reads keep
-            bg.state = {**bg.advance(3 * batch).state, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"]}
-        for lo in range(0, batch, CHUNK):
-            n = min(CHUNK, batch - lo)
-            y, dev, u = buf[0, :n], buf[1, :n], buf[2, :n]
-            # Two iid geometrics' difference, a two-sided discrete Laplace; exact as both are < 2**53
-            _geometric(streams[0], y, log_p)
-            y -= _geometric(streams[1], dev, log_p)
-            np.abs(y, out=dev)
-            dev -= shift
-            dev *= dev
-            dev /= -2.0 * var  # -(dev * dev) / (2 var), to the bit
-            streams[2].random(out=u)
-            accepted = y.compress(u < np.exp(dev, out=dev))
-            take = min(accepted.size, size - filled)
-            out[filled : filled + take] = accepted[:take]
-            filled += take
-            if filled == size:
-                break
-        drawn += batch
-        if drawn > MAX_REJECTIONS_PER_SAMPLE * size:
-            raise SamplerStall(
-                f"accept rate collapsed at sigma={sigma_units} "
-                f"({filled}/{size} after {drawn} draws)"
-            )
+    if np.ndim(size) == 0:
+        return _fill(sigma_units, rng, np.empty(int(size), dtype=np.int64))
+    rows, size = (int(n) for n in size)
+    out = np.empty((rows, size), dtype=np.int64)
+    generators = iter(rng)
+    group = CHUNK // max(64, 2 * size)  # rows whose first batches share a block
+    if size and group:
+        for lo in range(0, rows, group):
+            _first_batches(sigma_units, generators, out[lo : lo + group])
+        return out
+    taken = 0
+    for row, row_rng in zip(out, generators):
+        _fill(sigma_units, row_rng, row)
+        taken += 1
+    if taken < rows:
+        raise ValueError("fewer generators than rows")
     return out
 
 

@@ -226,7 +226,10 @@ def run_round(
     for rank, (cid, rng) in enumerate(zip(ids.tolist(), rngs)):
         raw[rank] = plan.task.local_update(model.w, cid, cfg.local, rng) - model.w
     clipped = compress.clip(raw, cfg.clip_bound)
-    quantized = compress.quantize(compress.rotate(clipped, plan.rotation), spec, rngs)
+    uniforms = np.empty((m, plan.d_pad))
+    for row, rng in zip(uniforms, rngs):
+        rng.random(out=row)
+    quantized = compress.quantize(compress.rotate(clipped, plan.rotation), spec, uniforms)
 
     if cfg.sigma > 0:
         noise_rng = np.random.default_rng(np.random.SeedSequence([master, _DOM_NOISE, round_index]))

@@ -229,7 +229,8 @@ def client_rng_reference(master: int, domain: int, round_index: int, cid: int) -
 def empirical_mse_reference(updates, spec, clip_bound, sigma_units, trials, seed):
     """``bounds.empirical_mse`` one trial at a time: per trial, a spawned
     seed sequence, one ``default_rng`` per stream and one masked round
-    through ``secagg.aggregate_round``, its masks seeded by child 0."""
+    through ``secagg.aggregate_round``, its masks seeded by child 0; client
+    ``r``'s quantizer uniforms are ``d_pad`` draws of child ``2 + r``'s."""
     updates = np.asarray(updates, dtype=float)
     m, d = updates.shape
     d_pad = compress.padded_dim(d)
@@ -245,8 +246,8 @@ def empirical_mse_reference(updates, spec, clip_bound, sigma_units, trials, seed
             noise_z = sample_integer_gaussian(sigma_units, np.random.default_rng(children[1]), d_pad)
         else:
             noise_z = np.zeros(d_pad, dtype=np.int64)
-        quantizers = [np.random.default_rng(child) for child in children[2:]]
-        quantized = compress.quantize(rotated, spec, quantizers)
+        uniforms = np.stack([np.random.default_rng(child).random(d_pad) for child in children[2:]])
+        quantized = compress.quantize(rotated, spec, uniforms)
         agg, _ = secagg.aggregate_round(quantized, noise_z, list(range(m)), round_seed, spec)
         diff = compress.unrotate(agg, rs, d) - reference
         total_sq += float(diff @ diff)

@@ -119,7 +119,7 @@ def test_06_quantizer_unbiasedness():
     draws = 10**5
     worst = 0.0
     for target in coords:
-        z = quantize(np.full(draws, target), spec, rng)
+        z = quantize(np.full(draws, target), spec, rng.random(draws))
         values = z * spec.step
         se = values.std() / math.sqrt(draws)
         worst = max(worst, abs(values.mean() - target) / max(se, 1e-30))

@@ -193,14 +193,19 @@ def test_empirical_mse_derives_no_masks(monkeypatch):
 
 def test_empirical_mse_hands_the_sampler_its_sigma_units(monkeypatch):
     # at k = 7 the step is 1/3, and sigma_units * step / step would give
-    # 6.999999999999999, and with it another proposal scale
+    # 6.999999999999999, and with it another proposal scale; one call draws
+    # a chunk's noise, a row per trial
     received = []
     sample = bounds.sample_integer_gaussian
     monkeypatch.setattr(bounds, "sample_integer_gaussian",
-                        lambda su, rng, size: received.append(su) or sample(su, rng, size))
+                        lambda su, rng, size: received.append((su, size)) or sample(su, rng, size))
     spec = LatticeSpec(g_max=1.0, k=7, q=1001)
     empirical_mse(np.zeros((3, 8)), spec, 1.0, 7.0, trials=2, seed=0)
-    assert received == [7.0, 7.0]
+    assert received == [(7.0, (2, 8))]
+    received.clear()
+    monkeypatch.setattr(bounds, "_CHUNK_BYTES", 1)  # a chunk of one trial
+    empirical_mse(np.zeros((3, 8)), spec, 1.0, 7.0, trials=3, seed=0)
+    assert received == [(7.0, (1, 8))] * 3
 
 
 @pytest.mark.parametrize("seed", [0, 8, 123, 2**32 - 1, 2**32, 5 * 10**12, 2**63 - 1, 2**64 + 5, 2**100])

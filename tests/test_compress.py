@@ -198,20 +198,25 @@ def test_rotate_and_unrotate_of_a_stack_act_row_by_row(m, d):
 
 @pytest.mark.parametrize("m, d", STACK_SHAPES)
 def test_quantize_of_a_stack_draws_each_row_from_its_own_generator(m, d):
+    # row r rounds with the uniforms of its own generator, and each leading
+    # index of the uniforms rounds a copy of the stack
     spec = LatticeSpec(g_max=0.5, k=9, q=101)
     V = rotate(client_stack(m, d, seed=d + 2), RotationSeed(3, padded_dim(d)))
-    out = quantize(V, spec, [np.random.default_rng((d, r)) for r in range(m)])
-    assert out.dtype == np.int64 and out.shape == V.shape
-    for r in range(m):
-        np.testing.assert_array_equal(out[r], quantize(V[r], spec, np.random.default_rng((d, r))))
+    uniforms = np.stack([np.random.default_rng((d, r)).random((2, V.shape[1])) for r in range(m)], axis=1)
+    out = quantize(V, spec, uniforms)
+    assert out.dtype == np.int64 and out.shape == (2,) + V.shape
+    for t in range(2):
+        np.testing.assert_array_equal(out[t], quantize(V, spec, uniforms[t]))
+        for r in range(m):
+            np.testing.assert_array_equal(out[t, r], quantize(V[r], spec, uniforms[t, r]))
 
 
-def test_quantize_needs_one_generator_per_row():
+def test_quantize_needs_uniforms_ending_with_the_input_shape():
     V = np.zeros((3, 4))
-    with pytest.raises(ValueError):
-        quantize(V, SPEC, [np.random.default_rng(r) for r in range(2)])
-    with pytest.raises(ValueError):
-        quantize(np.zeros((2, 2, 4)), SPEC, [np.random.default_rng(r) for r in range(4)])
+    for shape in ((2, 4), (4,), (3, 5), (3, 4, 1), (3,)):
+        with pytest.raises(ValueError, match="uniforms"):
+            quantize(V, SPEC, np.zeros(shape))
+    assert quantize(V, SPEC, np.zeros((1, 2, 3, 4))).shape == (1, 2, 3, 4)
 
 
 def test_rotation_roundtrip():
@@ -296,13 +301,13 @@ SPEC = LatticeSpec(g_max=1.0, k=5, q=101)  # levels at -1, -0.5, 0, 0.5, 1
 
 def test_quantize_exact_level_is_fixed_point():
     v = np.full(2000, -0.5)  # exactly level r = 1
-    z = quantize(v, SPEC, np.random.default_rng(6))
+    z = quantize(v, SPEC, np.random.default_rng(6).random(v.shape))
     assert np.all(z == -1)
 
 
 def test_quantize_midpoint_splits_evenly():
     v = np.full(10**5, 0.25)  # midpoint of levels 0 and 0.5
-    z = quantize(v, SPEC, np.random.default_rng(7))
+    z = quantize(v, SPEC, np.random.default_rng(7).random(v.shape))
     up = np.mean(z == 1)
     assert abs(up - 0.5) < 0.01
     assert set(np.unique(z)) <= {0, 1}
@@ -311,7 +316,7 @@ def test_quantize_midpoint_splits_evenly():
 def test_quantize_unbiased():
     target = 0.3 * SPEC.g_max
     draws = 10**5
-    z = quantize(np.full(draws, target), SPEC, np.random.default_rng(8))
+    z = quantize(np.full(draws, target), SPEC, np.random.default_rng(8).random(draws))
     values = z * SPEC.step
     se = values.std() / math.sqrt(draws)
     assert abs(values.mean() - target) <= 4 * se
@@ -320,33 +325,17 @@ def test_quantize_unbiased():
 def test_quantize_output_in_level_range():
     rng = np.random.default_rng(9)
     v = rng.uniform(-3, 3, size=1000)  # beyond the clamp on purpose
-    z = quantize(v, SPEC, rng)
+    z = quantize(v, SPEC, rng.random(v.shape))
     assert z.min() >= -SPEC.half_levels
     assert z.max() <= SPEC.half_levels
 
 
 def test_quantize_clamps_out_of_range():
-    z = quantize(np.array([57.0, -57.0]), SPEC, np.random.default_rng(10))
+    z = quantize(np.array([57.0, -57.0]), SPEC, np.random.default_rng(10).random(2))
     np.testing.assert_array_equal(z, [SPEC.half_levels, -SPEC.half_levels])
 
 
-class FixedUniforms:
-    """Generator stub: ``random(out=row)`` fills the row with ``u``."""
-
-    def __init__(self, u: float):
-        self.u = u
-
-    def random(self, out):
-        out.fill(self.u)
-
-
 BELOW_ONE = np.nextafter(1.0, 0.0)
-
-
-def quantize_with(v, spec, uniforms):
-    """``quantize`` of a vector or stack whose row ``r`` draws ``uniforms[r]``."""
-    stubs = [FixedUniforms(u) for u in uniforms]
-    return quantize(v, spec, stubs[0] if v.ndim == 1 else stubs)
 
 
 @st.composite
@@ -367,10 +356,9 @@ def test_quantize_rounds_to_a_neighbouring_level(case, u):
     # ceil(x) when the uniforms are 0, floor(x) when they are just below 1,
     # and one of the two for any uniform.
     spec, v = case
-    rows = 1 if v.ndim == 1 else len(v)
     x = np.minimum((np.clip(v, -spec.g_max, spec.g_max) + spec.g_max) / spec.step, spec.k - 1)
     for uniform, expected in ((u, None), (0.0, np.ceil(x)), (BELOW_ONE, np.floor(x))):
-        z = quantize_with(v, spec, [uniform] * rows) + spec.half_levels
+        z = quantize(v, spec, np.full(v.shape, uniform)) + spec.half_levels
         assert z.min() >= 0 and z.max() <= spec.k - 1
         assert np.all((z == np.floor(x)) | (z == np.ceil(x)))
         if expected is not None:
@@ -390,13 +378,13 @@ def test_quantize_keeps_a_coordinate_on_a_level(exponent, bits, levels):
     levels = levels % spec.k
     v = -spec.g_max + levels * spec.step
     for u in (0.0, BELOW_ONE):
-        np.testing.assert_array_equal(quantize_with(v, spec, [u] * len(v)), levels - spec.half_levels)
+        np.testing.assert_array_equal(quantize(v, spec, np.full(v.shape, u)), levels - spec.half_levels)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_quantize_rejects_non_finite(bad):
     with pytest.raises(NonFiniteInput):
-        quantize(np.array([0.1, bad]), SPEC, np.random.default_rng(11))
+        quantize(np.array([0.1, bad]), SPEC, np.random.default_rng(11).random(2))
 
 
 def test_sensitivity_at_matched_levels():

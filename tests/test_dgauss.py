@@ -15,6 +15,7 @@ from latticefl.dgauss import (
     sample_integer_gaussian,
 )
 from latticefl.lattice import LatticeSpec
+from latticefl.streams import entropy, generators
 
 from helpers import (
     gof_pvalue_discrete,
@@ -135,6 +136,46 @@ def test_a_batch_above_a_chunk_needs_a_bit_generator_with_advance():
     z = sample_integer_gaussian(1.0, rng, size + 1)
     assert z.tobytes() == sample_integer_gaussian_reference(1.0, reference_rng, size + 1).tobytes()
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_rows_equal_one_generator_calls():
+    short_first_batches = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log2_sigma=st.floats(-8.0, math.log2(40.0)),
+        rows=st.integers(0, 40),
+        size=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a third of the rows at sigma 0.5 need a second batch
+    @example(log2_sigma=-1.0, rows=40, size=64, seed=0)
+    # a first batch above a chunk: the rows are drawn one by one
+    @example(log2_sigma=0.0, rows=2, size=CHUNK // 2 + 1, seed=1)
+    def check(log2_sigma, rows, size, seed):
+        sigma_units = 2.0**log2_sigma
+        # one Generator reloaded per row, so a resumed row must reload its state
+        z = sample_integer_gaussian(sigma_units, generators(entropy(seed, np.arange(rows))), (rows, size))
+        assert z.dtype == np.int64 and z.shape == (rows, size)
+        for r in range(rows):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
+            assert z[r].tobytes() == sample_integer_gaussian(sigma_units, rng, size).tobytes()
+            rng, batches = np.random.default_rng(np.random.SeedSequence([seed, r])), []
+            assert z[r].tobytes() == sample_integer_gaussian_reference(sigma_units, rng, size, batches).tobytes()
+            short_first_batches.append(len(batches) > 1)
+
+    check()
+    assert any(short_first_batches)
+
+
+def test_rows_need_a_generator_each():
+    for rows, size in ((3, 8), (3, CHUNK)):
+        with pytest.raises(ValueError, match="generators"):
+            sample_integer_gaussian(1.0, [np.random.default_rng(r) for r in range(2)], (rows, size))
+    # one generator a row is taken, and no more
+    rngs = iter([np.random.default_rng(r) for r in range(3)])
+    assert sample_integer_gaussian(1.0, rngs, (2, 8)).shape == (2, 8)
+    assert next(rngs).random() == np.random.default_rng(2).random()
 
 
 def test_goodness_of_fit_moderate_sizes():

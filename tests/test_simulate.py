@@ -364,7 +364,8 @@ def test_aggregation_unbiased_without_noise():
     trials = 400
     estimates = np.empty((trials, d))
     for t in range(trials):
-        quantized = compress.quantize(rotated, spec, [np.random.default_rng((t, r)) for r in range(m)])
+        uniforms = np.stack([np.random.default_rng((t, r)).random(rs.d_pad) for r in range(m)])
+        quantized = compress.quantize(rotated, spec, uniforms)
         agg, _ = secagg.aggregate_round(quantized, noise, list(range(m)), None, spec)
         estimates[t] = compress.unrotate(agg, rs, d)
     mean_est = estimates.mean(axis=0)
