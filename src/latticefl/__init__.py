@@ -17,7 +17,7 @@ from .errors import (
     NonFiniteInput,
     SamplerStall,
 )
-from .lattice import LatticeSpec, wrap_centered
+from .lattice import LatticeSpec
 from .secagg import aggregate_round, server_aggregate, split_integer, wire_modulus
 from .simulate import (
     GlobalModel,

@@ -57,16 +57,23 @@ def base_curve(sigma: float, sensitivity: float, alphas: np.ndarray | None = Non
     """Unamplified per-round curve ``alpha * sensitivity^2 / (2 sigma^2)``.
 
     ``sigma`` and ``sensitivity`` must share units (real-valued or
-    lattice steps); only their ratio matters.
+    lattice steps); only their ratio matters.  Raises ValueError when the
+    rate ``sensitivity^2 / (2 sigma^2)`` is not a finite float.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if sensitivity <= 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
+    try:
+        rate = sensitivity**2 / (2.0 * sigma**2)
+    except (ZeroDivisionError, OverflowError):  # a square left the float range
+        rate = (sensitivity / sigma) * (sensitivity / sigma) / 2.0
+    if not math.isfinite(rate):
+        raise ValueError(f"sigma = {sigma} and sensitivity = {sensitivity} give a per-round rate "
+                         "sensitivity**2 / (2 sigma**2) past the float range")
     if alphas is None:
         alphas = default_alpha_grid()
     alphas = np.asarray(alphas, dtype=float)
-    rate = sensitivity**2 / (2.0 * sigma**2)
     return RdpCurve(alphas, alphas * rate)
 
 

@@ -122,7 +122,7 @@ def empirical_mse_bytes(m: int, d: int) -> int:
     trial count: about 16 float64 ``(m, d_pad)`` arrays for a trial too
     large to share a chunk (tracemalloc, m = 2 to 2000, d_pad = 1 to
     2^18), plus ten chunks' worth of bytes for a chunk's arrays (under
-    seven in tracemalloc, m = 1 to 200, d_pad = 1 to 2^14)."""
+    six in tracemalloc, m = 1 to 200, d_pad = 1 to 2^14)."""
     return 16 * 8 * m * compress.padded_dim(d) + 10 * _CHUNK_BYTES
 
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import MISSING, dataclass
 from pathlib import Path
 
+from .accountant import base_curve
 from .bounds import TRIALS_LIMIT, MseBoundInputs, empirical_mse_bytes
 from .compress import padded_dim, sensitivity
 from .dgauss import check_sigma_units
@@ -53,6 +54,7 @@ class AccountantParams:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        base_curve(self.sigma, self.sensitivity)  # ValueError when the rate is not finite
 
     @property
     def sensitivity(self) -> float:

@@ -1,21 +1,16 @@
-"""Quantization lattice and centered modular wrap.
+"""The quantization lattice.
 
 Every protocol value lives on the lattice ``step * Z`` with
 ``step = 2 * g_max / (k - 1)``.  Scalars are plain Python ints counting
-lattice steps; vectors are int64 numpy arrays.
-
-Quantized updates, noise shares, masks and wire payloads all count the
-same lattice steps.  The package wraps them only into the wire group of
-:mod:`latticefl.secagg`, a power of two that divides ``2**64``, so int64
-array sums, which wrap mod ``2**64`` without a warning, still give the
-exact residue in that group.
+lattice steps; vectors are int64 numpy arrays.  Quantized updates, noise
+shares, masks and wire payloads all count the same lattice steps;
+:mod:`latticefl.secagg` carries the masks and payloads as uint32 residues
+of its wire group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -66,18 +61,3 @@ class LatticeSpec:
         """Convert a real-valued noise scale to lattice-step units."""
         return sigma / self.step
 
-
-def wrap_centered(z, modulus: int):
-    """Map integers onto the centered residues ``[-(m // 2), (m - 1) // 2]``.
-
-    For an odd modulus that is ``|z| <= (m - 1) / 2``; for ``2**b`` it is
-    the ``b``-bit two's-complement range.  Uses the non-negative
-    remainder, so the result is total and sign-stable for negative
-    inputs.  Accepts a Python int or an integer ndarray and returns the
-    same kind; an unsigned array comes back as int64.
-    """
-    half = modulus // 2
-    if isinstance(z, np.ndarray):
-        z = (z % np.uint64(modulus)).astype(np.int64) if z.dtype.kind == "u" else z  # no wrap below 0
-        return (z + half) % modulus - half
-    return (int(z) + half) % modulus - half

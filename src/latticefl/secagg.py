@@ -5,14 +5,16 @@ its exact integer share of one shared discrete-Gaussian draw to its
 quantized row (the shares sum to the draw, so the aggregate carries one
 noise sample per coordinate, never a sum of independent ones) and sends
 the result in the wire group of size ``2**b``, the smallest power of two
-above ``m q`` (``b = ceil(log2(m q + 1))``), so a payload coordinate is a
-``b``-bit two's-complement integer.  The group leaves at least ``m (q -
-k) / 2`` steps of room for the draw above the largest sum of ``m``
-quantized rows; the run's plan bounds the chance that the draw exceeds
-it.  A draw that does exceed it wraps, like any sum in the group: the
-server recovers the residue, a modular clip, and raises nothing.  The
-group divides ``2**64``, so int64 sums, which wrap mod ``2**64`` without
-a warning, leave the exact residue however far they overflow.
+above ``m q`` (``b = ceil(log2(m q + 1))``).  A payload coordinate is its
+residue in ``[0, 2**b)``, a uint32: the group divides ``2**32``, so
+casting to uint32, uint32 sums that wrap mod ``2**32`` and one AND with
+``2**b - 1`` give the exact residue.  The server sums the payloads so,
+and recentres only the total, into ``[-2**(b-1), 2**(b-1))``.  The group
+leaves at least ``m (q - k) / 2`` steps of room for the draw above the
+largest sum of ``m`` quantized rows; the run's plan bounds the chance
+that the draw exceeds it.  A draw that does exceed it wraps, like any sum
+in the group: the server recovers the residue, a modular clip, and raises
+nothing.
 
 Each unordered client pair derives an identical uniform mask vector from
 the round seed, as in Bonawitz et al., *Practical Secure Aggregation for
@@ -40,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import LatticeSpec, wrap_centered
+from .lattice import LatticeSpec
 
 # A mask coordinate is the low b bits of one 32-bit PCG64 word, so the
 # wire group is at most 2**32.
@@ -51,8 +53,8 @@ def wire_modulus(q: int, m: int) -> int:
     """Group size (in lattice steps) carrying the masked payloads.
 
     The smallest power of two above ``m q``, so a payload coordinate is a
-    ``ceil(log2(m q + 1))``-bit two's-complement integer and the sum of
-    ``m`` rows of at most ``q / 2`` steps each stays inside the group.
+    ``ceil(log2(m q + 1))``-bit residue and the sum of ``m`` rows of at
+    most ``q / 2`` steps each stays inside the group.
     Raises ConfigError when the group exceeds ``2**32``.
     """
     if q < 1 or q % 2 == 0:
@@ -130,11 +132,12 @@ def aggregate_round(
     the shared draw ``noise_z``, of shape ``(d_pad,)``, then every pairwise
     mask derived from ``mask_seed`` (``None``: unmasked), and wraps into
     the wire group.  Returns the recovered mean (see
-    :func:`server_aggregate`) and the ``(m, d_pad)`` payload matrix.  The
-    recovered mean does not depend on the masks, which sum to exactly 0.
-    A batch of unmasked rounds stacks them on a leading axis: ``quantized``
-    of shape ``(rounds, m, d_pad)`` and ``noise_z`` of shape ``(rounds,
-    d_pad)``; each round's results equal those of its own call bit for bit.
+    :func:`server_aggregate`) and the ``(m, d_pad)`` uint32 payload matrix
+    of residues in ``[0, wire_modulus(spec.q, m))``.  The recovered mean
+    does not depend on the masks, which sum to exactly 0.  A batch of
+    unmasked rounds stacks them on a leading axis: ``quantized`` of shape
+    ``(rounds, m, d_pad)`` and ``noise_z`` of shape ``(rounds, d_pad)``;
+    each round's results equal those of its own call bit for bit.
     """
     quantized = np.asarray(quantized, dtype=np.int64)
     if quantized.ndim not in (2, 3):
@@ -146,12 +149,14 @@ def aggregate_round(
     if noise_z.shape != quantized.shape[:-2] + (d_pad,):
         raise ValueError(f"expected a noise draw of shape {quantized.shape[:-2] + (d_pad,)}, got {noise_z.shape}")
     wire_q = wire_modulus(spec.q, m)
-    plain = quantized + np.moveaxis(split_integer(noise_z, m), 0, -2)
+    # Each cast to uint32 keeps its value mod 2**32, which the group divides.
+    payloads = quantized.astype(np.uint32)
+    np.add(payloads, np.moveaxis(split_integer(noise_z, m), 0, -2), out=payloads, casting="unsafe")
     if mask_seed is not None:
         if quantized.ndim == 3:
             raise ValueError("a batch of rounds is aggregated unmasked; mask one round per call")
-        plain += net_masks(mask_seed, participants, d_pad, wire_q)
-    payloads = wrap_centered(plain, wire_q)
+        payloads += net_masks(mask_seed, participants, d_pad, wire_q)
+    payloads &= np.uint32(wire_q - 1)
     return server_aggregate(payloads, spec), payloads
 
 
@@ -160,17 +165,19 @@ def server_aggregate(payloads, spec: LatticeSpec) -> np.ndarray:
 
     ``payloads`` is one round's ``(m, d_pad)`` matrix or a ``(rounds, m,
     d_pad)`` batch, which gives one mean per round; ``m`` is its second
-    to last axis and the group is ``wire_modulus(spec.q, m)``.  Sums mod
-    the group, recenters, converts lattice steps to real values, and
-    divides by ``m``: ``(sum quantized + noise) / m`` exactly when that
-    sum stays inside the group, and its residue, a modular clip, when it
-    does not.
+    to last axis and the group is ``wire_modulus(spec.q, m)``.  Only each
+    payload's residue in the group counts.  Sums mod the group,
+    recentres, converts lattice steps to real values, and divides by
+    ``m``: ``(sum quantized + noise) / m`` exactly when that sum stays
+    inside the group, and its residue, a modular clip, when it does not.
     """
-    payloads = np.asarray(payloads, dtype=np.int64)  # ValueError when ragged
+    payloads = np.asarray(payloads)  # ValueError when ragged
     if payloads.ndim not in (2, 3):
         raise ValueError(f"expected (m, d_pad) or (rounds, m, d_pad) payloads, got shape {payloads.shape}")
     m = payloads.shape[-2]
-    total = wrap_centered(payloads.sum(axis=-2), wire_modulus(spec.q, m))
+    wire_q = wire_modulus(spec.q, m)
+    total = payloads.sum(axis=-2, dtype=np.uint32) & np.uint32(wire_q - 1)
+    total = total.astype(np.int64) - (total >= wire_q // 2) * wire_q
     # Not total * step / m: the pinned output digests were made with this
     # order of float operations, and the plain form differs from it in the
     # last bit on many coordinates.

@@ -1,7 +1,9 @@
 """Shared oracles and reference implementations for the test suite.
 
 These stay independent of the code paths they check:
-- the wrap oracle is a brute-force search;
+- the wrap oracle is a brute-force search, and the vectorized one it
+  checks is a plain ``%`` on int64;
+- the b-bit payload codec packs and unpacks bit planes with numpy;
 - the discrete Gaussian's pmf and its Renyi divergence are truncated sums
   of ``exp(-z^2 / (2 sigma^2))``, and the variance and tail oracles sum
   that pmf; goodness-of-fit runs through scipy's chi-square;
@@ -44,6 +46,30 @@ def brute_force_wrap(z: int, modulus: int) -> int:
         if (y - z) % modulus == 0:
             return y
     raise AssertionError("no residue found")
+
+
+def centered(z, modulus: int) -> np.ndarray:
+    """The residues of the integers ``z`` in the centered range
+    ``[-(modulus // 2), (modulus - 1) // 2]``, as int64, for a modulus that
+    divides ``2**64`` or integers whose int64 sum with ``modulus // 2``
+    does not overflow."""
+    half = modulus // 2
+    return (np.asarray(z).astype(np.int64) + half) % modulus - half
+
+
+def encode_payloads(payloads: np.ndarray, bits: int) -> np.ndarray:
+    """Pack each payload row at ``bits`` bits a coordinate: the low
+    ``bits`` bits of each uint32, least significant first, into
+    ``ceil(d_pad bits / 8)`` bytes a row."""
+    planes = (payloads[..., None] >> np.arange(bits, dtype=np.uint32)) & 1
+    return np.packbits(planes.astype(np.uint8).reshape(*payloads.shape[:-1], -1), axis=-1, bitorder="little")
+
+
+def decode_payloads(encoded: np.ndarray, bits: int, d_pad: int) -> np.ndarray:
+    """The uint32 payload rows that :func:`encode_payloads` packed."""
+    planes = np.unpackbits(encoded, axis=-1, count=d_pad * bits, bitorder="little")
+    planes = planes.reshape(*encoded.shape[:-1], d_pad, bits).astype(np.uint32)
+    return (planes << np.arange(bits, dtype=np.uint32)).sum(axis=-1, dtype=np.uint32)
 
 
 def _log_normaliser(sigma_units: float) -> float:
@@ -185,11 +211,13 @@ def summed_masks(round_seed: int, ids, d_pad: int, wire_q: int) -> np.ndarray:
 @dataclass(frozen=True)
 class WireRound:
     """One call of ``secagg.aggregate_round``: the participants, the
-    shared noise draw and the ``(m, d_pad)`` payload matrix."""
+    shared noise draw, the ``(m, d_pad)`` uint32 payload matrix and the
+    size of the wire group its residues live in."""
 
     clients: tuple[int, ...]
     noise_z: np.ndarray
     payloads: np.ndarray
+    wire_q: int
 
 
 def record_wire(monkeypatch) -> list[WireRound]:
@@ -201,7 +229,8 @@ def record_wire(monkeypatch) -> list[WireRound]:
 
     def spy(quantized, noise_z, participants, mask_seed, spec):
         mean, payloads = aggregate_round(quantized, noise_z, participants, mask_seed, spec)
-        rounds.append(WireRound(tuple(participants), np.array(noise_z), payloads))
+        wire_q = secagg.wire_modulus(spec.q, len(participants))
+        rounds.append(WireRound(tuple(participants), np.array(noise_z), payloads, wire_q))
         return mean, payloads
 
     monkeypatch.setattr(secagg, "aggregate_round", spy)
@@ -210,13 +239,14 @@ def record_wire(monkeypatch) -> list[WireRound]:
 
 def write_payload_csv(rounds: list[WireRound], path) -> None:
     """Dump the recorded payloads of rounds 1, 2, ... in the debug layout:
-    columns round, client, coordinate, payload_int.  Together with the
-    run's seeds this is enough to replay the aggregation and reconstruct
-    the realized noise draw."""
+    columns round, client, coordinate, payload_int, each payload recentred
+    into the wire group's centered range.  Together with the run's seeds
+    this is enough to replay the aggregation and reconstruct the realized
+    noise draw."""
     with open(path, "w") as fh:
         fh.write("round,client,coordinate,payload_int\n")
         for round_index, wire in enumerate(rounds, 1):
-            for cid, row in zip(wire.clients, wire.payloads):
+            for cid, row in zip(wire.clients, centered(wire.payloads, wire.wire_q)):
                 fh.writelines(f"{round_index},{cid},{j},{int(v)}\n" for j, v in enumerate(row))
 
 

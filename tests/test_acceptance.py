@@ -15,12 +15,12 @@ from latticefl.accountant import AccountantState, amplify_by_subsampling, base_c
 from latticefl.bounds import MseBoundInputs, empirical_mse, mse_bound_conservative, payload_bits_per_client
 from latticefl.compress import quantize, sensitivity
 from latticefl.dgauss import DiscreteGaussian, sample_integer_gaussian
-from latticefl.lattice import LatticeSpec, wrap_centered
+from latticefl.lattice import LatticeSpec
 from latticefl.secagg import aggregate_round, wire_modulus
 from latticefl.simulate import RoundConfig, make_plan, run_training
 from latticefl.tasks import LocalTrainerSpec
 
-from helpers import gof_pvalue_discrete, gof_pvalue_uniform, pooled, renyi_divergence, tail_oracle, variance_oracle
+from helpers import centered, gof_pvalue_discrete, gof_pvalue_uniform, pooled, renyi_divergence, tail_oracle, variance_oracle
 
 UNIT = LatticeSpec(g_max=1.0, k=3, q=7)  # step == 1
 
@@ -72,6 +72,8 @@ def test_03_variance_and_tail_brackets():
 
 
 def test_04_wrap_homomorphism():
+    # each unmasked, noiseless payload is its row wrapped into the wire
+    # group; the server's wrap of their sum is the wrap of the rows' sum
     rng = np.random.default_rng(4)
     failures = 0
     for _ in range(10**4):
@@ -79,9 +81,11 @@ def test_04_wrap_homomorphism():
         m = int(rng.integers(1, 21))
         d = int(rng.integers(1, 65))
         parts = rng.integers(-(1 << 30), 1 << 30, size=(m, d), dtype=np.int64)
-        lhs = wrap_centered(wrap_centered(parts, q).sum(axis=0), q)
-        rhs = wrap_centered(parts.sum(axis=0), q)
-        if not np.array_equal(lhs, rhs):
+        spec = LatticeSpec(g_max=1.0, k=3, q=q)  # step 1
+        wire_q = wire_modulus(q, m)
+        mean, wraps = aggregate_round(parts, np.zeros(d, dtype=np.int64), list(range(m)), None, spec)
+        rhs = centered(parts.sum(axis=0), wire_q)
+        if not (np.array_equal(wraps, parts % wire_q) and np.array_equal(np.rint(mean * m), rhs)):
             failures += 1
     report(4, "wrap(sum of wraps) == wrap(sum), 10^4 random instances",
            failures == 0, f"{failures} failures")
@@ -102,11 +106,11 @@ def test_05_masked_unmasked_equivalence_and_payload_uniformity():
         plain_agg, plain_payloads = aggregate_round(quantized, noise, list(range(m)), None, spec)
         for rank in range(m):
             pooled[rank].append(payloads[rank])
-        if not (np.array_equal(wrap_centered(payloads.sum(axis=0), wire_q),
-                               wrap_centered(plain_payloads.sum(axis=0), wire_q))
+        if not (np.array_equal(centered(payloads.sum(axis=0), wire_q),
+                               centered(plain_payloads.sum(axis=0), wire_q))
                 and masked_agg.tobytes() == plain_agg.tobytes()):
             mismatches += 1
-    pvalues = [gof_pvalue_uniform(np.concatenate(chunks), wire_q) for chunks in pooled]
+    pvalues = [gof_pvalue_uniform(centered(np.concatenate(chunks), wire_q), wire_q) for chunks in pooled]
     ok = mismatches == 0 and all(p > 0.01 for p in pvalues)
     report(5, "masked == unmasked on 10^3 rounds; payloads uniform", ok,
            f"{mismatches} mismatches, min p={min(pvalues):.3f}")

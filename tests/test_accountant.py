@@ -42,6 +42,8 @@ def test_base_curve_quadruple_sensitivity():
 def test_base_curve_vanishes_with_large_sigma():
     curve = base_curve(1e9, 1.0)
     assert np.all(curve.eps < 1e-15)
+    # sigma**2 overflows, and the rate underflows to 0
+    assert np.all(base_curve(1e200, 1.0).eps == 0.0)
 
 
 def test_base_curve_rejects_nonpositive():
@@ -49,6 +51,10 @@ def test_base_curve_rejects_nonpositive():
         base_curve(0.0, 1.0)
     with pytest.raises(ValueError):
         base_curve(1.0, -1.0)
+    # the rate sensitivity**2 / (2 sigma**2) is not a finite float
+    for sigma, sens in ((1e-162, 3.4), (5e-324, 1.0), (2e-162, 3.4), (1.0, 1e160)):
+        with pytest.raises(ValueError, match="float range"):
+            base_curve(sigma, sens)
 
 
 def test_curve_validation():

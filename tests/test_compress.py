@@ -246,9 +246,10 @@ def test_rotation_is_an_isometry_that_unrotate_inverts(seed, x):
     rs = RotationSeed(seed, padded_dim(x.shape[-1]))
     rotated = rotate(x, rs)
     for row, turned, back in zip(x, rotated, unrotate(rotated, rs, x.shape[-1])):
-        norm = np.linalg.norm(row)
-        assert np.linalg.norm(turned) == pytest.approx(norm, rel=1e-12, abs=0)
-        assert np.linalg.norm(back - row) <= 1e-12 * norm
+        # math.hypot scales: np.linalg.norm loses digits once squares go subnormal
+        norm = math.hypot(*row)
+        assert math.hypot(*turned) == pytest.approx(norm, rel=1e-12, abs=0)
+        assert math.hypot(*(back - row)) <= 1e-12 * norm
 
 
 def test_rotation_seed_validation():

@@ -197,6 +197,14 @@ def test_sentinel_and_boolean_values(tmp_path):
         pytest.param(MSE + "clients = 2, x\n", "clients", id="clients"),
         pytest.param(MSE + "trials = 0\n", "trials", id="trials"),
         pytest.param(MSE + "clip = 0\n", "clip", id="clip"),
+        # sigma**2 underflows to 0, so the RDP rate divides by zero
+        pytest.param(REQUIRED["accountant"].replace("sigma = 2.0", "sigma = 1e-162"), "sigma = 1e-162",
+                     id="sigma = 1e-162"),
+        pytest.param(REQUIRED["accountant"].replace("sigma = 2.0", "sigma = 5e-324"), "sigma = 5e-324",
+                     id="sigma = 5e-324"),
+        # sensitivity**2 overflows
+        pytest.param(REQUIRED["accountant"].replace("clip = 1.0", "clip = 1e160"), "sensitivity",
+                     id="accountant clip = 1e160"),
     ],
 )
 def test_malformed_input_rejected(tmp_path, text, fragment):

@@ -9,7 +9,7 @@ from latticefl import streams
 from latticefl.bounds import payload_bits_per_client
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.errors import ConfigError
-from latticefl.lattice import LatticeSpec, wrap_centered
+from latticefl.lattice import LatticeSpec
 from latticefl.secagg import (
     aggregate_round,
     net_masks,
@@ -18,7 +18,7 @@ from latticefl.secagg import (
     wire_modulus,
 )
 
-from helpers import gof_pvalue_uniform, summed_masks
+from helpers import brute_force_wrap, centered, gof_pvalue_uniform, summed_masks
 
 
 def masked_payloads(plains, ids, round_seed, q):
@@ -56,8 +56,8 @@ def test_two_party_cancellation():
     a = np.array([3, -8], dtype=np.int64)
     b = np.array([-1, 4], dtype=np.int64)
     payloads = masked_payloads([a, b], [4, 9], round_seed=7, q=101)
-    total = wrap_centered(payloads[0] + payloads[1], wire_q)
-    np.testing.assert_array_equal(total, wrap_centered(a + b, wire_q))
+    total = centered(payloads.sum(axis=0), wire_q)
+    np.testing.assert_array_equal(total, centered(a + b, wire_q))
 
 
 def test_mask_determinism_and_pair_agreement():
@@ -66,14 +66,14 @@ def test_mask_determinism_and_pair_agreement():
     first = net_masks(42, [3, 1, 7], 16, 1024)
     again = net_masks(42, [1, 7, 3], 16, 1024)
     np.testing.assert_array_equal(first, again[[2, 0, 1]])
-    np.testing.assert_array_equal(wrap_centered(first.sum(axis=0, dtype=np.int64), 1024), 0)
+    np.testing.assert_array_equal(centered(first.sum(axis=0, dtype=np.int64), 1024), 0)
     np.testing.assert_array_equal(first, summed_masks(42, [3, 1, 7], 16, 1024) & 1023)
 
 
 def test_mask_uniformity():
     q = 128
     sender = net_masks(2024, [0, 1], 10**6, q)[0].astype(np.int64)  # the pair's mask itself
-    assert gof_pvalue_uniform(wrap_centered(sender, q), q) > 0.01
+    assert gof_pvalue_uniform(centered(sender, q), q) > 0.01
 
 
 def test_net_masks_validation():
@@ -98,7 +98,7 @@ def test_pair_masks_differ_across_pairs_and_rounds():
         net = net_masks(seed, [0, 1, 2], d_pad, wire_q).astype(np.int64)
         masks += [first, net[0] - first, net[1] + first]  # pairs (0, 1), (0, 2), (1, 2)
     for a, mask in enumerate(masks):
-        assert gof_pvalue_uniform(wrap_centered(mask, wire_q), wire_q) > 0.01
+        assert gof_pvalue_uniform(centered(mask, wire_q), wire_q) > 0.01
         for other in masks[a + 1 :]:
             assert not np.array_equal(mask, other)
 
@@ -126,7 +126,7 @@ def test_net_masks_equal_summed_pair_masks(case):
     assert net.dtype == np.uint32 and net.shape == (len(ids), d_pad)
     expected = summed_masks(seed, ids, d_pad, wire_q) & (wire_q - 1)
     assert net.tobytes() == expected.astype(np.uint32).tobytes()
-    np.testing.assert_array_equal(wrap_centered(net.sum(axis=0, dtype=np.int64), wire_q), 0)
+    np.testing.assert_array_equal(centered(net.sum(axis=0, dtype=np.int64), wire_q), 0)
 
 
 def test_net_masks_build_one_pcg64_per_round(monkeypatch):
@@ -195,17 +195,23 @@ def test_split_integer_validation():
 @st.composite
 def rounds(draw):
     """One round inside the validated envelope: m rows of quantizer levels
-    and a draw that fits the noise margin of the wire group."""
+    and a draw that fits the noise margin of the wire group, at or below 0
+    when ``negative``.  With ``far`` each row coordinate is also moved by
+    2**62 either way, so that the columns' true sums pass the int64 range
+    and only their residues are in the group."""
     m = draw(st.integers(1, 40))
     k = 2 * draw(st.integers(1, 16)) + 1
     q = k + 2 * draw(st.integers(0, 5000))
     d = draw(st.integers(1, 16))
     seed = draw(st.integers(0, 2**32 - 1))
+    far, negative = draw(st.booleans()), draw(st.booleans())
     h = (k - 1) // 2
     margin = (wire_modulus(q, m) - 1) // 2 - m * h
     rng = np.random.default_rng(seed)
     rows = rng.integers(-h, h + 1, size=(m, d))
-    noise = rng.integers(-margin, margin + 1, size=d)
+    if far:
+        rows += rng.choice([-(1 << 62), 1 << 62], size=(m, d))
+    noise = rng.integers(-margin, 1 if negative else margin + 1, size=d)
     ids = rng.choice(10 * m, size=m, replace=False).tolist()  # any order
     return LatticeSpec(g_max=float(h), k=k, q=q), rows, noise, ids, seed  # step 1
 
@@ -220,16 +226,22 @@ def test_aggregate_round_properties(case):
     unmasked, plain_payloads = aggregate_round(rows, noise, ids, None, spec)
     # masked == unmasked, bit for bit
     assert masked.tobytes() == unmasked.tobytes()
-    # the server recovers the integer total of the rows plus the draw
-    expected = rows.sum(axis=0) + noise
-    for p in (payloads, plain_payloads):
-        np.testing.assert_array_equal(wrap_centered(p.sum(axis=0), wire_q), expected)
+    # the server recovers the integer total of the rows plus the draw, as
+    # its centered residue: Python ints, whatever the int64 range
+    half = wire_q // 2
+    expected = [(sum(col) + z + half) % wire_q - half for col, z in zip(rows.T.tolist(), noise.tolist())]
     np.testing.assert_array_equal(np.rint(masked * m / spec.step), expected)
     # the shares sum to the draw
-    np.testing.assert_array_equal(split_integer(noise, m).sum(axis=0), noise)
-    # every payload lies in the centered range of the wire group
+    shares = split_integer(noise, m)
+    np.testing.assert_array_equal(shares.sum(axis=0), noise)
+    # an unmasked payload is its row plus share, wrapped; the wrapped parts,
+    # masked or not, sum to the wrap of the sum
+    np.testing.assert_array_equal(plain_payloads, (rows + shares) % wire_q)
+    for p in (payloads, plain_payloads):
+        np.testing.assert_array_equal(centered(p.sum(axis=0, dtype=np.int64), wire_q), expected)
+    # every payload is a uint32 residue of the wire group
     assert payloads.shape == rows.shape
-    assert -(wire_q // 2) <= payloads.min() and payloads.max() <= wire_q // 2 - 1
+    assert payloads.dtype == plain_payloads.dtype == np.uint32 and payloads.max() < wire_q
 
 
 def test_unmasked_payloads_are_wrapped_plaintext():
@@ -237,9 +249,8 @@ def test_unmasked_payloads_are_wrapped_plaintext():
     rows = np.array([[40, -60, 150], [1, 2, 3]], dtype=np.int64)
     noise = np.array([5, -5, 0], dtype=np.int64)
     _, payloads = aggregate_round(rows, noise, [0, 1], None, spec)
-    np.testing.assert_array_equal(
-        payloads, wrap_centered(rows + split_integer(noise, 2), wire_modulus(101, 2))
-    )
+    assert payloads.dtype == np.uint32
+    np.testing.assert_array_equal(payloads, (rows + split_integer(noise, 2)) % wire_modulus(101, 2))
 
 
 def test_aggregate_round_refuses_a_wire_group_above_2_32():
@@ -279,12 +290,13 @@ def overflowing_columns(draw):
 @given(overflowing_columns())
 def test_wrapped_int64_sums_keep_the_residue_mod_2_b(case):
     # numpy's int64 sums wrap mod 2**64, which 2**b divides, so the wrapped
-    # sum and the true one leave the same residue
+    # sum and the true one leave the same residue, and the test-side
+    # ``centered`` may recentre such sums
     rows, bits = case
-    for column, total in zip(rows.T.tolist(), wrap_centered(rows.sum(axis=0), 1 << bits).tolist()):
+    for column, total in zip(rows.T.tolist(), centered(rows.sum(axis=0), 1 << bits).tolist()):
         true_sum = sum(column)
         assert not -(1 << 63) <= true_sum < 1 << 63
-        assert total == wrap_centered(true_sum, 1 << bits)
+        assert (total - true_sum) % (1 << bits) == 0 and -(1 << bits) <= 2 * total < 1 << bits
 
 
 def test_aggregate_round_with_rows_near_2_62_recovers_the_residue_mean():
@@ -297,11 +309,11 @@ def test_aggregate_round_with_rows_near_2_62_recovers_the_residue_mean():
                      [(1 << 62) - 7, -(1 << 62) - 9, (1 << 62) + 1],
                      [(1 << 62) + 2, -(1 << 62), 5]], dtype=np.int64)
     noise = np.array([17, -23, 9], dtype=np.int64)
-    expected = [wrap_centered(sum(col) + z, wire_q) for col, z in zip(rows.T.tolist(), noise.tolist())]
+    expected = [brute_force_wrap(sum(col) + z, wire_q) for col, z in zip(rows.T.tolist(), noise.tolist())]
     for mask_seed in (None, 3):
         mean, payloads = aggregate_round(rows, noise, [0, 1, 2, 3], mask_seed, spec)
         np.testing.assert_array_equal(np.rint(mean * m / spec.step), expected)
-        np.testing.assert_array_equal(wrap_centered(payloads.sum(axis=0), wire_q), expected)
+        np.testing.assert_array_equal(centered(payloads.sum(axis=0), wire_q), expected)
 
 
 @settings(max_examples=30, deadline=None)
@@ -338,7 +350,7 @@ def test_payload_conditionally_uniform():
             q=51,
         )
         rows.append(payloads[0])
-    assert gof_pvalue_uniform(np.concatenate(rows), wire_q) > 0.01
+    assert gof_pvalue_uniform(centered(np.concatenate(rows), wire_q), wire_q) > 0.01
 
 
 def test_aggregate_equals_unmasked_sum():
@@ -352,11 +364,11 @@ def test_aggregate_equals_unmasked_sum():
         d = int(rng.integers(1, 33))
         plains = [rng.integers(-q, q, size=d).astype(np.int64) for _ in range(m)]
         payloads = masked_payloads(plains, list(range(m)), round_seed=trial, q=q)
-        total = wrap_centered(np.sum(payloads, axis=0, dtype=np.int64), wire_q)
-        np.testing.assert_array_equal(total, wrap_centered(np.sum(plains, axis=0), wire_q))
-        # every payload fits the reported width as a two's-complement integer
+        total = centered(np.sum(payloads, axis=0, dtype=np.int64), wire_q)
+        np.testing.assert_array_equal(total, centered(np.sum(plains, axis=0), wire_q))
+        # every payload is a uint32 that fits the reported width
         bits = payload_bits_per_client(m, d, q) // d
-        assert -(1 << (bits - 1)) <= payloads.min() and payloads.max() < 1 << (bits - 1)
+        assert payloads.dtype == np.uint32 and payloads.max() < 1 << bits
 
 
 def test_server_aggregate_recovers_quantized_values():

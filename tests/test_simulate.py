@@ -10,7 +10,6 @@ import pytest
 
 import latticefl
 from latticefl.errors import ConfigError
-from latticefl.lattice import wrap_centered
 from latticefl.simulate import (
     GlobalModel,
     RoundConfig,
@@ -21,7 +20,18 @@ from latticefl.simulate import (
 )
 from latticefl.tasks import LocalTrainerSpec
 
-from helpers import convergence_report, full_gradient, loss, pooled, record_wire, smoothness, write_payload_csv
+from helpers import (
+    centered,
+    convergence_report,
+    decode_payloads,
+    encode_payloads,
+    full_gradient,
+    loss,
+    pooled,
+    record_wire,
+    smoothness,
+    write_payload_csv,
+)
 
 
 def small_cfg(**overrides):
@@ -186,13 +196,17 @@ def test_masked_and_unmasked_agree_bitwise(monkeypatch):
         np.testing.assert_array_equal(a.noise_z, b.noise_z)
 
 
+def cohort_cfg():
+    """The train-cohort benchmark's masking shape, m = 200 and d_pad = 256,
+    for one round with fewer samples per client."""
+    return small_cfg(n=2000, gamma=0.1, rounds=1, dim=200, clip_bound=0.5, k=33, q=4097, sigma=1.53,
+                     seed=0, samples_per_client=4, local=LocalTrainerSpec(steps=1, learning_rate=1.0))
+
+
 def test_masked_round_at_the_cohort_shape_equals_the_unmasked_one(monkeypatch):
-    # the train-cohort benchmark's masking shape, m = 200 and d_pad = 256,
-    # with fewer samples per client: the last receiver subtracts 199 uint32
-    # words, which passes 2**32, so the masks cancel only through wraparound
-    cfg = small_cfg(n=2000, gamma=0.1, rounds=1, dim=200, clip_bound=0.5, k=33, q=4097, sigma=1.53,
-                    seed=0, samples_per_client=4, local=LocalTrainerSpec(steps=1, learning_rate=1.0))
-    plan = make_plan(cfg)
+    # the last receiver subtracts 199 uint32 words, which passes 2**32, so
+    # the masks cancel only through wraparound
+    plan = make_plan(cohort_cfg())
     assert (plan.m, plan.d_pad) == (200, 256)
     model = GlobalModel(np.zeros(plan.d), 0)
     wire = record_wire(monkeypatch)
@@ -202,8 +216,8 @@ def test_masked_round_at_the_cohort_shape_equals_the_unmasked_one(monkeypatch):
     assert masked_model.w.tobytes() == plain_model.w.tobytes()
     masked_wire, plain_wire = wire
     assert not np.array_equal(masked_wire.payloads, plain_wire.payloads)
-    np.testing.assert_array_equal(wrap_centered(masked_wire.payloads.sum(axis=0), plan.wire_q),
-                                  wrap_centered(plain_wire.payloads.sum(axis=0), plan.wire_q))
+    np.testing.assert_array_equal(centered(masked_wire.payloads.sum(axis=0), plan.wire_q),
+                                  centered(plain_wire.payloads.sum(axis=0), plan.wire_q))
 
 
 def test_training_is_deterministic(monkeypatch):
@@ -301,8 +315,36 @@ def test_reported_bytes_match_the_wire_group(monkeypatch, m, dim, q):
     assert tr.payload_bytes_per_client == -(-plan.d_pad * bits // 8)
     (sent,) = wire
     assert sent.clients == tr.clients and sent.payloads.shape == (m, plan.d_pad)
-    # a payload is a bits-bit two's-complement integer: -2**(bits - 1) is legal
-    assert sent.payloads.min() >= -(1 << (bits - 1)) and sent.payloads.max() < 1 << (bits - 1)
+    # a payload is a uint32 residue of the wire group, so it fits in bits bits
+    assert sent.payloads.dtype == np.uint32 and sent.payloads.max() < plan.wire_q == 1 << bits
+
+
+@pytest.mark.parametrize("run", ["stock-train", "cohort-round"])
+def test_encoded_payload_rows_take_the_reported_bytes(monkeypatch, run):
+    # the reported per-client upload is what a b-bit encoding of the
+    # payloads takes, and the server needs nothing the encoding drops
+    from latticefl import compress
+    from latticefl.bounds import ceil_log2
+    from latticefl.config import load_config
+    from latticefl.secagg import server_aggregate
+
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    cfg = load_config(configs / "train.cfg").round_config if run == "stock-train" else cohort_cfg()
+    plan = make_plan(cfg)
+    wire = record_wire(monkeypatch)
+    if run == "stock-train":
+        _, transcripts, _ = run_training(cfg, plan=plan)
+    else:
+        transcripts = [run_round(GlobalModel(np.zeros(plan.d), 0), plan, 1, use_masks=True)[1]]
+    bits = ceil_log2(plan.wire_q)
+    assert len(wire) == len(transcripts) == cfg.rounds
+    for sent, tr in zip(wire, transcripts):
+        encoded = encode_payloads(sent.payloads, bits)
+        assert encoded.dtype == np.uint8 and encoded.shape == (plan.m, tr.payload_bytes_per_client)
+        decoded = decode_payloads(encoded, bits, plan.d_pad)
+        assert decoded.dtype == np.uint32 and decoded.tobytes() == sent.payloads.tobytes()
+        estimate = compress.unrotate(server_aggregate(decoded, plan.spec), plan.rotation, plan.d)
+        assert estimate.tobytes() == tr.aggregate.tobytes()
 
 
 def test_no_per_client_arrays_retained():
@@ -329,7 +371,7 @@ def test_payload_table_layout(tmp_path, monkeypatch):
     for r, (rnd, client, coord, value) in enumerate(rows):
         rank, at = divmod(r, plan.d_pad)
         assert (int(rnd), int(client), int(coord)) == (1, tr.clients[rank], at)
-        assert int(value) == int(sent.payloads[rank][at])
+        assert int(value) == centered(sent.payloads[rank][at], plan.wire_q)
 
 
 def test_payload_csv_dump(tmp_path, monkeypatch):
@@ -343,7 +385,7 @@ def test_payload_csv_dump(tmp_path, monkeypatch):
     rnd, client, coord, value = lines[1].split(",")
     assert (int(rnd), int(coord)) == (1, 0)
     assert int(client) in transcripts[0].clients
-    assert int(value) == int(wire[0].payloads[0][0])
+    assert int(value) == centered(wire[0].payloads[0][0], wire[0].wire_q)
 
 
 def test_aggregation_unbiased_without_noise():
