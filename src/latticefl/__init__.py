@@ -18,7 +18,7 @@ from .errors import (
     SamplerStall,
 )
 from .lattice import LatticeSpec
-from .secagg import aggregate_round, server_aggregate, split_integer, wire_modulus
+from .secagg import aggregate_round, server_aggregate, wire_modulus
 from .simulate import (
     GlobalModel,
     RoundConfig,

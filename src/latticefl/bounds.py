@@ -148,12 +148,13 @@ def empirical_mse(
     1 seeds the noise (not seeded at ``sigma_units = 0``) and child
     ``2 + r`` client ``r``'s quantizer uniforms, ``d_pad`` draws, each
     through ``default_rng``; child 0 (the masks' seed once) is unused, so
-    every other stream keeps its bytes.  Trials run in chunks, their
-    generators seeded in bulk (see :func:`latticefl.streams.generators`):
-    one sampler call draws a chunk's noise, a row per trial, and one
-    quantize, aggregate and unrotate call each round the chunk's
-    ``(count, m, d_pad)`` uniforms against the one rotated stack.  The
-    result equals running the trials one by one, bit for bit.
+    every other stream keeps its bytes.  Trials run in chunks.  A chunk
+    seeds its trials' noise generators and their quantizer generators
+    with one :func:`latticefl.streams.generators` call each; one sampler
+    call draws its noise, a row per trial, and one quantize, aggregate
+    and unrotate call each round its ``(count, m, d_pad)`` uniforms
+    against the one rotated stack.  The result equals running the trials
+    one by one, bit for bit.
     """
     if not 1 <= trials < TRIALS_LIMIT:
         raise ValueError(f"trials must be in [1, 2**32), got {trials}")
@@ -171,18 +172,15 @@ def empirical_mse(
     for first in range(0, trials, chunk):
         count = min(chunk, trials - first)
         trial = np.arange(first, first + count)
-        # Every trial's noise generator (child 1), when there is noise, then
-        # each trial's quantizers (children 2 to m + 1), trial by trial.
-        seeds = streams.entropy(seed, trial[:, None], child=np.arange(2, m + 2))
-        if sigma_units > 0:
-            seeds = np.hstack([streams.entropy(seed, trial, child=1), seeds])
-        generators = streams.generators(seeds)
-        if sigma_units > 0:
-            noise_z = sample_integer_gaussian(sigma_units, generators, (count, d_pad))
+        if sigma_units > 0:  # each trial's noise generator, child 1
+            noise = streams.generators(streams.entropy(seed, trial, child=1))
+            noise_z = sample_integer_gaussian(sigma_units, noise, (count, d_pad))
         else:
             noise_z = np.zeros((count, d_pad), dtype=np.int64)
+        # each trial's quantizers, children 2 to m + 1, trial by trial
+        quantizers = streams.generators(streams.entropy(seed, trial[:, None], child=np.arange(2, m + 2)))
         uniforms = np.empty((count, m, d_pad))
-        for row, rng in zip(uniforms.reshape(-1, d_pad), generators):
+        for row, rng in zip(uniforms.reshape(-1, d_pad), quantizers):
             rng.random(out=row)
         quantized = compress.quantize(rotated, spec, uniforms)
         agg, _ = secagg.aggregate_round(quantized, noise_z, list(range(m)), None, spec)

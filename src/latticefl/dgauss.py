@@ -11,13 +11,15 @@ distribution and void the Renyi-divergence bound the accountant relies
 on).  It works through each batch of candidates in cache-sized chunks,
 reading the generator's stream as one pass over the whole batch would.
 Many short draws, one per generator (a chunk of mse-bench trials), are
-one ``(rows, n)`` call: every row's first batch is evaluated in one
-block, and only the rows that batch leaves short continue one by one.
+one ``(rows, n)`` call: the rows' first batches are evaluated in blocks
+of up to a chunk, and only the rows that batch leaves short continue
+one by one, each from its own generator.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -135,17 +137,20 @@ def _fill(
 def _first_batches(sigma_units: float, generators, out: np.ndarray) -> None:
     """Fill the rows of ``out`` from the next ``len(out)`` generators:
     every row's first batch is read into one block and evaluated at once,
-    then each row the batch leaves short is resumed from its generator's
-    state after the batch."""
+    then each row the batch leaves short resumes the loop from its own
+    generator.  A first batch above ``CHUNK`` comes in a block of one row,
+    which runs the loop from the start."""
     rows, size = out.shape
-    batch = max(64, 2 * size)
-    block = np.empty((rows, 3, batch))
-    states = []
-    for uniforms, rng in zip(block, generators):
-        rng.random(out=uniforms)  # the batch's three ranges, in stream order
-        states.append((rng, rng.bit_generator.state))
-    if len(states) < rows:
+    rngs = list(itertools.islice(generators, rows))
+    if len(rngs) < rows:
         raise ValueError("fewer generators than rows")
+    batch = max(64, 2 * size)
+    if batch > CHUNK:  # one row: the chunked loop reads it without holding 3 B floats
+        _fill(sigma_units, rngs[0], out[0])
+        return
+    block = np.empty((rows, 3, batch))
+    for uniforms, rng in zip(block, rngs):
+        rng.random(out=uniforms)  # the batch's three ranges, in stream order
     accepted = _accept(block, sigma_units)
     rank = accepted.cumsum(axis=-1)  # of each accepted candidate in its row, from 1
     filled = np.minimum(rank[:, -1], size)
@@ -153,9 +158,7 @@ def _first_batches(sigma_units: float, generators, out: np.ndarray) -> None:
     out[np.arange(size) < filled[:, None]] = block[:, 0][accepted & (rank <= size)]
     # A first batch cannot stall (B <= 64 size), so each resume starts at the next batch.
     for r in np.flatnonzero(filled < size).tolist():
-        rng, state = states[r]
-        rng.bit_generator.state = state
-        _fill(sigma_units, rng, out[r], int(filled[r]), batch)
+        _fill(sigma_units, rngs[r], out[r], int(filled[r]), batch)
 
 
 def sample_integer_gaussian(sigma_units: float, rng, size) -> np.ndarray:
@@ -175,17 +178,14 @@ def sample_integer_gaussian(sigma_units: float, rng, size) -> np.ndarray:
     of the bit generator moved by ``advance``, which PCG64 (``default_rng``'s)
     counts in 64-bit words; one without ``advance`` raises AttributeError.
 
-    With ``size = (rows, n)``, ``rng`` is an iterable of Generators and row
-    ``r`` of the ``(rows, n)`` result equals the call with ``n`` on the
-    ``r``-th of them, bit for bit.  The first ``rows`` generators are taken
-    in order, each read before the next is taken, so one Generator
-    reloaded between rows (as :func:`latticefl.streams.generators` yields)
-    may serve every row; fewer than ``rows`` raise ValueError.  Each row's
-    first batch (``3 max(64, 2n)`` words) is read into a block of rows
-    that holds up to ``CHUNK`` candidates, and each block is evaluated at
-    once.  A row that batch leaves short resumes the loop from the state
-    its generator had after that batch, reloaded into the generator.  Rows
-    whose first batch is above ``CHUNK`` are drawn one by one.
+    With ``size = (rows, n)``, ``rng`` is an iterable of distinct
+    Generators and row ``r`` of the ``(rows, n)`` result equals the call
+    with ``n`` on the ``r``-th of them, bit for bit; fewer than ``rows``
+    raise ValueError.  Each row's first batch (``3 max(64, 2n)`` words)
+    is read into a block of rows that holds up to ``CHUNK`` candidates,
+    and each block is evaluated at once.  A row that batch leaves short
+    resumes the loop from its own generator.  A first batch above
+    ``CHUNK`` makes a block of one row, drawn as the one-generator call.
     """
     check_sigma_units(sigma_units)
     if np.ndim(size) == 0:
@@ -193,17 +193,9 @@ def sample_integer_gaussian(sigma_units: float, rng, size) -> np.ndarray:
     rows, size = (int(n) for n in size)
     out = np.empty((rows, size), dtype=np.int64)
     generators = iter(rng)
-    group = CHUNK // max(64, 2 * size)  # rows whose first batches share a block
-    if size and group:
-        for lo in range(0, rows, group):
-            _first_batches(sigma_units, generators, out[lo : lo + group])
-        return out
-    taken = 0
-    for row, row_rng in zip(out, generators):
-        _fill(sigma_units, row_rng, row)
-        taken += 1
-    if taken < rows:
-        raise ValueError("fewer generators than rows")
+    group = max(1, CHUNK // max(64, 2 * size))  # rows whose first batches share a block
+    for lo in range(0, rows, group):
+        _first_batches(sigma_units, generators, out[lo : lo + group])
     return out
 
 

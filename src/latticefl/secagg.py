@@ -101,22 +101,6 @@ def net_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> np.ndar
     return net if ids == list(participants) else net[[position[cid] for cid in participants]]
 
 
-def split_integer(v, m: int) -> np.ndarray:
-    """Split integers into ``m`` integer shares summing exactly.
-
-    Euclidean quotient plus one extra unit for the first ``v mod m``
-    ranks (remainder taken in ``[0, m)``).  ``v`` may be a scalar or a
-    vector; the result has shape ``(m,) + v.shape``.
-    """
-    if m < 1:
-        raise ValueError(f"share count must be >= 1, got {m}")
-    v = np.asarray(v, dtype=np.int64)
-    base = v // m
-    remainder = v - base * m
-    ranks = np.arange(m, dtype=np.int64).reshape((m,) + (1,) * v.ndim)
-    return base + (ranks < remainder)
-
-
 def aggregate_round(
     quantized,
     noise_z: np.ndarray,
@@ -128,8 +112,10 @@ def aggregate_round(
     rounds, of quantized updates.
 
     ``quantized`` is the ``(m, d_pad)`` matrix of lattice-step rows, row
-    ``r`` belonging to ``participants[r]``.  Row ``r`` adds share ``r`` of
-    the shared draw ``noise_z``, of shape ``(d_pad,)``, then every pairwise
+    ``r`` belonging to ``participants[r]``.  Row ``r`` adds its exact
+    share of the shared draw ``noise_z``, of shape ``(d_pad,)``: the floor
+    ``noise_z // m``, plus one where ``r < noise_z mod m`` (remainder in
+    ``[0, m)``), so the ``m`` shares sum to the draw.  Then every pairwise
     mask derived from ``mask_seed`` (``None``: unmasked), and wraps into
     the wire group.  Returns the recovered mean (see
     :func:`server_aggregate`) and the ``(m, d_pad)`` uint32 payload matrix
@@ -151,7 +137,8 @@ def aggregate_round(
     wire_q = wire_modulus(spec.q, m)
     # Each cast to uint32 keeps its value mod 2**32, which the group divides.
     payloads = quantized.astype(np.uint32)
-    np.add(payloads, np.moveaxis(split_integer(noise_z, m), 0, -2), out=payloads, casting="unsafe")
+    np.add(payloads, (noise_z // m)[..., None, :], out=payloads, casting="unsafe")
+    payloads += np.arange(m)[:, None] < (noise_z % m)[..., None, :]
     if mask_seed is not None:
         if quantized.ndim == 3:
             raise ValueError("a batch of rounds is aggregated unmasked; mask one round per call")

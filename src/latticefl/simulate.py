@@ -219,15 +219,16 @@ def run_round(
     master = cfg.seed
 
     ids = subsample_clients(cfg.n, cfg.gamma, np.random.SeedSequence([master, _DOM_SUBSAMPLE, round_index]))
-    # Each client's default_rng(SeedSequence([master, domain, round_index, cid])),
-    # every client's local-training one first, then every client's quantizer one.
-    rngs = streams.generators(streams.entropy(master, [[_DOM_LOCAL], [_DOM_QUANTIZE]], round_index, ids))
+    # Each client's default_rng(SeedSequence([master, domain, round_index, cid]))
+    # for its local training and for its quantizer, seeded in one pass.
+    rngs = list(streams.generators(streams.entropy(master, [[_DOM_LOCAL], [_DOM_QUANTIZE]], round_index, ids)))
+    local_rngs, quantizer_rngs = rngs[:m], rngs[m:]
     raw = np.empty((m, plan.d))
-    for rank, (cid, rng) in enumerate(zip(ids.tolist(), rngs)):
+    for rank, (cid, rng) in enumerate(zip(ids.tolist(), local_rngs)):
         raw[rank] = plan.task.local_update(model.w, cid, cfg.local, rng) - model.w
     clipped = compress.clip(raw, cfg.clip_bound)
     uniforms = np.empty((m, plan.d_pad))
-    for row, rng in zip(uniforms, rngs):
+    for row, rng in zip(uniforms, quantizer_rngs):
         rng.random(out=row)
     quantized = compress.quantize(compress.rotate(clipped, plan.rotation), spec, uniforms)
 

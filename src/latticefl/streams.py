@@ -1,9 +1,9 @@
-"""Seed ports: numpy's SeedSequence hash pool and PCG64 seeding, in bulk.
+"""Seed port: numpy's SeedSequence hash pool, in bulk.
 
 A round seeds many streams at once (client generators, MSE trials), so
-this module hashes many seed sequences in one vectorized pass and loads
-each state into one reused generator; every state equals numpy's own bit
-for bit.
+this module hashes many seed sequences in one vectorized pass and hands
+each sequence's words to numpy's own PCG64 seeding; every generator
+equals numpy's ``default_rng`` of that sequence bit for bit.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _POOL_SIZE = 4
-
-# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_constants(const: int, mult: int) -> Iterator[tuple[int, int]]:
@@ -100,19 +96,26 @@ def seed_sequence_state(entropy, n_words: int) -> np.ndarray:
     return state[0::2] | state[1::2] << np.uint64(32)
 
 
+class _Hashed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence already hashed: the four uint64 words that
+    ``generate_state(4, np.uint64)`` of its SeedSequence gives, which is
+    all that PCG64 asks of it."""
+
+    def __init__(self, words):
+        # PCG64 reads the words through a raw pointer, so they must be contiguous.
+        self.words = np.ascontiguousarray(words, dtype=np.uint64)
+        if self.words.shape != (4,):
+            raise ValueError(f"expected 4 uint64 words, got shape {self.words.shape}")
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds 4 uint64 words, asked for {n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
 def generators(entropy) -> Iterator[np.random.Generator]:
     """``default_rng(SeedSequence(...))`` of each column of ``entropy``, in
-    order: one Generator whose PCG64 is reloaded per column (so use each
-    before taking the next) by PCG64's seeding step, ``pcg64_set_seed``:
-    of the four state words, the first two are the initial state and the
-    last two the stream, and the LCG steps once before and once after
-    adding the state."""
-    generator = np.random.Generator(np.random.PCG64(0))
-    for state_high, state_low, stream_high, stream_low in seed_sequence_state(entropy, 4).T.tolist():
-        inc = ((stream_high << 64 | stream_low) << 1 | 1) & _MASK128
-        state = ((inc + (state_high << 64 | state_low)) * _PCG64_MULT + inc) & _MASK128
-        generator.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        yield generator
+    order, each a new Generator that numpy's PCG64 seeds from the
+    column's hashed words."""
+    for words in np.ascontiguousarray(seed_sequence_state(entropy, 4).T):
+        yield np.random.Generator(np.random.PCG64(_Hashed(words)))

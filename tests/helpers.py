@@ -4,6 +4,8 @@ These stay independent of the code paths they check:
 - the wrap oracle is a brute-force search, and the vectorized one it
   checks is a plain ``%`` on int64;
 - the b-bit payload codec packs and unpacks bit planes with numpy;
+- a client's noise share is one row of a stacked ``(m, ...)`` share
+  matrix;
 - the discrete Gaussian's pmf and its Renyi divergence are truncated sums
   of ``exp(-z^2 / (2 sigma^2))``, and the variance and tail oracles sum
   that pmf; goodness-of-fit runs through scipy's chi-square;
@@ -55,6 +57,22 @@ def centered(z, modulus: int) -> np.ndarray:
     does not overflow."""
     half = modulus // 2
     return (np.asarray(z).astype(np.int64) + half) % modulus - half
+
+
+def split_integer(v, m: int) -> np.ndarray:
+    """Split integers into ``m`` integer shares summing exactly.
+
+    Euclidean quotient plus one extra unit for the first ``v mod m``
+    ranks (remainder taken in ``[0, m)``).  ``v`` may be a scalar or a
+    vector; the result has shape ``(m,) + v.shape``.
+    """
+    if m < 1:
+        raise ValueError(f"share count must be >= 1, got {m}")
+    v = np.asarray(v, dtype=np.int64)
+    base = v // m
+    remainder = v - base * m
+    ranks = np.arange(m, dtype=np.int64).reshape((m,) + (1,) * v.ndim)
+    return base + (ranks < remainder)
 
 
 def encode_payloads(payloads: np.ndarray, bits: int) -> np.ndarray:

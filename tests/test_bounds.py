@@ -221,7 +221,8 @@ def test_trial_seeds_match_spawned_generators(seed):
 
 @pytest.mark.parametrize("m, d, trials", [(1, 1, 1300), (2, 64, 200), (4, 64, 100), (8, 1, 120),
                                           (10, 64, 20), (3, 4096, 3), (64, 1024, 2), (200, 256, 1),
-                                          (10, 256, 21), (2000, 64, 2)])
+                                          (10, 256, 21), (2000, 64, 2),
+                                          (1, 16384, 2), (1, 2**18, 2)])
 def test_empirical_mse_bytes_bounds_the_peak(m, d, trials):
     # the peak is one chunk's, so two chunks and a bit show it
     updates = np.random.default_rng(m).normal(size=(m, d))

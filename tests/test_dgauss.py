@@ -150,11 +150,11 @@ def test_rows_equal_one_generator_calls():
     )
     # a third of the rows at sigma 0.5 need a second batch
     @example(log2_sigma=-1.0, rows=40, size=64, seed=0)
-    # a first batch above a chunk: the rows are drawn one by one
+    # a first batch above a chunk: each row is a block of its own
     @example(log2_sigma=0.0, rows=2, size=CHUNK // 2 + 1, seed=1)
     def check(log2_sigma, rows, size, seed):
         sigma_units = 2.0**log2_sigma
-        # one Generator reloaded per row, so a resumed row must reload its state
+        # one new Generator per row, and a resumed row goes on from its own
         z = sample_integer_gaussian(sigma_units, generators(entropy(seed, np.arange(rows))), (rows, size))
         assert z.dtype == np.int64 and z.shape == (rows, size)
         for r in range(rows):

@@ -14,11 +14,10 @@ from latticefl.secagg import (
     aggregate_round,
     net_masks,
     server_aggregate,
-    split_integer,
     wire_modulus,
 )
 
-from helpers import brute_force_wrap, centered, gof_pvalue_uniform, summed_masks
+from helpers import brute_force_wrap, centered, gof_pvalue_uniform, split_integer, summed_masks
 
 
 def masked_payloads(plains, ids, round_seed, q):

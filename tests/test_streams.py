@@ -65,9 +65,38 @@ def test_bulk_generators_equal_one_default_rng_per_client(master):
         assert next(generators, None) is None
 
 
+def test_held_generators_are_each_their_own_default_rng():
+    # every generator stays its sequence's default_rng after later ones are
+    # taken, whatever the memory layout of the entropy it came from
+    columns = streams.entropy(11, 3, np.arange(6))
+    layouts = [columns, np.ascontiguousarray(columns.T).T, np.repeat(columns, 2, axis=1)[:, ::2]]
+    for entropy in layouts:
+        held = list(streams.generators(entropy))
+        assert len(held) == 6
+        for cid, generator in enumerate(held):
+            expected = np.random.default_rng(np.random.SeedSequence([11, 3, cid]))
+            assert generator.bit_generator.state == expected.bit_generator.state
+            assert generator.random(5).tolist() == expected.random(5).tolist()
+
+
+def test_hashed_words_serve_only_pcg64s_request():
+    state = streams.seed_sequence_state(streams.entropy(5, np.arange(3)), 4)
+    hashed = streams._Hashed(state[:, 1])  # a strided column is held as a contiguous copy
+    assert hashed.words.flags.c_contiguous and hashed.words.dtype == np.uint64
+    assert np.random.PCG64(hashed).state == np.random.PCG64(np.random.SeedSequence([5, 1])).state
+    for n_words, dtype in [(2, np.uint64), (8, np.uint64), (4, np.uint32), (4, np.int64)]:
+        with pytest.raises(ValueError):
+            hashed.generate_state(n_words, dtype)
+    for words in (state[:2, 0], state[:, :2]):
+        with pytest.raises(ValueError):
+            streams._Hashed(words)
+
+
 def test_seed_constants_live_only_in_streams():
-    # SeedSequence's hash constants and PCG64's multiplier: one port of each
-    constants = re.compile(r"0x43B0D7E5|0x8B51F9DD|0x2360ED051FC65DA44385DF649FCCF645", re.IGNORECASE)
-    found = {path.name: len(constants.findall(path.read_text())) for path in SRC.glob("*.py")}
-    assert found.pop("streams.py") == 3
+    # SeedSequence's two hash constants have one port; PCG64 seeds itself
+    hash_constants = re.compile(r"0x43B0D7E5|0x8B51F9DD", re.IGNORECASE)
+    pcg64_multiplier = re.compile(r"0x2360ED051FC65DA44385DF649FCCF645", re.IGNORECASE)
+    found = {path.name: len(hash_constants.findall(path.read_text())) for path in SRC.glob("*.py")}
+    assert found.pop("streams.py") == 2
     assert not any(found.values()), found
+    assert not [path.name for path in SRC.glob("*.py") if pcg64_multiplier.search(path.read_text())]
