@@ -6,7 +6,7 @@ Hadamard compression, and pairwise-mask secure aggregation whose masked
 and unmasked paths agree bit for bit.
 """
 
-from .accountant import AccountantState, RdpCurve, amplify_by_subsampling, base_curve, compose, to_dp
+from .accountant import ALPHAS, AccountantState, amplify_by_subsampling, base_curve, compose, to_dp
 from .bounds import MseBoundInputs, empirical_mse, mse_bound, mse_bound_conservative
 from .compress import RotationSeed, clip, quantize, rotate, sensitivity, unrotate
 from .dgauss import DiscreteGaussian, sample_integer_gaussian

@@ -4,7 +4,7 @@ Per-round privacy of the noised aggregate is the Gaussian-form curve
 ``eps(alpha) = alpha * sensitivity^2 / (2 sigma^2)``, amplified by
 client subsampling at rate ``gamma``, composed additively over rounds,
 and finally converted to an ``(epsilon, delta)`` statement by minimizing
-``eps(alpha) + log(1/delta) / (alpha - 1)`` over a grid of orders.
+``eps(alpha) + log(1/delta) / (alpha - 1)`` over the fixed orders ``ALPHAS``.
 
 All rounds are homogeneous (same sigma, sensitivity, gamma); the ledger
 is therefore a single curve scaled by the round count.
@@ -18,42 +18,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dgauss import logsumexp
+# The orders 1+1e-3, 1.5, 2..64, 128, 256: a curve is its float64 values at them.
+ALPHAS = np.array([1.0 + 1e-3, 1.5] + list(range(2, 65)) + [128.0, 256.0])
+ALPHAS.flags.writeable = False
 
 
-def default_alpha_grid() -> np.ndarray:
-    """Orders the accountant evaluates: 1+1e-3, 1.5, 2..64, 128, 256."""
-    return np.array([1.0 + 1e-3, 1.5] + list(range(2, 65)) + [128.0, 256.0], dtype=float)
+def logsumexp(a) -> float:
+    """``log(sum(exp(a)))`` by scipy.special.logsumexp's steps on real input,
+    to the bit: the maxima are counted, not summed, and all -inf gives -inf."""
+    a = np.asarray(a, dtype=float)
+    a_max = a.max()
+    is_max = a == a_max
+    m = np.count_nonzero(is_max)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a - a_max))) / m
+        return float(np.log1p(s) + np.log(m) + a_max)
 
 
-@dataclass(frozen=True)
-class RdpCurve:
-    """``eps(alpha)`` sampled on an increasing grid of orders > 1."""
-
-    alphas: np.ndarray
-    eps: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", np.asarray(self.alphas, dtype=float))
-        object.__setattr__(self, "eps", np.asarray(self.eps, dtype=float))
-        if self.alphas.shape != self.eps.shape:
-            raise ValueError("alphas and eps must have the same length")
-        if np.any(self.alphas <= 1.0):
-            raise ValueError("all orders must exceed 1")
-        if np.any(np.diff(self.alphas) <= 0):
-            raise ValueError("orders must be strictly increasing")
-
-    def at(self, alpha: float) -> float:
-        """Value at ``alpha``, linearly interpolated between grid points.
-
-        Exact for the linear Gaussian-form curve; for convex curves the
-        chord lies above the curve, so interpolation stays a valid upper
-        bound.  Queries outside the grid are clamped to the end values.
-        """
-        return float(np.interp(alpha, self.alphas, self.eps))
-
-
-def base_curve(sigma: float, sensitivity: float, alphas: np.ndarray | None = None) -> RdpCurve:
+def base_curve(sigma: float, sensitivity: float) -> np.ndarray:
     """Unamplified per-round curve ``alpha * sensitivity^2 / (2 sigma^2)``.
 
     ``sigma`` and ``sensitivity`` must share units (real-valued or
@@ -71,10 +53,7 @@ def base_curve(sigma: float, sensitivity: float, alphas: np.ndarray | None = Non
     if not math.isfinite(rate):
         raise ValueError(f"sigma = {sigma} and sensitivity = {sensitivity} give a per-round rate "
                          "sensitivity**2 / (2 sigma**2) past the float range")
-    if alphas is None:
-        alphas = default_alpha_grid()
-    alphas = np.asarray(alphas, dtype=float)
-    return RdpCurve(alphas, alphas * rate)
+    return ALPHAS * rate
 
 
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
@@ -95,36 +74,41 @@ def _log_factorial(n: int) -> float:
     return (x - 0.5) * math.log(x) - x + 0.91893853320467274178 + series / x  # log(sqrt(2 pi))
 
 
-def _log_comb(n: int, k: int) -> float:
-    return _log_factorial(n) - _log_factorial(k) - _log_factorial(n - k)
+# log(n!) for every n up to the largest order
+_LOG_FACTORIAL = np.array([_log_factorial(n) for n in range(int(ALPHAS[-1]) + 1)])
+
+# The integer orders amplified, and the one each order takes its value from
+_ORDERS, _AT_ORDER = np.unique(np.maximum(2, np.ceil(ALPHAS)).astype(int), return_inverse=True)
 
 
-def _amplified_at_integer(curve: RdpCurve, gamma: float, alpha: int) -> float:
+def _amplified_at_integer(eps: np.ndarray, gamma: float, alpha: int) -> float:
     """Subsampled RDP bound at an integer order ``alpha >= 2``.
 
     eps'(alpha) = log(1 + gamma^2 C(alpha,2) min{4(e^{eps(2)}-1), 2 e^{eps(2)}}
                       + sum_{j=3}^{alpha} 2 gamma^j C(alpha,j) e^{(j-1) eps(j)})
                   / (alpha - 1)
 
-    evaluated in log space so that orders up to 256 cannot overflow.
+    evaluated in log space so that orders up to 256 cannot overflow (a term
+    past the float range is inf); ``eps(j)``'s linear interpolation bounds a convex eps from above.
     """
     log_gamma = math.log(gamma)
-    eps2 = curve.at(2.0)
+    eps2 = float(np.interp(2.0, ALPHAS, eps))
     # min{4(e^eps2 - 1), 2 e^eps2} in log space; log(e^x - 1) = x + log(1 - e^-x)
     if eps2 > 0:
         log_pair = min(math.log(4.0) + eps2 + math.log(-math.expm1(-eps2)),
                        math.log(2.0) + eps2)
     else:
         log_pair = -math.inf
-    log_terms = [0.0, 2.0 * log_gamma + _log_comb(alpha, 2) + log_pair]
-    for j in range(3, alpha + 1):
-        log_terms.append(
-            math.log(2.0) + j * log_gamma + _log_comb(alpha, j) + (j - 1) * curve.at(float(j))
-        )
-    return logsumexp(log_terms) / (alpha - 1)
+    lf = _LOG_FACTORIAL
+    j = np.arange(3, alpha + 1)
+    with np.errstate(over="ignore"):
+        log_terms = (math.log(2.0) + j * log_gamma + (lf[alpha] - lf[j] - lf[alpha - j])
+                     + (j - 1) * np.interp(j, ALPHAS, eps))
+    log_pair_term = 2.0 * log_gamma + (lf[alpha] - lf[2] - lf[alpha - 2]) + log_pair
+    return logsumexp(np.concatenate(([0.0, log_pair_term], log_terms))) / (alpha - 1)
 
 
-def amplify_by_subsampling(curve: RdpCurve, gamma: float) -> RdpCurve:
+def amplify_by_subsampling(eps: np.ndarray, gamma: float) -> np.ndarray:
     """Privacy amplification from sampling a ``gamma`` fraction of clients
     without replacement.
 
@@ -137,27 +121,24 @@ def amplify_by_subsampling(curve: RdpCurve, gamma: float) -> RdpCurve:
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     if gamma == 1.0:
-        return curve
-    orders = [max(2, math.ceil(a)) for a in curve.alphas]
-    at_order = {a: _amplified_at_integer(curve, gamma, a) for a in set(orders)}
-    eps = np.array([at_order[a] for a in orders])
-    return RdpCurve(curve.alphas.copy(), eps)
+        return eps
+    return np.array([_amplified_at_integer(eps, gamma, int(a)) for a in _ORDERS])[_AT_ORDER]
 
 
-def compose(curve: RdpCurve, rounds: int) -> RdpCurve:
+def compose(eps: np.ndarray, rounds: int) -> np.ndarray:
     """Additive composition of ``rounds`` identical mechanisms."""
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
-    return RdpCurve(curve.alphas.copy(), curve.eps * rounds)
+    return eps * rounds
 
 
-def to_dp(curve: RdpCurve, delta: float) -> tuple[float, float]:
+def to_dp(eps: np.ndarray, delta: float) -> tuple[float, float]:
     """Best ``(epsilon, alpha*)`` at failure probability ``delta``."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    candidates = curve.eps + math.log(1.0 / delta) / (curve.alphas - 1.0)
+    candidates = eps + math.log(1.0 / delta) / (ALPHAS - 1.0)
     i = int(np.argmin(candidates))
-    return float(candidates[i]), float(curve.alphas[i])
+    return float(candidates[i]), float(ALPHAS[i])
 
 
 @dataclass
@@ -167,19 +148,17 @@ class AccountantState:
     sigma: float
     sensitivity: float
     gamma: float
-    rounds_recorded: int = 0
-    alphas: np.ndarray = field(default_factory=default_alpha_grid)
+    rounds_recorded: int = field(default=0, init=False)
 
     def __post_init__(self):
         # Subsampling cannot cost privacy, but the amplification bound can
         # exceed the unamplified curve (near gamma = 1), so the ledger takes
         # the smaller of the two at each order.
-        base = base_curve(self.sigma, self.sensitivity, self.alphas)
-        amplified = amplify_by_subsampling(base, self.gamma)
-        self.per_round = RdpCurve(base.alphas, np.minimum(amplified.eps, base.eps))
+        base = base_curve(self.sigma, self.sensitivity)
+        self.per_round = np.minimum(amplify_by_subsampling(base, self.gamma), base)
 
     @property
-    def cumulative(self) -> RdpCurve:
+    def cumulative(self) -> np.ndarray:
         return compose(self.per_round, self.rounds_recorded)
 
     def record_round(self, count: int = 1) -> None:

@@ -119,10 +119,11 @@ TRIALS_LIMIT = 1 << 32  # a trial's index is one uint32 word of its seed entropy
 def empirical_mse_bytes(m: int, d: int) -> int:
     """Peak bytes :func:`empirical_mse` allocates for ``m`` updates of
     dimension ``d``, counting the caller's update stack, whatever the
-    trial count: about 16 float64 ``(m, d_pad)`` arrays for a trial too
-    large to share a chunk (tracemalloc, m = 2 to 2000, d_pad = 1 to
-    2^18), plus ten chunks' worth of bytes for a chunk's arrays (under
-    six in tracemalloc, m = 1 to 200, d_pad = 1 to 2^14)."""
+    trial count: 16 float64 ``(m, d_pad)`` arrays for a trial too large to
+    share a chunk (in tracemalloc 12.1 at m = 1, d_pad = 2^18, and at most
+    9.2 from m = 2 to 2000, d_pad = 64 to 2^17), plus ten chunks' worth of
+    bytes for a chunk's arrays (under 4.4 in tracemalloc, m = 1 to 200,
+    d_pad = 1 to 256)."""
     return 16 * 8 * m * compress.padded_dim(d) + 10 * _CHUNK_BYTES
 
 
@@ -189,4 +190,5 @@ def empirical_mse(
         for estimate in compress.unrotate(agg, rs, d):
             diff = estimate - reference
             total_sq += float(diff @ diff)
+        del noise_z, uniforms, quantized, agg, estimate, diff  # before the next chunk draws its own
     return total_sq / trials

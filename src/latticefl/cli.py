@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds
-from .accountant import AccountantState
+from .accountant import ALPHAS, AccountantState
 from .config import ExperimentConfig, format_real, load_config
 from .dgauss import sample_integer_gaussian
 from .errors import ConfigError, HypothesisViolated, LatticeflError
@@ -109,8 +109,8 @@ def cmd_accountant(cfg: ExperimentConfig) -> int:
     print(f"epsilon = {format_real(eps)}")
     print(f"alpha_star = {format_real(alpha)}")
     if cfg.out is not None:
-        curve = state.cumulative  # nothing spent at zero rounds: the header only
-        rows = [[format_real(a), format_real(e)] for a, e in zip(curve.alphas, curve.eps)] if p.rounds else []
+        # nothing spent at zero rounds: the header only
+        rows = [[format_real(a), format_real(e)] for a, e in zip(ALPHAS, state.cumulative)] if p.rounds else []
         _write_csv(cfg.out, ["alpha", "eps"], rows)
     return 0
 

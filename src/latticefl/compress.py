@@ -115,13 +115,13 @@ def rotate(g: np.ndarray, rs: RotationSeed) -> np.ndarray:
     return fwht(rs.signs() * padded) / math.sqrt(rs.d_pad)
 
 
-def unrotate(v: np.ndarray, rs: RotationSeed, d: int | None = None) -> np.ndarray:
-    """Inverse rotation of each row; keeps the first ``d`` coordinates when given."""
+def unrotate(v: np.ndarray, rs: RotationSeed, d: int) -> np.ndarray:
+    """Inverse rotation of each row, keeping its first ``d`` coordinates."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != rs.d_pad:
         raise ValueError(f"expected length {rs.d_pad}, got {v.shape[-1]}")
     out = rs.signs() * fwht(v) / math.sqrt(rs.d_pad)
-    return out if d is None else out[..., :d]
+    return out[..., :d]
 
 
 def quantize(v: np.ndarray, spec: LatticeSpec, uniforms: np.ndarray) -> np.ndarray:

@@ -59,18 +59,6 @@ def std_normal_sf(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def logsumexp(a) -> float:
-    """``log(sum(exp(a)))`` by scipy.special.logsumexp's steps on real input,
-    to the bit: the maxima are counted, not summed, and all -inf gives -inf."""
-    a = np.asarray(a, dtype=float)
-    a_max = a.max()
-    is_max = a == a_max
-    m = np.count_nonzero(is_max)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a - a_max))) / m
-        return float(np.log1p(s) + np.log(m) + a_max)
-
-
 def _geometric(buf: np.ndarray, log_p: float) -> np.ndarray:
     """``floor(log(1 - U) / log_p)`` of the uniforms ``U`` in ``buf``, in place."""
     np.subtract(1.0, buf, out=buf)

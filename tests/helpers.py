@@ -9,6 +9,8 @@ These stay independent of the code paths they check:
 - the discrete Gaussian's pmf and its Renyi divergence are truncated sums
   of ``exp(-z^2 / (2 sigma^2))``, and the variance and tail oracles sum
   that pmf; goodness-of-fit runs through scipy's chi-square;
+- the subsampled RDP bound at an integer order adds its terms one at a
+  time as Python floats, its log-binomials from scipy's ``gammaln``;
 - each pairwise mask is read from its own fresh copy of the round's
   PCG64 stream, advanced past the blocks of the pairs before it, and a
   client's net mask is the int64 sum of its pairs' masks;
@@ -37,6 +39,7 @@ import numpy as np
 from scipy import special, stats
 
 from latticefl import compress, secagg
+from latticefl.accountant import ALPHAS, logsumexp
 from latticefl.dgauss import check_sigma_units, sample_integer_gaussian
 from latticefl.errors import ConfigError
 
@@ -116,6 +119,31 @@ def renyi_divergence(dist, mu: int, alpha: float) -> float:
     x = np.arange(centre - radius, centre + radius + 1, dtype=float)
     log_terms = -(alpha * x * x + (1.0 - alpha) * (x - mu) ** 2) / (2.0 * su * su)
     return (special.logsumexp(log_terms) - _log_normaliser(su)) / (alpha - 1.0)
+
+
+def amplified_at_integer_reference(eps: np.ndarray, gamma: float, alpha: int) -> float:
+    """The subsampled RDP bound of the curve ``eps`` (over ``ALPHAS``) at
+    the integer order ``alpha >= 2``, in log space, one term per ``j`` in
+    a Python loop: ``log 2 + j log gamma + log C(alpha, j) + (j - 1)
+    eps(j)``, after the pair term ``2 log gamma + log C(alpha, 2) +
+    log min{4(e^eps(2) - 1), 2 e^eps(2)}``.  A term past the float range is
+    inf, as Python's float product makes it."""
+    def at(order: float) -> float:
+        return float(np.interp(order, ALPHAS, eps))
+
+    def log_comb(n: int, k: int) -> float:
+        return float(special.gammaln(n + 1.0)) - float(special.gammaln(k + 1.0)) - float(special.gammaln(n - k + 1.0))
+
+    log_gamma = math.log(gamma)
+    eps2 = at(2.0)
+    if eps2 > 0:
+        log_pair = min(math.log(4.0) + eps2 + math.log(-math.expm1(-eps2)), math.log(2.0) + eps2)
+    else:
+        log_pair = -math.inf
+    log_terms = [0.0, 2.0 * log_gamma + log_comb(alpha, 2) + log_pair]
+    for j in range(3, alpha + 1):
+        log_terms.append(math.log(2.0) + j * log_gamma + log_comb(alpha, j) + (j - 1) * at(float(j)))
+    return logsumexp(log_terms) / (alpha - 1)
 
 
 def pmf_oracle(dist, radius: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from latticefl.accountant import AccountantState, amplify_by_subsampling, base_curve
+from latticefl.accountant import ALPHAS, AccountantState, amplify_by_subsampling, base_curve
 from latticefl.bounds import MseBoundInputs, empirical_mse, mse_bound_conservative, payload_bits_per_client
 from latticefl.compress import quantize, sensitivity
 from latticefl.dgauss import DiscreteGaussian, sample_integer_gaussian
@@ -190,8 +190,9 @@ def test_09_composition_and_amplification_scaling():
         ratio = state_4t.epsilon(1e-5)[0] / state_t.epsilon(1e-5)[0]
         ratios.append(ratio)
         ok &= ratio <= 2.2
-    eps_full = amplify_by_subsampling(base_curve(4.0, 1.0), 0.01).at(2.0)
-    eps_half = amplify_by_subsampling(base_curve(4.0, 1.0), 0.005).at(2.0)
+    order_2 = list(ALPHAS).index(2.0)
+    eps_full = amplify_by_subsampling(base_curve(4.0, 1.0), 0.01)[order_2]
+    eps_half = amplify_by_subsampling(base_curve(4.0, 1.0), 0.005)[order_2]
     quad = eps_full / eps_half
     ok &= quad >= 3.9
     report(9, "epsilon(4T)/epsilon(T) <= 2.2 and gamma-halving ratio >= 3.9", bool(ok),

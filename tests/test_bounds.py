@@ -236,6 +236,22 @@ def test_empirical_mse_bytes_bounds_the_peak(m, d, trials):
     assert updates.nbytes + peak <= empirical_mse_bytes(m, d)
 
 
+def test_empirical_mse_frees_each_chunk_before_the_next():
+    # at m = 1, d = 2**18 a chunk is one trial: a second trial must not
+    # raise the peak by more than one (m, d_pad) float64 row
+    updates = np.random.default_rng(1).normal(size=(1, 2**18))
+    spec = LatticeSpec(g_max=1.0, k=9, q=1001)
+    peaks = []
+    for trials in (1, 2):
+        tracemalloc.start()
+        try:
+            empirical_mse(updates, spec, 1.0, 1.0, trials, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + updates.nbytes
+
+
 def test_comm_cost_reference_point():
     # 100 coordinates of ceil(log2(10 * 255 + 1)) = 12 bits
     assert payload_bits_per_client(10, 100, 255) == 1200

@@ -193,7 +193,8 @@ def test_rotate_and_unrotate_of_a_stack_act_row_by_row(m, d):
     for r in range(m):
         assert rotated[r].tobytes() == rotate(G[r], rs).tobytes()
         assert back[r].tobytes() == unrotate(rotated[r], rs, d).tobytes()
-    np.testing.assert_array_equal(unrotate(rotated, rs), np.stack([unrotate(v, rs) for v in rotated]))
+    np.testing.assert_array_equal(unrotate(rotated, rs, rs.d_pad),
+                                  np.stack([unrotate(v, rs, rs.d_pad) for v in rotated]))
 
 
 @pytest.mark.parametrize("m, d", STACK_SHAPES)

@@ -35,6 +35,7 @@ GOLDEN = {
     "mse-bench": "6c0992259f711d5c96fee4313dec7b317e3a64b3f27f23b124866711788bbfee",
     "sample": "e2cd50852c9fedd200b64e74b5dfd10fa997d811831593367c091fe49c586d5b",
     "accountant": "405f717829fb4725481bbf0b578e261be8aec25cf203d0fedb73734c26620898",
+    "accountant-stdout": "d8a5754398f4cb4e4b49220fab02ca95fbc3812edfcc6d804b5b482c1b8cf19e",
     "train-payloads": "4250adfc17446c890e7405e0f21cf92fd667da292533c5ab141e8adacf2ad042",
     "mse-bench-63-bit-seed": "66a7a31d870121813bf4e73eed5b0b9d015816690dc17c25f30490b921b1dc3e",
     "sample-whole-file": "5a524555aa4a07b8edf4ecf6d171c4a876e0d786c4fcd73e0d5a77bfda89568b",
@@ -101,8 +102,9 @@ def test_sample_digest(tmp_path):
 
 def test_accountant_curve_digest(tmp_path, capsys):
     data = run_cli("accountant", CONFIGS / "accountant.cfg", tmp_path / "curve.csv")
-    capsys.readouterr()
     assert sha256(data) == GOLDEN["accountant"]
+    # the printed epsilon and alpha_star lines, which the curve does not pin
+    assert sha256(capsys.readouterr().out.encode()) == GOLDEN["accountant-stdout"]
 
 
 @pytest.mark.parametrize("workload", sorted(BENCH_DIGESTS))
