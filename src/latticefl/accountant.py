@@ -53,7 +53,8 @@ def base_curve(sigma: float, sensitivity: float) -> np.ndarray:
     if not math.isfinite(rate):
         raise ValueError(f"sigma = {sigma} and sensitivity = {sensitivity} give a per-round rate "
                          "sensitivity**2 / (2 sigma**2) past the float range")
-    return ALPHAS * rate
+    with np.errstate(over="ignore"):  # a finite rate whose curve passes the float range is inf there
+        return ALPHAS * rate
 
 
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
@@ -129,7 +130,8 @@ def compose(eps: np.ndarray, rounds: int) -> np.ndarray:
     """Additive composition of ``rounds`` identical mechanisms."""
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
-    return eps * rounds
+    with np.errstate(over="ignore"):
+        return eps * rounds
 
 
 def to_dp(eps: np.ndarray, delta: float) -> tuple[float, float]:

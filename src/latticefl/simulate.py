@@ -3,7 +3,8 @@
 Per round: subsample clients, train locally, clip the model difference,
 rotate, quantize onto the lattice, add each client's exact share of the
 shared discrete-Gaussian draw, mask pairwise, aggregate modulo the wire
-group, unrotate, and apply the recovered mean to the global model.
+group, unrotate, and apply the recovered mean to the global model.  Every
+stage, local training too, takes the round's clients as one stack.
 
 Everything is derived from the master seed through fixed-purpose seed
 sequences, so a run is a pure function of its configuration: transcripts
@@ -47,6 +48,12 @@ OVERFLOW_BUDGET = 1e-9
 # samples_per_client, rounds, count, dims or clients into a configuration
 # error before anything is allocated.
 TASK_DATA_BUDGET_BYTES = 2 << 30
+
+# Most point-coordinate steps a run's local training may take, rounds x m x
+# local_steps x batch x d: 200 times the 4.8e8 of 300 rounds of 10 clients
+# taking 5 steps of 32 points at d = 1000, which train in about half a second
+# on a 2-vCPU desk machine, so an accepted run trains for minutes at most.
+LOCAL_WORK_BUDGET = 10**11
 
 
 def check_memory_budget(needed: int, what: str, remedy: str) -> None:
@@ -157,6 +164,13 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
         data_bytes(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client) + cfg.rounds * d * 8,
         "task data and per-round aggregates", "reduce n, samples_per_client, dim or rounds",
     )
+    batch = min(cfg.local.batch_size or cfg.samples_per_client, cfg.samples_per_client)
+    if cfg.rounds * m * cfg.local.steps * batch * d > LOCAL_WORK_BUDGET:
+        raise ConfigError(
+            f"local training would take {cfg.rounds} rounds x {m} clients x {cfg.local.steps} local_steps x "
+            f"{batch} points x {d} coordinates, above the budget of {LOCAL_WORK_BUDGET:.0e} point-coordinate "
+            "steps; reduce rounds, gamma * n, local_steps, batch_size or dim"
+        )
     d_pad = compress.padded_dim(d)
     if cfg.q < cfg.k:
         raise ConfigError(
@@ -220,15 +234,15 @@ def run_round(
 
     ids = subsample_clients(cfg.n, cfg.gamma, np.random.SeedSequence([master, _DOM_SUBSAMPLE, round_index]))
     # Each client's default_rng(SeedSequence([master, domain, round_index, cid]))
-    # for its local training and for its quantizer, seeded in one pass.
-    rngs = list(streams.generators(streams.entropy(master, [[_DOM_LOCAL], [_DOM_QUANTIZE]], round_index, ids)))
-    local_rngs, quantizer_rngs = rngs[:m], rngs[m:]
-    raw = np.empty((m, plan.d))
-    for rank, (cid, rng) in enumerate(zip(ids.tolist(), local_rngs)):
-        raw[rank] = plan.task.local_update(model.w, cid, cfg.local, rng) - model.w
+    # for its quantizer, and for its mini-batches if it draws any, seeded in one pass.
+    mini_batches = (cfg.local.batch_size or cfg.samples_per_client) < cfg.samples_per_client
+    domains = [[_DOM_QUANTIZE], [_DOM_LOCAL]] if mini_batches else [_DOM_QUANTIZE]
+    rngs = list(streams.generators(streams.entropy(master, domains, round_index, ids)))
+    raw = plan.task.local_update(model.w, ids, cfg.local, rngs[m:])
+    raw -= model.w
     clipped = compress.clip(raw, cfg.clip_bound)
     uniforms = np.empty((m, plan.d_pad))
-    for row, rng in zip(uniforms, quantizer_rngs):
+    for row, rng in zip(uniforms, rngs[:m]):
         rng.random(out=row)
     quantized = compress.quantize(compress.rotate(clipped, plan.rotation), spec, uniforms)
 

@@ -18,6 +18,7 @@ import numpy as np
 EVAL_SIZE = 1000
 
 DRAW_CHUNK_BYTES = 1 << 20  # bytes per normal() call of the logistic draw
+LOCAL_BLOCK_BYTES = 256 << 10  # most bytes of points one block of local training gathers
 SHARD_BLOCK_BYTES = 16 << 20  # most bytes one column block of sharding gathers
 
 
@@ -43,7 +44,8 @@ class LocalTrainerSpec:
 
 
 def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    """``0.5 * (1 + tanh(0.5 z))``, computed in place in ``z``."""
+    return np.multiply(np.add(np.tanh(np.multiply(z, 0.5, out=z), out=z), 1.0, out=z), 0.5, out=z)
 
 
 class Task:
@@ -51,8 +53,9 @@ class Task:
 
     The training data is stacked client-major: client ``c`` holds
     ``points[c]`` (shape ``(samples_per_client, features)``) and
-    ``targets[c]``.  Each task defines ``grad(w, X, y)``, and the
-    ``_outputs(w, X)`` and ``_loss_of(out, y)`` that evaluation reads.
+    ``targets[c]``.  Each task defines ``grad(w, X, y)`` along the trailing axes
+    (stacked weights, points and targets give each client's 2-D call's bits), and
+    the ``_loss_of(out, y)`` of the ``_outputs(w, X)`` that evaluation reads.
     """
 
     dim: int
@@ -63,6 +66,9 @@ class Task:
     def init_weights(self) -> np.ndarray:
         return np.zeros(self.dim)
 
+    def _outputs(self, w, X):
+        return X @ w
+
     def _accuracy_of(self, out, y) -> float:
         return float("nan")
 
@@ -72,19 +78,31 @@ class Task:
         out = self._outputs(w, X)
         return self._loss_of(out, y), self._accuracy_of(out, y)
 
-    def local_update(
-        self, w: np.ndarray, client: int, trainer: LocalTrainerSpec, rng: np.random.Generator
-    ) -> np.ndarray:
-        X, y = self.points[client], self.targets[client]
-        w = w.copy()
-        for _ in range(trainer.steps):
-            if trainer.batch_size is None or trainer.batch_size >= len(y):
-                bx, by = X, y
-            else:
-                idx = rng.choice(len(y), size=trainer.batch_size, replace=False)
-                bx, by = X[idx], y[idx]
-            w -= trainer.learning_rate * self.grad(w, bx, by)
-        return w
+    def local_update(self, w: np.ndarray, clients, trainer: LocalTrainerSpec, rngs=()) -> np.ndarray:
+        """Each client's weights after ``trainer.steps`` SGD steps from ``w``, stacked ``(len(clients),
+        dim)``, in blocks whose gathered points take at most ``LOCAL_BLOCK_BYTES`` (one client at least);
+        each mini-batch step draws one index set per client, from its generator in ``rngs``."""
+        clients, (n, features) = np.asarray(clients), self.points.shape[1:]
+        batch = n if trainer.batch_size is None else min(trainer.batch_size, n)
+        per_block = max(1, LOCAL_BLOCK_BYTES // (batch * features * self.points.itemsize))
+        out = np.empty((len(clients), len(w)))
+        for at in range(0, len(clients), per_block):
+            # one client is indexed, not sliced: its shard is a view and its 2-D arrays step faster than 3-D ones
+            block = at if per_block == 1 else slice(at, at + per_block)
+            ids, W, gens = clients[block], out[block], rngs[at : at + per_block]
+            W[...] = w
+            if batch == n or per_block == 1:  # whole shards, or one client's own
+                X, y = points, targets = self.points[ids], self.targets[ids]
+            else:  # the flat points, indexed from each client's first row
+                points, targets = self.points.reshape(-1, features), self.targets.reshape(-1)
+            for _ in range(trainer.steps):
+                if batch < n:
+                    rows = (gens[0].choice(n, size=batch, replace=False) if per_block == 1 else
+                            np.array([g.choice(n, size=batch, replace=False) for g in gens]) + (ids * n)[:, None])
+                    X, y = points[rows], targets[rows]
+                W -= trainer.learning_rate * self.grad(W, X, y)
+            del X, y, points, targets  # so that the next block's gather is not made beside this one
+        return out
 
     @staticmethod
     def _shard(X, y, n_clients, iid, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -117,10 +135,7 @@ class LinearRegressionTask(Task):
         self.eval_set = (Xe, Xe @ self.w_star + noise * rng.normal(size=EVAL_SIZE))
 
     def grad(self, w, X, y):
-        return X.T @ (X @ w - y) / len(y)
-
-    def _outputs(self, w, X):
-        return X @ w
+        return np.vecmat(np.matvec(X, w) - y, X) / y.shape[-1]
 
     def _loss_of(self, out, y):
         r = out - y
@@ -157,10 +172,7 @@ class LogisticBlobsTask(Task):
         self.eval_set = draw(EVAL_SIZE)
 
     def grad(self, w, X, y):
-        return X.T @ (_sigmoid(X @ w) - y) / len(y)
-
-    def _outputs(self, w, X):
-        return X @ w
+        return np.vecmat(_sigmoid(np.matvec(X, w)) - y, X) / y.shape[-1]
 
     def _loss_of(self, z, y):
         # log(1 + e^z) - y z, computed stably
@@ -174,8 +186,9 @@ class SpiralMlpTask(Task):
     """Two interleaved spirals, 2-16-16-1 tanh MLP with sigmoid output."""
 
     HIDDEN = 16
-    SHAPES = [(2, HIDDEN), (HIDDEN,), (HIDDEN, HIDDEN), (HIDDEN,), (HIDDEN, 1), (1,)]
-    DIM = sum(math.prod(s) for s in SHAPES)
+    SHAPES = [(2, HIDDEN), (1, HIDDEN), (HIDDEN, HIDDEN), (1, HIDDEN), (HIDDEN, 1), (1, 1)]
+    ENDS = np.cumsum([0] + [math.prod(s) for s in SHAPES]).tolist()  # where each layer starts and ends
+    DIM = ENDS[-1]
 
     def __init__(self, n_clients, samples_per_client, seed, iid=True, noise=0.08):
         self.dim = self.DIM
@@ -207,36 +220,24 @@ class SpiralMlpTask(Task):
         return self._w0.copy()
 
     def _unpack(self, w):
-        out, at = [], 0
-        for s in self.SHAPES:
-            size = math.prod(s)
-            out.append(w[at : at + size].reshape(s))
-            at += size
-        return out
+        """The layers of the weights along ``w``'s trailing axis; each bias is a row."""
+        return [w[..., a:b].reshape(w.shape[:-1] + s) for a, b, s in zip(self.ENDS, self.ENDS[1:], self.SHAPES)]
 
     def _forward(self, w, X):
         W1, b1, W2, b2, W3, b3 = self._unpack(w)
         h1 = np.tanh(X @ W1 + b1)
         h2 = np.tanh(h1 @ W2 + b2)
-        p = _sigmoid((h2 @ W3 + b3).ravel())
+        p = _sigmoid((h2 @ W3 + b3)[..., 0])
         return h1, h2, p
 
     def grad(self, w, X, y):
-        W1, b1, W2, b2, W3, b3 = self._unpack(w)
+        _, _, W2, _, W3, _ = self._unpack(w)
         h1, h2, p = self._forward(w, X)
-        n = len(y)
-        dz3 = (p - y)[:, None] / n
-        dW3 = h2.T @ dz3
-        db3 = dz3.sum(axis=0)
-        dh2 = dz3 @ W3.T
-        dz2 = dh2 * (1.0 - h2 * h2)
-        dW2 = h1.T @ dz2
-        db2 = dz2.sum(axis=0)
-        dh1 = dz2 @ W2.T
-        dz1 = dh1 * (1.0 - h1 * h1)
-        dW1 = X.T @ dz1
-        db1 = dz1.sum(axis=0)
-        return np.concatenate([g.ravel() for g in (dW1, db1, dW2, db2, dW3, db3)])
+        dz3 = (p - y)[..., None] / y.shape[-1]
+        dz2 = dz3 @ W3.swapaxes(-1, -2) * (1.0 - h2 * h2)
+        dz1 = dz2 @ W2.swapaxes(-1, -2) * (1.0 - h1 * h1)
+        grads = [(a.swapaxes(-1, -2) @ dz, dz.sum(-2, keepdims=True)) for a, dz in ((X, dz1), (h1, dz2), (h2, dz3))]
+        return np.concatenate([g.reshape(w.shape[:-1] + (-1,)) for layer in grads for g in layer], axis=-1)
 
     def _outputs(self, w, X):
         return self._forward(w, X)[2]

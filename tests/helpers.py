@@ -22,6 +22,8 @@ These stay independent of the code paths they check:
   copy per client, or gathered into a new array in one step; the spiral
   draw stacks fresh arrays, and the logistic draw adds an ``np.outer``
   term and appends the bias column with ``np.hstack``;
+- local training runs one client at a time, each step a 2-D gradient
+  (``X.T @ residual``, and the MLP's backpropagation with 1-D biases);
 - a task's pooled loss, gradient and smoothness read every client's
   shard at once, and the convergence report checks the paper's
   stationarity bound from each round's recomputed client gradients.
@@ -42,6 +44,7 @@ from latticefl import compress, secagg
 from latticefl.accountant import ALPHAS, logsumexp
 from latticefl.dgauss import check_sigma_units, sample_integer_gaussian
 from latticefl.errors import ConfigError
+from latticefl.tasks import LinearRegressionTask, SpiralMlpTask
 
 
 def brute_force_wrap(z: int, modulus: int) -> int:
@@ -413,6 +416,50 @@ def pooled(task) -> tuple[np.ndarray, np.ndarray]:
     """Every client's points and targets as one training set, client by
     client."""
     return task.points.reshape(-1, task.points.shape[-1]), task.targets.reshape(-1)
+
+
+def grad_reference(task, w, X, y) -> np.ndarray:
+    """One client's gradient by the 2-D formulas: ``X.T @ residual / len(y)``
+    for the linear and logistic tasks, and backpropagation with 1-D biases
+    for the MLP."""
+    if isinstance(task, SpiralMlpTask):
+        H = task.HIDDEN
+        layers, at = [], 0
+        for shape in [(2, H), (H,), (H, H), (H,), (H, 1), (1,)]:
+            layers.append(w[at : at + math.prod(shape)].reshape(shape))
+            at += math.prod(shape)
+        W1, b1, W2, b2, W3, b3 = layers
+        h1 = np.tanh(X @ W1 + b1)
+        h2 = np.tanh(h1 @ W2 + b2)
+        p = 0.5 * (1.0 + np.tanh(0.5 * (h2 @ W3 + b3).ravel()))
+        dz3 = (p - y)[:, None] / len(y)
+        dz2 = dz3 @ W3.T * (1.0 - h2 * h2)
+        dz1 = dz2 @ W2.T * (1.0 - h1 * h1)
+        grads = (X.T @ dz1, dz1.sum(axis=0), h1.T @ dz2, dz2.sum(axis=0), h2.T @ dz3, dz3.sum(axis=0))
+        return np.concatenate([g.ravel() for g in grads])
+    z = X @ w
+    residual = z - y if isinstance(task, LinearRegressionTask) else 0.5 * (1.0 + np.tanh(0.5 * z)) - y
+    return X.T @ residual / len(y)
+
+
+def local_update_reference(task, w, clients, trainer, rngs) -> np.ndarray:
+    """Each client's locally trained weights, one client at a time: a copy
+    of ``w`` takes ``trainer.steps`` SGD steps of ``grad_reference``, on
+    the client's whole shard or on a mini-batch that its generator in
+    ``rngs`` draws."""
+    out = []
+    for rank, client in enumerate(clients):
+        X, y = task.points[client], task.targets[client]
+        w_client = w.copy()
+        for _ in range(trainer.steps):
+            if trainer.batch_size is None or trainer.batch_size >= len(y):
+                bx, by = X, y
+            else:
+                idx = rngs[rank].choice(len(y), size=trainer.batch_size, replace=False)
+                bx, by = X[idx], y[idx]
+            w_client -= trainer.learning_rate * grad_reference(task, w_client, bx, by)
+        out.append(w_client)
+    return np.array(out)
 
 
 def loss(task, w, X, y) -> float:

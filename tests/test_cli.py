@@ -289,6 +289,28 @@ def test_accountant_known_point(tmp_path, capsys):
     assert len(lines) > 60
 
 
+@pytest.mark.parametrize(
+    "clip, finite",
+    [
+        ("2e152", True),  # a finite curve whose 50-round composition passes the float range at high orders
+        ("1e153", False),  # the curve itself passes the float range
+    ],
+)
+def test_accountant_curve_past_the_float_range_warns_nothing(tmp_path, capsys, clip, finite):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(Path(__file__).resolve().parent.parent / "configs" / "accountant.cfg")
+    parser["accountant"]["sigma"] = "1.0"
+    parser["accountant"]["clip"] = clip
+    cfg = tmp_path / "acct.cfg"
+    with open(cfg, "w") as fh:
+        parser.write(fh)
+    assert main(["accountant", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    epsilon = float(captured.out.splitlines()[0].removeprefix("epsilon = "))
+    assert epsilon < float("inf") if finite else epsilon == float("inf")
+
+
 def test_accountant_doubling_rounds_ratio(tmp_path, capsys):
     def eps_at(rounds):
         cfg = write_cfg(
@@ -437,6 +459,7 @@ def test_non_finite_protocol_value_rejected(tmp_path, capsys, key, value):
         ("q", "-3"),
         ("q", "429496731"),
         ("sigma", "1e19"),  # sigma / step about 2e20 lattice steps: past the sampler's range
+        ("local_steps", "18446744073709551616"),  # 2**64 steps: past the local work budget
     ],
 )
 def test_out_of_range_protocol_value_rejected(tmp_path, capsys, monkeypatch, key, value):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import latticefl
+from latticefl import compress, streams
 from latticefl.errors import ConfigError
 from latticefl.simulate import (
     GlobalModel,
@@ -22,6 +23,7 @@ from latticefl.tasks import LocalTrainerSpec
 
 from helpers import (
     centered,
+    client_rng_reference,
     convergence_report,
     decode_payloads,
     encode_payloads,
@@ -175,12 +177,37 @@ def test_zero_updates_leave_model_unchanged(monkeypatch):
     cfg = small_cfg(sigma=0.0)
     plan = make_plan(cfg)
     monkeypatch.setattr(
-        plan.task, "local_update", lambda w, client, trainer, rng: w.copy()
+        plan.task, "local_update", lambda w, clients, trainer, rngs: np.tile(w, (len(clients), 1))
     )
     model = GlobalModel(plan.task.init_weights(), 0)
     new_model, tr = run_round(model, plan, 1)
     np.testing.assert_array_equal(new_model.w, model.w)
     assert tr.round_mse == 0.0
+
+
+@pytest.mark.parametrize("batch_size, streams_per_client", [(None, 1), (12, 1), (5, 2)])
+def test_a_round_seeds_local_generators_only_for_mini_batches(monkeypatch, batch_size, streams_per_client):
+    # a batch of the whole shard (12 points) is a full batch too
+    cfg = small_cfg(local=LocalTrainerSpec(steps=2, learning_rate=0.5, batch_size=batch_size))
+    plan = make_plan(cfg)
+    built, quantizer_uniforms = [], []
+    generators, quantize = streams.generators, compress.quantize
+
+    def counting(entropy):
+        for rng in generators(entropy):
+            built.append(rng)
+            yield rng
+
+    def capture(x, spec, uniforms):
+        quantizer_uniforms.append(uniforms.copy())
+        return quantize(x, spec, uniforms)
+
+    monkeypatch.setattr(streams, "generators", counting)
+    monkeypatch.setattr(compress, "quantize", capture)
+    _, tr = run_round(GlobalModel(plan.task.init_weights(), 0), plan, 1)
+    assert len(built) == streams_per_client * plan.m
+    want = [client_rng_reference(cfg.seed, 22, 1, c).random(plan.d_pad) for c in tr.clients]
+    assert quantizer_uniforms[0].tobytes() == np.array(want).tobytes()
 
 
 def test_masked_and_unmasked_agree_bitwise(monkeypatch):
@@ -244,8 +271,7 @@ def test_noiseless_round_tracks_plain_averaging():
     model = GlobalModel(plan.task.init_weights(), 0)
     new_model, tr = run_round(model, plan, 1)
     # one full-batch step draws no randomness, so the clients' updates replay without their generators
-    updates = [plan.task.local_update(model.w, c, cfg.local, None) - model.w for c in tr.clients]
-    raw_mean = np.mean(updates, axis=0)
+    raw_mean = np.mean(plan.task.local_update(model.w, tr.clients, cfg.local) - model.w, axis=0)
     tolerance = plan.spec.step * math.sqrt(plan.d_pad)
     assert np.linalg.norm(new_model.w - (model.w + raw_mean)) <= tolerance
 

@@ -3,12 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     client_shards_reference,
     full_gradient,
+    local_update_reference,
     logistic_draw_reference,
     loss,
     shard_gather_reference,
@@ -181,7 +182,7 @@ def test_local_update_descends():
     trainer = LocalTrainerSpec(steps=3, learning_rate=0.5, batch_size=10)
     w0 = task.init_weights()
     X, y = task.points[1], task.targets[1]
-    w1 = task.local_update(w0, 1, trainer, np.random.default_rng(0))
+    (w1,) = task.local_update(w0, [1], trainer, [np.random.default_rng(0)])
     assert loss(task, w1, X, y) < loss(task, w0, X, y)
 
 
@@ -189,9 +190,65 @@ def test_local_update_deterministic_given_stream():
     task = make_task("mlp", 0, 3, 25, seed=6)
     trainer = LocalTrainerSpec(steps=2, learning_rate=0.2, batch_size=8)
     w = task.init_weights()
-    a = task.local_update(w, 0, trainer, np.random.default_rng(9))
-    b = task.local_update(w, 0, trainer, np.random.default_rng(9))
+    a = task.local_update(w, [0, 2], trainer, [np.random.default_rng(9), np.random.default_rng(10)])
+    b = task.local_update(w, [0, 2], trainer, [np.random.default_rng(9), np.random.default_rng(10)])
     np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["linear", "logistic", "mlp"]),
+    dim=st.integers(2, 40),
+    n_clients=st.integers(1, 12),
+    samples=st.integers(1, 16),
+    iid=st.booleans(),
+    picks=st.lists(st.integers(0, 11), min_size=1, max_size=12, unique=True),
+    steps=st.integers(1, 3),
+    batch_size=st.one_of(st.none(), st.integers(1, 20)),
+    per_block=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the benchmark's shapes, train-cohort's full batches in blocks of 3 and
+# train-long's 32-point batches of 1000 coordinates one client a block, and
+# a non-IID MLP whose mini-batches run in one block
+@example(name="logistic", dim=200, n_clients=16, samples=20, iid=True, picks=list(range(12)), steps=1,
+         batch_size=None, per_block=3, seed=0)
+@example(name="logistic", dim=1000, n_clients=4, samples=200, iid=True, picks=[3, 0], steps=5,
+         batch_size=32, per_block=1, seed=1)
+@example(name="mlp", dim=2, n_clients=12, samples=16, iid=False, picks=list(range(12)), steps=2,
+         batch_size=5, per_block=16, seed=2)
+def test_local_update_equals_the_per_client_loop(name, dim, n_clients, samples, iid, picks, steps,
+                                                 batch_size, per_block, seed):
+    # blocks of one client up to all of them, whole shards and mini-batches
+    task = make_task(name, dim, n_clients, samples, seed=seed, iid=iid)
+    clients = list(dict.fromkeys(c % n_clients for c in picks))
+    trainer = LocalTrainerSpec(steps=steps, learning_rate=0.7, batch_size=batch_size)
+    w = task.init_weights() + 0.3 * np.random.default_rng(seed).normal(size=task.dim)
+    rngs = [np.random.default_rng([seed, c]) for c in clients]
+    ref_rngs = [np.random.default_rng([seed, c]) for c in clients]
+    batch = min(batch_size or samples, samples)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tasks, "LOCAL_BLOCK_BYTES", per_block * batch * task.points.shape[-1] * 8)
+        got = task.local_update(w, np.array(clients), trainer, rngs)
+    want = local_update_reference(task, w, clients, trainer, ref_rngs)
+    assert got.shape == (len(clients), task.dim)
+    assert got.tobytes() == want.tobytes()
+    assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+
+
+@pytest.mark.parametrize("m", [200, 2000])
+def test_local_update_peak_memory_is_one_block_beyond_its_result(m):
+    # train-cohort's clients (d = 200, 20 points each): a block gathers at
+    # most LOCAL_BLOCK_BYTES of points, never the whole cohort's 32 KB a client
+    task = make_task("logistic", 200, m, 20, seed=3)
+    w = np.full(task.dim, 0.01)
+    tracemalloc.start()
+    try:
+        out = task.local_update(w, np.arange(m), LocalTrainerSpec(steps=2, learning_rate=1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 1.25 * tasks.LOCAL_BLOCK_BYTES
 
 
 def test_non_iid_shards_are_label_sorted():
@@ -210,6 +267,6 @@ def test_unknown_task_rejected():
 def test_mlp_learns_a_little():
     task = make_task("mlp", 0, 2, 200, seed=8)
     trainer = LocalTrainerSpec(steps=800, learning_rate=1.0, batch_size=64)
-    w = task.local_update(task.init_weights(), 0, trainer, np.random.default_rng(1))
+    (w,) = task.local_update(task.init_weights(), [0], trainer, [np.random.default_rng(1)])
     _, acc = task.eval_metrics(w)
     assert acc > 0.7
