@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,16 +62,13 @@ _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.936503404577
 
 
 def _log_factorial(n: int) -> float:
-    """``log(n!)``, bit for bit cephes' ``lgam(n + 1)`` (scipy's ``gammaln``); above
-    1e8 cephes drops the Stirling series, which rounds away there anyway."""
+    """``log(n!)``, bit for bit scipy's ``gammaln(n + 1)``: a port of cephes' ``lgam``,
+    whose shorter series from the argument 1000 on, and none above 1e8, round alike."""
     x = float(n + 1)
     if x < 13.0:
         return math.log(float(math.factorial(n)))
     p = 1.0 / (x * x)
-    if x >= 1000.0:
-        series = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
-    else:
-        series = functools.reduce(lambda acc, coeff: acc * p + coeff, _LGAM_A)
+    series = functools.reduce(lambda acc, coeff: acc * p + coeff, _LGAM_A)
     return (x - 0.5) * math.log(x) - x + 0.91893853320467274178 + series / x  # log(sqrt(2 pi))
 
 
@@ -145,12 +142,11 @@ def to_dp(eps: np.ndarray, delta: float) -> tuple[float, float]:
 
 @dataclass
 class AccountantState:
-    """Cumulative ledger for a run with fixed per-round parameters."""
+    """Ledger for a run with fixed per-round parameters."""
 
     sigma: float
     sensitivity: float
     gamma: float
-    rounds_recorded: int = field(default=0, init=False)
 
     def __post_init__(self):
         # Subsampling cannot cost privacy, but the amplification bound can
@@ -159,18 +155,9 @@ class AccountantState:
         base = base_curve(self.sigma, self.sensitivity)
         self.per_round = np.minimum(amplify_by_subsampling(base, self.gamma), base)
 
-    @property
-    def cumulative(self) -> np.ndarray:
-        return compose(self.per_round, self.rounds_recorded)
-
-    def record_round(self, count: int = 1) -> None:
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        self.rounds_recorded += count
-
-    def epsilon(self, delta: float) -> tuple[float, float]:
-        """Spent ``(epsilon, alpha*)`` after the recorded rounds; nothing is
+    def epsilon(self, delta: float, rounds: int) -> tuple[float, float]:
+        """Spent ``(epsilon, alpha*)`` after ``rounds`` rounds; nothing is
         spent before the first, at no optimal order: ``(0.0, inf)``."""
-        if self.rounds_recorded == 0:
+        if rounds == 0:
             return 0.0, math.inf
-        return to_dp(self.cumulative, delta)
+        return to_dp(compose(self.per_round, rounds), delta)

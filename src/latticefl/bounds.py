@@ -47,41 +47,34 @@ class MseBoundInputs:
     def __post_init__(self):
         if min(self.d, self.n, self.k, self.q) < 1 or self.k < 2:
             raise ValueError("d, n, q must be >= 1 and k >= 2")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        if not 1e-150 <= self.gamma <= 1.0:  # gamma**2 a normal float
+            raise ValueError(f"gamma must be in [1e-150, 1], got {self.gamma}")
         if self.sigma_units < 0 or self.g_max <= 0:
             raise ValueError("sigma_units must be >= 0 and g_max > 0")
 
 
-def mse_bound(inputs: MseBoundInputs, normalize_phi: bool = True) -> float:
+def mse_bound(inputs: MseBoundInputs) -> float:
     """Upper bound on E||estimated mean - true mean||^2.
 
-    Requires ``sigma_units >= 1/sqrt(2 pi)``.  ``normalize_phi`` selects
-    whether the overflow-term CDF arguments ``n q`` and ``n (q - k - 1)``
-    are divided by the noise scale (the reading consistent with how the
-    discrete tail is bracketed by continuous tails) or taken literally;
-    both vanish except at tiny ``q``.  See :func:`mse_bound_conservative`.
+    Requires ``sigma_units >= 1/sqrt(2 pi)``.  The overflow terms' CDF
+    arguments ``n q`` and ``n (q - k - 1)`` have two readings: divided by
+    the noise scale (consistent with how the discrete tail is bracketed by
+    continuous tails) or taken literally.  Both vanish except at tiny
+    ``q``; the bound is the larger of the two.
     """
-    su = inputs.sigma_units
+    su, n, q, k = inputs.sigma_units, inputs.n, inputs.q, inputs.k
     if su < INV_SQRT_2PI:
         raise HypothesisViolated(
             f"sigma_units={su} below 1/sqrt(2 pi); the bound's tail bracket needs it"
         )
-    scale = su if normalize_phi else 1.0
-    sf_main = _normal_sf(inputs.n * inputs.q / scale)
-    sf_overflow = _normal_sf(inputs.n * (inputs.q - inputs.k - 1) / scale)
-    coeff = 1.0 - sf_main / (1.0 + 3.0 * math.exp(-2.0 * math.pi**2 * su * su))
-    main = (
-        coeff
-        * (4.0 * inputs.d * inputs.g_max**2 / (inputs.n * (inputs.k - 1) ** 2))
-        * (0.25 + su * su / (inputs.gamma**2 * inputs.n**2))
+    spread = 4.0 * inputs.d * inputs.g_max**2 / (n * (k - 1) ** 2)
+    noise = 0.25 + su * su / (inputs.gamma**2 * n**2)
+    bracket = 1.0 + 3.0 * math.exp(-2.0 * math.pi**2 * su * su)
+    return max(
+        (1.0 - _normal_sf(n * q / scale) / bracket) * spread * noise
+        + _normal_sf(n * (q - k - 1) / scale) * float(q) ** 2
+        for scale in (su, 1.0)
     )
-    return main + sf_overflow * float(inputs.q) ** 2
-
-
-def mse_bound_conservative(inputs: MseBoundInputs) -> float:
-    """Larger of the two CDF-argument readings of :func:`mse_bound`."""
-    return max(mse_bound(inputs, normalize_phi=True), mse_bound(inputs, normalize_phi=False))
 
 
 def ceil_log2(v: int) -> int:

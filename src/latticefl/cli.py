@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds
-from .accountant import ALPHAS, AccountantState
+from .accountant import ALPHAS, AccountantState, compose
 from .config import ExperimentConfig, format_real, load_config
 from .dgauss import sample_integer_gaussian
 from .errors import ConfigError, HypothesisViolated, LatticeflError
@@ -84,7 +84,7 @@ def cmd_mse_bench(cfg: ExperimentConfig) -> int:
         )
         inputs = bounds.MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=su, gamma=gamma, g_max=g_max)
         try:
-            bound = bounds.mse_bound_conservative(inputs)
+            bound = bounds.mse_bound(inputs)
         except HypothesisViolated:
             bound, flag = math.nan, "hypothesis"
         else:
@@ -104,13 +104,13 @@ def cmd_mse_bench(cfg: ExperimentConfig) -> int:
 def cmd_accountant(cfg: ExperimentConfig) -> int:
     p = cfg.accountant_params
     state = AccountantState(sigma=p.sigma, sensitivity=p.sensitivity, gamma=p.gamma)
-    state.record_round(p.rounds)
-    eps, alpha = state.epsilon(p.delta)
+    eps, alpha = state.epsilon(p.delta, p.rounds)
     print(f"epsilon = {format_real(eps)}")
     print(f"alpha_star = {format_real(alpha)}")
     if cfg.out is not None:
         # nothing spent at zero rounds: the header only
-        rows = [[format_real(a), format_real(e)] for a, e in zip(ALPHAS, state.cumulative)] if p.rounds else []
+        spent = compose(state.per_round, p.rounds)
+        rows = [[format_real(a), format_real(e)] for a, e in zip(ALPHAS, spent)] if p.rounds else []
         _write_csv(cfg.out, ["alpha", "eps"], rows)
     return 0
 

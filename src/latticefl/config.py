@@ -34,6 +34,11 @@ from .simulate import RoundConfig, check_memory_budget
 SAMPLE_BYTES_PER_DRAW = 9
 SAMPLE_BYTES_FIXED = 5 << 20
 
+# Most client-coordinates an mse-bench grid may round, trials x the sum over cells of
+# clients x d_pad: 186 times the 5.4e6 of the stock grid, which runs in about 0.9 s
+# on a 2-vCPU desk machine, so an accepted grid runs for minutes at most.
+MSE_WORK_BUDGET = 10**9
+
 
 @dataclass(frozen=True)
 class AccountantParams:
@@ -113,6 +118,13 @@ class MseGrid:
             check_memory_budget(
                 empirical_mse_bytes(n, d), f"an mse cell of {n} clients at d={d}",
                 "reduce dims or clients",
+            )
+        work = sum(n * padded_dim(d) for d, n, *_ in self.cells())
+        if self.trials * work > MSE_WORK_BUDGET:
+            raise ValueError(
+                f"mse-bench would take {self.trials} trials x {work} client-coordinates summed over the cells, "
+                f"above the budget of {MSE_WORK_BUDGET:.0e}; reduce trials, dims or clients, "
+                "or shorten ks, qs, sigmas, gammas or g_maxes"
             )
 
     def cells(self):

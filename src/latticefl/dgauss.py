@@ -36,8 +36,8 @@ MAX_REJECTIONS_PER_SAMPLE = 10**6
 # Candidates evaluated at a time: a chunk's three float64 rows (384 KiB) stay in cache.
 CHUNK = 1 << 14
 
-# Smallest noise scale, in lattice steps, at which the continuous tails
-# bracket the discrete one from below (see DiscreteGaussian.tail_bound).
+# Smallest noise scale, in lattice steps, at which a continuous tail bounds
+# the discrete one from below, as the MSE bound's no-overflow term needs.
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # Noise scales, in lattice steps, where the draws are exact.  A geometric
@@ -225,19 +225,9 @@ class DiscreteGaussian:
             bound = min(bound, 3.0 * math.exp(-1.0 / (2.0 * su2)))
         return bound * self.spec.step**2
 
-    def tail_bound(self, m: int) -> tuple[float, float]:
-        """Bracket ``P[X >= m]`` (``m`` in lattice steps) between
-        continuous-Gaussian tails.
-
-        Returns ``(upper, lower)``.  The lower bound requires
-        ``sigma_units >= 1/sqrt(2 pi)`` and is 0 otherwise.
-        """
+    def tail_bound(self, m: int) -> float:
+        """Upper bound on ``P[X >= m]`` (``m`` in lattice steps): the
+        continuous-Gaussian tail from ``m - 1``."""
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        su = self.sigma_units
-        upper = std_normal_sf((m - 1) / su)
-        if su >= INV_SQRT_2PI:
-            lower = std_normal_sf(m / su) / (1.0 + 3.0 * math.exp(-2.0 * math.pi**2 * su * su))
-        else:
-            lower = 0.0
-        return upper, lower
+        return std_normal_sf((m - 1) / self.sigma_units)

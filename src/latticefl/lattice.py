@@ -36,8 +36,9 @@ class LatticeSpec:
     q: int
 
     def __post_init__(self):
-        if self.g_max <= 0:
-            raise ValueError(f"g_max must be positive, got {self.g_max}")
+        # far inside the float range: 2**31 steps summed over 2**28 coordinates, squared, stay finite
+        if not 1e-100 <= self.g_max <= 1e100:
+            raise ValueError(f"g_max must be in [1e-100, 1e100], got {self.g_max}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.k % 2 == 0:

@@ -189,9 +189,7 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
         if margin_steps < 1:
             overflow_probability = 1.0
         else:
-            dist = DiscreteGaussian(cfg.sigma, spec)
-            upper, _ = dist.tail_bound(margin_steps)
-            overflow_probability = min(1.0, 2.0 * d_pad * upper)
+            overflow_probability = min(1.0, 2.0 * d_pad * DiscreteGaussian(cfg.sigma, spec).tail_bound(margin_steps))
     else:
         overflow_probability = 0.0
 
@@ -282,8 +280,8 @@ def run_training(
 
     ``plan`` is ``make_plan(cfg)`` when the caller has built it already
     (building it draws the task data).  Returns the final model,
-    per-round transcripts (with evaluation metrics and the cumulative
-    epsilon filled in), and the accountant (None when noise is disabled;
+    per-round transcripts (with evaluation metrics and the epsilon spent
+    so far filled in), and the accountant (None when noise is disabled;
     epsilon is then infinite).
     """
     if plan is None:
@@ -295,11 +293,7 @@ def run_training(
     transcripts: list[RoundTranscript] = []
     for t in range(1, cfg.rounds + 1):
         model, tr = run_round(model, plan, t, use_masks=use_masks)
-        if acct is not None:
-            acct.record_round()
-            tr.epsilon = acct.epsilon(cfg.delta)[0]
-        else:
-            tr.epsilon = math.inf
+        tr.epsilon = math.inf if acct is None else acct.epsilon(cfg.delta, t)[0]
         tr.loss, tr.accuracy = plan.task.eval_metrics(model.w)
         transcripts.append(tr)
     return model, transcripts, acct

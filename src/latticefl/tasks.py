@@ -18,7 +18,7 @@ import numpy as np
 EVAL_SIZE = 1000
 
 DRAW_CHUNK_BYTES = 1 << 20  # bytes per normal() call of the logistic draw
-LOCAL_BLOCK_BYTES = 256 << 10  # most bytes of points one block of local training gathers
+LOCAL_BLOCK_BYTES = 256 << 10  # most bytes of per-point rows one block of local training holds at once
 SHARD_BLOCK_BYTES = 16 << 20  # most bytes one column block of sharding gathers
 
 
@@ -59,6 +59,7 @@ class Task:
     """
 
     dim: int
+    width: int  # floats per point in the widest array a step holds
     points: np.ndarray
     targets: np.ndarray
     eval_set: tuple[np.ndarray, np.ndarray]
@@ -80,11 +81,11 @@ class Task:
 
     def local_update(self, w: np.ndarray, clients, trainer: LocalTrainerSpec, rngs=()) -> np.ndarray:
         """Each client's weights after ``trainer.steps`` SGD steps from ``w``, stacked ``(len(clients),
-        dim)``, in blocks whose gathered points take at most ``LOCAL_BLOCK_BYTES`` (one client at least);
-        each mini-batch step draws one index set per client, from its generator in ``rngs``."""
+        dim)``, in blocks whose points take at most ``LOCAL_BLOCK_BYTES`` in rows of ``width`` floats (one
+        client at least); each mini-batch step draws one index set per client, from its generator in ``rngs``."""
         clients, (n, features) = np.asarray(clients), self.points.shape[1:]
         batch = n if trainer.batch_size is None else min(trainer.batch_size, n)
-        per_block = max(1, LOCAL_BLOCK_BYTES // (batch * features * self.points.itemsize))
+        per_block = max(1, LOCAL_BLOCK_BYTES // (batch * self.width * self.points.itemsize))
         out = np.empty((len(clients), len(w)))
         for at in range(0, len(clients), per_block):
             # one client is indexed, not sliced: its shard is a view and its 2-D arrays step faster than 3-D ones
@@ -123,16 +124,18 @@ class Task:
 class LinearRegressionTask(Task):
     """y = X w* + noise; the optimum is known in closed form."""
 
-    def __init__(self, dim, n_clients, samples_per_client, seed, iid=True, noise=0.05):
-        self.dim = dim
+    NOISE = 0.05  # of the targets
+
+    def __init__(self, dim, n_clients, samples_per_client, seed, iid=True):
+        self.dim = self.width = dim
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         self.w_star = rng.normal(size=dim) / math.sqrt(dim)
         total = n_clients * samples_per_client
         X = rng.normal(size=(total, dim))
-        y = X @ self.w_star + noise * rng.normal(size=total)
+        y = X @ self.w_star + self.NOISE * rng.normal(size=total)
         self.points, self.targets = self._shard(X, y, n_clients, iid, rng)
         Xe = rng.normal(size=(EVAL_SIZE, dim))
-        self.eval_set = (Xe, Xe @ self.w_star + noise * rng.normal(size=EVAL_SIZE))
+        self.eval_set = (Xe, Xe @ self.w_star + self.NOISE * rng.normal(size=EVAL_SIZE))
 
     def grad(self, w, X, y):
         return np.vecmat(np.matvec(X, w) - y, X) / y.shape[-1]
@@ -145,15 +148,17 @@ class LinearRegressionTask(Task):
 class LogisticBlobsTask(Task):
     """Two Gaussian blobs, logistic regression with a bias feature."""
 
-    def __init__(self, dim, n_clients, samples_per_client, seed, iid=True, separation=2.0):
+    SEPARATION = 2.0  # of each blob centre from the origin
+
+    def __init__(self, dim, n_clients, samples_per_client, seed, iid=True):
         if dim < 2:
             raise ValueError("logistic task needs dim >= 2 (features + bias)")
-        self.dim = dim
+        self.dim = self.width = dim
         features = dim - 1
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
         direction = rng.normal(size=features)
         direction /= np.linalg.norm(direction)
-        self.centers = separation * direction
+        self.centers = self.SEPARATION * direction
 
         def draw(count):
             # same stream and bytes as one normal() call + outer(±1, centers)
@@ -189,8 +194,10 @@ class SpiralMlpTask(Task):
     SHAPES = [(2, HIDDEN), (1, HIDDEN), (HIDDEN, HIDDEN), (1, HIDDEN), (HIDDEN, 1), (1, 1)]
     ENDS = np.cumsum([0] + [math.prod(s) for s in SHAPES]).tolist()  # where each layer starts and ends
     DIM = ENDS[-1]
+    NOISE = 0.08  # of the points off their spiral
+    width = HIDDEN  # a hidden layer's activations are the widest per-point rows
 
-    def __init__(self, n_clients, samples_per_client, seed, iid=True, noise=0.08):
+    def __init__(self, n_clients, samples_per_client, seed, iid=True):
         self.dim = self.DIM
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
 
@@ -205,7 +212,7 @@ class SpiralMlpTask(Task):
             on_spiral *= t
             del t, angle  # so that at most five floats per point are ever live
             pts = rng.normal(size=(count, 2))
-            pts *= noise
+            pts *= self.NOISE
             pts += on_spiral.T
             return pts, labels
 

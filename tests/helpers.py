@@ -9,8 +9,12 @@ These stay independent of the code paths they check:
 - the discrete Gaussian's pmf and its Renyi divergence are truncated sums
   of ``exp(-z^2 / (2 sigma^2))``, and the variance and tail oracles sum
   that pmf; goodness-of-fit runs through scipy's chi-square;
+- the tail's lower bracket is scipy's normal tail scaled down, and each
+  of the MSE bound's two readings of its overflow terms is evaluated on
+  its own, term by term;
 - the subsampled RDP bound at an integer order adds its terms one at a
-  time as Python floats, its log-binomials from scipy's ``gammaln``;
+  time as Python floats, its log-binomials from scipy's ``gammaln``, and
+  the spend after some rounds is converted order by order as Python floats;
 - each pairwise mask is read from its own fresh copy of the round's
   PCG64 stream, advanced past the blocks of the pairs before it, and a
   client's net mask is the int64 sum of its pairs' masks;
@@ -149,6 +153,18 @@ def amplified_at_integer_reference(eps: np.ndarray, gamma: float, alpha: int) ->
     return logsumexp(log_terms) / (alpha - 1)
 
 
+def epsilon_reference(per_round: np.ndarray, delta: float, rounds: int) -> tuple[float, float]:
+    """``(epsilon, alpha*)`` after ``rounds`` rounds of the curve ``per_round``,
+    order by order as Python floats: the first order at which
+    ``rounds * eps(alpha) + log(1/delta) / (alpha - 1)`` is least.  Nothing is
+    spent before the first round, at no order: ``(0.0, inf)``."""
+    if rounds == 0:
+        return 0.0, math.inf
+    candidates = [(float(e) * rounds + math.log(1.0 / delta) / (float(a) - 1.0), float(a))
+                  for e, a in zip(per_round, ALPHAS)]
+    return min(candidates, key=lambda candidate: candidate[0])
+
+
 def pmf_oracle(dist, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Support [-radius, radius] and pmf values on it."""
     support = np.arange(-radius, radius + 1)
@@ -169,6 +185,32 @@ def tail_oracle(dist, m: int, radius: int | None = None) -> float:
         radius = max(m + 5, int(np.ceil(25 * dist.sigma_units)))
     support = np.arange(m, radius + 1)
     return float(np.sum(pmf(dist, support)))
+
+
+def tail_lower_bound(dist, m: int) -> float:
+    """Lower bound on P[X >= m] from the continuous tail at ``m``, valid for
+    ``sigma_units >= 1/sqrt(2 pi)`` and 0 below it."""
+    su = dist.sigma_units
+    if su < 1.0 / math.sqrt(2.0 * math.pi):
+        return 0.0
+    return stats.norm.sf(m / su) / (1.0 + 3.0 * math.exp(-2.0 * math.pi**2 * su * su))
+
+
+def mse_bound_reading(i, normalize_phi: bool) -> float:
+    """The MSE bound with the overflow terms' CDF arguments ``n q`` and
+    ``n (q - k - 1)`` divided by ``sigma_units`` (``normalize_phi``) or taken
+    literally, each term a separate step, survival probabilities below 1e-300
+    taken as 0."""
+    su = i.sigma_units
+    scale = su if normalize_phi else 1.0
+
+    def sf(x):
+        value = 0.5 * math.erfc(x / math.sqrt(2.0))
+        return 0.0 if value < 1e-300 else value
+
+    coeff = 1.0 - sf(i.n * i.q / scale) / (1.0 + 3.0 * math.exp(-2.0 * math.pi**2 * su * su))
+    main = coeff * (4.0 * i.d * i.g_max**2 / (i.n * (i.k - 1) ** 2)) * (0.25 + su * su / (i.gamma**2 * i.n**2))
+    return main + sf(i.n * (i.q - i.k - 1) / scale) * float(i.q) ** 2
 
 
 def gof_pvalue_discrete(samples: np.ndarray, dist, min_pmf: float = 1e-6) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from latticefl.accountant import ALPHAS, AccountantState, amplify_by_subsampling, base_curve
-from latticefl.bounds import MseBoundInputs, empirical_mse, mse_bound_conservative, payload_bits_per_client
+from latticefl.bounds import MseBoundInputs, empirical_mse, mse_bound, payload_bits_per_client
 from latticefl.compress import quantize, sensitivity
 from latticefl.dgauss import DiscreteGaussian, sample_integer_gaussian
 from latticefl.lattice import LatticeSpec
@@ -20,7 +20,16 @@ from latticefl.secagg import aggregate_round, wire_modulus
 from latticefl.simulate import RoundConfig, make_plan, run_training
 from latticefl.tasks import LocalTrainerSpec
 
-from helpers import centered, gof_pvalue_discrete, gof_pvalue_uniform, pooled, renyi_divergence, tail_oracle, variance_oracle
+from helpers import (
+    centered,
+    gof_pvalue_discrete,
+    gof_pvalue_uniform,
+    pooled,
+    renyi_divergence,
+    tail_lower_bound,
+    tail_oracle,
+    variance_oracle,
+)
 
 UNIT = LatticeSpec(g_max=1.0, k=3, q=7)  # step == 1
 
@@ -65,9 +74,8 @@ def test_03_variance_and_tail_brackets():
         dist = DiscreteGaussian(su, UNIT)
         ok &= variance_oracle(dist) <= dist.variance_upper_bound()
         for m in (1, 2, 3, 5):
-            upper, lower = dist.tail_bound(m)
             truth = tail_oracle(dist, m)
-            ok &= lower <= truth <= upper
+            ok &= tail_lower_bound(dist, m) <= truth <= dist.tail_bound(m)
     report(3, "variance bound dominates and tails bracket the oracle", bool(ok))
 
 
@@ -166,7 +174,7 @@ def test_08_mse_bound_compliance():
                 ]
                 empirical = float(np.mean(batches))
                 se = float(np.std(batches, ddof=1)) / math.sqrt(len(batches))
-                bound = mse_bound_conservative(
+                bound = mse_bound(
                     MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=su, gamma=gamma, g_max=g_max)
                 )
                 margin = empirical - bound
@@ -183,11 +191,8 @@ def test_09_composition_and_amplification_scaling():
     ok = True
     ratios = []
     for T in (100, 400):
-        state_t = AccountantState(sigma=8.0, sensitivity=1.0, gamma=0.1)
-        state_t.record_round(T)
-        state_4t = AccountantState(sigma=8.0, sensitivity=1.0, gamma=0.1)
-        state_4t.record_round(4 * T)
-        ratio = state_4t.epsilon(1e-5)[0] / state_t.epsilon(1e-5)[0]
+        state = AccountantState(sigma=8.0, sensitivity=1.0, gamma=0.1)
+        ratio = state.epsilon(1e-5, 4 * T)[0] / state.epsilon(1e-5, T)[0]
         ratios.append(ratio)
         ok &= ratio <= 2.2
     order_2 = list(ALPHAS).index(2.0)

@@ -21,7 +21,7 @@ from latticefl.compress import sensitivity
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.lattice import LatticeSpec
 
-from helpers import amplified_at_integer_reference, renyi_divergence
+from helpers import amplified_at_integer_reference, epsilon_reference, renyi_divergence
 
 
 def at(eps, alpha):
@@ -198,9 +198,7 @@ def test_to_dp_rejects_bad_delta():
 
 def test_epsilon_monotonicity():
     def eps(sigma=2.0, rounds=10, gamma=0.1, delta=1e-5):
-        state = AccountantState(sigma=sigma, sensitivity=1.0, gamma=gamma)
-        state.record_round(rounds)
-        return state.epsilon(delta)[0]
+        return AccountantState(sigma=sigma, sensitivity=1.0, gamma=gamma).epsilon(delta, rounds)[0]
 
     assert eps(sigma=3.0) < eps(sigma=2.0)  # strictly decreasing in sigma
     assert eps(rounds=20) > eps(rounds=10)
@@ -240,8 +238,7 @@ def test_epsilon_does_not_rise_as_gamma_falls():
     eps = []
     for gamma in np.linspace(1.0, 0.05, 20):
         state = AccountantState(sigma=1.53, sensitivity=sens, gamma=float(gamma))
-        state.record_round(50)
-        eps.append(state.epsilon(1e-5)[0])
+        eps.append(state.epsilon(1e-5, 50)[0])
     assert all(later <= earlier for earlier, later in zip(eps, eps[1:]))
     base = AccountantState(sigma=1.53, sensitivity=sens, gamma=0.9).per_round
     assert np.all(base <= base_curve(1.53, sens))
@@ -267,30 +264,38 @@ def test_ledger_epsilon_is_monotone_in_rounds_gamma_and_sigma(
     # epsilon does not fall as rounds rise, and does not rise as gamma falls
     # or sigma rises; the last two allow rounding in the log-sum-exp
     def spent(sigma, gamma, rounds):
-        state = AccountantState(sigma=sigma, sensitivity=1.0, gamma=gamma)
-        state.record_round(rounds)
-        return state, state.epsilon(delta)[0]
+        return AccountantState(sigma=sigma, sensitivity=1.0, gamma=gamma).epsilon(delta, rounds)[0]
 
-    state, eps = spent(sigma, gamma, rounds)
-    state.record_round(more_rounds)
-    assert state.epsilon(delta)[0] >= eps
-    assert spent(sigma, gamma * gamma_scale, rounds)[1] <= eps * (1 + 1e-12)
-    assert spent(sigma * sigma_scale, gamma, rounds)[1] <= eps * (1 + 1e-12)
+    eps = spent(sigma, gamma, rounds)
+    assert spent(sigma, gamma, rounds + more_rounds) >= eps
+    assert spent(sigma, gamma * gamma_scale, rounds) <= eps * (1 + 1e-12)
+    assert spent(sigma * sigma_scale, gamma, rounds) <= eps * (1 + 1e-12)
 
 
 def test_accountant_state_ledger():
     state = AccountantState(sigma=2.0, sensitivity=1.0, gamma=0.5)
     # nothing spent at no optimal order, as `latticefl accountant` prints it
-    assert state.epsilon(1e-5) == (0.0, math.inf)
-    state.record_round(3)
-    eps, alpha = state.epsilon(1e-5)
+    assert state.epsilon(1e-5, 0) == (0.0, math.inf)
+    eps, alpha = state.epsilon(1e-5, 3)
     assert 0 < eps < math.inf and alpha in ALPHAS
-    np.testing.assert_allclose(state.cumulative, 3 * state.per_round)
-    assert state.rounds_recorded == 3
+    assert (eps, alpha) == to_dp(3 * state.per_round, 1e-5)
+
+
+@settings(max_examples=15, deadline=None)
+@given(sigma=st.floats(0.3, 10.0), gamma=st.floats(0.01, 1.0), delta=st.sampled_from([1e-7, 1e-5, 1e-2]))
+@example(sigma=1.53 / sensitivity(0.5, 32, 33), gamma=0.1, delta=1e-5)  # stock train
+def test_epsilon_after_t_rounds_is_the_composed_curve_converted(sigma, gamma, delta):
+    # every round count of a 300-round run, bit for bit
+    state = AccountantState(sigma=sigma, sensitivity=1.0, gamma=gamma)
+    assert state.epsilon(delta, 0) == epsilon_reference(state.per_round, delta, 0) == (0.0, math.inf)
+    for t in range(1, 301):
+        spent = state.epsilon(delta, t)
+        assert spent == epsilon_reference(state.per_round, delta, t) == to_dp(compose(state.per_round, t), delta)
 
 
 def test_log_factorial_equals_scipy_gammaln():
-    # bit for bit, across the small-argument product and both Stirling branches
+    # bit for bit, across the small-argument product and the Stirling series,
+    # and past the table's n <= 256, where cephes shortens and then drops the series
     n = np.arange(0, 10**5 + 1)
     ours = np.array([_log_factorial(int(i)) for i in n])
     assert ours.tobytes() == gammaln(n + 1.0).tobytes()

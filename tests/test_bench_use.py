@@ -12,9 +12,7 @@ import importlib
 import sys
 from pathlib import Path
 
-from latticefl import cli, dgauss
-from latticefl.simulate import RoundConfig, run_training
-from latticefl.tasks import LocalTrainerSpec
+from latticefl import cli, dgauss, simulate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import child  # noqa: E402
@@ -37,14 +35,26 @@ def test_every_name_the_harness_traces_resolves():
         assert callable(resolve(name)), name
 
 
-def test_unmasked_replay_of_a_captured_run():
-    cfg = RoundConfig(
-        n=12, gamma=0.5, rounds=3, dim=8, clip_bound=1.0, k=9, q=3001, sigma=0.5,
-        delta=1e-5, seed=77, samples_per_client=10, local=LocalTrainerSpec(steps=2, batch_size=4),
+def test_unmasked_replay_of_a_captured_run(tmp_path):
+    # the call is captured as the harness captures it, from the CLI's own
+    # call of run_training, so a change to that call shows here
+    config = tmp_path / "train.cfg"
+    config.write_text(
+        "[experiment]\nmode = train\nseed = 77\n\n"
+        "[protocol]\nn = 12\ngamma = 0.5\nrounds = 3\ndim = 8\nclip = 1.0\nk = 9\nq = 3001\n"
+        "sigma = 0.5\ndelta = 1e-5\nsamples_per_client = 10\nlocal_steps = 2\nbatch_size = 4\n"
     )
-    replay = child.replay_unmasked(((cfg,), {}, run_training(cfg)))
+    tracer = child.Tracer("simulate.run_round")
+    original = simulate.run_training
+    traced = tracer.wrap(original, "simulate.run_training")
+    assert child.rebind(original, traced) > 0
+    try:
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+    finally:
+        child.rebind(traced, original)
+    replay = child.replay_unmasked(tracer.captured["simulate.run_training"])
     assert replay["identical"]
-    assert len(replay["unmasked_ns"]) == cfg.rounds
+    assert len(replay["unmasked_ns"]) == 3
 
 
 def test_mse_bench_draws_go_through_the_traced_sampler(tmp_path):

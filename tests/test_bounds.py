@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
@@ -13,7 +13,6 @@ from latticefl.bounds import (
     empirical_mse,
     empirical_mse_bytes,
     mse_bound,
-    mse_bound_conservative,
     payload_bits_per_client,
     payload_bytes_per_client,
 )
@@ -21,7 +20,7 @@ from latticefl.dgauss import DiscreteGaussian
 from latticefl.errors import HypothesisViolated
 from latticefl.lattice import LatticeSpec
 
-from helpers import empirical_mse_reference, variance_oracle
+from helpers import empirical_mse_reference, mse_bound_reading, variance_oracle
 
 
 def inputs(**overrides):
@@ -39,7 +38,8 @@ def dominant_term(i: MseBoundInputs) -> float:
 def test_bound_reduces_to_dominant_term_for_large_q():
     i = inputs()
     assert mse_bound(i) == pytest.approx(dominant_term(i), rel=1e-12)
-    assert mse_bound(i, normalize_phi=False) == pytest.approx(dominant_term(i), rel=1e-12)
+    for normalize_phi in (True, False):
+        assert mse_bound_reading(i, normalize_phi) == pytest.approx(dominant_term(i), rel=1e-12)
 
 
 def test_bound_quarter_per_level_doubling():
@@ -62,11 +62,11 @@ def test_bound_overflow_terms_engage_at_tiny_q():
     # only at tiny q do the CDF terms wake up; the two argument readings
     # then give genuinely different values
     i = inputs(q=3, k=3, n=1, sigma_units=30.0, gamma=1.0)
-    literal = mse_bound(i, normalize_phi=False)
-    normalized = mse_bound(i, normalize_phi=True)
+    literal = mse_bound_reading(i, normalize_phi=False)
+    normalized = mse_bound_reading(i, normalize_phi=True)
     assert literal != normalized
     assert literal > 0 and normalized > 0
-    assert mse_bound(i) < dominant_term(i)  # the no-overflow factor is < 1 here
+    assert mse_bound(i) == max(literal, normalized) < dominant_term(i)  # the no-overflow factor is < 1 here
 
 
 def test_normal_sf_matches_scipy_log_ndtr():
@@ -87,10 +87,22 @@ def test_bound_hypothesis_gate():
         mse_bound(inputs(sigma_units=0.3))
 
 
-def test_bound_conservative_takes_max():
-    i = inputs(q=3, k=3, n=1, sigma_units=30.0, gamma=1.0)
-    both = (mse_bound(i, True), mse_bound(i, False))
-    assert mse_bound_conservative(i) == max(both)
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 1 << 20),
+    n=st.integers(1, 20) | st.integers(1, 5000),
+    k=st.integers(2, 1000),
+    q=st.integers(1, 40) | st.integers(1, 1 << 20),  # tiny q, where the readings can differ, or any
+    sigma_units=st.floats(1.0 / math.sqrt(2.0 * math.pi), 1e6),
+    gamma=st.floats(1e-6, 1.0),
+    g_max=st.floats(1e-6, 1e6),
+)
+# tiny q, where the two readings differ
+@example(d=64, n=1, k=3, q=3, sigma_units=30.0, gamma=1.0, g_max=0.5)
+@example(d=64, n=2, k=9, q=9, sigma_units=3.0, gamma=0.5, g_max=1.0)
+def test_bound_is_the_larger_reading_bit_for_bit(d, n, k, q, sigma_units, gamma, g_max):
+    i = MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=sigma_units, gamma=gamma, g_max=g_max)
+    assert mse_bound(i) == max(mse_bound_reading(i, True), mse_bound_reading(i, False))
 
 
 def test_bound_monotonicity_grid():
@@ -142,7 +154,7 @@ def test_empirical_below_bound():
     m, d = 10, 64
     spec = LatticeSpec(g_max=1.0, k=9, q=1001)
     emp = empirical_mse(unit_updates(m, d, 3), spec, 1.0, 1.0, trials=300, seed=4)
-    bound = mse_bound_conservative(
+    bound = mse_bound(
         MseBoundInputs(d=d, n=m, k=9, q=1001, sigma_units=1.0, gamma=0.1, g_max=1.0)
     )
     assert emp <= bound

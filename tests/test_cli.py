@@ -456,6 +456,8 @@ def test_non_finite_protocol_value_rejected(tmp_path, capsys, key, value):
         ("q", "4"),
         ("k", "5001"),
         ("g_max", "-1"),
+        ("g_max", "5e-324"),  # the lattice step underflows
+        ("g_max", "1e308"),  # and overflows
         ("q", "-3"),
         ("q", "429496731"),
         ("sigma", "1e19"),  # sigma / step about 2e20 lattice steps: past the sampler's range

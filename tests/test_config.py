@@ -2,18 +2,23 @@
 rejections, and a write-then-parse round trip."""
 
 import configparser
+import contextlib
+import dataclasses
+import io
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticefl import bounds, cli
 from latticefl.cli import main
+from latticefl.compress import padded_dim
 from latticefl.config import (
+    MSE_WORK_BUDGET,
     AccountantParams,
     ExperimentConfig,
     MseGrid,
@@ -235,6 +240,10 @@ def test_seed_override_is_checked_in_every_mode(tmp_path, capsys, no_draw, comma
         ("mse-bench", "qs", "2147483649"),
         ("mse-bench", "trials", "4294967296"),
         ("mse-bench", "sigmas", "1e20"),
+        ("mse-bench", "clients", "4097"),  # 1.6e9 client-coordinates at 1000 trials: past the work budget
+        ("mse-bench", "gammas", "1e-310"),  # gamma**2 underflows in the bound
+        ("mse-bench", "g_maxes", "5e-324"),  # the lattice step underflows
+        ("mse-bench", "g_maxes", "1e308"),  # the rounds' sums overflow
         ("sample", "count", "1000000000000"),
         ("sample", "sigma_units", "1e20"),
         ("sample", "sigma_units", "1e-200"),
@@ -258,6 +267,17 @@ def test_memory_budget_bounds_sample_count_and_mse_cells():
         SampleParams(sigma_units=1.0, count=250_000_000)  # 2.10 GiB
     with pytest.raises(ConfigError, match="clients"):
         MseGrid(clients=(300_000,))  # 128 B per client per padded coordinate: 2.3 GiB
+
+
+def test_work_budget_bounds_mse_grids():
+    # trials x the sum over cells of clients x d_pad: 1000 clients at d = 64
+    # in one cell is 64,000 a trial
+    trials = MSE_WORK_BUDGET // 64_000
+    MseGrid(dims=(64,), clients=(1000,), ks=(5,), sigmas=(1.0,), trials=trials)
+    with pytest.raises(ValueError, match="reduce trials, dims or clients"):
+        MseGrid(dims=(64,), clients=(1000,), ks=(5,), sigmas=(1.0,), trials=trials + 1)
+    with pytest.raises(ValueError, match="shorten ks"):
+        MseGrid(dims=(64,), clients=(1000,), ks=(5, 7), sigmas=(1.0,), trials=trials)
 
 
 # Malformed values tried at each key of each stock config, one key at a time.
@@ -335,6 +355,69 @@ def test_malformed_values_exit_cleanly(tmp_path, monkeypatch, capsys, name, sect
         assert all(map(is_finite_real, cells)), value
 
 
+# Values the fuzz property puts in place of one or two keys: zero, negatives,
+# subnormals, the float range's edge, non-finite values, 2**64, nothing,
+# junk, lists and non-ASCII digits (which int and float accept).
+FUZZ_POOL = (
+    "0", "-1", "-2.5", "5e-324", "1e-310", "1e308", "-1e308", "inf", "-inf", "nan",
+    "18446744073709551616", "", "abc", "1,2", "0.5, 1e308", "\u0661\u0662", "\u0663.\u0665", "\uff17",
+)
+# The stock work keys cut so that each accepted run takes milliseconds (the
+# accountant's work does not grow with its rounds).
+FUZZ_WORK = {"train.cfg": ("protocol", "rounds", "3"), **FUZZ_SIZES}
+
+
+def stock_parser(name: str) -> configparser.ConfigParser:
+    """A stock config with its work key cut as ``FUZZ_WORK`` says."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(CONFIGS / name)
+    if name in FUZZ_WORK:
+        section, key, size = FUZZ_WORK[name]
+        parser[section][key] = size
+    return parser
+
+
+@st.composite
+def stock_edits(draw):
+    """A stock config's name and one or two of its keys, each with a value from the pool."""
+    name = draw(st.sampled_from(sorted(STOCK)))
+    parser = stock_parser(name)
+    keys = [(section, key) for section in parser.sections() for key in parser[section]]
+    edits = draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(FUZZ_POOL)),
+                          min_size=1, max_size=2, unique_by=lambda edit: edit[0]))
+    return name, edits
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=stock_edits())
+# a per-round rate past the float range and unbounded local work, and
+# underflowing or overflowing lattice steps and a subsampling rate whose
+# square underflows: each escaped with a traceback, a RuntimeWarning or no end
+@example(case=("accountant.cfg", [(("accountant", "sigma"), "5e-324")]))
+@example(case=("train.cfg", [(("protocol", "local_steps"), "18446744073709551616")]))
+@example(case=("train.cfg", [(("protocol", "clip"), "5e-324")]))
+@example(case=("train.cfg", [(("protocol", "g_max"), "5e-324")]))
+@example(case=("mse_bench.cfg", [(("mse", "gammas"), "1e-310")]))
+@example(case=("mse_bench.cfg", [(("mse", "g_maxes"), "0.5, 1e308")]))
+@example(case=("mse_bench.cfg", [(("mse", "trials"), "\u0661\u0662"), (("mse", "g_maxes"), "5e-324")]))
+def test_edited_stock_configs_exit_0_or_2_with_one_error_line(tmp_path_factory, case):
+    # no exception or RuntimeWarning (the suite's filter makes it an error) escapes
+    name, edits = case
+    parser = stock_parser(name)
+    for (section, key), value in edits:
+        parser[section][key] = value
+    tmp = tmp_path_factory.mktemp("fuzz")
+    with open(tmp / "edited.cfg", "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main([STOCK[name].mode, "--config", str(tmp / "edited.cfg"), "--out", str(tmp / "out")])
+    assert rc in (0, 2), (edits, stderr.getvalue())
+    if rc == 2:
+        err = stderr.getvalue().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), (edits, err)
+
+
 reals = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
 unit_open = st.floats(min_value=1e-6, max_value=1.0, exclude_max=True)
 
@@ -393,7 +476,7 @@ def mse_grids(draw):
     def values(strategy):
         return tuple(draw(st.lists(strategy, min_size=1, max_size=3)))
 
-    return MseGrid(
+    grid = MseGrid(
         dims=values(st.integers(1, 512)),
         clients=values(st.integers(1, 50)),
         ks=values(st.integers(1, 20).map(lambda i: 2 * i + 1)),
@@ -404,8 +487,11 @@ def mse_grids(draw):
         gammas=values(st.floats(min_value=1e-6, max_value=1.0)),
         g_maxes=values(reals),
         clip_bound=draw(reals),
-        trials=draw(st.integers(1, 10_000)),
+        trials=1,
     )
+    # up to 10,000 trials, as many as the work budget admits
+    work = sum(n * padded_dim(d) for d, n, *_ in grid.cells())
+    return dataclasses.replace(grid, trials=draw(st.integers(1, min(10_000, MSE_WORK_BUDGET // work))))
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,6 +20,7 @@ from helpers import (
     pmf,
     renyi_divergence,
     sample_integer_gaussian_reference,
+    tail_lower_bound,
     tail_oracle,
     variance_oracle,
 )
@@ -232,21 +233,20 @@ def test_empirical_variance_within_bound():
 
 
 def test_tail_upper_at_center():
-    assert dist(1.0).tail_bound(1)[0] == pytest.approx(0.5, abs=1e-15)
+    assert dist(1.0).tail_bound(1) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_tail_brackets_oracle():
     for su in (0.5, 1.0, 2.0, 4.0):
         d = dist(su)
         for m in (1, 2, 3, 5):
-            upper, lower = d.tail_bound(m)
             truth = tail_oracle(d, m)
-            assert lower <= truth <= upper, (su, m)
+            assert tail_lower_bound(d, m) <= truth <= d.tail_bound(m), (su, m)
 
 
 def test_tail_lower_vanishes_below_threshold():
     d = dist(0.3)  # below 1/sqrt(2 pi)
-    assert d.tail_bound(2)[1] == 0.0
+    assert tail_lower_bound(d, 2) == 0.0
 
 
 def test_tail_rejects_bad_m():

@@ -281,7 +281,7 @@ def test_training_zero_rounds():
     model, transcripts, acct = run_training(cfg)
     np.testing.assert_array_equal(model.w, make_plan(cfg).task.init_weights())
     assert transcripts == []
-    assert acct.epsilon(cfg.delta)[0] == 0.0
+    assert acct.epsilon(cfg.delta, cfg.rounds)[0] == 0.0
 
 
 def test_training_learns_and_accounts():
@@ -290,7 +290,7 @@ def test_training_learns_and_accounts():
     assert transcripts[-1].accuracy > 0.8
     eps = [tr.epsilon for tr in transcripts]
     assert all(b > a for a, b in zip(eps, eps[1:]))  # budget accumulates
-    assert acct.rounds_recorded == 6
+    assert [tr.epsilon for tr in transcripts] == [acct.epsilon(cfg.delta, t)[0] for t in range(1, 7)]
 
 
 def test_noise_disabled_reports_infinite_epsilon():

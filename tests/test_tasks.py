@@ -19,6 +19,7 @@ from latticefl import tasks
 from latticefl.tasks import (
     DRAW_CHUNK_BYTES,
     EVAL_SIZE,
+    LinearRegressionTask,
     LocalTrainerSpec,
     LogisticBlobsTask,
     SpiralMlpTask,
@@ -128,10 +129,27 @@ def test_make_task_peak_memory(name, dim, n_clients, samples, limit, iid):
 
 
 @pytest.mark.parametrize("iid", [True, False])
+def test_linear_draw_equals_the_plain_formula(iid):
+    # targets X w* plus noise of scale 0.05, from one stream
+    n_clients, samples, seed, dim, noise = 5, 6, 4, 3, 0.05
+    task = LinearRegressionTask(dim, n_clients, samples, seed, iid)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    w_star = rng.normal(size=dim) / np.sqrt(dim)
+    X = rng.normal(size=(n_clients * samples, dim))
+    y = X @ w_star + noise * rng.normal(size=n_clients * samples)
+    shards = client_shards_reference(X, y, n_clients, iid, rng)
+    assert task.points.tobytes() == np.stack([sx for sx, _ in shards]).tobytes()
+    assert task.targets.tobytes() == np.stack([sy for _, sy in shards]).tobytes()
+    Xe = rng.normal(size=(EVAL_SIZE, dim))
+    ye = Xe @ w_star + noise * rng.normal(size=EVAL_SIZE)
+    assert task.eval_set[0].tobytes() == Xe.tobytes() and task.eval_set[1].tobytes() == ye.tobytes()
+
+
+@pytest.mark.parametrize("iid", [True, False])
 def test_spiral_draw_equals_fresh_array_reference(iid):
     # the in-place draw keeps the stream and the bytes of the plain formula
     n_clients, samples, seed, noise = 6, 7, 4, 0.08
-    task = SpiralMlpTask(n_clients, samples, seed, iid, noise)
+    task = SpiralMlpTask(n_clients, samples, seed, iid)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     X, y = spiral_draw_reference(rng, n_clients * samples, noise)
     shards = client_shards_reference(X, y, n_clients, iid, rng)
@@ -149,7 +167,7 @@ def test_logistic_draw_equals_outer_hstack_reference(dim, chunks, extra):
     # in-place draw keep the stream and the bytes of the plain formula
     count = chunks * max(1, DRAW_CHUNK_BYTES // (8 * (dim - 1))) + extra
     seed, separation = 5, 2.0
-    task = LogisticBlobsTask(dim, 1, count, seed, iid=False, separation=separation)
+    task = LogisticBlobsTask(dim, 1, count, seed, iid=False)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     direction = rng.normal(size=dim - 1)
     centers = separation * (direction / np.linalg.norm(direction))
@@ -228,7 +246,7 @@ def test_local_update_equals_the_per_client_loop(name, dim, n_clients, samples, 
     ref_rngs = [np.random.default_rng([seed, c]) for c in clients]
     batch = min(batch_size or samples, samples)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tasks, "LOCAL_BLOCK_BYTES", per_block * batch * task.points.shape[-1] * 8)
+        mp.setattr(tasks, "LOCAL_BLOCK_BYTES", per_block * batch * task.width * 8)
         got = task.local_update(w, np.array(clients), trainer, rngs)
     want = local_update_reference(task, w, clients, trainer, ref_rngs)
     assert got.shape == (len(clients), task.dim)
@@ -236,11 +254,9 @@ def test_local_update_equals_the_per_client_loop(name, dim, n_clients, samples, 
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
 
 
-@pytest.mark.parametrize("m", [200, 2000])
-def test_local_update_peak_memory_is_one_block_beyond_its_result(m):
-    # train-cohort's clients (d = 200, 20 points each): a block gathers at
-    # most LOCAL_BLOCK_BYTES of points, never the whole cohort's 32 KB a client
-    task = make_task("logistic", 200, m, 20, seed=3)
+def blocks_beyond_the_result(task, m: int) -> float:
+    """Peak bytes of two full-batch steps of ``m`` clients beyond their
+    ``(m, d)`` result, in blocks of ``LOCAL_BLOCK_BYTES``."""
     w = np.full(task.dim, 0.01)
     tracemalloc.start()
     try:
@@ -248,7 +264,21 @@ def test_local_update_peak_memory_is_one_block_beyond_its_result(m):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - out.nbytes <= 1.25 * tasks.LOCAL_BLOCK_BYTES
+    return (peak - out.nbytes) / tasks.LOCAL_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("m", [200, 2000])
+def test_local_update_peak_memory_is_one_block_beyond_its_result(m):
+    # train-cohort's clients (d = 200, 20 points each): a block gathers at
+    # most LOCAL_BLOCK_BYTES of points, never the whole cohort's 32 KB a client
+    assert blocks_beyond_the_result(make_task("logistic", 200, m, 20, seed=3), m) <= 1.25
+
+
+@pytest.mark.parametrize("m", [200, 2000])
+def test_mlp_local_update_peak_memory_is_a_few_blocks_beyond_its_result(m):
+    # 100 points a client: a block is sized by the 16-wide hidden rows, not
+    # the 2-wide points, and a step holds several arrays of such rows
+    assert blocks_beyond_the_result(make_task("mlp", 0, m, 100, seed=3), m) <= 8.0
 
 
 def test_non_iid_shards_are_label_sorted():
