@@ -56,10 +56,11 @@ class MseBoundInputs:
 def mse_bound(inputs: MseBoundInputs) -> float:
     """Upper bound on E||estimated mean - true mean||^2.
 
-    Requires ``sigma_units >= 1/sqrt(2 pi)``.  The overflow terms' CDF
-    arguments ``n q`` and ``n (q - k - 1)`` have two readings: divided by
-    the noise scale (consistent with how the discrete tail is bracketed by
-    continuous tails) or taken literally.  Both vanish except at tiny
+    Requires ``sigma_units >= 1/sqrt(2 pi)``, and ``gamma^2 n <= 1``, where
+    the noise term covers the pipeline's ``spread su^2 / n`` at most.  The
+    overflow terms' CDF arguments ``n q`` and ``n (q - k - 1)`` have two
+    readings: divided by the noise scale (as the discrete tail is bracketed
+    by continuous tails) or taken literally.  Both vanish except at tiny
     ``q``; the bound is the larger of the two.
     """
     su, n, q, k = inputs.sigma_units, inputs.n, inputs.q, inputs.k
@@ -67,6 +68,8 @@ def mse_bound(inputs: MseBoundInputs) -> float:
         raise HypothesisViolated(
             f"sigma_units={su} below 1/sqrt(2 pi); the bound's tail bracket needs it"
         )
+    if inputs.gamma**2 * n > 1.0:
+        raise HypothesisViolated(f"gamma^2 n = {inputs.gamma**2 * n:g} above 1; the noise term needs it at most 1")
     spread = 4.0 * inputs.d * inputs.g_max**2 / (n * (k - 1) ** 2)
     noise = 0.25 + su * su / (inputs.gamma**2 * n**2)
     bracket = 1.0 + 3.0 * math.exp(-2.0 * math.pi**2 * su * su)
@@ -103,8 +106,9 @@ def payload_bytes_per_client(n_participants: int, d_pad: int, q: int) -> int:
 # Trials run in chunks of about this many bytes, so that each call's fixed
 # cost is spread over many trials while a chunk's arrays stay small beside
 # the process.  A trial's client rows and two shared streams each count 8 B
-# per coordinate plus 128 B (a generator's seed and its hashing).
-_CHUNK_BYTES = 256 << 10
+# per coordinate plus 128 B (a generator's seed and its hashing): 136
+# trials of 10 clients at d_pad = 64, so a 100-trial mse-bench cell is one.
+_CHUNK_BYTES = 1 << 20
 
 TRIALS_LIMIT = 1 << 32  # a trial's index is one uint32 word of its seed entropy
 
@@ -113,9 +117,9 @@ def empirical_mse_bytes(m: int, d: int) -> int:
     """Peak bytes :func:`empirical_mse` allocates for ``m`` updates of
     dimension ``d``, counting the caller's update stack, whatever the
     trial count: 16 float64 ``(m, d_pad)`` arrays for a trial too large to
-    share a chunk (in tracemalloc 12.1 at m = 1, d_pad = 2^18, and at most
-    9.2 from m = 2 to 2000, d_pad = 64 to 2^17), plus ten chunks' worth of
-    bytes for a chunk's arrays (under 4.4 in tracemalloc, m = 1 to 200,
+    share a chunk (in tracemalloc 12.0 at m = 1, d_pad = 2^18, and at most
+    9.5 from m = 2 to 2000, d_pad = 64 to 2^17), plus ten chunks' worth of
+    bytes for a chunk's arrays (under 4.2 in tracemalloc, m = 1 to 200,
     d_pad = 1 to 256)."""
     return 16 * 8 * m * compress.padded_dim(d) + 10 * _CHUNK_BYTES
 
@@ -145,10 +149,10 @@ def empirical_mse(
     every other stream keeps its bytes.  Trials run in chunks.  A chunk
     seeds its trials' noise generators and their quantizer generators
     with one :func:`latticefl.streams.generators` call each; one sampler
-    call draws its noise, a row per trial, and one quantize, aggregate
-    and unrotate call each round its ``(count, m, d_pad)`` uniforms
-    against the one rotated stack.  The result equals running the trials
-    one by one, bit for bit.
+    call draws its noise, a row per trial, one quantize, aggregate and
+    unrotate call each round its ``(count, m, d_pad)`` uniforms against
+    the one rotated stack, and one stacked row-dot takes every trial's
+    squared error.  The result equals running the trials one by one.
     """
     if not 1 <= trials < TRIALS_LIMIT:
         raise ValueError(f"trials must be in [1, 2**32), got {trials}")
@@ -177,11 +181,12 @@ def empirical_mse(
         for row, rng in zip(uniforms.reshape(-1, d_pad), quantizers):
             rng.random(out=row)
         quantized = compress.quantize(rotated, spec, uniforms)
+        del uniforms  # each stage's input, once the next holds its result
         agg, _ = secagg.aggregate_round(quantized, noise_z, list(range(m)), None, spec)
-        # Added trial by trial, as one trial at a time would: a batched
-        # sum would round differently.
-        for estimate in compress.unrotate(agg, rs, d):
-            diff = estimate - reference
-            total_sq += float(diff @ diff)
-        del noise_z, uniforms, quantized, agg, estimate, diff  # before the next chunk draws its own
+        del quantized, noise_z
+        diff = compress.unrotate(agg, rs, d) - reference
+        # diff @ diff of each row, added trial by trial: a batched sum would round differently
+        for sq in (diff[:, None, :] @ diff[:, :, None]).ravel().tolist():
+            total_sq += sq
+        del agg, diff  # before the next chunk draws its own
     return total_sq / trials

@@ -11,9 +11,9 @@ distribution and void the Renyi-divergence bound the accountant relies
 on).  It works through each batch of candidates in cache-sized chunks,
 reading the generator's stream as one pass over the whole batch would.
 Many short draws, one per generator (a chunk of mse-bench trials), are
-one ``(rows, n)`` call: the rows' first batches are evaluated in blocks
-of up to a chunk, and only the rows that batch leaves short continue
-one by one, each from its own generator.
+one ``(rows, n)`` call: each row still short reads its next batch from
+its own generator into a block of up to a chunk, evaluated at once,
+until every row is full.
 """
 
 from __future__ import annotations
@@ -86,14 +86,11 @@ def _accept(batch: np.ndarray, sigma_units: float) -> np.ndarray:
     return u < np.exp(dev, out=dev)
 
 
-def _fill(
-    sigma_units: float, rng: np.random.Generator, out: np.ndarray, filled: int = 0, drawn: int = 0
-) -> np.ndarray:
-    """Fill ``out[filled:]`` by the batch loop from ``rng``'s stream as it
-    stands, ``drawn`` candidates having been drawn for ``out`` before."""
-    size = out.size
+def _fill(sigma_units: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` by the batch loop from ``rng``'s stream as it stands."""
+    size, filled, drawn = out.size, 0, 0
     # Candidates, accept exponents and uniforms of one chunk, each step in place.
-    buf = np.empty(3 * min(CHUNK, max(64, 2 * (size - filled))))
+    buf = np.empty(3 * min(CHUNK, max(64, 2 * size)))
     while filled < size:
         batch = max(64, 2 * (size - filled))
         streams = [rng] * 3
@@ -122,31 +119,39 @@ def _fill(
     return out
 
 
-def _first_batches(sigma_units: float, generators, out: np.ndarray) -> None:
-    """Fill the rows of ``out`` from the next ``len(out)`` generators:
-    every row's first batch is read into one block and evaluated at once,
-    then each row the batch leaves short resumes the loop from its own
-    generator.  A first batch above ``CHUNK`` comes in a block of one row,
-    which runs the loop from the start."""
+def _fill_rows(sigma_units: float, generators, out: np.ndarray) -> None:
+    """Fill the rows of ``out`` from the next ``len(out)`` generators, each
+    as :func:`_fill` would from its own, in blocks of the rows still short
+    until all are full.  A first batch above ``CHUNK`` comes in a block of
+    one row, which :func:`_fill` draws."""
     rows, size = out.shape
     rngs = list(itertools.islice(generators, rows))
     if len(rngs) < rows:
         raise ValueError("fewer generators than rows")
-    batch = max(64, 2 * size)
-    if batch > CHUNK:  # one row: the chunked loop reads it without holding 3 B floats
+    if max(64, 2 * size) > CHUNK:  # one row: the chunked loop reads it without holding 3 B floats
         _fill(sigma_units, rngs[0], out[0])
         return
-    block = np.empty((rows, 3, batch))
-    for uniforms, rng in zip(block, rngs):
-        rng.random(out=uniforms)  # the batch's three ranges, in stream order
-    accepted = _accept(block, sigma_units)
-    rank = accepted.cumsum(axis=-1)  # of each accepted candidate in its row, from 1
-    filled = np.minimum(rank[:, -1], size)
-    # each row's first accepted candidates, up to size, in row order
-    out[np.arange(size) < filled[:, None]] = block[:, 0][accepted & (rank <= size)]
-    # A first batch cannot stall (B <= 64 size), so each resume starts at the next batch.
-    for r in np.flatnonzero(filled < size).tolist():
-        _fill(sigma_units, rngs[r], out[r], int(filled[r]), batch)
+    filled, drawn = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64)
+    short = np.arange(rows if size else 0)  # rows of 0 draws read nothing
+    while short.size:
+        need = size - filled[short]
+        batch = np.maximum(64, 2 * need)
+        block = np.zeros((short.size, 3, batch.max()))  # a shorter batch's unread tail: zeros, masked below
+        for uniforms, r, b in zip(block, short.tolist(), batch.tolist()):
+            ranges = uniforms[:, :b]  # the batch's three ranges, in stream order; one read if contiguous
+            for part in [ranges] if b == block.shape[-1] else ranges:
+                rngs[r].random(out=part)
+        accepted = _accept(block, sigma_units) & (np.arange(block.shape[-1]) < batch[:, None])
+        rank = accepted.cumsum(axis=-1)  # of each accepted candidate in its row, from 1
+        keep = accepted & (rank <= need[:, None])  # each row's first accepted candidates, up to its need
+        taken = short[np.nonzero(keep)[0]]  # the row of each, in row order
+        out[taken, filled[taken] + rank[keep] - 1] = block[:, 0][keep]
+        filled[short] += np.minimum(rank[:, -1], need)
+        drawn[short] += batch
+        for r in short[drawn[short] > MAX_REJECTIONS_PER_SAMPLE * size].tolist():  # each row's own cap
+            raise SamplerStall(f"accept rate collapsed at sigma={sigma_units} "
+                               f"({filled[r]}/{size} after {drawn[r]} draws)")
+        short = short[filled[short] < size]
 
 
 def sample_integer_gaussian(sigma_units: float, rng, size) -> np.ndarray:
@@ -171,9 +176,10 @@ def sample_integer_gaussian(sigma_units: float, rng, size) -> np.ndarray:
     with ``n`` on the ``r``-th of them, bit for bit; fewer than ``rows``
     raise ValueError.  Each row's first batch (``3 max(64, 2n)`` words)
     is read into a block of rows that holds up to ``CHUNK`` candidates,
-    and each block is evaluated at once.  A row that batch leaves short
-    resumes the loop from its own generator.  A first batch above
-    ``CHUNK`` makes a block of one row, drawn as the one-generator call.
+    and each block is evaluated at once; then every row still short reads
+    its next batch (``3 max(64, 2r)`` words, ``r`` draws to go) into one
+    block, until all are full.  Rows of 0 draws read nothing.  A first
+    batch above ``CHUNK`` makes a block of one row, as one generator's.
     """
     check_sigma_units(sigma_units)
     if np.ndim(size) == 0:
@@ -183,7 +189,7 @@ def sample_integer_gaussian(sigma_units: float, rng, size) -> np.ndarray:
     generators = iter(rng)
     group = max(1, CHUNK // max(64, 2 * size))  # rows whose first batches share a block
     for lo in range(0, rows, group):
-        _first_batches(sigma_units, generators, out[lo : lo + group])
+        _fill_rows(sigma_units, generators, out[lo : lo + group])
     return out
 
 

@@ -3,7 +3,8 @@
 A round seeds many streams at once (client generators, MSE trials), so
 this module hashes many seed sequences in one vectorized pass and hands
 each sequence's words to numpy's own PCG64 seeding; every generator
-equals numpy's ``default_rng`` of that sequence bit for bit.
+equals numpy's ``default_rng`` of that sequence bit for bit.  The hash's
+constants, which no data moves, are two tables built at import.
 """
 
 from __future__ import annotations
@@ -21,17 +22,21 @@ _XSHIFT = np.uint32(16)
 _POOL_SIZE = 4
 
 
-def _hash_constants(const: int, mult: int) -> Iterator[tuple[int, int]]:
-    """(xor, multiply) constants of successive hashmix calls, whatever the data."""
-    while True:
-        xor, const = const, const * mult & _MASK32
-        yield xor, const
+def _hash_table(const: int, mult: int) -> np.ndarray:
+    """The (xor, multiply) uint32 constants of a sequence's first 256 hashmix
+    calls, a column each: ``const mult^i`` and ``const mult^(i + 1)``, mod 2**32."""
+    consts = np.uint32(const) * np.cumprod(np.r_[1, np.full(256, mult)].astype(np.uint32), dtype=np.uint32)
+    return np.stack([consts[:-1], consts[1:]])
 
 
-def _hashmix(values: np.ndarray, calls: int, constants: Iterator[tuple[int, int]]) -> np.ndarray:
-    """``calls`` hashmix calls, one per row of ``values`` broadcast to
-    ``calls`` rows, each taking the next constant."""
-    xor, mul = np.array([next(constants) for _ in range(calls)], dtype=np.uint32).T[:, :, None]
+# 256 calls: 64 entropy words (16, and 4 a word past the pool), or 128 state words (2 a word)
+_HASH_A, _HASH_B = _hash_table(_INIT_A, _MULT_A), _hash_table(_INIT_B, _MULT_B)
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """One hashmix call per column of the ``(2, calls)`` table slice
+    ``constants``, on ``values`` broadcast to ``calls`` rows."""
+    xor, mul = constants[:, :, None]
     rows = values ^ xor
     rows *= mul
     rows ^= rows >> _XSHIFT
@@ -78,21 +83,22 @@ def seed_sequence_state(entropy, n_words: int) -> np.ndarray:
     column of the uint32 matrix ``entropy`` (see :func:`entropy`), as an
     ``(n_words, columns)`` array.  Follows ``mix_entropy`` and then
     ``generate_state`` one hashmix call at a time; a call on ``k`` rows
-    takes the next ``k`` constants, one per row."""
+    takes the table's next ``k`` constants, one per row: up to 64 entropy
+    words and 128 state words (more raise ValueError)."""
     entropy = np.asarray(entropy, dtype=np.uint32)
-    constants = _hash_constants(_INIT_A, _MULT_A)
     pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
     pool[: len(entropy)] = entropy[:_POOL_SIZE]  # a missing word counts as 0
-    pool = _hashmix(pool, _POOL_SIZE, constants)
+    # mix_entropy's calls: 4, 3 as each pool word mixes into the others, 4 a word past the pool
+    pool = _hashmix(pool, _HASH_A[:, :4])
     for src in range(_POOL_SIZE):
         dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _POOL_SIZE - 1, constants))
-    for word in entropy[_POOL_SIZE:]:  # words beyond the pool are hashed into every pool word
-        _mix(pool, _hashmix(word, _POOL_SIZE, constants))
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A[:, 4 + 3 * src : 7 + 3 * src]))
+    for i, word in enumerate(entropy[_POOL_SIZE:]):  # hashed into every pool word
+        _mix(pool, _hashmix(word, _HASH_A[:, 16 + 4 * i : 20 + 4 * i]))
     # generate_state cycles through the pool, one hashmix call per uint32
     # word, and pairs the words little-endian into uint64 words.
     pool = pool[np.arange(2 * n_words) % _POOL_SIZE]
-    state = _hashmix(pool, 2 * n_words, _hash_constants(_INIT_B, _MULT_B)).astype(np.uint64)
+    state = _hashmix(pool, _HASH_B[:, : 2 * n_words]).astype(np.uint64)
     return state[0::2] | state[1::2] << np.uint64(32)
 
 
@@ -102,13 +108,11 @@ class _Hashed(np.random.bit_generator.ISeedSequence):
     all that PCG64 asks of it."""
 
     def __init__(self, words):
-        # PCG64 reads the words through a raw pointer, so they must be contiguous.
-        self.words = np.ascontiguousarray(words, dtype=np.uint64)
-        if self.words.shape != (4,):
-            raise ValueError(f"expected 4 uint64 words, got shape {self.words.shape}")
+        # a C-contiguous (4,) uint64 row, as generators() hands it: PCG64 reads it through a raw pointer
+        self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:  # PCG64 passes the type
             raise ValueError(f"holds 4 uint64 words, asked for {n_words} of {np.dtype(dtype)}")
         return self.words
 

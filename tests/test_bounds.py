@@ -16,11 +16,12 @@ from latticefl.bounds import (
     payload_bits_per_client,
     payload_bytes_per_client,
 )
+from latticefl.config import MseGrid
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.errors import HypothesisViolated
 from latticefl.lattice import LatticeSpec
 
-from helpers import empirical_mse_reference, mse_bound_reading, variance_oracle
+from helpers import empirical_mse_reference, mse_bound_reading, mse_oracle, variance_oracle
 
 
 def inputs(**overrides):
@@ -83,8 +84,12 @@ def test_normal_sf_matches_scipy_log_ndtr():
 
 
 def test_bound_hypothesis_gate():
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(HypothesisViolated, match="sigma_units"):
         mse_bound(inputs(sigma_units=0.3))
+    # the noise term covers one shared draw over n clients up to gamma^2 n = 1
+    assert mse_bound(inputs(n=4, gamma=0.5)) > 0
+    with pytest.raises(HypothesisViolated, match="gamma"):
+        mse_bound(inputs(n=4, gamma=np.nextafter(0.5, 1.0)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -102,6 +107,10 @@ def test_bound_hypothesis_gate():
 @example(d=64, n=2, k=9, q=9, sigma_units=3.0, gamma=0.5, g_max=1.0)
 def test_bound_is_the_larger_reading_bit_for_bit(d, n, k, q, sigma_units, gamma, g_max):
     i = MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=sigma_units, gamma=gamma, g_max=g_max)
+    if gamma**2 * n > 1.0:
+        with pytest.raises(HypothesisViolated):
+            mse_bound(i)
+        return
     assert mse_bound(i) == max(mse_bound_reading(i, True), mse_bound_reading(i, False))
 
 
@@ -158,6 +167,68 @@ def test_empirical_below_bound():
         MseBoundInputs(d=d, n=m, k=9, q=1001, sigma_units=1.0, gamma=0.1, g_max=1.0)
     )
     assert emp <= bound
+
+
+def mse_bench_updates(n, d, seed):
+    """A cell's updates as ``mse-bench`` draws them: unit-norm normal rows."""
+    updates = np.random.default_rng(seed).normal(size=(n, d))
+    return updates / np.linalg.norm(updates, axis=1, keepdims=True)
+
+
+def assert_near_oracle(updates, spec, sigma_units, batches, trials, seed):
+    """``empirical_mse`` over ``batches`` batches of ``trials`` trials lies
+    within 5 batch standard errors of the exact expectation, either side."""
+    results = [empirical_mse(updates, spec, 1.0, sigma_units, trials, seed=seed + b) for b in range(batches)]
+    se = float(np.std(results, ddof=1)) / math.sqrt(batches)
+    oracle = mse_oracle(updates, spec, 1.0, sigma_units)
+    assert abs(float(np.mean(results)) - oracle) <= 5.0 * se + 1e-12 * oracle, (np.mean(results), oracle, se)
+
+
+def test_empirical_mse_equals_the_oracle_on_the_stock_grid():
+    # the 12 stock cells at 20 batches of 50 trials: catches a biased
+    # quantizer, a lost noise share or noise at the wrong scale, either way
+    for cell, (d, n, k, q, su, _, g_max) in enumerate(MseGrid().cells()):
+        spec = LatticeSpec(g_max=g_max, k=k, q=q)
+        assert_near_oracle(mse_bench_updates(n, d, 900 + cell), spec, su, 20, 50, seed=9000 + 100 * cell)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 6),
+    d=st.integers(1, 40),
+    half_k=st.integers(1, 8),
+    g_max=st.floats(1.0, 3.0),  # at least the clip bound: nothing is clamped
+    sigma_units=st.just(0.0) | st.floats(0.2, 3.0),
+    scale=st.floats(0.1, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_empirical_mse_equals_the_oracle_on_small_cells(m, d, half_k, g_max, sigma_units, scale, seed):
+    # q = 1001 leaves no sum near a wrap
+    spec = LatticeSpec(g_max=g_max, k=2 * half_k + 1, q=1001)
+    updates = np.random.default_rng(seed).normal(size=(m, d)) * scale
+    assert_near_oracle(updates, spec, sigma_units, 20, 20, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 128),
+    n=st.integers(1, 20),
+    half_k=st.integers(1, 32),
+    sigma_units=st.floats(0.0, 5.0),
+    gamma=st.floats(1e-3, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# gamma^2 n = 4: the cell where the pipeline's MSE exceeded the bound by a quarter
+@example(d=64, n=4, half_k=2, sigma_units=1.0, gamma=1.0, seed=0)
+def test_bound_covers_the_oracle_wherever_it_applies(d, n, half_k, sigma_units, gamma, seed):
+    # every cell mse-bench does not flag `hypothesis` has a bound at least
+    # the pipeline's exact expected MSE, on mse-bench's own updates
+    k, q, g_max = 2 * half_k + 1, 1001, 1.0
+    try:
+        bound = mse_bound(MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=sigma_units, gamma=gamma, g_max=g_max))
+    except HypothesisViolated:
+        return
+    assert bound >= mse_oracle(mse_bench_updates(n, d, seed), LatticeSpec(g_max=g_max, k=k, q=q), 1.0, sigma_units)
 
 
 def test_empirical_mse_validation():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from latticefl import dgauss
 from latticefl.dgauss import (
     CHUNK,
     MAX_SIGMA_UNITS,
@@ -12,11 +13,13 @@ from latticefl.dgauss import (
     DiscreteGaussian,
     sample_integer_gaussian,
 )
+from latticefl.errors import SamplerStall
 from latticefl.lattice import LatticeSpec
 from latticefl.streams import entropy, generators
 
 from helpers import (
     gof_pvalue_discrete,
+    implemented_law,
     pmf,
     renyi_divergence,
     sample_integer_gaussian_reference,
@@ -138,7 +141,7 @@ def test_a_batch_above_a_chunk_needs_a_bit_generator_with_advance():
 
 
 def test_rows_equal_one_generator_calls():
-    short_first_batches = []
+    calls = []  # per call, the sizes of each row's batches, as the reference reads them
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -149,22 +152,42 @@ def test_rows_equal_one_generator_calls():
     )
     # a third of the rows at sigma 0.5 need a second batch
     @example(log2_sigma=-1.0, rows=40, size=64, seed=0)
+    # at sigma 0.3 about half the rows need a third batch, and the rows a
+    # block leaves short need different amounts, so their next batches differ
+    @example(log2_sigma=math.log2(0.3), rows=40, size=300, seed=2)
+    @example(log2_sigma=math.log2(0.3), rows=20, size=1000, seed=3)
     # a first batch above a chunk: each row is a block of its own
     @example(log2_sigma=0.0, rows=2, size=CHUNK // 2 + 1, seed=1)
     def check(log2_sigma, rows, size, seed):
         sigma_units = 2.0**log2_sigma
-        # one new Generator per row, and a resumed row goes on from its own
-        z = sample_integer_gaussian(sigma_units, generators(entropy(seed, np.arange(rows))), (rows, size))
+        # one new Generator per row, and a short row goes on from its own
+        rngs = list(generators(entropy(seed, np.arange(rows))))
+        z = sample_integer_gaussian(sigma_units, iter(rngs), (rows, size))
         assert z.dtype == np.int64 and z.shape == (rows, size)
+        batches_per_row = []
         for r in range(rows):
             rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
             assert z[r].tobytes() == sample_integer_gaussian(sigma_units, rng, size).tobytes()
+            # each row's generator ends where its own one-generator call leaves it
+            assert rngs[r].bit_generator.state == rng.bit_generator.state
             rng, batches = np.random.default_rng(np.random.SeedSequence([seed, r])), []
             assert z[r].tobytes() == sample_integer_gaussian_reference(sigma_units, rng, size, batches).tobytes()
-            short_first_batches.append(len(batches) > 1)
+            batches_per_row.append([batch for batch, _ in batches])
+        calls.append(batches_per_row)
 
     check()
-    assert any(short_first_batches)
+    assert any(len(batches) >= 3 for call in calls for batches in call)
+    # a call whose short rows went on with batches of different sizes
+    assert any(len({batches[1] for batches in call if len(batches) > 1}) > 1 for call in calls)
+
+
+def test_rows_stall_when_nothing_is_accepted(monkeypatch):
+    # an accept step that rejects every candidate: each row trips its cap
+    # of 50 candidates a draw once its seventh batch of 64 is drawn
+    monkeypatch.setattr(dgauss, "_accept", lambda batch, sigma_units: np.zeros_like(batch[..., 0, :], dtype=bool))
+    monkeypatch.setattr(dgauss, "MAX_REJECTIONS_PER_SAMPLE", 50)
+    with pytest.raises(SamplerStall, match=r"\(0/8 after 448 draws\)"):
+        sample_integer_gaussian(1.0, generators(entropy(0, np.arange(3))), (3, 8))
 
 
 def test_rows_need_a_generator_each():
@@ -175,6 +198,29 @@ def test_rows_need_a_generator_each():
     rngs = iter([np.random.default_rng(r) for r in range(3)])
     assert sample_integer_gaussian(1.0, rngs, (2, 8)).shape == (2, 8)
     assert next(rngs).random() == np.random.default_rng(2).random()
+
+
+@settings(max_examples=20, deadline=None)
+@given(log2_sigma=st.floats(-8.0, math.log2(1e4)))
+@example(log2_sigma=0.0)
+@example(log2_sigma=math.log2(7.0))
+@example(log2_sigma=math.log2(1e4))
+@example(log2_sigma=-1.59375)  # a mass of 1.2e-8 off by 1.2e-9
+def test_sampler_law_is_the_discrete_gaussian(log2_sigma):
+    # The law the sampler implements, counted exactly, against the ideal
+    # pmf.  An accept chance is rounded up to a multiple of 2**-53, which
+    # moves a mass by up to 2**-53 times its proposal over the accept rate,
+    # at most about its own 1.1e-16 / mass.  So the ratios are checked from
+    # mass 1e-6 (1.2e-11 at worst over 1500 sigmas up to 60); from 1e-8 they
+    # reach 1.6e-9 (sigma 0.17), and at sigma 7 some masses below 1e-11 are
+    # 1.7e8 times too large.  Above sigma 1e4 the candidates span too many
+    # integers to count quickly.
+    sigma_units = 2.0**log2_sigma
+    ys, law = implemented_law(sigma_units)
+    ideal = pmf(dist(sigma_units), ys)
+    assert 0.5 * np.abs(law - ideal).sum() <= 1e-12
+    held = ideal > 1e-6
+    assert np.abs(law[held] / ideal[held] - 1.0).max() <= 1e-9
 
 
 def test_goodness_of_fit_moderate_sizes():

@@ -81,15 +81,21 @@ def test_held_generators_are_each_their_own_default_rng():
 
 def test_hashed_words_serve_only_pcg64s_request():
     state = streams.seed_sequence_state(streams.entropy(5, np.arange(3)), 4)
-    hashed = streams._Hashed(state[:, 1])  # a strided column is held as a contiguous copy
-    assert hashed.words.flags.c_contiguous and hashed.words.dtype == np.uint64
+    hashed = streams._Hashed(np.ascontiguousarray(state[:, 1]))  # a contiguous row, as generators() hands over
     assert np.random.PCG64(hashed).state == np.random.PCG64(np.random.SeedSequence([5, 1])).state
     for n_words, dtype in [(2, np.uint64), (8, np.uint64), (4, np.uint32), (4, np.int64)]:
         with pytest.raises(ValueError):
             hashed.generate_state(n_words, dtype)
-    for words in (state[:2, 0], state[:, :2]):
+
+
+def test_hash_tables_cover_64_entropy_words_and_128_state_words():
+    words = np.arange(64, dtype=np.uint32)[:, None]
+    expected = np.random.SeedSequence(np.arange(64, dtype=np.uint32)).generate_state(128, np.uint64)
+    assert streams.seed_sequence_state(words, 128)[:, 0].tolist() == expected.tolist()
+    # past the tables the constants run out, and the hashing cannot broadcast
+    for entropy, n_words in ((np.zeros((65, 1), dtype=np.uint32), 4), (words, 129)):
         with pytest.raises(ValueError):
-            streams._Hashed(words)
+            streams.seed_sequence_state(entropy, n_words)
 
 
 def test_seed_constants_live_only_in_streams():
