@@ -14,7 +14,6 @@ usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -192,26 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-        if cfg.round_config is not None:
-            cfg = dataclasses.replace(
-                cfg, round_config=dataclasses.replace(cfg.round_config, seed=args.seed)
-            )
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, out=args.out)
-    return cfg
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, seed=args.seed, out=args.out)
         expected = args.command
         if cfg.mode != expected:
             raise ConfigError(f"config mode is {cfg.mode!r} but the {expected!r} command was invoked")
-        cfg = _apply_overrides(cfg, args)
         if expected == "train":
             return cmd_train(cfg, args.override_overflow_check)
         if expected == "mse-bench":

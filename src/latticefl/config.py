@@ -86,8 +86,9 @@ class SampleParams:
 class MseGrid:
     """Cartesian product of the listed parameters, one bench cell each.
 
-    The defaults are the stock 12-cell grid, every cell satisfying the
-    bound's noise hypothesis sigma >= 1/sqrt(2 pi).
+    The defaults are the stock 12-cell grid, every cell satisfying both
+    of the bound's hypotheses: sigma >= 1/sqrt(2 pi) and gamma^2 n <= 1.
+    A cell outside either is run and flagged ``hypothesis``.
     """
 
     dims: tuple[int, ...] = (64,)
@@ -161,6 +162,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a non-negative 63-bit integer, got {self.seed}")
         if self.out == "":
             raise ValueError("out must name a file")
+        if self.out is not None:
+            out = Path(self.out)  # drops a trailing "/", which names a directory too
+            if self.out.endswith("/") or out.is_dir() or not out.parent.is_dir():
+                raise ValueError(f"out = {self.out} must name a file in an existing directory")
 
 
 def _real(raw: str) -> float:
@@ -197,8 +202,7 @@ def _list(parse):
     return parse_list
 
 
-# section -> {key: (dataclass field, parser)}.  A dotted field fills the
-# nested dataclass that the outer field's default factory makes.
+# section -> {key: (dataclass field, parser)}
 _SCHEMA = {
     "experiment": {
         "mode": ("mode", str),
@@ -219,9 +223,9 @@ _SCHEMA = {
         "task": ("task", str),
         "iid": ("iid", _boolean),
         "samples_per_client": ("samples_per_client", int),
-        "local_steps": ("local.steps", int),
-        "learning_rate": ("local.learning_rate", _real),
-        "batch_size": ("local.batch_size", _unless("full", int)),
+        "local_steps": ("local_steps", int),
+        "learning_rate": ("learning_rate", _real),
+        "batch_size": ("batch_size", _unless("full", int)),
     },
     "accountant": {
         "sigma": ("sigma", _real),
@@ -267,27 +271,18 @@ def _section(parser: configparser.ConfigParser, name: str) -> dict:
 def _build(cls, section: str, values: dict):
     """``cls`` from one section's ``{field: value}``; every field without a
     default must be set."""
-    kwargs = {}
-    for field, value in values.items():
-        outer, _, inner = field.partition(".")
-        if inner:
-            kwargs.setdefault(outer, {})[inner] = value
-        else:
-            kwargs[field] = value
-    keys = {field.partition(".")[0]: key for key, (field, _) in _SCHEMA[section].items()}
-    missing = []
-    for f in dataclasses.fields(cls):
-        if f.name in kwargs and f.default_factory is not MISSING:
-            kwargs[f.name] = f.default_factory(**kwargs[f.name])
-        elif f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            missing.append(keys[f.name])
+    keys = {field: key for key, (field, _) in _SCHEMA[section].items()}
+    missing = [keys[f.name] for f in dataclasses.fields(cls) if f.name not in values and f.default is MISSING]
     if missing:
         raise ConfigError(f"[{section}] missing keys: {', '.join(missing)}")
-    return cls(**kwargs)
+    return cls(**values)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate an experiment file; raises ConfigError."""
+def load_config(path: str | Path, seed: int | None = None, out: str | None = None) -> ExperimentConfig:
+    """Parse and validate an experiment file; raises ConfigError.  A
+    ``seed`` or ``out`` that is not None replaces the file's value before
+    anything is built, so it is checked as the file's would be: ``out``
+    must name a file in an existing directory."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -302,6 +297,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}] in {path}")
     values = {name: _section(parser, name) for name in _SCHEMA}
+    values["experiment"].update({k: v for k, v in {"seed": seed, "out": out}.items() if v is not None})
 
     try:
         cfg = _build(ExperimentConfig, "experiment", values["experiment"])

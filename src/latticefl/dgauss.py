@@ -8,12 +8,10 @@ the public class converts at the boundary.
 The sampler is exact: rejection from a two-sided discrete-Laplace
 proposal, never a rounded continuous Gaussian (rounding would change the
 distribution and void the Renyi-divergence bound the accountant relies
-on).  It works through each batch of candidates in cache-sized chunks,
-reading the generator's stream as one pass over the whole batch would.
-Many short draws, one per generator (a chunk of mse-bench trials), are
-one ``(rows, n)`` call: each row still short reads its next batch from
-its own generator into a block of up to a chunk, evaluated at once,
-until every row is full.
+on).  One batch loop serves one generator and many (a chunk of
+mse-bench trials, one generator a trial): each pass, every row still
+short reads its next batch from its own generator into a block of up to
+a cache-sized chunk, evaluated at once, until every row is full.
 """
 
 from __future__ import annotations
@@ -86,72 +84,52 @@ def _accept(batch: np.ndarray, sigma_units: float) -> np.ndarray:
     return u < np.exp(dev, out=dev)
 
 
-def _fill(sigma_units: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` by the batch loop from ``rng``'s stream as it stands."""
-    size, filled, drawn = out.size, 0, 0
-    # Candidates, accept exponents and uniforms of one chunk, each step in place.
-    buf = np.empty(3 * min(CHUNK, max(64, 2 * size)))
-    while filled < size:
-        batch = max(64, 2 * (size - filled))
-        streams = [rng] * 3
-        if batch > CHUNK:
-            bg, start = rng.bit_generator, rng.bit_generator.state
-            streams = [np.random.Generator(copy.deepcopy(bg).advance(k * batch)) for k in range(3)]
-            # advance() drops a buffered 32-bit half-word, which sequential reads keep
-            bg.state = {**bg.advance(3 * batch).state, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"]}
-        for lo in range(0, batch, CHUNK):
-            n = min(CHUNK, batch - lo)
-            chunk = buf[: 3 * n].reshape(3, n)
-            for stream, row in zip(streams, chunk):
-                stream.random(out=row)
-            accepted = chunk[0].compress(_accept(chunk, sigma_units))
-            take = min(accepted.size, size - filled)
-            out[filled : filled + take] = accepted[:take]
-            filled += take
-            if filled == size:
-                break
-        drawn += batch
-        if drawn > MAX_REJECTIONS_PER_SAMPLE * size:
-            raise SamplerStall(
-                f"accept rate collapsed at sigma={sigma_units} "
-                f"({filled}/{size} after {drawn} draws)"
-            )
-    return out
-
-
 def _fill_rows(sigma_units: float, generators, out: np.ndarray) -> None:
-    """Fill the rows of ``out`` from the next ``len(out)`` generators, each
-    as :func:`_fill` would from its own, in blocks of the rows still short
-    until all are full.  A first batch above ``CHUNK`` comes in a block of
-    one row, which :func:`_fill` draws."""
+    """Fill the rows of ``out``, a block, from the next ``len(out)``
+    generators, each from its stream as it stands: the batch loop that
+    :func:`sample_integer_gaussian` describes."""
     rows, size = out.shape
     rngs = list(itertools.islice(generators, rows))
     if len(rngs) < rows:
         raise ValueError("fewer generators than rows")
-    if max(64, 2 * size) > CHUNK:  # one row: the chunked loop reads it without holding 3 B floats
-        _fill(sigma_units, rngs[0], out[0])
-        return
-    filled, drawn = np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64)
-    short = np.arange(rows if size else 0)  # rows of 0 draws read nothing
-    while short.size:
-        need = size - filled[short]
-        batch = np.maximum(64, 2 * need)
-        block = np.zeros((short.size, 3, batch.max()))  # a shorter batch's unread tail: zeros, masked below
-        for uniforms, r, b in zip(block, short.tolist(), batch.tolist()):
-            ranges = uniforms[:, :b]  # the batch's three ranges, in stream order; one read if contiguous
-            for part in [ranges] if b == block.shape[-1] else ranges:
-                rngs[r].random(out=part)
-        accepted = _accept(block, sigma_units) & (np.arange(block.shape[-1]) < batch[:, None])
-        rank = accepted.cumsum(axis=-1)  # of each accepted candidate in its row, from 1
-        keep = accepted & (rank <= need[:, None])  # each row's first accepted candidates, up to its need
-        taken = short[np.nonzero(keep)[0]]  # the row of each, in row order
-        out[taken, filled[taken] + rank[keep] - 1] = block[:, 0][keep]
-        filled[short] += np.minimum(rank[:, -1], need)
-        drawn[short] += batch
-        for r in short[drawn[short] > MAX_REJECTIONS_PER_SAMPLE * size].tolist():  # each row's own cap
-            raise SamplerStall(f"accept rate collapsed at sigma={sigma_units} "
-                               f"({filled[r]}/{size} after {drawn[r]} draws)")
-        short = short[filled[short] < size]
+    filled, drawn = [0] * rows, [0] * rows
+    # Candidates, accept exponents and uniforms of one block, each step in place.
+    buf = np.empty(3 * min(CHUNK, rows * max(64, 2 * size)))
+    short = list(range(rows if size else 0))  # rows of 0 draws read nothing
+    while short:
+        batches = [max(64, 2 * (size - filled[r])) for r in short]
+        top, copies = max(batches), None
+        if top > CHUNK:  # only ever in a block of one row: its ranges from copies moved by advance()
+            bg, start = rngs[short[0]].bit_generator, rngs[short[0]].bit_generator.state
+            copies = [np.random.Generator(copy.deepcopy(bg).advance(k * top)) for k in range(3)]
+            # advance() drops a buffered 32-bit half-word, which sequential reads keep
+            bg.state = {**bg.advance(3 * top).state, "has_uint32": start["has_uint32"], "uinteger": start["uinteger"]}
+        for lo in range(0, top, CHUNK):
+            n = min(CHUNK, top - lo)
+            block = buf[: 3 * len(short) * n].reshape(len(short), 3, n)
+            for uniforms, r, b in zip(block, short, batches):
+                if copies:  # the next chunk of each of the three ranges
+                    for stream, part in zip(copies, uniforms):
+                        stream.random(out=part)
+                elif b == n:  # the batch's three ranges, in stream order, in one read
+                    rngs[r].random(out=uniforms)
+                else:
+                    for part in uniforms[:, :b]:
+                        rngs[r].random(out=part)
+                    uniforms[:, b:] = 0  # a shorter batch's unread tail: valid uniforms, never taken
+            for y, accepted, r, b in zip(block[:, 0], _accept(block, sigma_units), short, batches):
+                got = y[:b].compress(accepted[:b])
+                take = min(got.size, size - filled[r])
+                out[r, filled[r] : filled[r] + take] = got[:take]
+                filled[r] += take
+            if filled[short[0]] == size:  # a chunked row stops once full
+                break
+        for r, b in zip(short, batches):
+            drawn[r] += b
+            if drawn[r] > MAX_REJECTIONS_PER_SAMPLE * size:  # each row's own cap
+                raise SamplerStall(f"accept rate collapsed at sigma={sigma_units} "
+                                   f"({filled[r]}/{size} after {drawn[r]} draws)")
+        short = [r for r in short if filled[r] < size]
 
 
 def sample_integer_gaussian(sigma_units: float, rng, size) -> np.ndarray:
@@ -163,34 +141,33 @@ def sample_integer_gaussian(sigma_units: float, rng, size) -> np.ndarray:
     the output law exactly proportional to ``exp(-y^2 / (2 sigma^2))``.
     Raises ValueError outside ``[MIN_SIGMA_UNITS, MAX_SIGMA_UNITS]``.
 
-    A batch of ``B`` candidates reads words ``[0, B)`` of ``rng``'s stream
-    for its first geometrics, ``[B, 2B)`` for the second and ``[2B, 3B)``
-    for the accept uniforms, and leaves ``rng`` ``3B`` words on.  It is
-    evaluated ``CHUNK`` candidates at a time, and stops once ``size`` draws
-    are filled.  A batch above ``CHUNK`` reads its three ranges from copies
-    of the bit generator moved by ``advance``, which PCG64 (``default_rng``'s)
-    counts in 64-bit words; one without ``advance`` raises AttributeError.
+    A batch of ``B = max(64, 2 r)`` candidates, ``r`` draws to go, reads
+    words ``[0, B)`` of ``rng``'s stream for its first geometrics,
+    ``[B, 2B)`` for the second and ``[2B, 3B)`` for the accept uniforms,
+    and leaves ``rng`` ``3B`` words on; batches follow until ``size``
+    draws are filled.  A batch above ``CHUNK`` is evaluated a chunk at a
+    time, reading its three ranges from copies of the bit generator moved
+    by ``advance``, which PCG64 (``default_rng``'s) counts in 64-bit words;
+    one without ``advance`` raises AttributeError.
 
     With ``size = (rows, n)``, ``rng`` is an iterable of distinct
     Generators and row ``r`` of the ``(rows, n)`` result equals the call
     with ``n`` on the ``r``-th of them, bit for bit; fewer than ``rows``
-    raise ValueError.  Each row's first batch (``3 max(64, 2n)`` words)
-    is read into a block of rows that holds up to ``CHUNK`` candidates,
-    and each block is evaluated at once; then every row still short reads
-    its next batch (``3 max(64, 2r)`` words, ``r`` draws to go) into one
-    block, until all are full.  Rows of 0 draws read nothing.  A first
-    batch above ``CHUNK`` makes a block of one row, as one generator's.
+    raise ValueError.  Rows whose first batches fit ``CHUNK`` candidates
+    together make a block (one generator is a block of one row), and each
+    pass of the loop reads the next batch of each row of the block still
+    short and evaluates them at once.  A batch above ``CHUNK`` is only
+    ever in a block of one row.  Rows of 0 draws read nothing.
     """
     check_sigma_units(sigma_units)
-    if np.ndim(size) == 0:
-        return _fill(sigma_units, rng, np.empty(int(size), dtype=np.int64))
-    rows, size = (int(n) for n in size)
+    one = np.ndim(size) == 0
+    rows, size = (1, int(size)) if one else (int(n) for n in size)
     out = np.empty((rows, size), dtype=np.int64)
-    generators = iter(rng)
+    generators = iter([rng] if one else rng)
     group = max(1, CHUNK // max(64, 2 * size))  # rows whose first batches share a block
     for lo in range(0, rows, group):
         _fill_rows(sigma_units, generators, out[lo : lo + group])
-    return out
+    return out[0] if one else out
 
 
 @dataclass(frozen=True)

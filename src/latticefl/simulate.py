@@ -18,7 +18,7 @@ the noise draw are dropped once the round is aggregated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .accountant import AccountantState
 from .dgauss import DiscreteGaussian, check_sigma_units
 from .errors import ConfigError
 from .lattice import LatticeSpec
-from .tasks import LocalTrainerSpec, Task, data_bytes, make_task, model_dim
+from .tasks import Task, data_bytes, make_task, model_dim
 
 # Seed-derivation domains (second entry of every SeedSequence).
 _DOM_TASK = 10
@@ -72,7 +72,10 @@ def participants_per_round(n: int, gamma: float) -> int:
 
 @dataclass(frozen=True)
 class RoundConfig:
-    """Full protocol configuration for a training run."""
+    """Full protocol configuration for a training run, its fields named as
+    the ``[protocol]`` keys but ``clip`` (``clip_bound``).  Local training
+    is plain SGD: ``local_steps`` steps of ``learning_rate`` on
+    ``batch_size`` of a client's points (``None``: its whole shard)."""
 
     n: int
     gamma: float
@@ -88,7 +91,9 @@ class RoundConfig:
     task: str = "logistic"
     iid: bool = True
     samples_per_client: int = 20
-    local: LocalTrainerSpec = field(default_factory=LocalTrainerSpec)
+    local_steps: int = 1
+    learning_rate: float = 0.5
+    batch_size: int | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -107,6 +112,12 @@ class RoundConfig:
             raise ValueError(f"seed must be a non-negative 63-bit integer, got {self.seed}")
         if self.samples_per_client < 1:
             raise ValueError(f"samples_per_client must be >= 1, got {self.samples_per_client}")
+        if self.local_steps < 1:
+            raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -139,6 +150,7 @@ class SimPlan:
     m: int
     d: int
     d_pad: int
+    batch: int  # points a local step takes from each client's shard
     spec: LatticeSpec
     rotation: compress.RotationSeed
     wire_q: int
@@ -164,10 +176,10 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
         data_bytes(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client) + cfg.rounds * d * 8,
         "task data and per-round aggregates", "reduce n, samples_per_client, dim or rounds",
     )
-    batch = min(cfg.local.batch_size or cfg.samples_per_client, cfg.samples_per_client)
-    if cfg.rounds * m * cfg.local.steps * batch * d > LOCAL_WORK_BUDGET:
+    batch = min(cfg.batch_size or cfg.samples_per_client, cfg.samples_per_client)
+    if cfg.rounds * m * cfg.local_steps * batch * d > LOCAL_WORK_BUDGET:
         raise ConfigError(
-            f"local training would take {cfg.rounds} rounds x {m} clients x {cfg.local.steps} local_steps x "
+            f"local training would take {cfg.rounds} rounds x {m} clients x {cfg.local_steps} local_steps x "
             f"{batch} points x {d} coordinates, above the budget of {LOCAL_WORK_BUDGET:.0e} point-coordinate "
             "steps; reduce rounds, gamma * n, local_steps, batch_size or dim"
         )
@@ -201,6 +213,7 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
         m=m,
         d=d,
         d_pad=d_pad,
+        batch=batch,
         spec=spec,
         rotation=compress.RotationSeed(_derived_int(cfg.seed, _DOM_ROTATION), d_pad),
         wire_q=wire_q,
@@ -233,10 +246,9 @@ def run_round(
     ids = subsample_clients(cfg.n, cfg.gamma, np.random.SeedSequence([master, _DOM_SUBSAMPLE, round_index]))
     # Each client's default_rng(SeedSequence([master, domain, round_index, cid]))
     # for its quantizer, and for its mini-batches if it draws any, seeded in one pass.
-    mini_batches = (cfg.local.batch_size or cfg.samples_per_client) < cfg.samples_per_client
-    domains = [[_DOM_QUANTIZE], [_DOM_LOCAL]] if mini_batches else [_DOM_QUANTIZE]
+    domains = [[_DOM_QUANTIZE], [_DOM_LOCAL]] if plan.batch < cfg.samples_per_client else [_DOM_QUANTIZE]
     rngs = list(streams.generators(streams.entropy(master, domains, round_index, ids)))
-    raw = plan.task.local_update(model.w, ids, cfg.local, rngs[m:])
+    raw = plan.task.local_update(model.w, ids, cfg.local_steps, cfg.learning_rate, plan.batch, rngs[m:])
     raw -= model.w
     clipped = compress.clip(raw, cfg.clip_bound)
     uniforms = np.empty((m, plan.d_pad))

@@ -10,7 +10,6 @@ steps along.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,27 +19,6 @@ EVAL_SIZE = 1000
 DRAW_CHUNK_BYTES = 1 << 20  # bytes per normal() call of the logistic draw
 LOCAL_BLOCK_BYTES = 256 << 10  # most bytes of per-point rows one block of local training holds at once
 SHARD_BLOCK_BYTES = 16 << 20  # most bytes one column block of sharding gathers
-
-
-@dataclass(frozen=True)
-class LocalTrainerSpec:
-    """Per-round local optimization: plain SGD.
-
-    ``batch_size = None`` means full-batch, so ``steps = 1`` performs one
-    exact gradient step on the client's shard.
-    """
-
-    steps: int = 1
-    learning_rate: float = 0.5
-    batch_size: int | None = None
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
 
 
 def _sigmoid(z):
@@ -79,12 +57,13 @@ class Task:
         out = self._outputs(w, X)
         return self._loss_of(out, y), self._accuracy_of(out, y)
 
-    def local_update(self, w: np.ndarray, clients, trainer: LocalTrainerSpec, rngs=()) -> np.ndarray:
-        """Each client's weights after ``trainer.steps`` SGD steps from ``w``, stacked ``(len(clients),
-        dim)``, in blocks whose points take at most ``LOCAL_BLOCK_BYTES`` in rows of ``width`` floats (one
-        client at least); each mini-batch step draws one index set per client, from its generator in ``rngs``."""
+    def local_update(self, w: np.ndarray, clients, steps: int, learning_rate: float, batch: int,
+                     rngs=()) -> np.ndarray:
+        """Each client's weights after ``steps`` SGD steps from ``w``, stacked ``(len(clients), dim)``, each step
+        on ``batch`` of a client's points: its whole shard when ``batch`` is its size, else one index set per
+        client from its generator in ``rngs``.  Clients go in blocks whose points take at most
+        ``LOCAL_BLOCK_BYTES`` in rows of ``width`` floats (one client at least)."""
         clients, (n, features) = np.asarray(clients), self.points.shape[1:]
-        batch = n if trainer.batch_size is None else min(trainer.batch_size, n)
         per_block = max(1, LOCAL_BLOCK_BYTES // (batch * self.width * self.points.itemsize))
         out = np.empty((len(clients), len(w)))
         for at in range(0, len(clients), per_block):
@@ -96,12 +75,12 @@ class Task:
                 X, y = points, targets = self.points[ids], self.targets[ids]
             else:  # the flat points, indexed from each client's first row
                 points, targets = self.points.reshape(-1, features), self.targets.reshape(-1)
-            for _ in range(trainer.steps):
+            for _ in range(steps):
                 if batch < n:
                     rows = (gens[0].choice(n, size=batch, replace=False) if per_block == 1 else
                             np.array([g.choice(n, size=batch, replace=False) for g in gens]) + (ids * n)[:, None])
                     X, y = points[rows], targets[rows]
-                W -= trainer.learning_rate * self.grad(W, X, y)
+                W -= learning_rate * self.grad(W, X, y)
             del X, y, points, targets  # so that the next block's gather is not made beside this one
         return out
 

@@ -578,22 +578,22 @@ def grad_reference(task, w, X, y) -> np.ndarray:
     return X.T @ residual / len(y)
 
 
-def local_update_reference(task, w, clients, trainer, rngs) -> np.ndarray:
+def local_update_reference(task, w, clients, steps, learning_rate, batch, rngs) -> np.ndarray:
     """Each client's locally trained weights, one client at a time: a copy
-    of ``w`` takes ``trainer.steps`` SGD steps of ``grad_reference``, on
-    the client's whole shard or on a mini-batch that its generator in
-    ``rngs`` draws."""
+    of ``w`` takes ``steps`` SGD steps of ``grad_reference``, on the
+    client's whole shard or on a mini-batch of ``batch`` points that its
+    generator in ``rngs`` draws."""
     out = []
     for rank, client in enumerate(clients):
         X, y = task.points[client], task.targets[client]
         w_client = w.copy()
-        for _ in range(trainer.steps):
-            if trainer.batch_size is None or trainer.batch_size >= len(y):
+        for _ in range(steps):
+            if batch >= len(y):
                 bx, by = X, y
             else:
-                idx = rngs[rank].choice(len(y), size=trainer.batch_size, replace=False)
+                idx = rngs[rank].choice(len(y), size=batch, replace=False)
                 bx, by = X[idx], y[idx]
-            w_client -= trainer.learning_rate * grad_reference(task, w_client, bx, by)
+            w_client -= learning_rate * grad_reference(task, w_client, bx, by)
         out.append(w_client)
     return np.array(out)
 
@@ -641,8 +641,7 @@ def convergence_report(plan, transcripts, smoothness, grad_bound, initial_gap) -
     the bound's L, rho and rho_F.
     """
     cfg, task = plan.cfg, plan.task
-    batch = cfg.local.batch_size
-    if cfg.local.steps != 1 or (batch is not None and batch < cfg.samples_per_client):
+    if cfg.local_steps != 1 or plan.batch < cfg.samples_per_client:
         raise ConfigError("the convergence report assumes one full-batch local step per round")
     T = len(transcripts)
     if T == 0 or [tr.round_index for tr in transcripts] != list(range(1, T + 1)):
@@ -651,7 +650,7 @@ def convergence_report(plan, transcripts, smoothness, grad_bound, initial_gap) -
     sample_dev_sq = est_dev_sq = dev_bound = grad_sq = 0.0
     for tr in transcripts:
         g = np.mean([task.grad(w, task.points[c], task.targets[c]) for c in tr.clients], axis=0)
-        g_est = -np.asarray(tr.aggregate) / cfg.local.learning_rate
+        g_est = -np.asarray(tr.aggregate) / cfg.learning_rate
         full = full_gradient(task, w)
         w = w + tr.aggregate
         sample_dev_sq = max(sample_dev_sq, float(np.sum((g - full) ** 2)))

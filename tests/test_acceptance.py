@@ -18,7 +18,6 @@ from latticefl.dgauss import DiscreteGaussian, sample_integer_gaussian
 from latticefl.lattice import LatticeSpec
 from latticefl.secagg import aggregate_round, wire_modulus
 from latticefl.simulate import RoundConfig, make_plan, run_training
-from latticefl.tasks import LocalTrainerSpec
 
 from helpers import (
     centered,
@@ -235,7 +234,7 @@ def test_11_end_to_end_learning():
         shared = dict(
             n=100, gamma=0.1, rounds=50, dim=20, clip_bound=clip_bound, k=k, q=q,
             delta=1e-5, seed=4000 + seed, task="logistic",
-            local=LocalTrainerSpec(steps=1, learning_rate=lr),
+            local_steps=1, learning_rate=lr,
         )
         _, plain, _ = run_training(RoundConfig(sigma=0.0, **shared))
         _, noisy, _ = run_training(RoundConfig(sigma=sigma_dp, **shared))

@@ -27,7 +27,6 @@ from latticefl.config import (
 )
 from latticefl.errors import ConfigError
 from latticefl.simulate import RoundConfig
-from latticefl.tasks import LocalTrainerSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -38,7 +37,7 @@ import run as bench_run  # noqa: E402
 STOCK_TRAIN = RoundConfig(
     n=100, gamma=0.1, rounds=50, dim=20, clip_bound=0.5, k=33, q=4097, sigma=1.53,
     delta=1e-5, seed=4000, g_max=None, task="logistic", iid=True, samples_per_client=20,
-    local=LocalTrainerSpec(steps=1, learning_rate=1.0, batch_size=None),
+    local_steps=1, learning_rate=1.0, batch_size=None,
 )
 
 STOCK = {
@@ -71,7 +70,7 @@ def bench_train(**changes):
     base = dict(
         n=2000, gamma=0.1, rounds=2, dim=200, clip_bound=0.5, k=33, q=4097, sigma=1.53,
         delta=1e-5, seed=BENCH_SEED, g_max=None, task="logistic", iid=True,
-        samples_per_client=20, local=LocalTrainerSpec(steps=1, learning_rate=1.0, batch_size=None),
+        samples_per_client=20, local_steps=1, learning_rate=1.0, batch_size=None,
     )
     return RoundConfig(**{**base, **changes})
 
@@ -84,7 +83,7 @@ BENCH = {
         mode="train", seed=BENCH_SEED, out=BENCH_OUT,
         round_config=bench_train(
             n=100, rounds=300, dim=1000, samples_per_client=200,
-            local=LocalTrainerSpec(steps=5, learning_rate=1.0, batch_size=32),
+            local_steps=5, learning_rate=1.0, batch_size=32,
         ),
     ),
     "mse-grid": ExperimentConfig(
@@ -169,7 +168,8 @@ def test_omitted_optional_keys_take_the_dataclass_defaults(tmp_path):
         n=10, gamma=0.5, rounds=2, dim=4, clip_bound=1.0, k=5, q=101, sigma=0.5, delta=1e-5,
         seed=3,
     )
-    assert cfg.round_config.local == LocalTrainerSpec()
+    rc = cfg.round_config
+    assert (rc.local_steps, rc.learning_rate, rc.batch_size) == (1, 0.5, None)
 
     mse = "[experiment]\nmode = mse-bench\nseed = 3\n"
     assert load_config(write(tmp_path, mse)).mse_grid == MseGrid()
@@ -180,10 +180,10 @@ def test_omitted_optional_keys_take_the_dataclass_defaults(tmp_path):
 def test_sentinel_and_boolean_values(tmp_path):
     text = REQUIRED["protocol"] + "g_max = 0.25\niid = no\nbatch_size = 4\ntask = linear\n"
     rc = load_config(write(tmp_path, text)).round_config
-    assert (rc.g_max, rc.iid, rc.local.batch_size, rc.task) == (0.25, False, 4, "linear")
+    assert (rc.g_max, rc.iid, rc.batch_size, rc.task) == (0.25, False, 4, "linear")
     text = REQUIRED["protocol"] + "g_max = AUTO\niid = Yes\nbatch_size = Full\n"
     rc = load_config(write(tmp_path, text)).round_config
-    assert (rc.g_max, rc.iid, rc.local.batch_size) == (None, True, None)
+    assert (rc.g_max, rc.iid, rc.batch_size) == (None, True, None)
 
 
 @pytest.mark.parametrize(
@@ -226,6 +226,39 @@ def test_seed_override_is_checked_in_every_mode(tmp_path, capsys, no_draw, comma
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: seed")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["file", "flag"])
+@pytest.mark.parametrize("command", ["train", "mse-bench", "accountant", "sample"])
+def test_out_in_a_missing_directory_or_naming_one_is_rejected_before_anything_is_drawn(
+    tmp_path, capsys, no_draw, command, where
+):
+    stock = CONFIGS / f"{command.replace('-', '_')}.cfg"
+    for out in (tmp_path / "missing" / "out.csv", tmp_path, f"{tmp_path / 'new'}/"):
+        config, argv = stock, ["--out", str(out)]
+        if where == "file":
+            text = without(stock.read_text(), "out").replace("[experiment]", f"[experiment]\nout = {out}")
+            config, argv = write(tmp_path, text), []
+        assert main([command, "--config", str(config), *argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out"), err
+    assert not (tmp_path / "missing").exists() and not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "mse-bench", "accountant", "sample"])
+def test_seed_and_out_flags_write_what_the_edited_file_writes(tmp_path, capsys, command):
+    parser = stock_parser(f"{command.replace('-', '_')}.cfg")
+    flagged, edited = tmp_path / "flagged.csv", tmp_path / "edited.csv"
+    with open(tmp_path / "stock.cfg", "w") as fh:
+        parser.write(fh)
+    parser["experiment"]["seed"], parser["experiment"]["out"] = "77", str(edited)
+    with open(tmp_path / "edited.cfg", "w") as fh:
+        parser.write(fh)
+    assert main([command, "--config", str(tmp_path / "stock.cfg"), "--seed", "77", "--out", str(flagged)]) == 0
+    printed = capsys.readouterr().out
+    assert main([command, "--config", str(tmp_path / "edited.cfg")]) == 0
+    assert capsys.readouterr().out == printed
+    assert flagged.read_bytes() == edited.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -440,11 +473,9 @@ def round_configs(draw):
         task=draw(st.sampled_from(["logistic", "linear", "mlp"])),
         iid=draw(st.booleans()),
         samples_per_client=draw(st.integers(1, 500)),
-        local=LocalTrainerSpec(
-            steps=draw(st.integers(1, 20)),
-            learning_rate=draw(reals),
-            batch_size=draw(st.none() | st.integers(1, 500)),
-        ),
+        local_steps=draw(st.integers(1, 20)),
+        learning_rate=draw(reals),
+        batch_size=draw(st.none() | st.integers(1, 500)),
     )
 
 
@@ -454,9 +485,9 @@ def protocol_text(rc: RoundConfig) -> str:
         ("clip", rc.clip_bound), ("k", rc.k), ("q", rc.q), ("sigma", rc.sigma),
         ("delta", rc.delta), ("g_max", "auto" if rc.g_max is None else rc.g_max),
         ("task", rc.task), ("iid", str(rc.iid).lower()),
-        ("samples_per_client", rc.samples_per_client), ("local_steps", rc.local.steps),
-        ("learning_rate", rc.local.learning_rate),
-        ("batch_size", "full" if rc.local.batch_size is None else rc.local.batch_size),
+        ("samples_per_client", rc.samples_per_client), ("local_steps", rc.local_steps),
+        ("learning_rate", rc.learning_rate),
+        ("batch_size", "full" if rc.batch_size is None else rc.batch_size),
     ]
     return "".join(f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
                    for key, value in pairs)
@@ -468,7 +499,8 @@ def test_written_train_config_parses_back(tmp_path_factory, rc, out):
     path = tmp_path_factory.mktemp("cfg") / "train.cfg"
     head = f"[experiment]\nmode = train\nseed = {rc.seed}\n" + ("" if out is None else f"out = {out}\n")
     path.write_text(head + "[protocol]\n" + protocol_text(rc))
-    assert load_config(path) == ExperimentConfig(mode="train", seed=rc.seed, out=out, round_config=rc)
+    with contextlib.chdir(path.parent):  # where a relative out is written, which holds no directory by its name
+        assert load_config(path) == ExperimentConfig(mode="train", seed=rc.seed, out=out, round_config=rc)
 
 
 @st.composite

@@ -181,6 +181,26 @@ def test_rows_equal_one_generator_calls():
     assert any(len({batches[1] for batches in call if len(batches) > 1}) > 1 for call in calls)
 
 
+@pytest.mark.parametrize("size", [100, CHUNK // 2, CHUNK // 2 + 1, CHUNK + 7])
+def test_rows_keep_a_buffered_half_word(size):
+    # each generator enters holding the unused half of a 64-bit word: a
+    # batch read in one block keeps it as it stands, and a batch above a
+    # chunk, read from copies moved by advance(), puts it back
+    def buffered(rows):
+        rngs = [np.random.default_rng([size, r]) for r in range(rows)]
+        for rng in rngs:
+            rng.integers(0, 2**32, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"]
+        return rngs
+
+    rngs, singles, references = buffered(3), buffered(3), buffered(3)
+    z = sample_integer_gaussian(0.7, iter(rngs), (3, size))
+    for row, rng, single, reference in zip(z, rngs, singles, references):
+        assert row.tobytes() == sample_integer_gaussian(0.7, single, size).tobytes()
+        assert row.tobytes() == sample_integer_gaussian_reference(0.7, reference, size).tobytes()
+        assert rng.bit_generator.state == single.bit_generator.state == reference.bit_generator.state
+
+
 def test_rows_stall_when_nothing_is_accepted(monkeypatch):
     # an accept step that rejects every candidate: each row trips its cap
     # of 50 candidates a draw once its seventh batch of 64 is drawn

@@ -19,7 +19,6 @@ from latticefl.simulate import (
     run_training,
     subsample_clients,
 )
-from latticefl.tasks import LocalTrainerSpec
 
 from helpers import (
     centered,
@@ -50,7 +49,7 @@ def small_cfg(**overrides):
         seed=123,
         task="logistic",
         samples_per_client=12,
-        local=LocalTrainerSpec(steps=1, learning_rate=0.5),
+        local_steps=1, learning_rate=0.5,
     )
     base.update(overrides)
     return RoundConfig(**base)
@@ -59,7 +58,7 @@ def small_cfg(**overrides):
 RSS_GUARD = """
 import numpy.random
 from latticefl.simulate import RoundConfig, make_plan
-from latticefl.tasks import LocalTrainerSpec, data_bytes
+from latticefl.tasks import data_bytes
 
 
 def status_kb(key):
@@ -70,7 +69,7 @@ def status_kb(key):
 cfg = RoundConfig(
     n=2000, gamma=0.1, rounds=2, dim=200, clip_bound=0.5, k=33, q=4097, sigma=1.53,
     delta=1e-5, seed=0, task="logistic", samples_per_client=20,
-    local=LocalTrainerSpec(steps=1, learning_rate=1.0),
+    local_steps=1, learning_rate=1.0,
 )
 before = status_kb("VmRSS")
 make_plan(cfg)
@@ -177,7 +176,7 @@ def test_zero_updates_leave_model_unchanged(monkeypatch):
     cfg = small_cfg(sigma=0.0)
     plan = make_plan(cfg)
     monkeypatch.setattr(
-        plan.task, "local_update", lambda w, clients, trainer, rngs: np.tile(w, (len(clients), 1))
+        plan.task, "local_update", lambda w, clients, steps, learning_rate, batch, rngs: np.tile(w, (len(clients), 1))
     )
     model = GlobalModel(plan.task.init_weights(), 0)
     new_model, tr = run_round(model, plan, 1)
@@ -185,11 +184,12 @@ def test_zero_updates_leave_model_unchanged(monkeypatch):
     assert tr.round_mse == 0.0
 
 
-@pytest.mark.parametrize("batch_size, streams_per_client", [(None, 1), (12, 1), (5, 2)])
+@pytest.mark.parametrize("batch_size, streams_per_client", [(None, 1), (12, 1), (50, 1), (5, 2)])
 def test_a_round_seeds_local_generators_only_for_mini_batches(monkeypatch, batch_size, streams_per_client):
-    # a batch of the whole shard (12 points) is a full batch too
-    cfg = small_cfg(local=LocalTrainerSpec(steps=2, learning_rate=0.5, batch_size=batch_size))
+    # a batch of the whole shard (12 points), or of more, is a full batch too
+    cfg = small_cfg(local_steps=2, learning_rate=0.5, batch_size=batch_size)
     plan = make_plan(cfg)
+    assert plan.batch == min(batch_size or 12, 12)
     built, quantizer_uniforms = [], []
     generators, quantize = streams.generators, compress.quantize
 
@@ -227,7 +227,7 @@ def cohort_cfg():
     """The train-cohort benchmark's masking shape, m = 200 and d_pad = 256,
     for one round with fewer samples per client."""
     return small_cfg(n=2000, gamma=0.1, rounds=1, dim=200, clip_bound=0.5, k=33, q=4097, sigma=1.53,
-                     seed=0, samples_per_client=4, local=LocalTrainerSpec(steps=1, learning_rate=1.0))
+                     seed=0, samples_per_client=4, local_steps=1, learning_rate=1.0)
 
 
 def test_masked_round_at_the_cohort_shape_equals_the_unmasked_one(monkeypatch):
@@ -271,7 +271,8 @@ def test_noiseless_round_tracks_plain_averaging():
     model = GlobalModel(plan.task.init_weights(), 0)
     new_model, tr = run_round(model, plan, 1)
     # one full-batch step draws no randomness, so the clients' updates replay without their generators
-    raw_mean = np.mean(plan.task.local_update(model.w, tr.clients, cfg.local) - model.w, axis=0)
+    raw = plan.task.local_update(model.w, tr.clients, cfg.local_steps, cfg.learning_rate, plan.batch)
+    raw_mean = np.mean(raw - model.w, axis=0)
     tolerance = plan.spec.step * math.sqrt(plan.d_pad)
     assert np.linalg.norm(new_model.w - (model.w + raw_mean)) <= tolerance
 
@@ -454,7 +455,7 @@ def test_convergence_report_on_quadratic_task():
         q=2**12 + 3,
         clip_bound=10.0,
         samples_per_client=30,
-        local=LocalTrainerSpec(steps=1, learning_rate=0.3),
+        local_steps=1, learning_rate=0.3,
     )
     plan = make_plan(cfg)
     model, transcripts, _ = run_training(cfg, plan=plan)
@@ -474,7 +475,7 @@ def test_convergence_report_on_quadratic_task():
     # noiseless huge-k limit: the estimate deviation is bounded by the
     # quantization resolution and lambda^2 collapses to the
     # client-sampling variance term
-    quant_dust = (plan.spec.step * math.sqrt(plan.d_pad) / cfg.local.learning_rate) ** 2
+    quant_dust = (plan.spec.step * math.sqrt(plan.d_pad) / cfg.learning_rate) ** 2
     assert report.estimate_dev_sq <= quant_dust
     assert report.estimate_dev_sq <= 0.1 * report.sampling_dev_sq
     assert report.lambda_sq == pytest.approx(
@@ -502,7 +503,7 @@ def test_convergence_report_requires_recordings():
 
 
 def test_convergence_report_needs_single_step():
-    cfg = small_cfg(rounds=1, local=LocalTrainerSpec(steps=3, learning_rate=0.1, batch_size=4))
+    cfg = small_cfg(rounds=1, local_steps=3, learning_rate=0.1, batch_size=4)
     plan = make_plan(cfg)
     _, transcripts, _ = run_training(cfg, plan=plan)
     with pytest.raises(ConfigError):
@@ -513,7 +514,7 @@ def test_convergence_report_needs_single_step():
 def test_convergence_report_needs_a_full_batch(batch_size, full):
     # the report recomputes each participant's gradient on its whole shard
     # (samples_per_client = 12), which a mini-batch step does not take
-    cfg = small_cfg(rounds=2, local=LocalTrainerSpec(steps=1, learning_rate=0.5, batch_size=batch_size))
+    cfg = small_cfg(rounds=2, local_steps=1, learning_rate=0.5, batch_size=batch_size)
     plan = make_plan(cfg)
     _, transcripts, _ = run_training(cfg, plan=plan)
     if full:

@@ -20,7 +20,6 @@ from latticefl.tasks import (
     DRAW_CHUNK_BYTES,
     EVAL_SIZE,
     LinearRegressionTask,
-    LocalTrainerSpec,
     LogisticBlobsTask,
     SpiralMlpTask,
     Task,
@@ -197,19 +196,17 @@ def test_linear_task_knows_optimum():
 
 def test_local_update_descends():
     task = make_task("logistic", 7, 4, 30, seed=5)
-    trainer = LocalTrainerSpec(steps=3, learning_rate=0.5, batch_size=10)
     w0 = task.init_weights()
     X, y = task.points[1], task.targets[1]
-    (w1,) = task.local_update(w0, [1], trainer, [np.random.default_rng(0)])
+    (w1,) = task.local_update(w0, [1], 3, 0.5, 10, [np.random.default_rng(0)])
     assert loss(task, w1, X, y) < loss(task, w0, X, y)
 
 
 def test_local_update_deterministic_given_stream():
     task = make_task("mlp", 0, 3, 25, seed=6)
-    trainer = LocalTrainerSpec(steps=2, learning_rate=0.2, batch_size=8)
     w = task.init_weights()
-    a = task.local_update(w, [0, 2], trainer, [np.random.default_rng(9), np.random.default_rng(10)])
-    b = task.local_update(w, [0, 2], trainer, [np.random.default_rng(9), np.random.default_rng(10)])
+    a = task.local_update(w, [0, 2], 2, 0.2, 8, [np.random.default_rng(9), np.random.default_rng(10)])
+    b = task.local_update(w, [0, 2], 2, 0.2, 8, [np.random.default_rng(9), np.random.default_rng(10)])
     np.testing.assert_array_equal(a, b)
 
 
@@ -240,15 +237,14 @@ def test_local_update_equals_the_per_client_loop(name, dim, n_clients, samples, 
     # blocks of one client up to all of them, whole shards and mini-batches
     task = make_task(name, dim, n_clients, samples, seed=seed, iid=iid)
     clients = list(dict.fromkeys(c % n_clients for c in picks))
-    trainer = LocalTrainerSpec(steps=steps, learning_rate=0.7, batch_size=batch_size)
     w = task.init_weights() + 0.3 * np.random.default_rng(seed).normal(size=task.dim)
     rngs = [np.random.default_rng([seed, c]) for c in clients]
     ref_rngs = [np.random.default_rng([seed, c]) for c in clients]
     batch = min(batch_size or samples, samples)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tasks, "LOCAL_BLOCK_BYTES", per_block * batch * task.width * 8)
-        got = task.local_update(w, np.array(clients), trainer, rngs)
-    want = local_update_reference(task, w, clients, trainer, ref_rngs)
+        got = task.local_update(w, np.array(clients), steps, 0.7, batch, rngs)
+    want = local_update_reference(task, w, clients, steps, 0.7, batch, ref_rngs)
     assert got.shape == (len(clients), task.dim)
     assert got.tobytes() == want.tobytes()
     assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
@@ -260,7 +256,7 @@ def blocks_beyond_the_result(task, m: int) -> float:
     w = np.full(task.dim, 0.01)
     tracemalloc.start()
     try:
-        out = task.local_update(w, np.arange(m), LocalTrainerSpec(steps=2, learning_rate=1.0))
+        out = task.local_update(w, np.arange(m), 2, 1.0, task.points.shape[1])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -296,7 +292,6 @@ def test_unknown_task_rejected():
 
 def test_mlp_learns_a_little():
     task = make_task("mlp", 0, 2, 200, seed=8)
-    trainer = LocalTrainerSpec(steps=800, learning_rate=1.0, batch_size=64)
-    (w,) = task.local_update(task.init_weights(), [0], trainer, [np.random.default_rng(1)])
+    (w,) = task.local_update(task.init_weights(), [0], 800, 1.0, 64, [np.random.default_rng(1)])
     _, acc = task.eval_metrics(w)
     assert acc > 0.7
