@@ -7,7 +7,7 @@ and unmasked paths agree bit for bit.
 """
 
 from .accountant import ALPHAS, AccountantState, amplify_by_subsampling, base_curve, compose, to_dp
-from .bounds import MseBoundInputs, empirical_mse, mse_bound
+from .bounds import empirical_mse, mse_bound
 from .compress import RotationSeed, clip, quantize, rotate, sensitivity, unrotate
 from .dgauss import DiscreteGaussian, sample_integer_gaussian
 from .errors import (

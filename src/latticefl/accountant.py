@@ -135,7 +135,7 @@ def to_dp(eps: np.ndarray, delta: float) -> tuple[float, float]:
     """Best ``(epsilon, alpha*)`` at failure probability ``delta``."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    candidates = eps + math.log(1.0 / delta) / (ALPHAS - 1.0)
+    candidates = eps - math.log(delta) / (ALPHAS - 1.0)  # 1 / delta overflows at a subnormal delta
     i = int(np.argmin(candidates))
     return float(candidates[i]), float(ALPHAS[i])
 

@@ -1,17 +1,16 @@
 """Closed-form error and cost bounds, and their empirical counterparts.
 
-The mean-squared-error bound takes the noise scale in lattice-step units
-(``sigma_units``) everywhere, including inside the normal-CDF overflow
-terms; the dimension field is the padded dimension the pipeline actually
-quantizes.  The overflow terms involve CDF arguments like ``n * q`` far
-in the normal tail, so their survival probabilities are clamped to zero
-below 1e-300.
+``mse_bound(d, n, k, q, sigma_units, gamma, g_max)`` takes one mse-bench
+cell's values in that order: the noise scale in lattice-step units
+everywhere, including inside the normal-CDF overflow terms, and ``d``
+the padded dimension the pipeline actually quantizes.  The overflow
+terms involve CDF arguments like ``n * q`` far in the normal tail, so
+their survival probabilities are clamped to zero below 1e-300.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,34 +26,10 @@ def _normal_sf(x: float) -> float:
     return 0.0 if sf < 1e-300 else sf
 
 
-@dataclass(frozen=True)
-class MseBoundInputs:
-    """Parameters of the mean-estimation error bound.
-
-    d: padded dimension; n: clients contributing to the round;
-    sigma_units: noise scale in lattice steps; gamma: subsampling rate;
-    q: coarse per-client group size.
-    """
-
-    d: int
-    n: int
-    k: int
-    q: int
-    sigma_units: float
-    gamma: float
-    g_max: float
-
-    def __post_init__(self):
-        if min(self.d, self.n, self.k, self.q) < 1 or self.k < 2:
-            raise ValueError("d, n, q must be >= 1 and k >= 2")
-        if not 1e-150 <= self.gamma <= 1.0:  # gamma**2 a normal float
-            raise ValueError(f"gamma must be in [1e-150, 1], got {self.gamma}")
-        if self.sigma_units < 0 or self.g_max <= 0:
-            raise ValueError("sigma_units must be >= 0 and g_max > 0")
-
-
-def mse_bound(inputs: MseBoundInputs) -> float:
-    """Upper bound on E||estimated mean - true mean||^2.
+def mse_bound(d: int, n: int, k: int, q: int, sigma_units: float, gamma: float, g_max: float) -> float:
+    """Upper bound on E||estimated mean - true mean||^2 for one cell
+    ``(d, n, k, q, sigma_units, gamma, g_max)`` of
+    :meth:`latticefl.config.MseGrid.cells`, in that order.
 
     Requires ``sigma_units >= 1/sqrt(2 pi)``, and ``gamma^2 n <= 1``, where
     the noise term covers the pipeline's ``spread su^2 / n`` at most.  The
@@ -63,15 +38,21 @@ def mse_bound(inputs: MseBoundInputs) -> float:
     by continuous tails) or taken literally.  Both vanish except at tiny
     ``q``; the bound is the larger of the two.
     """
-    su, n, q, k = inputs.sigma_units, inputs.n, inputs.q, inputs.k
+    if min(d, n, k, q) < 1 or k < 2:
+        raise ValueError("d, n, q must be >= 1 and k >= 2")
+    if not 1e-150 <= gamma <= 1.0:  # gamma**2 a normal float
+        raise ValueError(f"gamma must be in [1e-150, 1], got {gamma}")
+    if sigma_units < 0 or g_max <= 0:
+        raise ValueError("sigma_units must be >= 0 and g_max > 0")
+    su = sigma_units
     if su < INV_SQRT_2PI:
         raise HypothesisViolated(
             f"sigma_units={su} below 1/sqrt(2 pi); the bound's tail bracket needs it"
         )
-    if inputs.gamma**2 * n > 1.0:
-        raise HypothesisViolated(f"gamma^2 n = {inputs.gamma**2 * n:g} above 1; the noise term needs it at most 1")
-    spread = 4.0 * inputs.d * inputs.g_max**2 / (n * (k - 1) ** 2)
-    noise = 0.25 + su * su / (inputs.gamma**2 * n**2)
+    if gamma**2 * n > 1.0:
+        raise HypothesisViolated(f"gamma^2 n = {gamma**2 * n:g} above 1; the noise term needs it at most 1")
+    spread = 4.0 * d * g_max**2 / (n * (k - 1) ** 2)
+    noise = 0.25 + su * su / (gamma**2 * n**2)
     bracket = 1.0 + 3.0 * math.exp(-2.0 * math.pi**2 * su * su)
     return max(
         (1.0 - _normal_sf(n * q / scale) / bracket) * spread * noise
@@ -86,21 +67,16 @@ def ceil_log2(v: int) -> int:
     return (v - 1).bit_length()
 
 
-def payload_bits_per_client(n_participants: int, d_pad: int, q: int) -> int:
-    """Bits one client uploads per round: ``d`` coordinates of the wire
+def payload_bytes_per_client(n_participants: int, d_pad: int, q: int) -> int:
+    """Bytes one client uploads per round: ``d`` coordinates of the wire
     group :func:`latticefl.secagg.wire_modulus`, ``ceil(log2(n q + 1))``
-    bits each.
+    bits each, rounded up to whole bytes.
 
     The factor ``n`` inside the log is the field expansion secure
-    aggregation needs so the sum of ``n`` group elements cannot wrap.
+    aggregation needs so the sum of ``n`` group elements cannot wrap;
+    ``wire_modulus`` checks ``n`` and ``q``.
     """
-    if min(n_participants, d_pad, q) < 1:
-        raise ValueError("participants, dimension and q must all be >= 1")
-    return d_pad * ceil_log2(secagg.wire_modulus(q, n_participants))
-
-
-def payload_bytes_per_client(n_participants: int, d_pad: int, q: int) -> int:
-    return -(-payload_bits_per_client(n_participants, d_pad, q) // 8)
+    return -(-d_pad * ceil_log2(secagg.wire_modulus(q, n_participants)) // 8)
 
 
 # Trials run in chunks of about this many bytes, so that each call's fixed

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds
 from .accountant import ALPHAS, AccountantState, compose
-from .config import ExperimentConfig, format_real, load_config
+from .config import MODES, ExperimentConfig, format_real, load_config
 from .dgauss import sample_integer_gaussian
 from .errors import ConfigError, HypothesisViolated, LatticeflError
 from .lattice import LatticeSpec
@@ -79,11 +79,10 @@ def cmd_mse_bench(cfg: ExperimentConfig) -> int:
         updates = rng.normal(size=(n, d))
         updates /= np.linalg.norm(updates, axis=1, keepdims=True)
         empirical = bounds.empirical_mse(
-            updates, spec, grid.clip_bound, su, grid.trials, seed=cfg.seed + index
+            updates, spec, grid.clip, su, grid.trials, seed=cfg.seed + index
         )
-        inputs = bounds.MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=su, gamma=gamma, g_max=g_max)
         try:
-            bound = bounds.mse_bound(inputs)
+            bound = bounds.mse_bound(d, n, k, q, su, gamma, g_max)
         except HypothesisViolated:
             bound, flag = math.nan, "hypothesis"
         else:
@@ -178,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Differentially private, communication-efficient federated learning simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("train", "mse-bench", "accountant", "sample"):
+    for name in MODES:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment file (key = value sections)")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
@@ -195,16 +194,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed=args.seed, out=args.out)
-        expected = args.command
-        if cfg.mode != expected:
-            raise ConfigError(f"config mode is {cfg.mode!r} but the {expected!r} command was invoked")
-        if expected == "train":
+        if cfg.mode != args.command:
+            raise ConfigError(f"config mode is {cfg.mode!r} but the {args.command!r} command was invoked")
+        if args.command == "train":
             return cmd_train(cfg, args.override_overflow_check)
-        if expected == "mse-bench":
-            return cmd_mse_bench(cfg)
-        if expected == "accountant":
-            return cmd_accountant(cfg)
-        return cmd_sample(cfg)
+        # looked up per call, so a function rebound on this module is the one run
+        commands = {"mse-bench": cmd_mse_bench, "accountant": cmd_accountant, "sample": cmd_sample}
+        return commands[args.command](cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

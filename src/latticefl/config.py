@@ -18,10 +18,10 @@ from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 from .accountant import base_curve
-from .bounds import TRIALS_LIMIT, MseBoundInputs, empirical_mse_bytes
+from .bounds import TRIALS_LIMIT, empirical_mse_bytes, mse_bound
 from .compress import padded_dim, sensitivity
 from .dgauss import check_sigma_units
-from .errors import ConfigError
+from .errors import ConfigError, HypothesisViolated
 from .lattice import LatticeSpec
 from .secagg import wire_modulus
 from .simulate import RoundConfig, check_memory_budget
@@ -43,7 +43,7 @@ MSE_WORK_BUDGET = 10**9
 @dataclass(frozen=True)
 class AccountantParams:
     sigma: float
-    clip_bound: float
+    clip: float
     k: int
     dim: int
     gamma: float
@@ -51,19 +51,17 @@ class AccountantParams:
     delta: float
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.clip_bound <= 0:
-            raise ValueError("accountant sigma and clip must be positive")
         if not 0 < self.gamma <= 1:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.rounds < 0:
             raise ValueError(f"rounds must be >= 0, got {self.rounds}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        base_curve(self.sigma, self.sensitivity)  # ValueError when the rate is not finite
+        base_curve(self.sigma, self.sensitivity)  # ValueError on sigma or clip <= 0, or a rate past the float range
 
     @property
     def sensitivity(self) -> float:
-        return sensitivity(self.clip_bound, padded_dim(self.dim), self.k)
+        return sensitivity(self.clip, padded_dim(self.dim), self.k)
 
 
 @dataclass(frozen=True)
@@ -98,22 +96,24 @@ class MseGrid:
     sigmas: tuple[float, ...] = (0.5, 1.0)
     gammas: tuple[float, ...] = (0.1,)
     g_maxes: tuple[float, ...] = (1.0,)
-    clip_bound: float = 1.0
+    clip: float = 1.0
     trials: int = 1000
 
     def __post_init__(self):
         if not 1 <= self.trials < TRIALS_LIMIT:
             raise ValueError(f"trials must be in [1, 2**32), got {self.trials}")
-        if self.clip_bound <= 0:
-            raise ValueError(f"clip must be positive, got {self.clip_bound}")
+        if self.clip <= 0:
+            raise ValueError(f"clip must be positive, got {self.clip}")
         for cell in self.cells():
             d, n, k, q, su, gamma, g_max = cell
-            try:
+            try:  # the checks of the code that runs the cell; the bound's last, so its verdict skips none
                 LatticeSpec(g_max=g_max, k=k, q=q)
-                MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=su, gamma=gamma, g_max=g_max)
                 if su > 0:
                     check_sigma_units(su)
                 wire_modulus(q, n)
+                mse_bound(*cell)
+            except HypothesisViolated:
+                pass  # a verdict, not an error: the cell runs and is flagged
             except (ValueError, ConfigError) as exc:
                 raise ValueError(f"mse cell (d, n, k, q, sigma, gamma, g_max) = {cell}: {exc}") from None
             check_memory_budget(
@@ -168,6 +168,15 @@ class ExperimentConfig:
                 raise ValueError(f"out = {self.out} must name a file in an existing directory")
 
 
+def _integer(raw: str) -> int:
+    """An int below 2**63 in magnitude; a larger one overflows the float
+    arithmetic that sizes and checks a run."""
+    value = int(raw)
+    if abs(value) >= 1 << 63:
+        raise ValueError("must be below 2**63 in magnitude")
+    return value
+
+
 def _real(raw: str) -> float:
     """A float; NaN and infinities would otherwise reach the integer domain."""
     value = float(raw)
@@ -202,77 +211,75 @@ def _list(parse):
     return parse_list
 
 
-# section -> {key: (dataclass field, parser)}
+# section -> {key: parser}; a section's keys are the names of its dataclass's fields
 _SCHEMA = {
     "experiment": {
-        "mode": ("mode", str),
-        "seed": ("seed", int),
-        "out": ("out", str),
+        "mode": str,
+        "seed": _integer,
+        "out": str,
     },
     "protocol": {
-        "n": ("n", int),
-        "gamma": ("gamma", _real),
-        "rounds": ("rounds", int),
-        "dim": ("dim", int),
-        "clip": ("clip_bound", _real),
-        "k": ("k", int),
-        "q": ("q", int),
-        "sigma": ("sigma", _real),
-        "delta": ("delta", _real),
-        "g_max": ("g_max", _unless("auto", _real)),
-        "task": ("task", str),
-        "iid": ("iid", _boolean),
-        "samples_per_client": ("samples_per_client", int),
-        "local_steps": ("local_steps", int),
-        "learning_rate": ("learning_rate", _real),
-        "batch_size": ("batch_size", _unless("full", int)),
+        "n": _integer,
+        "gamma": _real,
+        "rounds": _integer,
+        "dim": _integer,
+        "clip": _real,
+        "k": _integer,
+        "q": _integer,
+        "sigma": _real,
+        "delta": _real,
+        "g_max": _unless("auto", _real),
+        "task": str,
+        "iid": _boolean,
+        "samples_per_client": _integer,
+        "local_steps": _integer,
+        "learning_rate": _real,
+        "batch_size": _unless("full", _integer),
     },
     "accountant": {
-        "sigma": ("sigma", _real),
-        "clip": ("clip_bound", _real),
-        "k": ("k", int),
-        "dim": ("dim", int),
-        "gamma": ("gamma", _real),
-        "rounds": ("rounds", int),
-        "delta": ("delta", _real),
+        "sigma": _real,
+        "clip": _real,
+        "k": _integer,
+        "dim": _integer,
+        "gamma": _real,
+        "rounds": _integer,
+        "delta": _real,
     },
     "sample": {
-        "sigma_units": ("sigma_units", _real),
-        "count": ("count", int),
+        "sigma_units": _real,
+        "count": _integer,
     },
     "mse": {
-        "dims": ("dims", _list(int)),
-        "clients": ("clients", _list(int)),
-        "ks": ("ks", _list(int)),
-        "qs": ("qs", _list(int)),
-        "sigmas": ("sigmas", _list(_real)),
-        "gammas": ("gammas", _list(_real)),
-        "g_maxes": ("g_maxes", _list(_real)),
-        "clip": ("clip_bound", _real),
-        "trials": ("trials", int),
+        "dims": _list(_integer),
+        "clients": _list(_integer),
+        "ks": _list(_integer),
+        "qs": _list(_integer),
+        "sigmas": _list(_real),
+        "gammas": _list(_real),
+        "g_maxes": _list(_real),
+        "clip": _real,
+        "trials": _integer,
     },
 }
 
 
 def _section(parser: configparser.ConfigParser, name: str) -> dict:
-    """``{field: value}`` for one section's keys, rejecting unknown keys."""
+    """``{key: value}`` for one section's keys, rejecting unknown keys."""
     values = {}
     for key, raw in parser[name].items() if name in parser else ():
         if key not in _SCHEMA[name]:
             raise ConfigError(f"unknown key {key!r} in section [{name}]")
-        field, parse = _SCHEMA[name][key]
         try:
-            values[field] = parse(raw)
+            values[key] = _SCHEMA[name][key](raw)
         except ValueError as exc:
             raise ConfigError(f"[{name}] {key} = {raw}: {exc}") from None
     return values
 
 
 def _build(cls, section: str, values: dict):
-    """``cls`` from one section's ``{field: value}``; every field without a
+    """``cls`` from one section's ``{key: value}``; every field without a
     default must be set."""
-    keys = {field: key for key, (field, _) in _SCHEMA[section].items()}
-    missing = [keys[f.name] for f in dataclasses.fields(cls) if f.name not in values and f.default is MISSING]
+    missing = [f.name for f in dataclasses.fields(cls) if f.name not in values and f.default is MISSING]
     if missing:
         raise ConfigError(f"[{section}] missing keys: {', '.join(missing)}")
     return cls(**values)
@@ -305,7 +312,7 @@ def load_config(path: str | Path, seed: int | None = None, out: str | None = Non
         if cls is RoundConfig:
             values[section]["seed"] = cfg.seed  # every stream of a run derives from it
         return dataclasses.replace(cfg, **{field: _build(cls, section, values[section])})
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an out path the file system cannot look up
         raise ConfigError(str(exc)) from None
 
 

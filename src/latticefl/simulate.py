@@ -73,15 +73,15 @@ def participants_per_round(n: int, gamma: float) -> int:
 @dataclass(frozen=True)
 class RoundConfig:
     """Full protocol configuration for a training run, its fields named as
-    the ``[protocol]`` keys but ``clip`` (``clip_bound``).  Local training
-    is plain SGD: ``local_steps`` steps of ``learning_rate`` on
-    ``batch_size`` of a client's points (``None``: its whole shard)."""
+    the ``[protocol]`` keys.  Local training is plain SGD: ``local_steps``
+    steps of ``learning_rate`` on ``batch_size`` of a client's points
+    (``None``: its whole shard)."""
 
     n: int
     gamma: float
     rounds: int
     dim: int
-    clip_bound: float
+    clip: float
     k: int
     q: int
     sigma: float
@@ -188,10 +188,10 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
         raise ConfigError(
             f"q={cfg.q} must be >= k={cfg.k} so the quantizer grid fits the coarse group"
         )
-    g_max = cfg.g_max if cfg.g_max is not None else compress.default_g_max(cfg.clip_bound, cfg.n, d_pad)
+    g_max = cfg.g_max if cfg.g_max is not None else compress.default_g_max(cfg.clip, cfg.n, d_pad)
     spec = LatticeSpec(g_max=g_max, k=cfg.k, q=cfg.q)
     wire_q = secagg.wire_modulus(cfg.q, m)
-    sensitivity = compress.sensitivity(cfg.clip_bound, d_pad, cfg.k)
+    sensitivity = compress.sensitivity(cfg.clip, d_pad, cfg.k)
 
     # Room, in lattice steps, that the recovered sum leaves for the noise
     # once the m quantized rows take their largest magnitude.
@@ -250,7 +250,7 @@ def run_round(
     rngs = list(streams.generators(streams.entropy(master, domains, round_index, ids)))
     raw = plan.task.local_update(model.w, ids, cfg.local_steps, cfg.learning_rate, plan.batch, rngs[m:])
     raw -= model.w
-    clipped = compress.clip(raw, cfg.clip_bound)
+    clipped = compress.clip(raw, cfg.clip)
     uniforms = np.empty((m, plan.d_pad))
     for row, rng in zip(uniforms, rngs[:m]):
         rng.random(out=row)

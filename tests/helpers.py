@@ -159,11 +159,11 @@ def amplified_at_integer_reference(eps: np.ndarray, gamma: float, alpha: int) ->
 def epsilon_reference(per_round: np.ndarray, delta: float, rounds: int) -> tuple[float, float]:
     """``(epsilon, alpha*)`` after ``rounds`` rounds of the curve ``per_round``,
     order by order as Python floats: the first order at which
-    ``rounds * eps(alpha) + log(1/delta) / (alpha - 1)`` is least.  Nothing is
+    ``rounds * eps(alpha) - log(delta) / (alpha - 1)`` is least.  Nothing is
     spent before the first round, at no order: ``(0.0, inf)``."""
     if rounds == 0:
         return 0.0, math.inf
-    candidates = [(float(e) * rounds + math.log(1.0 / delta) / (float(a) - 1.0), float(a))
+    candidates = [(float(e) * rounds - math.log(delta) / (float(a) - 1.0), float(a))
                   for e, a in zip(per_round, ALPHAS)]
     return min(candidates, key=lambda candidate: candidate[0])
 
@@ -199,21 +199,21 @@ def tail_lower_bound(dist, m: int) -> float:
     return stats.norm.sf(m / su) / (1.0 + 3.0 * math.exp(-2.0 * math.pi**2 * su * su))
 
 
-def mse_bound_reading(i, normalize_phi: bool) -> float:
-    """The MSE bound with the overflow terms' CDF arguments ``n q`` and
-    ``n (q - k - 1)`` divided by ``sigma_units`` (``normalize_phi``) or taken
-    literally, each term a separate step, survival probabilities below 1e-300
-    taken as 0."""
-    su = i.sigma_units
+def mse_bound_reading(d, n, k, q, sigma_units, gamma, g_max, *, normalize_phi: bool) -> float:
+    """The MSE bound at one cell, its arguments in ``mse_bound``'s order,
+    with the overflow terms' CDF arguments ``n q`` and ``n (q - k - 1)``
+    divided by ``sigma_units`` (``normalize_phi``) or taken literally, each
+    term a separate step, survival probabilities below 1e-300 taken as 0."""
+    su = sigma_units
     scale = su if normalize_phi else 1.0
 
     def sf(x):
         value = 0.5 * math.erfc(x / math.sqrt(2.0))
         return 0.0 if value < 1e-300 else value
 
-    coeff = 1.0 - sf(i.n * i.q / scale) / (1.0 + 3.0 * math.exp(-2.0 * math.pi**2 * su * su))
-    main = coeff * (4.0 * i.d * i.g_max**2 / (i.n * (i.k - 1) ** 2)) * (0.25 + su * su / (i.gamma**2 * i.n**2))
-    return main + sf(i.n * (i.q - i.k - 1) / scale) * float(i.q) ** 2
+    coeff = 1.0 - sf(n * q / scale) / (1.0 + 3.0 * math.exp(-2.0 * math.pi**2 * su * su))
+    main = coeff * (4.0 * d * g_max**2 / (n * (k - 1) ** 2)) * (0.25 + su * su / (gamma**2 * n**2))
+    return main + sf(n * (q - k - 1) / scale) * float(q) ** 2
 
 
 def gof_pvalue_discrete(samples: np.ndarray, dist, min_pmf: float = 1e-6) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from latticefl.accountant import ALPHAS, AccountantState, amplify_by_subsampling, base_curve
-from latticefl.bounds import MseBoundInputs, empirical_mse, mse_bound, payload_bits_per_client
+from latticefl.bounds import ceil_log2, empirical_mse, mse_bound
 from latticefl.compress import quantize, sensitivity
 from latticefl.dgauss import DiscreteGaussian, sample_integer_gaussian
 from latticefl.lattice import LatticeSpec
@@ -173,9 +173,7 @@ def test_08_mse_bound_compliance():
                 ]
                 empirical = float(np.mean(batches))
                 se = float(np.std(batches, ddof=1)) / math.sqrt(len(batches))
-                bound = mse_bound(
-                    MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=su, gamma=gamma, g_max=g_max)
-                )
+                bound = mse_bound(d, n, k, q, su, gamma, g_max)
                 margin = empirical - bound
                 worst_margin = max(worst_margin, margin - 3 * se)
                 ok &= empirical <= bound + 3 * se
@@ -213,13 +211,13 @@ def test_10_communication_accounting():
         k = int(2 * rng.integers(2, 9) + 1)
         q = int(2 * rng.integers(k, 4 * k) + 1)
         cfg = RoundConfig(
-            n=n, gamma=gamma, rounds=1, dim=dim, clip_bound=1.0, k=k, q=q,
+            n=n, gamma=gamma, rounds=1, dim=dim, clip=1.0, k=k, q=q,
             sigma=0.0, delta=1e-5, seed=int(rng.integers(1 << 32)), task="logistic",
             samples_per_client=4,
         )
         plan = make_plan(cfg)
         _, transcripts, _ = run_training(cfg)
-        per_client_bits = payload_bits_per_client(plan.m, plan.d_pad, q)
+        per_client_bits = plan.d_pad * ceil_log2(wire_modulus(q, plan.m))
         ok &= transcripts[0].payload_bytes_per_client == -(-per_client_bits // 8)
     report(10, "transcript byte counts equal the closed-form cost, 20 configs", bool(ok))
 
@@ -232,7 +230,7 @@ def test_11_end_to_end_learning():
     gaps_plain, gaps_dp, eps_values = [], [], []
     for seed in range(5):
         shared = dict(
-            n=100, gamma=0.1, rounds=50, dim=20, clip_bound=clip_bound, k=k, q=q,
+            n=100, gamma=0.1, rounds=50, dim=20, clip=clip_bound, k=k, q=q,
             delta=1e-5, seed=4000 + seed, task="logistic",
             local_steps=1, learning_rate=lr,
         )

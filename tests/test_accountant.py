@@ -189,6 +189,14 @@ def test_to_dp_matches_dense_grid():
     assert eps >= eps_dense
 
 
+def test_to_dp_at_a_subnormal_delta():
+    # 1 / delta overflows below about 5.6e-309, but -log(delta) is 713.8
+    eps, alpha = to_dp(ALPHAS / 2.0, 1e-310)
+    candidates = ALPHAS / 2.0 + 310 * math.log(10.0) / (ALPHAS - 1.0)
+    assert eps == pytest.approx(float(candidates.min()), rel=1e-12)
+    assert alpha == ALPHAS[int(np.argmin(candidates))]
+
+
 def test_to_dp_rejects_bad_delta():
     with pytest.raises(ValueError):
         to_dp(base_curve(1.0, 1.0), 0.0)

@@ -9,11 +9,9 @@ from scipy.special import log_ndtr
 
 from latticefl import bounds, secagg, streams
 from latticefl.bounds import (
-    MseBoundInputs,
     empirical_mse,
     empirical_mse_bytes,
     mse_bound,
-    payload_bits_per_client,
     payload_bytes_per_client,
 )
 from latticefl.config import MseGrid
@@ -25,49 +23,47 @@ from helpers import empirical_mse_reference, mse_bound_reading, mse_oracle, vari
 
 
 def inputs(**overrides):
+    """``mse_bound``'s keyword arguments at a base cell, some overridden."""
     base = dict(d=64, n=10, k=9, q=10**6 + 1, sigma_units=1.0, gamma=0.1, g_max=0.5)
     base.update(overrides)
-    return MseBoundInputs(**base)
+    return base
 
 
-def dominant_term(i: MseBoundInputs) -> float:
-    return (4 * i.d * i.g_max**2 / (i.n * (i.k - 1) ** 2)) * (
-        0.25 + i.sigma_units**2 / (i.gamma**2 * i.n**2)
-    )
+def dominant_term(d, n, k, q, sigma_units, gamma, g_max) -> float:
+    return (4 * d * g_max**2 / (n * (k - 1) ** 2)) * (0.25 + sigma_units**2 / (gamma**2 * n**2))
 
 
 def test_bound_reduces_to_dominant_term_for_large_q():
     i = inputs()
-    assert mse_bound(i) == pytest.approx(dominant_term(i), rel=1e-12)
+    assert mse_bound(**i) == pytest.approx(dominant_term(**i), rel=1e-12)
     for normalize_phi in (True, False):
-        assert mse_bound_reading(i, normalize_phi) == pytest.approx(dominant_term(i), rel=1e-12)
+        assert mse_bound_reading(**i, normalize_phi=normalize_phi) == pytest.approx(dominant_term(**i), rel=1e-12)
 
 
 def test_bound_quarter_per_level_doubling():
     lo = inputs(k=9)  # k - 1 = 8
     hi = inputs(k=17)  # k - 1 = 16
-    assert mse_bound(hi) == pytest.approx(mse_bound(lo) / 4, rel=1e-12)
+    assert mse_bound(**hi) == pytest.approx(mse_bound(**lo) / 4, rel=1e-12)
 
 
 def test_bound_independent_reevaluation():
     # longhand re-evaluation of the bound formula
-    i = inputs()
-    su = i.sigma_units
+    su = inputs()["sigma_units"]
     phi_term = 0.0  # survival of 1e7 standard deviations underflows to 0
     coeff = 1.0 - phi_term / (1.0 + 3.0 * math.exp(-2.0 * math.pi**2 * su**2))
     expected = coeff * (4 * 64 * 0.25 / (10 * 64)) * (0.25 + 1.0 / (0.01 * 100)) + 0.0
-    assert mse_bound(i) == pytest.approx(expected, rel=1e-12)
+    assert mse_bound(**inputs()) == pytest.approx(expected, rel=1e-12)
 
 
 def test_bound_overflow_terms_engage_at_tiny_q():
     # only at tiny q do the CDF terms wake up; the two argument readings
     # then give genuinely different values
     i = inputs(q=3, k=3, n=1, sigma_units=30.0, gamma=1.0)
-    literal = mse_bound_reading(i, normalize_phi=False)
-    normalized = mse_bound_reading(i, normalize_phi=True)
+    literal = mse_bound_reading(**i, normalize_phi=False)
+    normalized = mse_bound_reading(**i, normalize_phi=True)
     assert literal != normalized
     assert literal > 0 and normalized > 0
-    assert mse_bound(i) == max(literal, normalized) < dominant_term(i)  # the no-overflow factor is < 1 here
+    assert mse_bound(**i) == max(literal, normalized) < dominant_term(**i)  # the no-overflow factor is < 1 here
 
 
 def test_normal_sf_matches_scipy_log_ndtr():
@@ -85,11 +81,11 @@ def test_normal_sf_matches_scipy_log_ndtr():
 
 def test_bound_hypothesis_gate():
     with pytest.raises(HypothesisViolated, match="sigma_units"):
-        mse_bound(inputs(sigma_units=0.3))
+        mse_bound(**inputs(sigma_units=0.3))
     # the noise term covers one shared draw over n clients up to gamma^2 n = 1
-    assert mse_bound(inputs(n=4, gamma=0.5)) > 0
+    assert mse_bound(**inputs(n=4, gamma=0.5)) > 0
     with pytest.raises(HypothesisViolated, match="gamma"):
-        mse_bound(inputs(n=4, gamma=np.nextafter(0.5, 1.0)))
+        mse_bound(**inputs(n=4, gamma=np.nextafter(0.5, 1.0)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -106,29 +102,29 @@ def test_bound_hypothesis_gate():
 @example(d=64, n=1, k=3, q=3, sigma_units=30.0, gamma=1.0, g_max=0.5)
 @example(d=64, n=2, k=9, q=9, sigma_units=3.0, gamma=0.5, g_max=1.0)
 def test_bound_is_the_larger_reading_bit_for_bit(d, n, k, q, sigma_units, gamma, g_max):
-    i = MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=sigma_units, gamma=gamma, g_max=g_max)
+    i = (d, n, k, q, sigma_units, gamma, g_max)
     if gamma**2 * n > 1.0:
         with pytest.raises(HypothesisViolated):
-            mse_bound(i)
+            mse_bound(*i)
         return
-    assert mse_bound(i) == max(mse_bound_reading(i, True), mse_bound_reading(i, False))
+    assert mse_bound(*i) == max(mse_bound_reading(*i, normalize_phi=True), mse_bound_reading(*i, normalize_phi=False))
 
 
 def test_bound_monotonicity_grid():
-    base = inputs()
-    assert mse_bound(inputs(k=17)) < mse_bound(base)  # decreasing in k
-    assert mse_bound(inputs(n=20)) < mse_bound(base)  # decreasing in n
-    assert mse_bound(inputs(sigma_units=2.0)) > mse_bound(base)  # increasing in sigma
-    assert mse_bound(inputs(d=128)) > mse_bound(base)  # increasing in d
+    base = mse_bound(**inputs())
+    assert mse_bound(**inputs(k=17)) < base  # decreasing in k
+    assert mse_bound(**inputs(n=20)) < base  # decreasing in n
+    assert mse_bound(**inputs(sigma_units=2.0)) > base  # increasing in sigma
+    assert mse_bound(**inputs(d=128)) > base  # increasing in d
 
 
 def test_inputs_validation():
     with pytest.raises(ValueError):
-        inputs(k=1)
+        mse_bound(**inputs(k=1))
     with pytest.raises(ValueError):
-        inputs(gamma=0.0)
+        mse_bound(**inputs(gamma=0.0))
     with pytest.raises(ValueError):
-        inputs(g_max=0.0)
+        mse_bound(**inputs(g_max=0.0))
 
 
 def unit_updates(m, d, seed):
@@ -163,9 +159,7 @@ def test_empirical_below_bound():
     m, d = 10, 64
     spec = LatticeSpec(g_max=1.0, k=9, q=1001)
     emp = empirical_mse(unit_updates(m, d, 3), spec, 1.0, 1.0, trials=300, seed=4)
-    bound = mse_bound(
-        MseBoundInputs(d=d, n=m, k=9, q=1001, sigma_units=1.0, gamma=0.1, g_max=1.0)
-    )
+    bound = mse_bound(d, m, 9, 1001, 1.0, 0.1, 1.0)
     assert emp <= bound
 
 
@@ -225,7 +219,7 @@ def test_bound_covers_the_oracle_wherever_it_applies(d, n, half_k, sigma_units, 
     # the pipeline's exact expected MSE, on mse-bench's own updates
     k, q, g_max = 2 * half_k + 1, 1001, 1.0
     try:
-        bound = mse_bound(MseBoundInputs(d=d, n=n, k=k, q=q, sigma_units=sigma_units, gamma=gamma, g_max=g_max))
+        bound = mse_bound(d, n, k, q, sigma_units, gamma, g_max)
     except HypothesisViolated:
         return
     assert bound >= mse_oracle(mse_bench_updates(n, d, seed), LatticeSpec(g_max=g_max, k=k, q=q), 1.0, sigma_units)
@@ -336,12 +330,14 @@ def test_empirical_mse_frees_each_chunk_before_the_next():
 
 
 def test_comm_cost_reference_point():
-    # 100 coordinates of ceil(log2(10 * 255 + 1)) = 12 bits
-    assert payload_bits_per_client(10, 100, 255) == 1200
+    # 100 coordinates of ceil(log2(10 * 255 + 1)) = 12 bits: 1200 bits
+    assert payload_bytes_per_client(10, 100, 255) == 150
 
 
 def test_comm_cost_unit_group():
-    assert payload_bits_per_client(1, 7, 1) == 7  # ceil(log2(2)) = 1 bit per coordinate
+    # ceil(log2(2)) = 1 bit per coordinate
+    assert payload_bytes_per_client(1, 8, 1) == 1
+    assert payload_bytes_per_client(1, 9, 1) == 2
 
 
 def test_payload_bytes_round_up():
@@ -351,4 +347,4 @@ def test_payload_bytes_round_up():
 
 def test_comm_cost_validation():
     with pytest.raises(ValueError):
-        payload_bits_per_client(0, 10, 101)
+        payload_bytes_per_client(0, 10, 101)

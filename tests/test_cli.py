@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import os
 import subprocess
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 import latticefl
 from latticefl import simulate
-from latticefl.cli import WRITE_CHUNK, cmd_sample, format_int_lines, main
-from latticefl.config import SAMPLE_BYTES_FIXED, SAMPLE_BYTES_PER_DRAW, ExperimentConfig, SampleParams
+from latticefl.cli import WRITE_CHUNK, build_parser, cmd_sample, format_int_lines, main
+from latticefl.config import MODES, SAMPLE_BYTES_FIXED, SAMPLE_BYTES_PER_DRAW, ExperimentConfig, SampleParams
 from latticefl.dgauss import MAX_SIGMA_UNITS, MIN_SIGMA_UNITS
 
 from helpers import sample_integer_gaussian_reference
@@ -484,3 +485,8 @@ def test_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_subcommands_are_the_config_modes():
+    (sub,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    assert tuple(sub.choices) == MODES

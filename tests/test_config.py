@@ -18,6 +18,9 @@ from latticefl import bounds, cli
 from latticefl.cli import main
 from latticefl.compress import padded_dim
 from latticefl.config import (
+    _MODES,
+    _SCHEMA,
+    MODES,
     MSE_WORK_BUDGET,
     AccountantParams,
     ExperimentConfig,
@@ -35,7 +38,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 import run as bench_run  # noqa: E402
 
 STOCK_TRAIN = RoundConfig(
-    n=100, gamma=0.1, rounds=50, dim=20, clip_bound=0.5, k=33, q=4097, sigma=1.53,
+    n=100, gamma=0.1, rounds=50, dim=20, clip=0.5, k=33, q=4097, sigma=1.53,
     delta=1e-5, seed=4000, g_max=None, task="logistic", iid=True, samples_per_client=20,
     local_steps=1, learning_rate=1.0, batch_size=None,
 )
@@ -48,13 +51,13 @@ STOCK = {
         mode="mse-bench", seed=8, out="mse_grid.csv",
         mse_grid=MseGrid(
             dims=(64,), clients=(4, 10), ks=(5, 9, 17), qs=(1001,), sigmas=(0.5, 1.0),
-            gammas=(0.1,), g_maxes=(1.0,), clip_bound=1.0, trials=1000,
+            gammas=(0.1,), g_maxes=(1.0,), clip=1.0, trials=1000,
         ),
     ),
     "accountant.cfg": ExperimentConfig(
         mode="accountant", seed=1,
         accountant_params=AccountantParams(
-            sigma=4.78, clip_bound=1.0, k=9, dim=20, gamma=0.1, rounds=50, delta=1e-5
+            sigma=4.78, clip=1.0, k=9, dim=20, gamma=0.1, rounds=50, delta=1e-5
         ),
     ),
     "sample.cfg": ExperimentConfig(
@@ -68,7 +71,7 @@ BENCH_OUT = "bench-out.txt"
 
 def bench_train(**changes):
     base = dict(
-        n=2000, gamma=0.1, rounds=2, dim=200, clip_bound=0.5, k=33, q=4097, sigma=1.53,
+        n=2000, gamma=0.1, rounds=2, dim=200, clip=0.5, k=33, q=4097, sigma=1.53,
         delta=1e-5, seed=BENCH_SEED, g_max=None, task="logistic", iid=True,
         samples_per_client=20, local_steps=1, learning_rate=1.0, batch_size=None,
     )
@@ -90,7 +93,7 @@ BENCH = {
         mode="mse-bench", seed=BENCH_SEED, out=BENCH_OUT,
         mse_grid=MseGrid(
             dims=(64,), clients=(4, 10), ks=(5, 9, 17), qs=(1001,), sigmas=(0.5, 1.0),
-            gammas=(0.1,), g_maxes=(1.0,), clip_bound=1.0, trials=100,
+            gammas=(0.1,), g_maxes=(1.0,), clip=1.0, trials=100,
         ),
     ),
     "sample-stream": ExperimentConfig(
@@ -161,11 +164,39 @@ def test_missing_required_key_is_named(tmp_path, section, key):
         load_config(write(tmp_path, without(REQUIRED[section], key)))
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_each_key_is_its_dataclass_field(mode):
+    # no second name for a key: the dataclass a section builds takes its keys as they are
+    section, _, cls = _MODES[mode]
+    fields = {f.name for f in dataclasses.fields(cls)} - ({"seed"} if cls is RoundConfig else set())
+    assert set(_SCHEMA[section]) == fields
+    assert set(_SCHEMA["experiment"]) <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+BIG = "1" + "0" * 400  # 10**400, past the float range
+
+
+@pytest.mark.parametrize(
+    "name, section, key",
+    [("accountant.cfg", "accountant", k) for k in ("dim", "k", "rounds")]
+    + [("train.cfg", "protocol", k) for k in ("n", "dim", "rounds", "samples_per_client")]
+    + [("mse_bench.cfg", "mse", "dims"), ("sample.cfg", "sample", "count")],
+)
+def test_integers_of_2_63_or_more_exit_2_naming_the_key(tmp_path, capsys, no_draw, name, section, key):
+    # each escaped as an OverflowError traceback at 10**400
+    text = without((CONFIGS / name).read_text(), key)  # the key's section is the file's last one
+    for value in (BIG, str(1 << 63), str(-(1 << 63))):
+        config = write(tmp_path, text + f"\n{key} = {value}\n")
+        assert main([STOCK[name].mode, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: [{section}] {key} = {value}: must be below 2**63 in magnitude"]
+
+
 def test_omitted_optional_keys_take_the_dataclass_defaults(tmp_path):
     cfg = load_config(write(tmp_path, REQUIRED["protocol"]))
     assert cfg.out is None
     assert cfg.round_config == RoundConfig(
-        n=10, gamma=0.5, rounds=2, dim=4, clip_bound=1.0, k=5, q=101, sigma=0.5, delta=1e-5,
+        n=10, gamma=0.5, rounds=2, dim=4, clip=1.0, k=5, q=101, sigma=0.5, delta=1e-5,
         seed=3,
     )
     rc = cfg.round_config
@@ -314,7 +345,7 @@ def test_work_budget_bounds_mse_grids():
 
 
 # Malformed values tried at each key of each stock config, one key at a time.
-FUZZ_VALUES = ("", "abc", "0", "-1", "nan", "inf", "1e30")
+FUZZ_VALUES = ("", "abc", "0", "-1", "nan", "inf", "1e30", BIG)
 # The stock sizes cut so that each run that is accepted takes milliseconds;
 # the key itself still takes every fuzz value.
 FUZZ_SIZES = {"mse_bench.cfg": ("mse", "trials", "2"), "sample.cfg": ("sample", "count", "1000")}
@@ -366,14 +397,14 @@ def test_malformed_values_exit_cleanly(tmp_path, monkeypatch, capsys, name, sect
     # each value exits 0 with finite output or 2 with one error line
     monkeypatch.chdir(tmp_path)  # where the mutated configs' relative outputs go
     command = STOCK[name].mode
-    for value in FUZZ_VALUES:
+    for i, value in enumerate(FUZZ_VALUES):
         parser = configparser.ConfigParser(interpolation=None)
         parser.read(CONFIGS / name)
         if name in FUZZ_SIZES:
             size_section, size_key, size = FUZZ_SIZES[name]
             parser[size_section][size_key] = size
         parser[section][key] = value
-        config = tmp_path / f"{value or 'empty'}.cfg"
+        config = tmp_path / f"value-{i}.cfg"
         with open(config, "w") as fh:
             parser.write(fh)
         rc = main([command, "--config", str(config)])
@@ -389,11 +420,11 @@ def test_malformed_values_exit_cleanly(tmp_path, monkeypatch, capsys, name, sect
 
 
 # Values the fuzz property puts in place of one or two keys: zero, negatives,
-# subnormals, the float range's edge, non-finite values, 2**64, nothing,
-# junk, lists and non-ASCII digits (which int and float accept).
+# subnormals, the float range's edge, non-finite values, 2**64, 10**400,
+# nothing, junk, lists and non-ASCII digits (which int and float accept).
 FUZZ_POOL = (
     "0", "-1", "-2.5", "5e-324", "1e-310", "1e308", "-1e308", "inf", "-inf", "nan",
-    "18446744073709551616", "", "abc", "1,2", "0.5, 1e308", "\u0661\u0662", "\u0663.\u0665", "\uff17",
+    "18446744073709551616", BIG, "", "abc", "1,2", "0.5, 1e308", "\u0661\u0662", "\u0663.\u0665", "\uff17",
 )
 # The stock work keys cut so that each accepted run takes milliseconds (the
 # accountant's work does not grow with its rounds).
@@ -433,8 +464,15 @@ def stock_edits(draw):
 @example(case=("mse_bench.cfg", [(("mse", "gammas"), "1e-310")]))
 @example(case=("mse_bench.cfg", [(("mse", "g_maxes"), "0.5, 1e308")]))
 @example(case=("mse_bench.cfg", [(("mse", "trials"), "\u0661\u0662"), (("mse", "g_maxes"), "5e-324")]))
+# integers past the float range, and a delta whose reciprocal overflows:
+# each escaped as an OverflowError traceback or printed epsilon = inf
+@example(case=("accountant.cfg", [(("accountant", "rounds"), BIG)]))
+@example(case=("train.cfg", [(("protocol", "n"), BIG)]))
+@example(case=("accountant.cfg", [(("accountant", "delta"), "1e-310")]))
+@example(case=("train.cfg", [(("protocol", "delta"), "1e-310")]))
 def test_edited_stock_configs_exit_0_or_2_with_one_error_line(tmp_path_factory, case):
-    # no exception or RuntimeWarning (the suite's filter makes it an error) escapes
+    # no exception or RuntimeWarning (the suite's filter makes it an error)
+    # escapes, and an accepted run writes only finite reals
     name, edits = case
     parser = stock_parser(name)
     for (section, key), value in edits:
@@ -449,6 +487,9 @@ def test_edited_stock_configs_exit_0_or_2_with_one_error_line(tmp_path_factory, 
     if rc == 2:
         err = stderr.getvalue().splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), (edits, err)
+        return
+    cfg = load_config(tmp / "edited.cfg", out=str(tmp / "out"))
+    assert all(map(is_finite_real, written_reals(cfg.mode, cfg, stdout.getvalue()))), edits
 
 
 reals = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -463,7 +504,7 @@ def round_configs(draw):
         gamma=draw(st.floats(min_value=min(1.0, 1.0 / n + 1e-9), max_value=1.0)),
         rounds=draw(st.integers(0, 1000)),
         dim=draw(st.integers(1, 4096)),
-        clip_bound=draw(reals),
+        clip=draw(reals),
         k=draw(st.integers(1, 100)) * 2 + 1,
         q=draw(st.integers(1, 1 << 20)) * 2 + 1,
         sigma=draw(st.floats(min_value=0.0, max_value=1e6)),
@@ -482,7 +523,7 @@ def round_configs(draw):
 def protocol_text(rc: RoundConfig) -> str:
     pairs = [
         ("n", rc.n), ("gamma", rc.gamma), ("rounds", rc.rounds), ("dim", rc.dim),
-        ("clip", rc.clip_bound), ("k", rc.k), ("q", rc.q), ("sigma", rc.sigma),
+        ("clip", rc.clip), ("k", rc.k), ("q", rc.q), ("sigma", rc.sigma),
         ("delta", rc.delta), ("g_max", "auto" if rc.g_max is None else rc.g_max),
         ("task", rc.task), ("iid", str(rc.iid).lower()),
         ("samples_per_client", rc.samples_per_client), ("local_steps", rc.local_steps),
@@ -518,7 +559,7 @@ def mse_grids(draw):
         sigmas=values(st.just(0.0) | st.floats(min_value=1e-150, max_value=100.0)),
         gammas=values(st.floats(min_value=1e-6, max_value=1.0)),
         g_maxes=values(reals),
-        clip_bound=draw(reals),
+        clip=draw(reals),
         trials=1,
     )
     # up to 10,000 trials, as many as the work budget admits
@@ -537,7 +578,7 @@ def test_written_mse_config_parses_back(tmp_path_factory, grid, seed):
         f"[experiment]\nmode = mse-bench\nseed = {seed}\n[mse]\n"
         f"dims = {listed(grid.dims)}\nclients = {listed(grid.clients)}\nks = {listed(grid.ks)}\n"
         f"qs = {listed(grid.qs)}\nsigmas = {listed(grid.sigmas)}\ngammas = {listed(grid.gammas)}\n"
-        f"g_maxes = {listed(grid.g_maxes)}\nclip = {grid.clip_bound!r}\ntrials = {grid.trials}\n"
+        f"g_maxes = {listed(grid.g_maxes)}\nclip = {grid.clip!r}\ntrials = {grid.trials}\n"
     )
     assert load_config(path) == ExperimentConfig(mode="mse-bench", seed=seed, mse_grid=grid)
 
@@ -545,7 +586,7 @@ def test_written_mse_config_parses_back(tmp_path_factory, grid, seed):
 @settings(max_examples=40, deadline=None)
 @given(
     acc=st.builds(
-        AccountantParams, sigma=reals, clip_bound=reals, k=st.integers(2, 1000),
+        AccountantParams, sigma=reals, clip=reals, k=st.integers(2, 1000),
         dim=st.integers(1, 10**6), gamma=st.floats(min_value=1e-6, max_value=1.0),
         rounds=st.integers(0, 10**6), delta=unit_open,
     ),
@@ -555,7 +596,7 @@ def test_written_accountant_and_sample_configs_parse_back(tmp_path_factory, acc,
     path = tmp_path_factory.mktemp("cfg") / "exp.cfg"
     path.write_text(
         "[experiment]\nmode = accountant\nseed = 5\n[accountant]\n"
-        f"sigma = {acc.sigma!r}\nclip = {acc.clip_bound!r}\nk = {acc.k}\ndim = {acc.dim}\n"
+        f"sigma = {acc.sigma!r}\nclip = {acc.clip!r}\nk = {acc.k}\ndim = {acc.dim}\n"
         f"gamma = {acc.gamma!r}\nrounds = {acc.rounds}\ndelta = {acc.delta!r}\n"
     )
     assert load_config(path).accountant_params == acc

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticefl import streams
-from latticefl.bounds import payload_bits_per_client
+from latticefl.bounds import ceil_log2
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.errors import ConfigError
 from latticefl.lattice import LatticeSpec
@@ -366,7 +366,7 @@ def test_aggregate_equals_unmasked_sum():
         total = centered(np.sum(payloads, axis=0, dtype=np.int64), wire_q)
         np.testing.assert_array_equal(total, centered(np.sum(plains, axis=0), wire_q))
         # every payload is a uint32 that fits the reported width
-        bits = payload_bits_per_client(m, d, q) // d
+        bits = ceil_log2(wire_q)
         assert payloads.dtype == np.uint32 and payloads.max() < 1 << bits
 
 

@@ -41,7 +41,7 @@ def small_cfg(**overrides):
         gamma=0.25,
         rounds=4,
         dim=8,
-        clip_bound=1.0,
+        clip=1.0,
         k=9,
         q=3001,
         sigma=0.1,
@@ -67,7 +67,7 @@ def status_kb(key):
 
 
 cfg = RoundConfig(
-    n=2000, gamma=0.1, rounds=2, dim=200, clip_bound=0.5, k=33, q=4097, sigma=1.53,
+    n=2000, gamma=0.1, rounds=2, dim=200, clip=0.5, k=33, q=4097, sigma=1.53,
     delta=1e-5, seed=0, task="logistic", samples_per_client=20,
     local_steps=1, learning_rate=1.0,
 )
@@ -226,7 +226,7 @@ def test_masked_and_unmasked_agree_bitwise(monkeypatch):
 def cohort_cfg():
     """The train-cohort benchmark's masking shape, m = 200 and d_pad = 256,
     for one round with fewer samples per client."""
-    return small_cfg(n=2000, gamma=0.1, rounds=1, dim=200, clip_bound=0.5, k=33, q=4097, sigma=1.53,
+    return small_cfg(n=2000, gamma=0.1, rounds=1, dim=200, clip=0.5, k=33, q=4097, sigma=1.53,
                      seed=0, samples_per_client=4, local_steps=1, learning_rate=1.0)
 
 
@@ -265,7 +265,7 @@ def test_noiseless_round_tracks_plain_averaging():
     # sigma 0, huge k, gamma 1: one round equals FedAvg up to the
     # quantization resolution
     cfg = small_cfg(
-        n=6, gamma=1.0, rounds=1, sigma=0.0, k=2**12 + 1, q=2**12 + 3, clip_bound=100.0
+        n=6, gamma=1.0, rounds=1, sigma=0.0, k=2**12 + 1, q=2**12 + 3, clip=100.0
     )
     plan = make_plan(cfg)
     model = GlobalModel(plan.task.init_weights(), 0)
@@ -318,13 +318,14 @@ def test_non_iid_split_runs():
 
 
 def test_transcript_byte_counts():
-    from latticefl.bounds import payload_bits_per_client
+    from latticefl.bounds import ceil_log2
+    from latticefl.secagg import wire_modulus
 
     cfg = small_cfg(rounds=1)
     plan = make_plan(cfg)
     _, transcripts, _ = run_training(cfg)
     tr = transcripts[0]
-    per_client_bits = payload_bits_per_client(plan.m, plan.d_pad, cfg.q)
+    per_client_bits = plan.d_pad * ceil_log2(wire_modulus(cfg.q, plan.m))
     assert tr.payload_bytes_per_client == -(-per_client_bits // 8)
 
 
@@ -453,7 +454,7 @@ def test_convergence_report_on_quadratic_task():
         sigma=0.0,
         k=2**12 + 1,
         q=2**12 + 3,
-        clip_bound=10.0,
+        clip=10.0,
         samples_per_client=30,
         local_steps=1, learning_rate=0.3,
     )
