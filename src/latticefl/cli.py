@@ -14,6 +14,7 @@ usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -161,13 +162,9 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     p = cfg.sample_params
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     z = sample_integer_gaussian(p.sigma_units, rng, p.count)
-    out = sys.stdout if cfg.out is None else open(cfg.out, "w")
-    try:
+    with contextlib.nullcontext(sys.stdout.buffer) if cfg.out is None else open(cfg.out, "wb") as out:
         for start in range(0, z.size, WRITE_CHUNK):
-            out.write(format_int_lines(z[start : start + WRITE_CHUNK]).decode("ascii"))
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            out.write(format_int_lines(z[start : start + WRITE_CHUNK]))
     return 0
 
 

@@ -1,9 +1,9 @@
 """Experiment configuration: flat ``key = value`` files with sections.
 
-Every key is listed in the schema below; unknown sections or keys are
-hard errors so a typo cannot silently fall back to a default.  The same
-file drives all CLI modes; each mode reads its own section plus
-``[experiment]``.  Each section builds one dataclass, which holds the
+Each section builds one dataclass, whose fields are the section's keys,
+parsed as their declared types say; unknown sections or keys are hard
+errors so a typo cannot silently fall back to a default.  Each CLI mode
+reads its own section plus ``[experiment]``.  The dataclass holds the
 defaults (a key is required exactly when its field has none) and
 validates itself, so a file is fully checked before anything is drawn.
 """
@@ -211,66 +211,45 @@ def _list(parse):
     return parse_list
 
 
-# section -> {key: parser}; a section's keys are the names of its dataclass's fields
-_SCHEMA = {
-    "experiment": {
-        "mode": str,
-        "seed": _integer,
-        "out": str,
-    },
-    "protocol": {
-        "n": _integer,
-        "gamma": _real,
-        "rounds": _integer,
-        "dim": _integer,
-        "clip": _real,
-        "k": _integer,
-        "q": _integer,
-        "sigma": _real,
-        "delta": _real,
-        "g_max": _unless("auto", _real),
-        "task": str,
-        "iid": _boolean,
-        "samples_per_client": _integer,
-        "local_steps": _integer,
-        "learning_rate": _real,
-        "batch_size": _unless("full", _integer),
-    },
-    "accountant": {
-        "sigma": _real,
-        "clip": _real,
-        "k": _integer,
-        "dim": _integer,
-        "gamma": _real,
-        "rounds": _integer,
-        "delta": _real,
-    },
-    "sample": {
-        "sigma_units": _real,
-        "count": _integer,
-    },
-    "mse": {
-        "dims": _list(_integer),
-        "clients": _list(_integer),
-        "ks": _list(_integer),
-        "qs": _list(_integer),
-        "sigmas": _list(_real),
-        "gammas": _list(_real),
-        "g_maxes": _list(_real),
-        "clip": _real,
-        "trials": _integer,
-    },
+# a field's declared type, as written (annotations are strings here) -> its key's parser
+_PARSERS = {
+    "int": _integer,
+    "float": _real,
+    "bool": _boolean,
+    "str": str,
+    "tuple[int, ...]": _list(_integer),
+    "tuple[float, ...]": _list(_real),
 }
+# key -> the word that sets its field, typed ``X | None``, to None
+_NONE_WORDS = {"g_max": "auto", "batch_size": "full"}
+
+
+def _parsers(cls, skip=()) -> dict:
+    """``{key: parser}`` for the fields of ``cls`` not named in ``skip``, by their declared
+    types; a type with no parser raises KeyError, so this module fails to import."""
+    parsers = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in skip:
+            kind, optional, _ = f.type.partition(" | None")
+            parse = _PARSERS[kind]
+            parsers[f.name] = _unless(_NONE_WORDS[f.name], parse) if optional and f.name in _NONE_WORDS else parse
+    return parsers
+
+
+# section -> {key: parser}, in the order a file's sections are checked; [protocol]'s seed is [experiment]'s
+_SECTIONS = {"experiment": _parsers(ExperimentConfig, skip=[field for _, field, _ in _MODES.values()])}
+for _mode in ("train", "accountant", "sample", "mse-bench"):
+    _SECTIONS[_MODES[_mode][0]] = _parsers(_MODES[_mode][2], skip=["seed"])
 
 
 def _section(parser: configparser.ConfigParser, name: str) -> dict:
     """``{key: value}`` for one section's keys, rejecting unknown keys."""
     values = {}
     for key, raw in parser[name].items() if name in parser else ():
-        if key not in _SCHEMA[name]:
+        if key not in _SECTIONS[name]:
             raise ConfigError(f"unknown key {key!r} in section [{name}]")
         try:
-            values[key] = _SCHEMA[name][key](raw)
+            values[key] = _SECTIONS[name][key](raw)
         except ValueError as exc:
             raise ConfigError(f"[{name}] {key} = {raw}: {exc}") from None
     return values
@@ -301,9 +280,9 @@ def load_config(path: str | Path, seed: int | None = None, out: str | None = Non
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}] in {path}")
-    values = {name: _section(parser, name) for name in _SCHEMA}
+    values = {name: _section(parser, name) for name in _SECTIONS}
     values["experiment"].update({k: v for k, v in {"seed": seed, "out": out}.items() if v is not None})
 
     try:

@@ -8,10 +8,13 @@ the public class converts at the boundary.
 The sampler is exact: rejection from a two-sided discrete-Laplace
 proposal, never a rounded continuous Gaussian (rounding would change the
 distribution and void the Renyi-divergence bound the accountant relies
-on).  One batch loop serves one generator and many (a chunk of
-mse-bench trials, one generator a trial): each pass, every row still
-short reads its next batch from its own generator into a block of up to
-a cache-sized chunk, evaluated at once, until every row is full.
+on).  It is exact up to its 53-bit uniforms: the implemented law's support
+ends near 36.7 t (t = floor(sigma_units) + 1, the proposal's largest
+geometric) or sooner, where the accept chance underflows, and its tail
+masses are rounded to multiples of 2**-53.  So the ledger's Renyi bound,
+proved for the ideal law, holds outside an event of mass about 1e-30:
+the last point's mass, as ``tests/helpers.implemented_law`` counts it, is
+3.6e-30 at sigma_units 1.53, 5.5e-25 at 0.5 and below 1e-32 from 7 up.
 """
 
 from __future__ import annotations

@@ -19,13 +19,19 @@ from latticefl.cli import main
 from latticefl.compress import padded_dim
 from latticefl.config import (
     _MODES,
-    _SCHEMA,
+    _SECTIONS,
     MODES,
     MSE_WORK_BUDGET,
     AccountantParams,
     ExperimentConfig,
     MseGrid,
     SampleParams,
+    _boolean,
+    _integer,
+    _list,
+    _parsers,
+    _real,
+    _unless,
     load_config,
 )
 from latticefl.errors import ConfigError
@@ -169,8 +175,65 @@ def test_each_key_is_its_dataclass_field(mode):
     # no second name for a key: the dataclass a section builds takes its keys as they are
     section, _, cls = _MODES[mode]
     fields = {f.name for f in dataclasses.fields(cls)} - ({"seed"} if cls is RoundConfig else set())
-    assert set(_SCHEMA[section]) == fields
-    assert set(_SCHEMA["experiment"]) <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(_SECTIONS[section]) == fields
+    assert set(_SECTIONS["experiment"]) <= {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+
+# Each key's parser as a table, one kind per key: the reference that the parsers
+# derived from the dataclasses' field types must agree with.
+KINDS = {
+    "int": _integer, "real": _real, "bool": _boolean, "str": str,
+    "int list": _list(_integer), "real list": _list(_real),
+    "auto or real": _unless("auto", _real), "full or int": _unless("full", _integer),
+}
+REFERENCE = {
+    "experiment": {"mode": "str", "seed": "int", "out": "str"},
+    "protocol": {
+        "n": "int", "gamma": "real", "rounds": "int", "dim": "int", "clip": "real", "k": "int",
+        "q": "int", "sigma": "real", "delta": "real", "g_max": "auto or real", "task": "str",
+        "iid": "bool", "samples_per_client": "int", "local_steps": "int", "learning_rate": "real",
+        "batch_size": "full or int",
+    },
+    "accountant": {
+        "sigma": "real", "clip": "real", "k": "int", "dim": "int", "gamma": "real", "rounds": "int",
+        "delta": "real",
+    },
+    "sample": {"sigma_units": "real", "count": "int"},
+    "mse": {
+        "dims": "int list", "clients": "int list", "ks": "int list", "qs": "int list",
+        "sigmas": "real list", "gammas": "real list", "g_maxes": "real list", "clip": "real",
+        "trials": "int",
+    },
+}
+RAWS = ("3", "-2", "1.5", "1e400", "nan", "true", "AUTO", "Full", "4, 5", " , ", "x")
+
+
+def parsed(parse, raw: str) -> tuple:
+    """What ``parse`` makes of ``raw``: its value's repr (so 3 and 3.0
+    differ), or its error message."""
+    try:
+        return "value", repr(parse(raw))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def test_derived_parsers_agree_with_the_reference_table():
+    assert _SECTIONS.keys() == REFERENCE.keys()
+    for section, kinds in REFERENCE.items():
+        assert _SECTIONS[section].keys() == kinds.keys(), section
+        for key, kind in kinds.items():
+            for raw in RAWS:
+                assert parsed(_SECTIONS[section][key], raw) == parsed(KINDS[kind], raw), (section, key, raw)
+
+
+def test_a_field_type_with_no_parser_fails_the_derivation():
+    odd = dataclasses.make_dataclass("Odd", [("n", "int"), ("z", "complex")])
+    with pytest.raises(KeyError, match="complex"):
+        _parsers(odd)
+    assert _parsers(odd, skip=["z"]) == {"n": _integer}
+    # [experiment]'s per-mode fields have no parser: only their skip lets the module import
+    with pytest.raises(KeyError, match="RoundConfig"):
+        _parsers(ExperimentConfig)
 
 
 BIG = "1" + "0" * 400  # 10**400, past the float range
@@ -224,6 +287,9 @@ def test_sentinel_and_boolean_values(tmp_path):
         pytest.param(REQUIRED["protocol"] + "[plugins]\nname = x\n", "plugins", id="plugins"),
         pytest.param("[DEFAULT]\nseed = 5\n[experiment]\nmode = mse-bench\n", r"\[DEFAULT\]", id="DEFAULT"),
         pytest.param(REQUIRED["protocol"] + "[mse]\ndimz = 4\n", "dimz", id="dimz"),
+        # the sections are checked in a fixed order, whatever the file's
+        pytest.param(REQUIRED["protocol"] + "[mse]\ndimz = 4\n[accountant]\nturbo = 1\n",
+                     r"'turbo' in section \[accountant\]", id="accountant before mse"),
         pytest.param(REQUIRED["protocol"] + "iid = maybe\n", "iid", id="iid"),
         pytest.param(REQUIRED["protocol"].replace("n = 10", "n = ten"), "n = ten", id="n = ten"),
         pytest.param(REQUIRED["protocol"].replace("mode = train", "mode = demo"), "mode", id="mode"),

@@ -277,6 +277,23 @@ def test_noiseless_round_tracks_plain_averaging():
     assert np.linalg.norm(new_model.w - (model.w + raw_mean)) <= tolerance
 
 
+def test_noiseless_round_averages_the_clipped_updates():
+    # every update is longer than the clip bound, so a round recovers the
+    # mean of the clipped updates, not of the raw ones
+    cfg = small_cfg(
+        n=6, gamma=1.0, rounds=1, sigma=0.0, k=2**12 + 1, q=2**12 + 3, clip=1e-3
+    )
+    plan = make_plan(cfg)
+    model = GlobalModel(plan.task.init_weights(), 0)
+    new_model, tr = run_round(model, plan, 1)
+    raw = plan.task.local_update(model.w, tr.clients, cfg.local_steps, cfg.learning_rate, plan.batch) - model.w
+    assert (np.linalg.norm(raw, axis=1) > 10 * cfg.clip).all()
+    clipped_mean = compress.clip(raw, cfg.clip).mean(axis=0)
+    tolerance = plan.spec.step * math.sqrt(plan.d_pad)
+    assert tolerance < cfg.clip / 10
+    assert np.linalg.norm(new_model.w - (model.w + clipped_mean)) <= tolerance
+
+
 def test_training_zero_rounds():
     cfg = small_cfg(rounds=0)
     model, transcripts, acct = run_training(cfg)
