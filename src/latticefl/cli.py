@@ -123,39 +123,60 @@ WRITE_CHUNK = 1 << 16
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
 
 
-def format_int_lines(z: np.ndarray) -> bytes:
-    """The bytes of ``"".join(f"{v}\\n" for v in z)`` for an int64 array."""
-    neg = z < 0
-    mag = np.abs(z).view(np.uint64)  # |v|, exact at -2**63 too
-    width = neg + np.uint8(2)  # sign, last digit and newline
-    passes = 1  # digits of the largest magnitude
-    for power in _POWERS_OF_TEN[_POWERS_OF_TEN <= mag.max(initial=0)]:
-        width += mag >= power
-        passes += 1
-    pos = np.cumsum(width, dtype=np.int64)  # one past each line's newline
-    end = int(pos[-1]) if pos.size else 0
-    text = np.empty(end + 1, dtype=np.uint8)  # byte end takes the digits of finished lines
-    text[(pos - width).compress(neg)] = ord("-")  # each negative line's first byte
-    pos -= 1
-    text[pos] = ord("\n")
-    quotient = np.empty_like(mag)
-    digit, tens = np.empty_like(width), np.empty_like(width)
-    finished = np.empty_like(neg)
-    for left in range(passes - 1, -1, -1):  # least significant digit first
+def write_int_lines(z: np.ndarray, out) -> None:
+    """Write the bytes of ``"".join(f"{v}\\n" for v in z)`` for an int64 array to ``out``.
+
+    The text is made one ``WRITE_CHUNK`` of values at a time, in arrays
+    allocated once per call and sized for a whole chunk of the widest
+    lines, so a long stream takes no fresh pages after its first chunk.
+    ``out.write`` gets a view of the text buffer, which the next chunk
+    overwrites: it must copy or write the bytes before it returns, as
+    files and ``io.BytesIO`` do.
+    """
+    rows = min(WRITE_CHUNK, z.size)
+    neg_buf, finished_buf = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
+    mag_buf, quotient_buf = np.empty(rows, dtype=np.uint64), np.empty(rows, dtype=np.uint64)
+    width_buf, digit_buf, tens_buf = (np.empty(rows, dtype=np.uint8) for _ in range(3))
+    pos_buf = np.empty(rows, dtype=np.int64)
+    # 21 bytes a line: "-9223372036854775808\n"; byte end takes the digits of finished lines
+    text = np.empty(rows * 21 + 1, dtype=np.uint8)
+    for start in range(0, z.size, WRITE_CHUNK):
+        block = z[start : start + WRITE_CHUNK]
+        n = block.size
+        neg, finished = neg_buf[:n], finished_buf[:n]
+        mag, quotient = mag_buf[:n], quotient_buf[:n]
+        width, digit, tens = width_buf[:n], digit_buf[:n], tens_buf[:n]
+        pos = pos_buf[:n]
+        np.less(block, 0, out=neg)
+        np.absolute(block, out=mag.view(np.int64))  # |v| as uint64, exact at -2**63 too
+        np.add(neg, np.uint8(2), out=width)  # sign, last digit and newline
+        passes = 1  # digits of the largest magnitude
+        for power in _POWERS_OF_TEN[_POWERS_OF_TEN <= mag.max()]:
+            width += np.greater_equal(mag, power, out=finished)  # finished is free until the digits
+            passes += 1
+        np.copyto(pos, width)  # cumsum of uint8 into int64 would cast to a fresh array first
+        np.cumsum(pos, out=pos)  # one past each line's newline
+        end = int(pos[-1])
+        pos -= width
+        text[pos] = ord("-")  # each line's first byte; a non-negative line's lead digit replaces it
+        pos += width
         pos -= 1
-        np.floor_divide(mag, 10, out=quotient)
-        # mag - 10 quotient is below 10, so uint8 arithmetic on the low bytes gives it
-        np.copyto(digit, mag, casting="unsafe")
-        np.copyto(tens, quotient, casting="unsafe")
-        tens *= 10
-        digit -= tens
-        digit += ord("0")
-        text[pos] = digit
-        mag, quotient = quotient, mag
-        if left:
-            np.equal(mag, 0, out=finished)
-            pos[finished] = end + 1
-    return text[:end].tobytes()
+        text[pos] = ord("\n")
+        for left in range(passes - 1, -1, -1):  # least significant digit first
+            pos -= 1
+            np.floor_divide(mag, 10, out=quotient)
+            # mag - 10 quotient is below 10, so uint8 arithmetic on the low bytes gives it
+            np.copyto(digit, mag, casting="unsafe")
+            np.copyto(tens, quotient, casting="unsafe")
+            tens *= 10
+            digit -= tens
+            digit += ord("0")
+            text[pos] = digit
+            mag, quotient = quotient, mag
+            if left:
+                np.equal(mag, 0, out=finished)
+                pos[finished] = end + 1
+        out.write(memoryview(text[:end]))
 
 
 def cmd_sample(cfg: ExperimentConfig) -> int:
@@ -163,8 +184,7 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     z = sample_integer_gaussian(p.sigma_units, rng, p.count)
     with contextlib.nullcontext(sys.stdout.buffer) if cfg.out is None else open(cfg.out, "wb") as out:
-        for start in range(0, z.size, WRITE_CHUNK):
-            out.write(format_int_lines(z[start : start + WRITE_CHUNK]))
+        write_int_lines(z, out)
     return 0
 
 

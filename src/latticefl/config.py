@@ -29,8 +29,9 @@ from .simulate import RoundConfig, check_memory_budget
 # Peak bytes of the ``sample`` command: SAMPLE_BYTES_PER_DRAW a draw plus
 # SAMPLE_BYTES_FIXED, from tracemalloc with 10% added.  A draw costs its
 # int64 output, 8 B; the sampler's chunk buffers are fixed.  The fixed part
-# peaks at 4.3 MB, formatting one write chunk at 18 characters a value
-# (sigma_units near its maximum), and covers the generator besides.
+# peaks at 3.4 MB at every sigma_units: the writer's buffers, 50 B a value
+# of one write chunk (21 B of text for the widest line), with the generator
+# besides.
 SAMPLE_BYTES_PER_DRAW = 9
 SAMPLE_BYTES_FIXED = 5 << 20
 

@@ -1,5 +1,6 @@
 import argparse
 import configparser
+import io
 import os
 import subprocess
 import sys
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latticefl
-from latticefl import simulate
-from latticefl.cli import WRITE_CHUNK, build_parser, cmd_sample, format_int_lines, main
+from latticefl import cli, simulate
+from latticefl.cli import WRITE_CHUNK, build_parser, cmd_sample, main, write_int_lines
 from latticefl.config import MODES, SAMPLE_BYTES_FIXED, SAMPLE_BYTES_PER_DRAW, ExperimentConfig, SampleParams
 from latticefl.dgauss import MAX_SIGMA_UNITS, MIN_SIGMA_UNITS
 
@@ -224,11 +225,17 @@ INT64_EDGES = [-(2**63), -(2**63) + 1, 2**63 - 1, 0] + [
 ]
 
 
+def written(z) -> bytes:
+    out = io.BytesIO()
+    write_int_lines(z, out)
+    return out.getvalue()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-(2**63), 2**63 - 1) | st.sampled_from(INT64_EDGES), max_size=300))
 def test_format_int_lines_equals_str(values):
     z = np.array(values, dtype=np.int64)
-    assert format_int_lines(z) == str_lines(z)
+    assert written(z) == str_lines(z)
 
 
 @pytest.mark.parametrize("size", [0, 1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1])
@@ -236,7 +243,77 @@ def test_format_int_lines_at_chunk_sizes(size):
     rng = np.random.default_rng(size)
     z = rng.integers(-(2**63), 2**63 - 1, size=size, dtype=np.int64, endpoint=True)
     z[: len(INT64_EDGES)] = INT64_EDGES[:size]
-    assert format_int_lines(z) == str_lines(z)
+    assert written(z) == str_lines(z)
+
+
+BLOCKS = {
+    "edges": np.resize(np.array(INT64_EDGES, dtype=np.int64), WRITE_CHUNK),
+    "widest": np.full(WRITE_CHUNK, -(2**63), dtype=np.int64),  # 21 bytes a line, the most there is
+    "digits": np.arange(WRITE_CHUNK, dtype=np.int64) % 19 - 9,  # one digit, either sign
+}
+
+
+@pytest.mark.parametrize("first, second", [("edges", "digits"), ("digits", "edges"), ("widest", "digits")])
+def test_write_int_lines_wide_and_narrow_blocks(first, second):
+    # The buffers are reused block to block: no byte of a wide block may
+    # reach a narrow one or the reverse, a block of the widest lines fills
+    # the text buffer, and the count ends on a partial block whose rows
+    # hold other widths than the same rows of the first.
+    z = np.concatenate([BLOCKS[first], BLOCKS[second], BLOCKS[first][1:1002]])
+    assert written(z) == str_lines(z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.lists(st.integers(-(2**63), 2**63 - 1) | st.sampled_from(INT64_EDGES) | st.integers(-9, 9), max_size=60),
+)
+def test_write_int_lines_in_short_chunks(chunk, values):
+    # many blocks of mixed widths per example, so a row's state carried
+    # from one block into the next shows
+    z = np.array(values, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "WRITE_CHUNK", chunk)
+        assert written(z) == str_lines(z)
+
+
+FAULT_GUARD = """
+import io
+import resource
+
+import numpy as np
+from latticefl.cli import WRITE_CHUNK, write_int_lines
+from latticefl.dgauss import sample_integer_gaussian
+
+
+class Recorder(io.BytesIO):
+    # the process's minor page faults at each block's write
+    def write(self, data):
+        self.faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        return super().write(data)
+
+
+z = sample_integer_gaussian(1.0, np.random.default_rng(0), 32 * WRITE_CHUNK)
+sink = Recorder()
+for _ in range(2):  # the first pass grows the sink to the whole text
+    sink.seek(0)
+    sink.faults = []
+    write_int_lines(z, sink)
+print(sink.faults[31] - sink.faults[1])
+"""
+
+
+def test_write_int_lines_takes_no_fresh_pages_per_block():
+    # A block's text is made in the buffers of the first: blocks 3 to 32
+    # of sigma_units = 1 draws add fewer than one page fault a block
+    # (fresh per-block temporaries cost about 460 a block).  A fresh
+    # interpreter, so that no other test's heap is counted.
+    pytest.importorskip("resource")
+    src = str(Path(latticefl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", FAULT_GUARD], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 30
 
 
 @pytest.mark.parametrize("count", [0, 1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1])
