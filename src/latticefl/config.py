@@ -4,8 +4,9 @@ Each section builds one dataclass, whose fields are the section's keys,
 parsed as their declared types say; unknown sections or keys are hard
 errors so a typo cannot silently fall back to a default.  Each CLI mode
 reads its own section plus ``[experiment]``.  The dataclass holds the
-defaults (a key is required exactly when its field has none) and
-validates itself, so a file is fully checked before anything is drawn.
+defaults (a key is required exactly when its field has none) and each
+key's range (``simulate.ranged``), and validates itself, so a file is
+fully checked before anything is drawn; an error in a section names it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .dgauss import check_sigma_units
 from .errors import ConfigError, HypothesisViolated
 from .lattice import LatticeSpec
 from .secagg import wire_modulus
-from .simulate import RoundConfig, check_memory_budget
+from .simulate import RoundConfig, check_memory_budget, check_ranges, ranged
 
 # Peak bytes of the ``sample`` command: SAMPLE_BYTES_PER_DRAW a draw plus
 # SAMPLE_BYTES_FIXED, from tracemalloc with 10% added.  A draw costs its
@@ -47,17 +48,12 @@ class AccountantParams:
     clip: float
     k: int
     dim: int
-    gamma: float
-    rounds: int
-    delta: float
+    gamma: float = ranged("(0, 1]")
+    rounds: int = ranged("[0, inf)")
+    delta: float = ranged("(0, 1)")
 
     def __post_init__(self):
-        if not 0 < self.gamma <= 1:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        check_ranges(self)
         base_curve(self.sigma, self.sensitivity)  # ValueError on sigma or clip <= 0, or a rate past the float range
 
     @property
@@ -68,12 +64,11 @@ class AccountantParams:
 @dataclass(frozen=True)
 class SampleParams:
     sigma_units: float
-    count: int
+    count: int = ranged("[0, inf)")
 
     def __post_init__(self):
+        check_ranges(self)
         check_sigma_units(self.sigma_units)
-        if self.count < 0:
-            raise ValueError(f"count must be >= 0, got {self.count}")
         check_memory_budget(
             self.count * SAMPLE_BYTES_PER_DRAW + SAMPLE_BYTES_FIXED,
             f"count = {self.count} draws",
@@ -97,14 +92,11 @@ class MseGrid:
     sigmas: tuple[float, ...] = (0.5, 1.0)
     gammas: tuple[float, ...] = (0.1,)
     g_maxes: tuple[float, ...] = (1.0,)
-    clip: float = 1.0
-    trials: int = 1000
+    clip: float = ranged("(0, inf)", 1.0)
+    trials: int = ranged(f"[1, {TRIALS_LIMIT})", 1000)
 
     def __post_init__(self):
-        if not 1 <= self.trials < TRIALS_LIMIT:
-            raise ValueError(f"trials must be in [1, 2**32), got {self.trials}")
-        if self.clip <= 0:
-            raise ValueError(f"clip must be positive, got {self.clip}")
+        check_ranges(self)
         for cell in self.cells():
             d, n, k, q, su, gamma, g_max = cell
             try:  # the checks of the code that runs the cell; the bound's last, so its verdict skips none
@@ -149,7 +141,7 @@ MODES = tuple(_MODES)
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str
-    seed: int
+    seed: int = ranged(f"[0, {1 << 63})")
     out: str | None = None
     round_config: RoundConfig | None = None
     accountant_params: AccountantParams | None = None
@@ -157,10 +149,9 @@ class ExperimentConfig:
     mse_grid: MseGrid | None = None
 
     def __post_init__(self):
+        check_ranges(self)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0 <= self.seed < 1 << 63:
-            raise ValueError(f"seed must be a non-negative 63-bit integer, got {self.seed}")
         if self.out == "":
             raise ValueError("out must name a file")
         if self.out is not None:
@@ -258,11 +249,14 @@ def _section(parser: configparser.ConfigParser, name: str) -> dict:
 
 def _build(cls, section: str, values: dict):
     """``cls`` from one section's ``{key: value}``; every field without a
-    default must be set."""
+    default must be set, and every error names the section."""
     missing = [f.name for f in dataclasses.fields(cls) if f.name not in values and f.default is MISSING]
     if missing:
         raise ConfigError(f"[{section}] missing keys: {', '.join(missing)}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except (ValueError, ConfigError, OSError) as exc:  # OSError: an out path the file system cannot look up
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def load_config(path: str | Path, seed: int | None = None, out: str | None = None) -> ExperimentConfig:
@@ -277,23 +271,19 @@ def load_config(path: str | Path, seed: int | None = None, out: str | None = Non
     # to the others: [DEFAULT] is one more unknown section.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        parser.read_string(path.read_text())
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        parser.read_string(path.read_text(), source=str(path))
+    except configparser.Error as exc:  # its message names the file and the line, over several lines
+        raise ConfigError(" ".join(str(exc).split())) from None
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}] in {path}")
     values = {name: _section(parser, name) for name in _SECTIONS}
     values["experiment"].update({k: v for k, v in {"seed": seed, "out": out}.items() if v is not None})
-
-    try:
-        cfg = _build(ExperimentConfig, "experiment", values["experiment"])
-        section, field, cls = _MODES[cfg.mode]
-        if cls is RoundConfig:
-            values[section]["seed"] = cfg.seed  # every stream of a run derives from it
-        return dataclasses.replace(cfg, **{field: _build(cls, section, values[section])})
-    except (ValueError, OSError) as exc:  # OSError: an out path the file system cannot look up
-        raise ConfigError(str(exc)) from None
+    cfg = _build(ExperimentConfig, "experiment", values["experiment"])
+    section, field, cls = _MODES[cfg.mode]
+    if cls is RoundConfig:
+        values[section]["seed"] = cfg.seed  # every stream of a run derives from it
+    return dataclasses.replace(cfg, **{field: _build(cls, section, values[section])})
 
 
 def format_real(x: float) -> str:

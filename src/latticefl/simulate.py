@@ -18,14 +18,14 @@ the noise draw are dropped once the round is aggregated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import bounds, compress, secagg, streams
 from .accountant import AccountantState
 from .dgauss import DiscreteGaussian, check_sigma_units
-from .errors import ConfigError
+from .errors import ConfigError, LatticeflError
 from .lattice import LatticeSpec
 from .tasks import Task, data_bytes, make_task, model_dim
 
@@ -65,6 +65,26 @@ def check_memory_budget(needed: int, what: str, remedy: str) -> None:
         )
 
 
+def ranged(interval: str, default=MISSING):
+    """A dataclass field whose value must lie in ``interval``, such as
+    ``"(0, 1]"`` or ``"[1, inf)"``: a bracket closes its end, a parenthesis opens it."""
+    return field(default=default, metadata={"range": interval})
+
+
+def check_ranges(obj) -> None:
+    """Raise ValueError for the first field of ``obj`` outside the interval
+    it was declared ``ranged`` with; a None value is unset and passes."""
+    for f in fields(obj):
+        interval, value = f.metadata.get("range"), getattr(obj, f.name)
+        if interval is None or value is None:
+            continue
+        low, high = (float(end) for end in interval[1:-1].split(","))
+        above = low <= value if interval[0] == "[" else low < value
+        below = value <= high if interval[-1] == "]" else value < high
+        if not (above and below):
+            raise ValueError(f"{f.name} = {value}: must be in {interval}")
+
+
 def participants_per_round(n: int, gamma: float) -> int:
     """floor(gamma * n), guarded against cases like 0.3 * 10 = 2.999...9."""
     return int(gamma * n + 1e-9)
@@ -77,47 +97,28 @@ class RoundConfig:
     steps of ``learning_rate`` on ``batch_size`` of a client's points
     (``None``: its whole shard)."""
 
-    n: int
-    gamma: float
-    rounds: int
+    n: int = ranged("[1, inf)")
+    gamma: float = ranged("(0, 1]")
+    rounds: int = ranged("[0, inf)")
     dim: int
     clip: float
     k: int
     q: int
-    sigma: float
-    delta: float
-    seed: int
+    sigma: float = ranged("[0, inf)")
+    delta: float = ranged("(0, 1)")
+    seed: int = ranged(f"[0, {1 << 63})")
     g_max: float | None = None  # None: concentration-based default
     task: str = "logistic"
     iid: bool = True
-    samples_per_client: int = 20
-    local_steps: int = 1
-    learning_rate: float = 0.5
-    batch_size: int | None = None
+    samples_per_client: int = ranged("[1, inf)", 20)
+    local_steps: int = ranged("[1, inf)", 1)
+    learning_rate: float = ranged("(0, inf)", 0.5)
+    batch_size: int | None = ranged("[1, inf)", None)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        check_ranges(self)
         if participants_per_round(self.n, self.gamma) < 1:
             raise ValueError(f"gamma * n must be >= 1, got {self.gamma * self.n}")
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if not 0 <= self.seed < 1 << 63:
-            raise ValueError(f"seed must be a non-negative 63-bit integer, got {self.seed}")
-        if self.samples_per_client < 1:
-            raise ValueError(f"samples_per_client must be >= 1, got {self.samples_per_client}")
-        if self.local_steps < 1:
-            raise ValueError(f"local_steps must be >= 1, got {self.local_steps}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -248,7 +249,8 @@ def run_round(
     # for its quantizer, and for its mini-batches if it draws any, seeded in one pass.
     domains = [[_DOM_QUANTIZE], [_DOM_LOCAL]] if plan.batch < cfg.samples_per_client else [_DOM_QUANTIZE]
     rngs = list(streams.generators(streams.entropy(master, domains, round_index, ids)))
-    raw = plan.task.local_update(model.w, ids, cfg.local_steps, cfg.learning_rate, plan.batch, rngs[m:])
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging step may overflow; clip rejects inf or NaN
+        raw = plan.task.local_update(model.w, ids, cfg.local_steps, cfg.learning_rate, plan.batch, rngs[m:])
     raw -= model.w
     clipped = compress.clip(raw, cfg.clip)
     uniforms = np.empty((m, plan.d_pad))
@@ -267,7 +269,7 @@ def run_round(
     estimate = compress.unrotate(agg_rotated, plan.rotation, plan.d)
     new_w = model.w + estimate
     if not np.all(np.isfinite(new_w)):
-        raise ArithmeticError(f"model left the finite range at round {round_index}")
+        raise LatticeflError(f"model left the finite range at round {round_index}")
 
     clipped_mean = clipped.mean(axis=0)
     transcript = RoundTranscript(

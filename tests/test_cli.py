@@ -2,6 +2,7 @@ import argparse
 import configparser
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -513,6 +514,7 @@ def assert_rejected_before_running(tmp_path, capsys, key, value):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
     assert not out.exists()
+    return err[0]
 
 
 @pytest.mark.parametrize(
@@ -539,7 +541,8 @@ def test_non_finite_protocol_value_rejected(tmp_path, capsys, key, value):
         ("q", "-3"),
         ("q", "429496731"),
         ("sigma", "1e19"),  # sigma / step about 2e20 lattice steps: past the sampler's range
-        ("local_steps", "18446744073709551616"),  # 2**64 steps: past the local work budget
+        ("local_steps", "18446744073709551616"),  # 2**64: no integer parses at 2**63 or above
+        ("local_steps", "100000000000"),  # 1e11 steps of 20 points at d = 20: past the local work budget
     ],
 )
 def test_out_of_range_protocol_value_rejected(tmp_path, capsys, monkeypatch, key, value):
@@ -550,7 +553,40 @@ def test_out_of_range_protocol_value_rejected(tmp_path, capsys, monkeypatch, key
         raise AssertionError("task data drawn for a rejected config")
 
     monkeypatch.setattr(simulate, "make_task", no_task)
-    assert_rejected_before_running(tmp_path, capsys, key, value)
+    line = assert_rejected_before_running(tmp_path, capsys, key, value)
+    if value == "100000000000":
+        assert f"above the budget of {simulate.LOCAL_WORK_BUDGET:.0e} point-coordinate steps" in line
+
+
+def test_logistic_task_without_a_feature_rejected(tmp_path, capsys):
+    # dim = 1 leaves only the bias; make_task refuses it before it draws
+    # anything, so the case cannot join the ones above, which stub make_task
+    assert_rejected_before_running(tmp_path, capsys, "dim", "1")
+
+
+def test_non_finite_model_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simulate.compress, "unrotate", lambda agg, rotation, d: np.full(d, np.inf))
+    out = tmp_path / "run.csv"
+    assert main(["train", "--config", write_cfg(tmp_path, TRAIN_CFG), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: model left the finite range at round 1"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        pytest.param("mode = train\n", 1, id="no section header"),
+        pytest.param("[experiment]\nmode = train\nseed = 1\nmode = train\n", 4, id="duplicate key"),
+        pytest.param("[experiment]\nmode = train\n\n[experiment]\n", 4, id="duplicate section"),
+        pytest.param("[experiment]\nmode = train\nseed\n", 3, id="key without ="),
+    ],
+)
+def test_unparsable_config_exits_2_with_one_line_naming_file_and_line(tmp_path, capsys, text, line):
+    cfg = write_cfg(tmp_path, text)
+    assert main(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and cfg in err[0], err
+    assert re.search(rf"\bline:? {line}\b", err[0]), err
 
 
 def test_invalid_mode_value(tmp_path):

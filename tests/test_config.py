@@ -321,7 +321,7 @@ def test_seed_override_is_checked_in_every_mode(tmp_path, capsys, no_draw, comma
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--seed", seed, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: seed")
+    assert len(err) == 1 and err[0].startswith("error: [experiment] seed = ")
     assert not out.exists()
 
 
@@ -338,7 +338,7 @@ def test_out_in_a_missing_directory_or_naming_one_is_rejected_before_anything_is
             config, argv = write(tmp_path, text), []
         assert main([command, "--config", str(config), *argv]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: out"), err
+        assert len(err) == 1 and err[0].startswith("error: [experiment] out = "), err
     assert not (tmp_path / "missing").exists() and not (tmp_path / "new").exists()
 
 
@@ -485,11 +485,13 @@ def test_malformed_values_exit_cleanly(tmp_path, monkeypatch, capsys, name, sect
         assert all(map(is_finite_real, cells)), value
 
 
-# Values the fuzz property puts in place of one or two keys: zero, negatives,
-# subnormals, the float range's edge, non-finite values, 2**64, 10**400,
+# Values the fuzz property puts in place of one or two keys: zero, a negative,
+# a subnormal, the float range's edge, non-finite values, 2**64, 10**400,
 # nothing, junk, lists and non-ASCII digits (which int and float accept).
+# Each ranged key's values inside and just outside its range come from
+# test_configs_drawn_from_the_declared_ranges.
 FUZZ_POOL = (
-    "0", "-1", "-2.5", "5e-324", "1e-310", "1e308", "-1e308", "inf", "-inf", "nan",
+    "0", "-1", "5e-324", "1e308", "-1e308", "inf", "-inf", "nan",
     "18446744073709551616", BIG, "", "abc", "1,2", "0.5, 1e308", "\u0661\u0662", "\u0663.\u0665", "\uff17",
 )
 # The stock work keys cut so that each accepted run takes milliseconds (the
@@ -556,6 +558,95 @@ def test_edited_stock_configs_exit_0_or_2_with_one_error_line(tmp_path_factory, 
         return
     cfg = load_config(tmp / "edited.cfg", out=str(tmp / "out"))
     assert all(map(is_finite_real, written_reals(cfg.mode, cfg, stdout.getvalue()))), edits
+
+
+# Where an inside draw of a size key stops, so that an accepted run takes
+# milliseconds; every other ranged key is drawn from its whole interval.
+RANGE_CAPS = {
+    ("protocol", "n"): 200, ("protocol", "rounds"): 3, ("protocol", "samples_per_client"): 50,
+    ("protocol", "local_steps"): 3, ("protocol", "batch_size"): 50, ("sample", "count"): 1000,
+    ("mse", "trials"): 3,
+}
+
+
+def ranged_keys(section: str) -> list:
+    """``(key, interval, integral)`` for each key of ``section`` whose field
+    declares a range, in the order the fields are checked."""
+    cls = ExperimentConfig if section == "experiment" else {s: c for s, _, c in _MODES.values()}[section]
+    return [(f.name, f.metadata["range"], f.type.startswith("int")) for f in dataclasses.fields(cls)
+            if "range" in f.metadata and f.name in _SECTIONS[section]]
+
+
+def interval_parts(interval: str) -> tuple:
+    """``(low, high, low_open, high_open)`` of an interval such as ``"(0, 1]"``."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    return low, high, interval[0] == "(", interval[-1] == ")"
+
+
+def inside(interval: str, integral: bool, cap):
+    """Values inside ``interval``, integers no larger than ``cap``."""
+    low, high, low_open, high_open = interval_parts(interval)
+    if integral:
+        return st.integers(int(low) + low_open, min(cap, int(high) - high_open if math.isfinite(high) else cap))
+    return st.floats(low, high, exclude_min=low_open, exclude_max=high_open and math.isfinite(high),
+                     allow_nan=False, allow_infinity=False)
+
+
+def just_outside(interval: str, integral: bool) -> list:
+    """The values next to the finite ends of ``interval``, outside it."""
+    low, high, low_open, high_open = interval_parts(interval)
+    if integral:
+        return [int(low) - (not low_open)] + ([int(high) + (not high_open)] if math.isfinite(high) else [])
+    beyond = [low if low_open else math.nextafter(low, -math.inf)]
+    return beyond + ([high if high_open else math.nextafter(high, math.inf)] if math.isfinite(high) else [])
+
+
+@st.composite
+def ranged_configs(draw):
+    """A stock config with every ranged key of its two sections drawn inside
+    its declared interval, or, for up to two keys, just outside it; and the
+    first of those keys' ``(section, key)`` (None when every value is inside)."""
+    name = draw(st.sampled_from(sorted(STOCK)))
+    parser = stock_parser(name)
+    keys = [(section, *rest) for section in ("experiment", _MODES[STOCK[name].mode][0])
+            for rest in ranged_keys(section)]
+    outside = draw(st.sets(st.sampled_from(range(len(keys))), max_size=2))
+    for i, (section, key, interval, integral) in enumerate(keys):
+        if i in outside:
+            value = draw(st.sampled_from(just_outside(interval, integral)))
+        else:
+            value = draw(inside(interval, integral, RANGE_CAPS.get((section, key), (1 << 63) - 1)))
+        parser[section][key] = repr(value) if isinstance(value, float) else str(value)
+    return name, parser, keys[min(outside)][:2] if outside else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ranged_configs())
+def test_configs_drawn_from_the_declared_ranges(tmp_path_factory, case):
+    # a value outside its range is rejected, naming its section and key
+    # first; a config with every value inside is run, or rejected by a
+    # cross-field rule, never by a range
+    name, parser, first_outside = case
+    tmp = tmp_path_factory.mktemp("ranged")
+    with open(tmp / "drawn.cfg", "w") as fh:
+        parser.write(fh)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main([STOCK[name].mode, "--config", str(tmp / "drawn.cfg"), "--out", str(tmp / "out")])
+    err = stderr.getvalue().splitlines()
+    if first_outside is not None:
+        section, key = first_outside
+        assert rc == 2 and len(err) == 1 and err[0].startswith(f"error: [{section}] {key} = "), err
+        return
+    if rc == 1:  # local training diverged: a run-time failure
+        assert name == "train.cfg" and err == ["error: update has NaN or infinite coordinates"]
+        return
+    if rc == 2:
+        assert len(err) == 1 and err[0].startswith("error:") and "must be in" not in err[0], err
+        return
+    assert rc == 0, err
+    cfg = load_config(tmp / "drawn.cfg", out=str(tmp / "out"))
+    assert all(map(is_finite_real, written_reals(cfg.mode, cfg, stdout.getvalue())))
 
 
 reals = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,9 +15,11 @@ from latticefl.errors import ConfigError
 from latticefl.simulate import (
     GlobalModel,
     RoundConfig,
+    check_ranges,
     make_plan,
     run_round,
     run_training,
+    ranged,
     subsample_clients,
 )
 
@@ -546,3 +549,26 @@ def test_make_plan_counts_the_aggregates_a_run_keeps():
     # 300000 rounds of a 1000-vector: 2.4 GB of aggregates beside 48 kB of data
     with pytest.raises(ConfigError, match="rounds"):
         make_plan(small_cfg(n=1, gamma=1.0, dim=1000, rounds=300_000))
+
+
+@dataclasses.dataclass
+class Ranged:
+    open_low: float = ranged("(0, 1]", 0.5)
+    closed_low: int = ranged("[1, 4)", 1)
+    unset: int | None = ranged("[1, inf)", None)
+    free: float = -1.0
+
+
+def test_check_ranges_reads_each_end_and_skips_none():
+    check_ranges(Ranged())
+    check_ranges(Ranged(open_low=1.0, closed_low=3, unset=1))
+    for changes, message in [
+        ({"open_low": 0.0}, "open_low = 0.0: must be in (0, 1]"),
+        ({"open_low": math.nextafter(1.0, 2.0)}, "open_low = 1.0000000000000002: must be in (0, 1]"),
+        ({"open_low": math.nan}, "open_low = nan: must be in (0, 1]"),
+        ({"closed_low": 0}, "closed_low = 0: must be in [1, 4)"),
+        ({"closed_low": 4}, "closed_low = 4: must be in [1, 4)"),
+        ({"unset": 0, "closed_low": 0}, "closed_low = 0: must be in [1, 4)"),  # the first field's error
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_ranges(Ranged(**changes))
