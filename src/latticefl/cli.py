@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import math
 import sys
 from pathlib import Path
@@ -188,6 +189,35 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     return 0
 
 
+# glibc's mallopt parameters (malloc.h) and the values keep_freed_pages sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20  # the cap of glibc's own dynamic threshold
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD  # as glibc's dynamic rule pairs them
+
+
+def keep_freed_pages() -> None:
+    """Have glibc keep freed blocks below ``MMAP_THRESHOLD`` for reuse.
+
+    By default glibc serves a block above its mmap threshold (128 KiB at
+    start) with a fresh mapping, unmaps it when it is freed, and returns
+    heap tops above its trim threshold to the kernel, so a loop that
+    makes the same large temporaries on every pass faults their pages
+    back in on every pass.  Its dynamic rule raises both thresholds only
+    after such a block is freed.  Fixing them at the rule's cap keeps the
+    pages; setting either value switches the rule off, so neither is
+    lower than what the rule reaches.  Process-wide and idempotent; does
+    nothing where the C library is not glibc.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # only glibc has it
+        mallopt = libc.mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latticefl",
@@ -209,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    keep_freed_pages()
     try:
         cfg = load_config(args.config, seed=args.seed, out=args.out)
         if cfg.mode != args.command:

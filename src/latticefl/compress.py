@@ -116,12 +116,16 @@ def rotate(g: np.ndarray, rs: RotationSeed) -> np.ndarray:
 
 
 def unrotate(v: np.ndarray, rs: RotationSeed, d: int) -> np.ndarray:
-    """Inverse rotation of each row, keeping its first ``d`` coordinates."""
+    """Inverse rotation of each row, keeping its first ``d`` coordinates
+    in an array of their own (``1 <= d <= rs.d_pad``)."""
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != rs.d_pad:
         raise ValueError(f"expected length {rs.d_pad}, got {v.shape[-1]}")
-    out = rs.signs() * fwht(v) / math.sqrt(rs.d_pad)
-    return out[..., :d]
+    if not 1 <= d <= rs.d_pad:
+        raise ValueError(f"kept length must be in [1, {rs.d_pad}], got {d}")
+    # the padding's coordinates are dropped before they are scaled, so no
+    # view keeps the d_pad-long transform alive
+    return rs.signs()[:d] * fwht(v)[..., :d] / math.sqrt(rs.d_pad)
 
 
 def quantize(v: np.ndarray, spec: LatticeSpec, uniforms: np.ndarray) -> np.ndarray:

@@ -18,6 +18,10 @@ These stay independent of the code paths they check:
 - each pairwise mask is read from its own fresh copy of the round's
   PCG64 stream, advanced past the blocks of the pairs before it, and a
   client's net mask is the int64 sum of its pairs' masks;
+- the Walsh-Hadamard transform is the plain staged loop, each stage a
+  fresh sum and difference array, and the rotation pads into a zeroed
+  array, multiplies by the signs and divides by ``sqrt(d_pad)`` as
+  separate whole-array steps;
 - a client's round streams come from one ``default_rng`` each;
 - the empirical MSE reference runs one trial at a time with one generator
   per stream, and the MSE oracle takes the pipeline's exact expectation
@@ -342,6 +346,40 @@ def write_payload_csv(rounds: list[WireRound], path) -> None:
         for round_index, wire in enumerate(rounds, 1):
             for cid, row in zip(wire.clients, centered(wire.payloads, wire.wire_q)):
                 fh.writelines(f"{round_index},{cid},{j},{int(v)}\n" for j, v in enumerate(row))
+
+
+def fwht_reference(v: np.ndarray) -> np.ndarray:
+    """Unnormalized fast Walsh-Hadamard transform along the last axis
+    (length a power of two)."""
+    a = np.array(v, dtype=float, copy=True)
+    n = a.shape[-1]
+    if n & (n - 1):
+        raise ValueError(f"length must be a power of two, got {n}")
+    shape = a.shape
+    h = 1
+    while h < n:
+        a = a.reshape(-1, n // (2 * h), 2, h)
+        top = a[:, :, 0, :] + a[:, :, 1, :]
+        bottom = a[:, :, 0, :] - a[:, :, 1, :]
+        a[:, :, 0, :] = top
+        a[:, :, 1, :] = bottom
+        h *= 2
+    return a.reshape(shape)
+
+
+def rotate_reference(g: np.ndarray, rs: compress.RotationSeed) -> np.ndarray:
+    """``compress.rotate``: the signs times the zero-padded rows, then the
+    transform divided by ``sqrt(d_pad)``."""
+    g = np.asarray(g, dtype=float)
+    padded = np.zeros(g.shape[:-1] + (rs.d_pad,))
+    padded[..., : g.shape[-1]] = g
+    return fwht_reference(rs.signs() * padded) / math.sqrt(rs.d_pad)
+
+
+def unrotate_reference(v: np.ndarray, rs: compress.RotationSeed, d: int) -> np.ndarray:
+    """``compress.unrotate``: the signs times the transform, divided by
+    ``sqrt(d_pad)``, its first ``d`` coordinates kept."""
+    return (rs.signs() * fwht_reference(v) / math.sqrt(rs.d_pad))[..., :d]
 
 
 def client_rng_reference(master: int, domain: int, round_index: int, cid: int) -> np.random.Generator:

@@ -1,8 +1,9 @@
 """Run the mutants listed in ``tests/mutants.json`` against their tests.
 
 Each mutant replaces one exact snippet of one source file.  For each, the
-runner copies ``src/``, ``tests/``, ``bench/``, ``configs/`` and
-``pyproject.toml`` to a temporary directory, applies the mutant to the
+runner copies ``src/``, ``tests/``, ``bench/``, ``configs/``,
+``pyproject.toml`` and ``BENCHMARK.json`` (which the harness tests read)
+to a temporary directory, applies the mutant to the
 copy, and runs pytest there on the mutant's named tests only.  A mutant
 is killed when that run fails or outlasts its time limit, the mutant's
 own ``timeout`` or ``--timeout`` (a mutant that removes a loop's exit
@@ -29,7 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MUTANTS = Path(__file__).with_name("mutants.json")
-COPIED = ("src", "tests", "bench", "configs", "pyproject.toml")
+COPIED = ("src", "tests", "bench", "configs", "pyproject.toml", "BENCHMARK.json")
 
 
 def run(mutant: dict, timeout: float) -> str:

@@ -2,6 +2,7 @@ import argparse
 import configparser
 import io
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -315,6 +316,55 @@ def test_write_int_lines_takes_no_fresh_pages_per_block():
     proc = subprocess.run([sys.executable, "-c", FAULT_GUARD], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 30
+
+
+POLICY_GUARD = """
+import ctypes
+import resource
+import sys
+
+opened = []  # each library the process opens through ctypes from here on
+real_cdll = ctypes.CDLL
+ctypes.CDLL = lambda name, *args, **kwargs: opened.append(name) or real_cdll(name, *args, **kwargs)
+import numpy as np
+from latticefl import cli
+
+at_import = list(opened)
+assert cli.main(["accountant", "--config", sys.argv[1]]) == 0
+cli.keep_freed_pages()  # a second call is harmless
+later = []  # faults of the cycles after the first, per block size
+for size in (1 << 17, 3 << 20):  # 1 MiB, then 24 MiB (below the 32 MiB cap)
+    faults = []
+    for _ in range(20):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        block = np.ones(size)  # every page touched
+        del block
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    later.append(sum(faults[1:]))
+print(at_import.count(None), opened.count(None), *later)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's mallopt")
+def test_cli_main_keeps_freed_pages_for_reuse(tmp_path):
+    # In a fresh interpreter, importing the CLI sets nothing; main sets the
+    # policy, and then a freed block's pages serve the next one: the cycles
+    # after the first take no new page faults, for a 1 MiB block and for a
+    # 24 MiB one.  Without the policy glibc maps the first 1 MiB block,
+    # raises its thresholds when it is freed, and grows the heap by a fresh
+    # 1 MiB for the second (about 235 faults); a 24 MiB block is mapped
+    # afresh on every cycle.  So is it under any mmap threshold below
+    # 24 MiB, or a trim threshold below 24 MiB, which returns it to the
+    # kernel on every free.
+    cfg = write_cfg(tmp_path, ACCT_CFG.format(sigma=2.0, gamma=0.1, rounds=10, delta=1e-5))
+    src = str(Path(latticefl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", POLICY_GUARD, cfg], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_import, calls, small, large = map(int, proc.stdout.splitlines()[-1].split())
+    assert (at_import, calls) == (0, 2)  # the C library, opened once per call
+    assert small <= 8
+    assert large <= 8
 
 
 @pytest.mark.parametrize("count", [0, 1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1])

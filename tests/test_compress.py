@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -20,6 +20,8 @@ from latticefl.compress import (
 )
 from latticefl.errors import NonFiniteInput
 from latticefl.lattice import LatticeSpec
+
+from helpers import fwht_reference, rotate_reference, unrotate_reference
 
 
 def explicit_hadamard(n: int) -> np.ndarray:
@@ -251,6 +253,51 @@ def test_rotation_is_an_isometry_that_unrotate_inverts(seed, x):
         norm = math.hypot(*row)
         assert math.hypot(*turned) == pytest.approx(norm, rel=1e-12, abs=0)
         assert math.hypot(*(back - row)) <= 1e-12 * norm
+
+
+@st.composite
+def rotation_cases(draw):
+    """A 1-D, 2-D or 3-D stack of rows of length ``d <= d_pad``, ``d_pad``
+    from 1 to 2048, some rows all zero so that the signs of the zeros
+    count, and the rotation seed."""
+    d_pad = 1 << draw(st.integers(0, 11))
+    d = draw(st.one_of(st.sampled_from([d_pad, d_pad // 2 + 1]), st.integers(1, d_pad)))
+    lead = draw(st.sampled_from([(), (1,), (3,), (40,), (2, 3), (3, 1, 2), (1, 33)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=lead + (d,)) * 10.0 ** rng.integers(-3, 4, size=lead + (1,))
+    x[rng.random(lead) < 0.3] = 0.0
+    return x, RotationSeed(draw(st.integers(0, 2**63 - 1)), d_pad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rotation_cases())
+@example((np.zeros((40, 2048)), RotationSeed(1, 2048)))
+@example((np.zeros((3, 1, 100)), RotationSeed(2, 128)))
+def test_rotation_and_transform_equal_the_reference_bit_for_bit(case):
+    x, rs = case
+    d = x.shape[-1]
+    rotated = rotate(x, rs)
+    assert rotated.shape == x.shape[:-1] + (rs.d_pad,)
+    assert rotated.tobytes() == rotate_reference(x, rs).tobytes()
+    assert fwht(rotated).tobytes() == fwht_reference(rotated).tobytes()
+    for kept in {d, rs.d_pad}:
+        back = unrotate(rotated, rs, kept)
+        assert back.shape == x.shape[:-1] + (kept,)
+        assert back.tobytes() == unrotate_reference(rotated, rs, kept).tobytes()
+
+
+def test_fwht_leaves_its_input_alone_and_takes_any_layout():
+    V = np.random.default_rng(21).normal(size=(256, 6))
+    before = V.copy()
+    assert fwht(V.T).tobytes() == fwht_reference(V.T).tobytes()
+    np.testing.assert_array_equal(V, before)
+
+
+def test_unrotate_keeps_between_one_and_d_pad_coordinates():
+    rs = RotationSeed(4, 8)
+    for d in (0, 9):
+        with pytest.raises(ValueError, match="kept length"):
+            unrotate(np.zeros(8), rs, d)
 
 
 def test_rotation_seed_validation():

@@ -407,6 +407,18 @@ def test_no_per_client_arrays_retained():
             assert not isinstance(value, np.ndarray) or value.size <= plan.d, field.name
 
 
+def test_each_aggregate_owns_only_its_d_floats():
+    # make_plan budgets rounds * d floats of aggregates; a view into the
+    # d_pad-long unrotated array would keep about twice that alive
+    cfg = small_cfg(rounds=2, dim=513)
+    plan = make_plan(cfg)
+    _, transcripts, _ = run_training(cfg, plan=plan)
+    assert plan.d_pad == 1024
+    for tr in transcripts:
+        assert tr.aggregate.shape == (plan.d,)
+        assert tr.aggregate.base is None or tr.aggregate.base.nbytes == 8 * plan.d
+
+
 def test_payload_table_layout(tmp_path, monkeypatch):
     wire = record_wire(monkeypatch)
     _, transcripts, _ = run_training(small_cfg(rounds=1))
