@@ -127,57 +127,36 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
 def write_int_lines(z: np.ndarray, out) -> None:
     """Write the bytes of ``"".join(f"{v}\\n" for v in z)`` for an int64 array to ``out``.
 
-    The text is made one ``WRITE_CHUNK`` of values at a time, in arrays
-    allocated once per call and sized for a whole chunk of the widest
-    lines, so a long stream takes no fresh pages after its first chunk.
-    ``out.write`` gets a view of the text buffer, which the next chunk
-    overwrites: it must copy or write the bytes before it returns, as
-    files and ``io.BytesIO`` do.
+    The text is made one ``WRITE_CHUNK`` of values at a time, each block
+    in arrays of its own, so ``out.write`` may keep what it is handed.
     """
-    rows = min(WRITE_CHUNK, z.size)
-    neg_buf, finished_buf = np.empty(rows, dtype=bool), np.empty(rows, dtype=bool)
-    mag_buf, quotient_buf = np.empty(rows, dtype=np.uint64), np.empty(rows, dtype=np.uint64)
-    width_buf, digit_buf, tens_buf = (np.empty(rows, dtype=np.uint8) for _ in range(3))
-    pos_buf = np.empty(rows, dtype=np.int64)
-    # 21 bytes a line: "-9223372036854775808\n"; byte end takes the digits of finished lines
-    text = np.empty(rows * 21 + 1, dtype=np.uint8)
     for start in range(0, z.size, WRITE_CHUNK):
         block = z[start : start + WRITE_CHUNK]
-        n = block.size
-        neg, finished = neg_buf[:n], finished_buf[:n]
-        mag, quotient = mag_buf[:n], quotient_buf[:n]
-        width, digit, tens = width_buf[:n], digit_buf[:n], tens_buf[:n]
-        pos = pos_buf[:n]
-        np.less(block, 0, out=neg)
-        np.absolute(block, out=mag.view(np.int64))  # |v| as uint64, exact at -2**63 too
-        np.add(neg, np.uint8(2), out=width)  # sign, last digit and newline
-        passes = 1  # digits of the largest magnitude
-        for power in _POWERS_OF_TEN[_POWERS_OF_TEN <= mag.max()]:
-            width += np.greater_equal(mag, power, out=finished)  # finished is free until the digits
-            passes += 1
-        np.copyto(pos, width)  # cumsum of uint8 into int64 would cast to a fresh array first
-        np.cumsum(pos, out=pos)  # one past each line's newline
+        mag = np.absolute(block).view(np.uint64)  # |v| as uint64, exact at -2**63 too
+        width = np.add(block < 0, np.uint8(2))  # sign, last digit and newline
+        powers = _POWERS_OF_TEN[_POWERS_OF_TEN <= mag.max()]
+        for power in powers:
+            width += mag >= power
+        pos = np.cumsum(width, dtype=np.int64)  # one past each line's newline
         end = int(pos[-1])
-        pos -= width
-        text[pos] = ord("-")  # each line's first byte; a non-negative line's lead digit replaces it
-        pos += width
+        text = np.empty(end + 1, dtype=np.uint8)  # byte end takes the digits of finished lines
+        text[pos - width] = ord("-")  # each line's first byte; a non-negative line's lead digit replaces it
         pos -= 1
         text[pos] = ord("\n")
-        for left in range(passes - 1, -1, -1):  # least significant digit first
+        quotient = np.empty_like(mag)
+        for left in range(powers.size, -1, -1):  # least significant digit first
             pos -= 1
             np.floor_divide(mag, 10, out=quotient)
             # mag - 10 quotient is below 10, so uint8 arithmetic on the low bytes gives it
-            np.copyto(digit, mag, casting="unsafe")
-            np.copyto(tens, quotient, casting="unsafe")
-            tens *= 10
-            digit -= tens
+            digit = mag.astype(np.uint8)
+            digit -= quotient.astype(np.uint8) * np.uint8(10)
             digit += ord("0")
             text[pos] = digit
             mag, quotient = quotient, mag
             if left:
-                np.equal(mag, 0, out=finished)
-                pos[finished] = end + 1
-        out.write(memoryview(text[:end]))
+                pos[mag == 0] = end + 1
+        out.write(memoryview(text)[:end])
+        del mag, width, quotient, digit, pos, text  # before the next block makes its own
 
 
 def cmd_sample(cfg: ExperimentConfig) -> int:

@@ -30,9 +30,9 @@ from .simulate import RoundConfig, check_memory_budget, check_ranges, ranged
 # Peak bytes of the ``sample`` command: SAMPLE_BYTES_PER_DRAW a draw plus
 # SAMPLE_BYTES_FIXED, from tracemalloc with 10% added.  A draw costs its
 # int64 output, 8 B; the sampler's chunk buffers are fixed.  The fixed part
-# peaks at 3.4 MB at every sigma_units: the writer's buffers, 50 B a value
-# of one write chunk (21 B of text for the widest line), with the generator
-# besides.
+# peaks at 2.9 MB, at MAX_SIGMA_UNITS (2.0 MB at sigma_units = 1): the
+# writer's arrays for one write chunk, whose text takes up to 21 B a line,
+# with the generator besides.
 SAMPLE_BYTES_PER_DRAW = 9
 SAMPLE_BYTES_FIXED = 5 << 20
 
@@ -44,17 +44,17 @@ MSE_WORK_BUDGET = 10**9
 
 @dataclass(frozen=True)
 class AccountantParams:
-    sigma: float
-    clip: float
-    k: int
-    dim: int
+    sigma: float = ranged("(0, inf)")
+    clip: float = ranged("(0, inf)")
+    k: int = ranged("[2, inf)")
+    dim: int = ranged("[1, inf)")
     gamma: float = ranged("(0, 1]")
     rounds: int = ranged("[0, inf)")
     delta: float = ranged("(0, 1)")
 
     def __post_init__(self):
         check_ranges(self)
-        base_curve(self.sigma, self.sensitivity)  # ValueError on sigma or clip <= 0, or a rate past the float range
+        base_curve(self.sigma, self.sensitivity)  # ValueError on a per-round rate past the float range
 
     @property
     def sensitivity(self) -> float:

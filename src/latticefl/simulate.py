@@ -101,9 +101,9 @@ class RoundConfig:
     gamma: float = ranged("(0, 1]")
     rounds: int = ranged("[0, inf)")
     dim: int
-    clip: float
-    k: int
-    q: int
+    clip: float = ranged("(0, inf)")
+    k: int = ranged("[2, inf)")
+    q: int = ranged("[1, inf)")
     sigma: float = ranged("[0, inf)")
     delta: float = ranged("(0, 1)")
     seed: int = ranged(f"[0, {1 << 63})")

@@ -135,6 +135,32 @@ def renyi_divergence(dist, mu: int, alpha: float) -> float:
     return (special.logsumexp(log_terms) - _log_normaliser(su)) / (alpha - 1.0)
 
 
+def subsampled_pair_divergence(sigma_units: float, shift: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(D_alpha(P || Q), D_alpha(Q || P))`` at every order of ``ALPHAS``,
+    exact up to float rounding, for P = (1 - gamma) N_Z(0) + gamma
+    N_Z(shift) and Q = N_Z(0), discrete Gaussians of ``sigma_units``.
+
+    A realizable pair of neighbouring rounds has these laws: a cohort
+    drawn without replacement at rate ``gamma`` from D = (x, u, ..., u) or
+    D' = (u, ..., u), with x and u at opposite lattice points of one axis
+    ``shift`` steps apart; the other axes are equal.  The sums run over the
+    integers in log space.  The summands at order alpha are Gaussians about
+    j shift, j from 1 - alpha to alpha, so the support reaches 20 sigma + 5
+    past (1 - 256) shift and 256 shift.
+    """
+    radius, top = math.ceil(20.0 * sigma_units) + 5, int(ALPHAS[-1])
+    x = np.arange((1 - top) * shift - radius, top * shift + radius + 1, dtype=float)
+    log_q = -(x * x) / (2.0 * sigma_units * sigma_units)
+    log_q -= special.logsumexp(log_q)
+    with np.errstate(divide="ignore"):  # gamma = 1: P is the shifted law alone
+        # log(p / q) = log(1 - gamma + gamma exp(((x - 0)^2 - (x - shift)^2) / (2 sigma^2)))
+        log_ratio = np.logaddexp(np.log1p(-gamma), math.log(gamma) + (2.0 * x - shift) * shift / (2.0 * sigma_units**2))
+    alpha = ALPHAS[:, None]
+    forward = special.logsumexp(log_q + alpha * log_ratio, axis=1) / (ALPHAS - 1.0)
+    backward = special.logsumexp(log_q + (1.0 - alpha) * log_ratio, axis=1) / (ALPHAS - 1.0)
+    return forward, backward
+
+
 def amplified_at_integer_reference(eps: np.ndarray, gamma: float, alpha: int) -> float:
     """The subsampled RDP bound of the curve ``eps`` (over ``ALPHAS``) at
     the integer order ``alpha >= 2``, in log space, one term per ``j`` in

@@ -21,7 +21,12 @@ from latticefl.compress import sensitivity
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.lattice import LatticeSpec
 
-from helpers import amplified_at_integer_reference, epsilon_reference, renyi_divergence
+from helpers import (
+    amplified_at_integer_reference,
+    epsilon_reference,
+    renyi_divergence,
+    subsampled_pair_divergence,
+)
 
 
 def at(eps, alpha):
@@ -237,6 +242,27 @@ def test_closed_form_dominates_the_divergence_at_every_order(sigma_units, mu):
     d = DiscreteGaussian(sigma_units * spec.step, spec)
     numeric = np.array([renyi_divergence(d, mu, a) for a in ALPHAS])
     assert np.all(base_curve(sigma_units, mu) >= numeric - 1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(sigma_units=st.floats(0.6, 20.0), shift=st.integers(1, 20), gamma=st.floats(0.01, 1.0))
+# where each of four amplification mutants falls furthest below the pair:
+# (j + 1) log gamma, (j - 2) eps(j), a division by alpha, the pair term at gamma^3
+@example(sigma_units=3.0, shift=2, gamma=0.01)
+@example(sigma_units=7.0, shift=10, gamma=0.01)
+@example(sigma_units=0.6, shift=20, gamma=0.9)
+@example(sigma_units=1.0, shift=2, gamma=0.01)
+def test_ledger_bounds_the_exact_divergence_of_a_subsampled_pair(sigma_units, shift, gamma):
+    # A sound ledger is at least the divergence of any realizable pair of
+    # neighbouring rounds, both ways, at every order; at gamma = 1 the two
+    # are equal (Canonne, Kamath, Steinke 2020), so the slack is float
+    # rounding.  Three mutants shrink the proof's constants but stay above
+    # this pair, so only the formula copies above catch them: the pair
+    # factor 4 -> 1, the factor 2 of the j >= 3 terms dropped, and the
+    # orders rounded down, not up, to integers.
+    forward, backward = subsampled_pair_divergence(sigma_units, shift, gamma)
+    per_round = AccountantState(sigma_units, shift, gamma).per_round
+    assert np.all(per_round >= np.maximum(forward, backward) * (1.0 - 1e-9))
 
 
 def test_epsilon_does_not_rise_as_gamma_falls():

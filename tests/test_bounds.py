@@ -9,6 +9,7 @@ from scipy.special import log_ndtr
 
 from latticefl import bounds, secagg, streams
 from latticefl.bounds import (
+    ceil_log2,
     empirical_mse,
     empirical_mse_bytes,
     mse_bound,
@@ -348,3 +349,6 @@ def test_payload_bytes_round_up():
 def test_comm_cost_validation():
     with pytest.raises(ValueError):
         payload_bytes_per_client(0, 10, 101)
+    assert [ceil_log2(v) for v in (1, 2, 3, 4, 5, 1 << 32, (1 << 32) + 1)] == [0, 1, 2, 2, 3, 32, 33]
+    with pytest.raises(ValueError, match="need a positive integer, got 0"):
+        ceil_log2(0)

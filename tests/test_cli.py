@@ -4,10 +4,12 @@ import io
 import os
 import platform
 import re
+import runpy
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -194,6 +196,33 @@ def test_overflow_guard_and_override(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--out", str(out), "--override-overflow-check"]) == 0
 
 
+def test_a_zero_margin_exits_2_naming_the_budget_unless_overridden(tmp_path, capsys):
+    # one client at k = q = 3: the wire group of 4 leaves the noise no step
+    # of room, so a wrap is certain
+    edits = {"n = 20": "n = 1", "gamma = 0.25": "gamma = 1.0", "k = 9": "k = 3", "q = 3001": "q = 3",
+             "sigma = 0.2": "sigma = 1.0"}
+    text = TRAIN_CFG
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    cfg, out = write_cfg(tmp_path, text), tmp_path / "r.csv"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "overflow probability 1.000e+00 exceeds 1e-09" in err[0], err
+    assert not out.exists()
+    assert main(["train", "--config", cfg, "--out", str(out), "--override-overflow-check"]) == 0
+
+
+@pytest.mark.parametrize("command, text", [("train", TRAIN_CFG), ("mse-bench", MSE_CFG)])
+def test_csv_to_stdout_equals_the_out_file(tmp_path, capsys, command, text):
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg]) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert stdout.encode() == out.read_bytes()
+
+
 @pytest.mark.parametrize("command", ["mse-bench", "accountant", "sample"])
 def test_overflow_override_is_train_only(command):
     config = Path(__file__).resolve().parent.parent / "configs" / f"{command.replace('-', '_')}.cfg"
@@ -257,12 +286,20 @@ BLOCKS = {
 
 @pytest.mark.parametrize("first, second", [("edges", "digits"), ("digits", "edges"), ("widest", "digits")])
 def test_write_int_lines_wide_and_narrow_blocks(first, second):
-    # The buffers are reused block to block: no byte of a wide block may
-    # reach a narrow one or the reverse, a block of the widest lines fills
-    # the text buffer, and the count ends on a partial block whose rows
-    # hold other widths than the same rows of the first.
+    # No byte of a wide block may reach a narrow one or the reverse, and
+    # the count ends on a partial block whose rows hold other widths than
+    # the same rows of the first.
     z = np.concatenate([BLOCKS[first], BLOCKS[second], BLOCKS[first][1:1002]])
     assert written(z) == str_lines(z)
+
+
+def test_write_int_lines_hands_out_text_the_sink_may_keep():
+    # a sink may hold on to each block's text, uncopied: a later block writes none of it
+    z = np.concatenate([BLOCKS["widest"], BLOCKS["digits"], BLOCKS["edges"], BLOCKS["digits"][:999]])
+    kept = []
+    write_int_lines(z, SimpleNamespace(write=kept.append))
+    assert len(kept) == 4
+    assert b"".join(map(bytes, kept)) == str_lines(z)
 
 
 @settings(max_examples=200, deadline=None)
@@ -284,7 +321,7 @@ import io
 import resource
 
 import numpy as np
-from latticefl.cli import WRITE_CHUNK, write_int_lines
+from latticefl.cli import WRITE_CHUNK, keep_freed_pages, write_int_lines
 from latticefl.dgauss import sample_integer_gaussian
 
 
@@ -295,6 +332,7 @@ class Recorder(io.BytesIO):
         return super().write(data)
 
 
+keep_freed_pages()  # as cli.main does before it runs a command
 z = sample_integer_gaussian(1.0, np.random.default_rng(0), 32 * WRITE_CHUNK)
 sink = Recorder()
 for _ in range(2):  # the first pass grows the sink to the whole text
@@ -305,12 +343,13 @@ print(sink.faults[31] - sink.faults[1])
 """
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's mallopt")
 def test_write_int_lines_takes_no_fresh_pages_per_block():
-    # A block's text is made in the buffers of the first: blocks 3 to 32
-    # of sigma_units = 1 draws add fewer than one page fault a block
-    # (fresh per-block temporaries cost about 460 a block).  A fresh
-    # interpreter, so that no other test's heap is counted.
-    pytest.importorskip("resource")
+    # Under the allocator policy that cli.main sets, each block's arrays
+    # reuse the pages the previous block freed: blocks 3 to 32 of
+    # sigma_units = 1 draws add fewer than one page fault a block (about
+    # 120 a block without the policy).  A fresh interpreter, so that no
+    # other test's heap is counted.
     src = str(Path(latticefl.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", FAULT_GUARD], capture_output=True, text=True, env=env, timeout=120)
@@ -365,6 +404,20 @@ def test_cli_main_keeps_freed_pages_for_reuse(tmp_path):
     assert (at_import, calls) == (0, 2)  # the C library, opened once per call
     assert small <= 8
     assert large <= 8
+
+
+@pytest.mark.parametrize("library", ["none", "not glibc"])
+def test_keep_freed_pages_does_nothing_without_glibc(monkeypatch, library):
+    calls = []
+
+    def cdll(name, *args, **kwargs):
+        if library == "none":
+            raise OSError("no C library to open")
+        return SimpleNamespace(mallopt=lambda *args: calls.append(args))  # no gnu_get_libc_version, as musl
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli.keep_freed_pages()
+    assert calls == []
 
 
 @pytest.mark.parametrize("count", [0, 1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1])
@@ -642,6 +695,16 @@ def test_unparsable_config_exits_2_with_one_line_naming_file_and_line(tmp_path, 
 def test_invalid_mode_value(tmp_path):
     cfg = write_cfg(tmp_path, TRAIN_CFG.replace("mode = train", "mode = demo"))
     assert main(["train", "--config", cfg]) == 2
+
+
+def test_python_m_entry_exits_with_the_code_main_returns(tmp_path, monkeypatch, capsys):
+    # ``python -m latticefl.cli``, run in this process; runpy warns that it
+    # runs a second copy of the imported module
+    monkeypatch.setattr(sys, "argv", ["latticefl", "train", "--config", str(tmp_path / "nope.cfg")])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"), pytest.raises(SystemExit) as exc:
+        runpy.run_module("latticefl.cli", run_name="__main__")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: config file not found: {tmp_path / 'nope.cfg'}\n"
 
 
 def test_requires_subcommand():

@@ -300,6 +300,14 @@ def test_unrotate_keeps_between_one_and_d_pad_coordinates():
             unrotate(np.zeros(8), rs, d)
 
 
+def test_rotate_and_unrotate_refuse_rows_of_the_wrong_length():
+    rs = RotationSeed(4, 8)
+    with pytest.raises(ValueError, match="length 9 exceeds d_pad=8"):
+        rotate(np.zeros((2, 9)), rs)
+    with pytest.raises(ValueError, match="expected length 8, got 7"):
+        unrotate(np.zeros(7), rs, 4)
+
+
 def test_rotation_seed_validation():
     with pytest.raises(ValueError):
         RotationSeed(1, 12)

@@ -255,6 +255,26 @@ def test_integers_of_2_63_or_more_exit_2_naming_the_key(tmp_path, capsys, no_dra
         assert err == [f"error: [{section}] {key} = {value}: must be below 2**63 in magnitude"]
 
 
+@pytest.mark.parametrize(
+    "name, key, value, message",
+    [
+        # clip = 0 named g_max, which the file leaves auto; the others named no section or their own words
+        ("train.cfg", "clip", "0", "[protocol] clip = 0.0: must be in (0, inf)"),
+        ("train.cfg", "k", "1", "[protocol] k = 1: must be in [2, inf)"),
+        ("train.cfg", "q", "0", "[protocol] q = 0: must be in [1, inf)"),
+        ("accountant.cfg", "sigma", "0", "[accountant] sigma = 0.0: must be in (0, inf)"),
+        ("accountant.cfg", "clip", "-1", "[accountant] clip = -1.0: must be in (0, inf)"),
+        ("accountant.cfg", "k", "1", "[accountant] k = 1: must be in [2, inf)"),
+        ("accountant.cfg", "dim", "0", "[accountant] dim = 0: must be in [1, inf)"),
+    ],
+)
+def test_single_key_ranges_name_the_section_and_key(tmp_path, capsys, no_draw, name, key, value, message):
+    text = without((CONFIGS / name).read_text(), key)  # the key's section is the file's last one
+    config = write(tmp_path, text + f"\n{key} = {value}\n")
+    assert main([STOCK[name].mode, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_omitted_optional_keys_take_the_dataclass_defaults(tmp_path):
     cfg = load_config(write(tmp_path, REQUIRED["protocol"]))
     assert cfg.out is None
@@ -641,8 +661,10 @@ def test_configs_drawn_from_the_declared_ranges(tmp_path_factory, case):
     if rc == 1:  # local training diverged: a run-time failure
         assert name == "train.cfg" and err == ["error: update has NaN or infinite coordinates"]
         return
-    if rc == 2:
-        assert len(err) == 1 and err[0].startswith("error:") and "must be in" not in err[0], err
+    if rc == 2:  # an auto g_max derived from clip may leave its range; no other range may fail
+        derived = parser.get("protocol", "g_max", fallback=None) == "auto"
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "must be in" not in err[0] or derived and err[0].startswith("error: g_max must be in"), err
         return
     assert rc == 0, err
     cfg = load_config(tmp / "drawn.cfg", out=str(tmp / "out"))

@@ -261,6 +261,14 @@ def test_aggregate_round_refuses_a_wire_group_above_2_32():
                         list(range(m)), None, spec)
 
 
+def test_aggregate_round_rejects_a_row_vector_and_a_miscounted_cohort():
+    spec = LatticeSpec(g_max=1.0, k=3, q=101)
+    with pytest.raises(ValueError, match=r"got shape \(4,\)"):
+        aggregate_round(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), [0], None, spec)
+    with pytest.raises(ValueError, match="expected 2 participant ids, got 3"):
+        aggregate_round(np.zeros((2, 4), dtype=np.int64), np.zeros(4, dtype=np.int64), [0, 1, 2], None, spec)
+
+
 def test_aggregate_round_rejects_a_mis_shaped_noise_draw():
     # a draw is never broadcast: one integer per coordinate, one row per round
     spec = LatticeSpec(g_max=1.0, k=3, q=101)

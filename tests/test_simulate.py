@@ -156,6 +156,8 @@ def test_plan_overflow_probability_scales():
     assert safe.overflow_probability < 1e-9
     noiseless = make_plan(small_cfg(sigma=0.0))
     assert noiseless.overflow_probability == 0.0
+    # one client at k = q = 3 in a wire group of 4: no step of room at all
+    assert make_plan(small_cfg(n=1, gamma=1.0, k=3, q=3, sigma=1.0)).overflow_probability == 1.0
 
 
 def test_training_with_a_prebuilt_plan():
