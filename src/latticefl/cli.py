@@ -44,7 +44,7 @@ def cmd_train(cfg: ExperimentConfig, override_overflow: bool) -> int:
     plan = make_plan(rc)
     if plan.overflow_probability > OVERFLOW_BUDGET and not override_overflow:
         raise ConfigError(
-            f"per-round overflow probability {plan.overflow_probability:.3e} exceeds "
+            f"[protocol] per-round overflow probability {plan.overflow_probability:.3e} exceeds "
             f"{OVERFLOW_BUDGET:.0e}; enlarge q or pass --override-overflow-check"
         )
     _, transcripts, _ = run_training(rc, plan=plan)

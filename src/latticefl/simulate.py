@@ -86,8 +86,11 @@ def check_ranges(obj) -> None:
 
 
 def participants_per_round(n: int, gamma: float) -> int:
-    """floor(gamma * n), guarded against cases like 0.3 * 10 = 2.999...9."""
-    return int(gamma * n + 1e-9)
+    """floor(gamma * n), guarded against cases like 0.3 * 10 = 2.999...9;
+    raises ValueError when no client would take part."""
+    if (m := int(gamma * n + 1e-9)) < 1:
+        raise ValueError(f"gamma * n must be >= 1, got {gamma * n}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,8 @@ class RoundConfig:
     """Full protocol configuration for a training run, its fields named as
     the ``[protocol]`` keys.  Local training is plain SGD: ``local_steps``
     steps of ``learning_rate`` on ``batch_size`` of a client's points
-    (``None``: its whole shard)."""
+    (``None``: its whole shard).  Building one runs every check of a run:
+    the single-key ranges, then the rules that join keys (:func:`plan_constants`)."""
 
     n: int = ranged("[1, inf)")
     gamma: float = ranged("(0, 1]")
@@ -117,8 +121,7 @@ class RoundConfig:
 
     def __post_init__(self):
         check_ranges(self)
-        if participants_per_round(self.n, self.gamma) < 1:
-            raise ValueError(f"gamma * n must be >= 1, got {self.gamma * self.n}")
+        plan_constants(self)
 
 
 @dataclass
@@ -163,13 +166,11 @@ def _derived_int(master: int, domain: int) -> int:
     return int(np.random.default_rng(np.random.SeedSequence([master, domain])).integers(1 << 62))
 
 
-def make_plan(cfg: RoundConfig) -> SimPlan:
-    """Validate a configuration and derive the per-run constants.
-
-    Raises ConfigError for cross-field violations, all checked before the
-    task data is drawn; the overflow budget is enforced by the caller (the
-    CLI offers an override flag).
-    """
+def plan_constants(cfg: RoundConfig) -> dict:
+    """The fields of ``cfg``'s :class:`SimPlan` but ``cfg``, ``task`` and ``rotation``, drawing nothing.
+    Raises ValueError or ConfigError for a rule that joins keys: gamma * n, the task's dimension,
+    the memory and local work budgets, the lattice, the wire group and the sampler's range.  The
+    caller enforces the overflow budget (the CLI offers an override flag)."""
     m = participants_per_round(cfg.n, cfg.gamma)
     d = model_dim(cfg.task, cfg.dim)
     # a run keeps its task data and one float64 aggregate per round
@@ -186,50 +187,46 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
         )
     d_pad = compress.padded_dim(d)
     if cfg.q < cfg.k:
-        raise ConfigError(
-            f"q={cfg.q} must be >= k={cfg.k} so the quantizer grid fits the coarse group"
-        )
+        raise ConfigError(f"q={cfg.q} must be >= k={cfg.k} so the quantizer grid fits the coarse group")
     g_max = cfg.g_max if cfg.g_max is not None else compress.default_g_max(cfg.clip, cfg.n, d_pad)
-    spec = LatticeSpec(g_max=g_max, k=cfg.k, q=cfg.q)
+    try:
+        spec = LatticeSpec(g_max=g_max, k=cfg.k, q=cfg.q)
+    except ValueError as exc:
+        if cfg.g_max is not None or not str(exc).startswith("g_max"):
+            raise
+        interval = str(exc).partition(" in ")[2].rpartition(", got")[0]  # the lattice's range, from its message
+        raise ValueError(f"g_max = auto derives {g_max:.2g} from clip = {cfg.clip:g}, outside {interval}") from None
     wire_q = secagg.wire_modulus(cfg.q, m)
-    sensitivity = compress.sensitivity(cfg.clip, d_pad, cfg.k)
-
     # Room, in lattice steps, that the recovered sum leaves for the noise
     # once the m quantized rows take their largest magnitude.
     margin_steps = (wire_q - 1) // 2 - m * spec.half_levels
+    overflow_probability = 0.0
     if cfg.sigma > 0:
-        check_sigma_units(spec.sigma_units(cfg.sigma))  # before the task data is drawn
-        if margin_steps < 1:
-            overflow_probability = 1.0
-        else:
-            overflow_probability = min(1.0, 2.0 * d_pad * DiscreteGaussian(cfg.sigma, spec).tail_bound(margin_steps))
-    else:
-        overflow_probability = 0.0
+        check_sigma_units(spec.sigma_units(cfg.sigma))
+        tail = DiscreteGaussian(cfg.sigma, spec).tail_bound(margin_steps) if margin_steps >= 1 else 1.0
+        overflow_probability = min(1.0, 2.0 * d_pad * tail)
+    return dict(
+        m=m, d=d, d_pad=d_pad, batch=batch, spec=spec, wire_q=wire_q,
+        sensitivity=compress.sensitivity(cfg.clip, d_pad, cfg.k), overflow_probability=overflow_probability,
+    )
 
-    task = make_task(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client, _derived_int(cfg.seed, _DOM_TASK), cfg.iid)
 
+def make_plan(cfg: RoundConfig) -> SimPlan:
+    """The plan of a run: :func:`plan_constants`, checked again, with the
+    task data drawn and the rotation seeded."""
+    constants = plan_constants(cfg)
     return SimPlan(
         cfg=cfg,
-        task=task,
-        m=m,
-        d=d,
-        d_pad=d_pad,
-        batch=batch,
-        spec=spec,
-        rotation=compress.RotationSeed(_derived_int(cfg.seed, _DOM_ROTATION), d_pad),
-        wire_q=wire_q,
-        sensitivity=sensitivity,
-        overflow_probability=overflow_probability,
+        task=make_task(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client, _derived_int(cfg.seed, _DOM_TASK), cfg.iid),
+        rotation=compress.RotationSeed(_derived_int(cfg.seed, _DOM_ROTATION), constants["d_pad"]),
+        **constants,
     )
 
 
 def subsample_clients(n: int, gamma: float, round_seed) -> np.ndarray:
     """Uniform without-replacement sample of ``floor(gamma n)`` ids."""
-    m = participants_per_round(n, gamma)
-    if m < 1:
-        raise ValueError(f"gamma * n must be >= 1, got {gamma * n}")
     rng = np.random.default_rng(round_seed)
-    return np.sort(rng.choice(n, size=m, replace=False))
+    return np.sort(rng.choice(n, size=participants_per_round(n, gamma), replace=False))
 
 
 def run_round(

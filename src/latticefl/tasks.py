@@ -130,8 +130,6 @@ class LogisticBlobsTask(Task):
     SEPARATION = 2.0  # of each blob centre from the origin
 
     def __init__(self, dim, n_clients, samples_per_client, seed, iid=True):
-        if dim < 2:
-            raise ValueError("logistic task needs dim >= 2 (features + bias)")
         self.dim = self.width = dim
         features = dim - 1
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
@@ -244,7 +242,12 @@ TASKS = {
 
 
 def model_dim(name, dim) -> int:
-    """Dimension of the model ``make_task`` builds (the MLP fixes its own)."""
+    """Dimension of the model ``make_task`` builds (the MLP fixes its own).
+    Raises ValueError for an unknown task, or a logistic ``dim`` below 2."""
+    if name not in TASKS:
+        raise ValueError(f"unknown task {name!r}; expected one of {sorted(TASKS)}")
+    if name == "logistic" and dim < 2:
+        raise ValueError(f"logistic task needs dim >= 2 (features + bias), got {dim}")
     return SpiralMlpTask.DIM if name == "mlp" else dim
 
 
@@ -257,8 +260,7 @@ def data_bytes(name, dim, n_clients, samples_per_client) -> int:
 
 def make_task(name, dim, n_clients, samples_per_client, seed, iid=True) -> Task:
     """Build a task by name; the MLP derives its own dimension."""
+    model_dim(name, dim)  # the name and the dimension, checked before anything is drawn
     if name == "mlp":
         return SpiralMlpTask(n_clients, samples_per_client, seed, iid)
-    if name in TASKS:
-        return TASKS[name](dim, n_clients, samples_per_client, seed, iid)
-    raise ValueError(f"unknown task {name!r}; expected one of {sorted(TASKS)}")
+    return TASKS[name](dim, n_clients, samples_per_client, seed, iid)

@@ -19,8 +19,11 @@ from hypothesis import strategies as st
 import latticefl
 from latticefl import cli, simulate
 from latticefl.cli import WRITE_CHUNK, build_parser, cmd_sample, main, write_int_lines
-from latticefl.config import MODES, SAMPLE_BYTES_FIXED, SAMPLE_BYTES_PER_DRAW, ExperimentConfig, SampleParams
+from latticefl.config import (
+    MODES, SAMPLE_BYTES_FIXED, SAMPLE_BYTES_PER_DRAW, ExperimentConfig, SampleParams, load_config,
+)
 from latticefl.dgauss import MAX_SIGMA_UNITS, MIN_SIGMA_UNITS
+from latticefl.errors import ConfigError
 
 from helpers import sample_integer_gaussian_reference
 
@@ -207,7 +210,8 @@ def test_a_zero_margin_exits_2_naming_the_budget_unless_overridden(tmp_path, cap
     cfg, out = write_cfg(tmp_path, text), tmp_path / "r.csv"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "overflow probability 1.000e+00 exceeds 1e-09" in err[0], err
+    assert err == ["error: [protocol] per-round overflow probability 1.000e+00 exceeds 1e-09; "
+                   "enlarge q or pass --override-overflow-check"], err
     assert not out.exists()
     assert main(["train", "--config", cfg, "--out", str(out), "--override-overflow-check"]) == 0
 
@@ -637,6 +641,12 @@ def test_non_finite_protocol_value_rejected(tmp_path, capsys, key, value):
         ("rounds", "20000000"),  # 20e6 aggregates of 20 floats: 3.2 GB kept by the run
         ("k", "4"),
         ("q", "4"),
+        ("q", "31"),  # below k = 33
+        ("dim", "0"),
+        ("dim", "1"),  # leaves the logistic task only its bias
+        ("task", "foo"),
+        ("clip", "1e100"),  # g_max = auto derives 1.4e+100 from it, past the lattice's range
+        ("clip", "1e-101"),  # and 1.4e-101
         ("k", "5001"),
         ("g_max", "-1"),
         ("g_max", "5e-324"),  # the lattice step underflows
@@ -649,22 +659,22 @@ def test_non_finite_protocol_value_rejected(tmp_path, capsys, key, value):
     ],
 )
 def test_out_of_range_protocol_value_rejected(tmp_path, capsys, monkeypatch, key, value):
-    # rejected before any task data is drawn: n = 1e9 would need 149 GiB,
-    # and the lattice (k odd, q >= k, g_max > 0) and the wire group (10 q
-    # below 2**32) are checked first
+    # rejected when the file is read, before any task data is drawn: n = 1e9
+    # would need 149 GiB, and the task, the lattice (k odd, q >= k, g_max in
+    # range) and the wire group (10 q below 2**32) are checked there too
     def no_task(*args, **kwargs):
         raise AssertionError("task data drawn for a rejected config")
 
     monkeypatch.setattr(simulate, "make_task", no_task)
     line = assert_rejected_before_running(tmp_path, capsys, key, value)
+    assert line.startswith("error: [protocol] "), line
+    with pytest.raises(ConfigError) as info:
+        load_config(tmp_path / "bad.cfg")
+    assert f"error: {info.value}" == line
     if value == "100000000000":
         assert f"above the budget of {simulate.LOCAL_WORK_BUDGET:.0e} point-coordinate steps" in line
-
-
-def test_logistic_task_without_a_feature_rejected(tmp_path, capsys):
-    # dim = 1 leaves only the bias; make_task refuses it before it draws
-    # anything, so the case cannot join the ones above, which stub make_task
-    assert_rejected_before_running(tmp_path, capsys, "dim", "1")
+    if key == "clip":  # the stock file leaves g_max = auto
+        assert line.startswith("error: [protocol] g_max = auto derives ") and f" from clip = {float(value):g}," in line
 
 
 def test_non_finite_model_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):

@@ -7,14 +7,16 @@ import dataclasses
 import io
 import math
 import sys
+import unittest.mock
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from latticefl import bounds, cli
+from latticefl import bounds, cli, simulate
 from latticefl.cli import main
 from latticefl.compress import padded_dim
 from latticefl.config import (
@@ -645,7 +647,7 @@ def ranged_configs(draw):
 def test_configs_drawn_from_the_declared_ranges(tmp_path_factory, case):
     # a value outside its range is rejected, naming its section and key
     # first; a config with every value inside is run, or rejected by a
-    # cross-field rule, never by a range
+    # rule that joins keys, naming its section, never by a range
     name, parser, first_outside = case
     tmp = tmp_path_factory.mktemp("ranged")
     with open(tmp / "drawn.cfg", "w") as fh:
@@ -661,10 +663,11 @@ def test_configs_drawn_from_the_declared_ranges(tmp_path_factory, case):
     if rc == 1:  # local training diverged: a run-time failure
         assert name == "train.cfg" and err == ["error: update has NaN or infinite coordinates"]
         return
-    if rc == 2:  # an auto g_max derived from clip may leave its range; no other range may fail
-        derived = parser.get("protocol", "g_max", fallback=None) == "auto"
-        assert len(err) == 1 and err[0].startswith("error:"), err
-        assert "must be in" not in err[0] or derived and err[0].startswith("error: g_max must be in"), err
+    if rc == 2:
+        section = _MODES[STOCK[name].mode][0]
+        assert len(err) == 1 and err[0].startswith(f"error: [{section}] ") and "must be in" not in err[0], err
+        if parser.get("protocol", "g_max", fallback=None) == "auto" and "g_max" in err[0]:
+            assert err[0].startswith("error: [protocol] g_max = auto derives ") and " from clip = " in err[0], err
         return
     assert rc == 0, err
     cfg = load_config(tmp / "drawn.cfg", out=str(tmp / "out"))
@@ -676,9 +679,11 @@ unit_open = st.floats(min_value=1e-6, max_value=1.0, exclude_max=True)
 
 
 @st.composite
-def round_configs(draw):
+def round_config_values(draw):
+    """``RoundConfig`` keyword arguments, each inside its key's range; some
+    break a rule that joins keys."""
     n = draw(st.integers(1, 10_000))
-    return RoundConfig(
+    return dict(
         n=n,
         gamma=draw(st.floats(min_value=min(1.0, 1.0 / n + 1e-9), max_value=1.0)),
         rounds=draw(st.integers(0, 1000)),
@@ -699,7 +704,8 @@ def round_configs(draw):
     )
 
 
-def protocol_text(rc: RoundConfig) -> str:
+def protocol_text(rc) -> str:
+    """The ``[protocol]`` lines of ``rc``, which has ``RoundConfig``'s fields."""
     pairs = [
         ("n", rc.n), ("gamma", rc.gamma), ("rounds", rc.rounds), ("dim", rc.dim),
         ("clip", rc.clip), ("k", rc.k), ("q", rc.q), ("sigma", rc.sigma),
@@ -714,13 +720,33 @@ def protocol_text(rc: RoundConfig) -> str:
 
 
 @settings(max_examples=60, deadline=None)
-@given(rc=round_configs(), out=st.none() | st.from_regex(r"[a-z][a-z0-9_.]{0,12}", fullmatch=True))
-def test_written_train_config_parses_back(tmp_path_factory, rc, out):
+@given(values=round_config_values(), out=st.none() | st.from_regex(r"[a-z][a-z0-9_.]{0,12}", fullmatch=True))
+def test_written_train_config_parses_back(tmp_path_factory, values, out):
+    # the file is rejected exactly when the dataclass is, with the same message
     path = tmp_path_factory.mktemp("cfg") / "train.cfg"
-    head = f"[experiment]\nmode = train\nseed = {rc.seed}\n" + ("" if out is None else f"out = {out}\n")
-    path.write_text(head + "[protocol]\n" + protocol_text(rc))
+    head = f"[experiment]\nmode = train\nseed = {values['seed']}\n" + ("" if out is None else f"out = {out}\n")
+    path.write_text(head + "[protocol]\n" + protocol_text(SimpleNamespace(**values)))
     with contextlib.chdir(path.parent):  # where a relative out is written, which holds no directory by its name
+        try:
+            rc = RoundConfig(**values)
+        except (ValueError, ConfigError) as exc:
+            with pytest.raises(ConfigError) as info:
+                load_config(path)
+            assert str(info.value) == f"[protocol] {exc}"
+            return
         assert load_config(path) == ExperimentConfig(mode="train", seed=rc.seed, out=out, round_config=rc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=round_config_values())
+def test_a_round_config_that_builds_plans(values):
+    try:
+        rc = RoundConfig(**values)
+    except (ValueError, ConfigError):
+        return
+    with unittest.mock.patch.object(simulate, "make_task", lambda *args, **kwargs: None):
+        plan = simulate.make_plan(rc)
+    assert plan.cfg is rc and plan.m * plan.d * plan.d_pad > 0
 
 
 @st.composite
