@@ -41,13 +41,13 @@ def _write_csv(out: str | None, header: list[str], rows: list[list[str]]) -> Non
 
 def cmd_train(cfg: ExperimentConfig, override_overflow: bool) -> int:
     rc = cfg.round_config
-    plan = make_plan(rc)
-    if plan.overflow_probability > OVERFLOW_BUDGET and not override_overflow:
+    overflow = make_plan(rc).overflow_probability  # checked before run_training draws the task data
+    if overflow > OVERFLOW_BUDGET and not override_overflow:
         raise ConfigError(
-            f"[protocol] per-round overflow probability {plan.overflow_probability:.3e} exceeds "
+            f"[protocol] per-round overflow probability {overflow:.3e} exceeds "
             f"{OVERFLOW_BUDGET:.0e}; enlarge q or pass --override-overflow-check"
         )
-    _, transcripts, _ = run_training(rc, plan=plan)
+    _, transcripts, _ = run_training(rc)
     rows = [
         [
             str(tr.round_index),

@@ -5,8 +5,9 @@ parsed as their declared types say; unknown sections or keys are hard
 errors so a typo cannot silently fall back to a default.  Each CLI mode
 reads its own section plus ``[experiment]``.  The dataclass holds the
 defaults (a key is required exactly when its field has none) and each
-key's range (``simulate.ranged``), and runs every check of its mode, so a
-file is fully checked before anything is drawn; an error names its section.
+key's range (``simulate.ranged``), and runs every check of its mode but
+``train``'s overflow budget, which the CLI checks next, still before anything
+is drawn; an error names its section.
 """
 
 from __future__ import annotations

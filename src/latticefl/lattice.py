@@ -12,6 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# The closed interval g_max must lie in, far inside the float range: 2**31
+# steps summed over 2**28 coordinates, squared, stay finite.
+G_MAX_RANGE = "[1e-100, 1e100]"
+_G_MAX_LOW, _G_MAX_HIGH = (float(end) for end in G_MAX_RANGE[1:-1].split(","))
+
+
+def g_max_in_range(g_max: float) -> bool:
+    return _G_MAX_LOW <= g_max <= _G_MAX_HIGH
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -36,9 +45,8 @@ class LatticeSpec:
     q: int
 
     def __post_init__(self):
-        # far inside the float range: 2**31 steps summed over 2**28 coordinates, squared, stay finite
-        if not 1e-100 <= self.g_max <= 1e100:
-            raise ValueError(f"g_max must be in [1e-100, 1e100], got {self.g_max}")
+        if not g_max_in_range(self.g_max):
+            raise ValueError(f"g_max must be in {G_MAX_RANGE}, got {self.g_max}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.k % 2 == 0:

@@ -17,6 +17,7 @@ the noise draw are dropped once the round is aggregated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -26,7 +27,7 @@ from . import bounds, compress, secagg, streams
 from .accountant import AccountantState
 from .dgauss import DiscreteGaussian, check_sigma_units
 from .errors import ConfigError, LatticeflError
-from .lattice import LatticeSpec
+from .lattice import G_MAX_RANGE, LatticeSpec, g_max_in_range
 from .tasks import Task, data_bytes, make_task, model_dim
 
 # Seed-derivation domains (second entry of every SeedSequence).
@@ -98,8 +99,10 @@ class RoundConfig:
     """Full protocol configuration for a training run, its fields named as
     the ``[protocol]`` keys.  Local training is plain SGD: ``local_steps``
     steps of ``learning_rate`` on ``batch_size`` of a client's points
-    (``None``: its whole shard).  Building one runs every check of a run:
-    the single-key ranges, then the rules that join keys (:func:`plan_constants`)."""
+    (``None``: its whole shard).  Building one runs every check of a run
+    but the overflow budget, which ``train`` checks next and
+    ``--override-overflow-check`` waives: the single-key ranges, then the
+    rules that join keys (:func:`make_plan`, which draws nothing)."""
 
     n: int = ranged("[1, inf)")
     gamma: float = ranged("(0, 1]")
@@ -121,7 +124,7 @@ class RoundConfig:
 
     def __post_init__(self):
         check_ranges(self)
-        plan_constants(self)
+        make_plan(self)
 
 
 @dataclass
@@ -147,10 +150,10 @@ class RoundTranscript:
 
 @dataclass(frozen=True)
 class SimPlan:
-    """Validated, derived quantities shared by every round of a run."""
+    """Validated, derived quantities shared by every round of a run.  The
+    task data is drawn on first use of ``task``, from the seed's task stream."""
 
     cfg: RoundConfig
-    task: Task
     m: int
     d: int
     d_pad: int
@@ -161,13 +164,18 @@ class SimPlan:
     sensitivity: float
     overflow_probability: float
 
+    @functools.cached_property
+    def task(self) -> Task:
+        cfg = self.cfg
+        return make_task(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client, _derived_int(cfg.seed, _DOM_TASK), cfg.iid)
+
 
 def _derived_int(master: int, domain: int) -> int:
     return int(np.random.default_rng(np.random.SeedSequence([master, domain])).integers(1 << 62))
 
 
-def plan_constants(cfg: RoundConfig) -> dict:
-    """The fields of ``cfg``'s :class:`SimPlan` but ``cfg``, ``task`` and ``rotation``, drawing nothing.
+def make_plan(cfg: RoundConfig) -> SimPlan:
+    """The plan of a run, drawing nothing: its task data is drawn on first use.
     Raises ValueError or ConfigError for a rule that joins keys: gamma * n, the task's dimension,
     the memory and local work budgets, the lattice, the wire group and the sampler's range.  The
     caller enforces the overflow budget (the CLI offers an override flag)."""
@@ -189,13 +197,9 @@ def plan_constants(cfg: RoundConfig) -> dict:
     if cfg.q < cfg.k:
         raise ConfigError(f"q={cfg.q} must be >= k={cfg.k} so the quantizer grid fits the coarse group")
     g_max = cfg.g_max if cfg.g_max is not None else compress.default_g_max(cfg.clip, cfg.n, d_pad)
-    try:
-        spec = LatticeSpec(g_max=g_max, k=cfg.k, q=cfg.q)
-    except ValueError as exc:
-        if cfg.g_max is not None or not str(exc).startswith("g_max"):
-            raise
-        interval = str(exc).partition(" in ")[2].rpartition(", got")[0]  # the lattice's range, from its message
-        raise ValueError(f"g_max = auto derives {g_max:.2g} from clip = {cfg.clip:g}, outside {interval}") from None
+    if cfg.g_max is None and not g_max_in_range(g_max):
+        raise ValueError(f"g_max = auto derives {g_max:.2g} from clip = {cfg.clip:g}, outside {G_MAX_RANGE}")
+    spec = LatticeSpec(g_max=g_max, k=cfg.k, q=cfg.q)
     wire_q = secagg.wire_modulus(cfg.q, m)
     # Room, in lattice steps, that the recovered sum leaves for the noise
     # once the m quantized rows take their largest magnitude.
@@ -205,21 +209,10 @@ def plan_constants(cfg: RoundConfig) -> dict:
         check_sigma_units(spec.sigma_units(cfg.sigma))
         tail = DiscreteGaussian(cfg.sigma, spec).tail_bound(margin_steps) if margin_steps >= 1 else 1.0
         overflow_probability = min(1.0, 2.0 * d_pad * tail)
-    return dict(
-        m=m, d=d, d_pad=d_pad, batch=batch, spec=spec, wire_q=wire_q,
-        sensitivity=compress.sensitivity(cfg.clip, d_pad, cfg.k), overflow_probability=overflow_probability,
-    )
-
-
-def make_plan(cfg: RoundConfig) -> SimPlan:
-    """The plan of a run: :func:`plan_constants`, checked again, with the
-    task data drawn and the rotation seeded."""
-    constants = plan_constants(cfg)
     return SimPlan(
-        cfg=cfg,
-        task=make_task(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client, _derived_int(cfg.seed, _DOM_TASK), cfg.iid),
-        rotation=compress.RotationSeed(_derived_int(cfg.seed, _DOM_ROTATION), constants["d_pad"]),
-        **constants,
+        cfg=cfg, m=m, d=d, d_pad=d_pad, batch=batch, spec=spec,
+        rotation=compress.RotationSeed(_derived_int(cfg.seed, _DOM_ROTATION), d_pad), wire_q=wire_q,
+        sensitivity=compress.sensitivity(cfg.clip, d_pad, cfg.k), overflow_probability=overflow_probability,
     )
 
 
@@ -285,20 +278,15 @@ def run_round(
 def run_training(
     cfg: RoundConfig,
     use_masks: bool = True,
-    plan: SimPlan | None = None,
 ) -> tuple[GlobalModel, list[RoundTranscript], AccountantState | None]:
-    """Run the full T-round protocol with a privacy ledger.
+    """Run the full T-round protocol with a privacy ledger, drawing the
+    task data from ``make_plan(cfg)``, whatever the overflow probability.
 
-    ``plan`` is ``make_plan(cfg)`` when the caller has built it already
-    (building it draws the task data).  Returns the final model,
-    per-round transcripts (with evaluation metrics and the epsilon spent
-    so far filled in), and the accountant (None when noise is disabled;
-    epsilon is then infinite).
+    Returns the final model, per-round transcripts (with evaluation metrics
+    and the epsilon spent so far filled in), and the accountant (None when
+    noise is disabled; epsilon is then infinite).
     """
-    if plan is None:
-        plan = make_plan(cfg)
-    elif plan.cfg != cfg:
-        raise ValueError("plan was built from a different configuration")
+    plan = make_plan(cfg)
     acct = AccountantState(cfg.sigma, plan.sensitivity, cfg.gamma) if cfg.sigma > 0 else None
     model = GlobalModel(plan.task.init_weights(), 0)
     transcripts: list[RoundTranscript] = []

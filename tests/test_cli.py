@@ -199,21 +199,34 @@ def test_overflow_guard_and_override(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--out", str(out), "--override-overflow-check"]) == 0
 
 
+# one client at k = q = 3: the wire group of 4 leaves the noise no step of
+# room, so a wrap is certain
+ZERO_MARGIN_CFG = (
+    TRAIN_CFG.replace("n = 20", "n = 1").replace("gamma = 0.25", "gamma = 1.0").replace("k = 9", "k = 3")
+    .replace("q = 3001", "q = 3").replace("sigma = 0.2", "sigma = 1.0")
+)
+ZERO_MARGIN_ERROR = ("error: [protocol] per-round overflow probability 1.000e+00 exceeds 1e-09; "
+                     "enlarge q or pass --override-overflow-check")
+
+
 def test_a_zero_margin_exits_2_naming_the_budget_unless_overridden(tmp_path, capsys):
-    # one client at k = q = 3: the wire group of 4 leaves the noise no step
-    # of room, so a wrap is certain
-    edits = {"n = 20": "n = 1", "gamma = 0.25": "gamma = 1.0", "k = 9": "k = 3", "q = 3001": "q = 3",
-             "sigma = 0.2": "sigma = 1.0"}
-    text = TRAIN_CFG
-    for old, new in edits.items():
-        text = text.replace(old, new)
-    cfg, out = write_cfg(tmp_path, text), tmp_path / "r.csv"
+    cfg, out = write_cfg(tmp_path, ZERO_MARGIN_CFG), tmp_path / "r.csv"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: [protocol] per-round overflow probability 1.000e+00 exceeds 1e-09; "
-                   "enlarge q or pass --override-overflow-check"], err
+    assert err == [ZERO_MARGIN_ERROR], err
     assert not out.exists()
     assert main(["train", "--config", cfg, "--out", str(out), "--override-overflow-check"]) == 0
+
+
+def test_an_over_budget_config_exits_2_before_drawing(tmp_path, capsys, monkeypatch):
+    # the budget is checked on a plan that draws nothing, so a run that
+    # never starts does not draw its 2e6 points first
+    drawn = []
+    monkeypatch.setattr(simulate, "make_task", lambda *args, **kwargs: drawn.append(args))
+    cfg = write_cfg(tmp_path, ZERO_MARGIN_CFG + "samples_per_client = 2000000\n")
+    assert main(["train", "--config", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [ZERO_MARGIN_ERROR]
+    assert drawn == []
 
 
 @pytest.mark.parametrize("command, text", [("train", TRAIN_CFG), ("mse-bench", MSE_CFG)])

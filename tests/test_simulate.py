@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import latticefl
-from latticefl import compress, streams
+from latticefl import compress, simulate, streams
 from latticefl.errors import ConfigError
 from latticefl.simulate import (
     GlobalModel,
@@ -75,7 +75,7 @@ cfg = RoundConfig(
     local_steps=1, learning_rate=1.0,
 )
 before = status_kb("VmRSS")
-make_plan(cfg)
+make_plan(cfg).task
 print((status_kb("VmHWM") - before) * 1024 / data_bytes(cfg.task, cfg.dim, cfg.n, cfg.samples_per_client))
 """
 
@@ -160,14 +160,20 @@ def test_plan_overflow_probability_scales():
     assert make_plan(small_cfg(n=1, gamma=1.0, k=3, q=3, sigma=1.0)).overflow_probability == 1.0
 
 
-def test_training_with_a_prebuilt_plan():
-    cfg = small_cfg(rounds=2)
-    plan = make_plan(cfg)
-    _, given, _ = run_training(cfg, plan=plan)
-    _, built, _ = run_training(cfg)
-    assert [tr.aggregate.tobytes() for tr in given] == [tr.aggregate.tobytes() for tr in built]
-    with pytest.raises(ValueError):
-        run_training(small_cfg(rounds=2, seed=cfg.seed + 1), plan=plan)
+def test_a_plan_draws_its_task_once_on_first_use(monkeypatch):
+    # building the config and its plan draws nothing, so the CLI can check
+    # the overflow budget first; the task is drawn once, from the task stream
+    built, make_task = [], simulate.make_task
+
+    def counting_make_task(*args, **kwargs):
+        built.append(args)
+        return make_task(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "make_task", counting_make_task)
+    plan = make_plan(small_cfg())
+    assert built == []
+    assert plan.task is plan.task
+    assert built == [("logistic", 8, 20, 12, simulate._derived_int(123, simulate._DOM_TASK), True)]
 
 
 def test_round_counter_must_match():
@@ -383,7 +389,7 @@ def test_encoded_payload_rows_take_the_reported_bytes(monkeypatch, run):
     plan = make_plan(cfg)
     wire = record_wire(monkeypatch)
     if run == "stock-train":
-        _, transcripts, _ = run_training(cfg, plan=plan)
+        _, transcripts, _ = run_training(cfg)
     else:
         transcripts = [run_round(GlobalModel(np.zeros(plan.d), 0), plan, 1, use_masks=True)[1]]
     bits = ceil_log2(plan.wire_q)
@@ -401,7 +407,7 @@ def test_no_per_client_arrays_retained():
     # a run keeps one d-vector per round, not the m x d_pad wire rows
     cfg = small_cfg(rounds=2, dim=6)
     plan = make_plan(cfg)
-    _, transcripts, _ = run_training(cfg, plan=plan)
+    _, transcripts, _ = run_training(cfg)
     assert plan.m * plan.d_pad > plan.d
     for tr in transcripts:
         for field in dataclasses.fields(tr):
@@ -414,7 +420,7 @@ def test_each_aggregate_owns_only_its_d_floats():
     # d_pad-long unrotated array would keep about twice that alive
     cfg = small_cfg(rounds=2, dim=513)
     plan = make_plan(cfg)
-    _, transcripts, _ = run_training(cfg, plan=plan)
+    _, transcripts, _ = run_training(cfg)
     assert plan.d_pad == 1024
     for tr in transcripts:
         assert tr.aggregate.shape == (plan.d,)
@@ -493,7 +499,7 @@ def test_convergence_report_on_quadratic_task():
         local_steps=1, learning_rate=0.3,
     )
     plan = make_plan(cfg)
-    model, transcripts, _ = run_training(cfg, plan=plan)
+    model, transcripts, _ = run_training(cfg)
     L = smoothness(plan.task)
     w = plan.task.init_weights()
     X, y = pooled(plan.task)
@@ -531,7 +537,7 @@ def test_convergence_report_requires_recordings():
     # every round, in order
     cfg = small_cfg(rounds=3)
     plan = make_plan(cfg)
-    _, transcripts, _ = run_training(cfg, plan=plan)
+    _, transcripts, _ = run_training(cfg)
     for partial in ([], transcripts[1:], transcripts[::-1]):
         with pytest.raises(ValueError):
             convergence_report(plan, partial, 1.0, 1.0, 1.0)
@@ -540,7 +546,7 @@ def test_convergence_report_requires_recordings():
 def test_convergence_report_needs_single_step():
     cfg = small_cfg(rounds=1, local_steps=3, learning_rate=0.1, batch_size=4)
     plan = make_plan(cfg)
-    _, transcripts, _ = run_training(cfg, plan=plan)
+    _, transcripts, _ = run_training(cfg)
     with pytest.raises(ConfigError):
         convergence_report(plan, transcripts, 1.0, 1.0, 1.0)
 
@@ -551,7 +557,7 @@ def test_convergence_report_needs_a_full_batch(batch_size, full):
     # (samples_per_client = 12), which a mini-batch step does not take
     cfg = small_cfg(rounds=2, local_steps=1, learning_rate=0.5, batch_size=batch_size)
     plan = make_plan(cfg)
-    _, transcripts, _ = run_training(cfg, plan=plan)
+    _, transcripts, _ = run_training(cfg)
     if full:
         assert convergence_report(plan, transcripts, 1.0, 1.0, 1.0).rounds == 2
     else:
