@@ -68,13 +68,15 @@ def ceil_log2(v: int) -> int:
 
 
 def payload_bytes_per_client(n_participants: int, d_pad: int, q: int) -> int:
-    """Bytes one client uploads per round: ``d`` coordinates of the wire
-    group :func:`latticefl.secagg.wire_modulus`, ``ceil(log2(n q + 1))``
-    bits each, rounded up to whole bytes.
+    """Bytes one client uploads per round: ``d_pad`` coordinates of the
+    wire group :func:`latticefl.secagg.wire_modulus`,
+    ``ceil(log2(n_participants q + 1))`` bits each, rounded up to whole
+    bytes.
 
-    The factor ``n`` inside the log is the field expansion secure
-    aggregation needs so the sum of ``n`` group elements cannot wrap;
-    ``wire_modulus`` checks ``n`` and ``q``.
+    The factor ``n_participants`` inside the log is the field expansion
+    secure aggregation needs so the sum of ``n_participants`` group
+    elements cannot wrap; ``wire_modulus`` checks ``n_participants`` and
+    ``q``.
     """
     return -(-d_pad * ceil_log2(secagg.wire_modulus(q, n_participants)) // 8)
 
@@ -158,7 +160,7 @@ def empirical_mse(
             rng.random(out=row)
         quantized = compress.quantize(rotated, spec, uniforms)
         del uniforms  # each stage's input, once the next holds its result
-        agg, _ = secagg.aggregate_round(quantized, noise_z, list(range(m)), None, spec)
+        agg, _ = secagg.aggregate_round(quantized, noise_z, None, spec)
         del quantized, noise_z
         diff = compress.unrotate(agg, rs, d) - reference
         # diff @ diff of each row, added trial by trial: a batched sum would round differently

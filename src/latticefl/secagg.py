@@ -16,21 +16,23 @@ that the draw exceeds it.  A draw that does exceed it wraps, like any sum
 in the group: the server recovers the residue, a modular clip, and raises
 nothing.
 
-Each unordered client pair derives an identical uniform mask vector from
-the round seed, as in Bonawitz et al., *Practical Secure Aggregation for
-Privacy-Preserving Machine Learning* (CCS 2017); the lower-id client adds
-it, the higher-id client subtracts it, so masks cancel bit-exactly in the
-modular sum and the server learns nothing but the total.  Key agreement,
-dropout recovery, and malicious-party defenses are out of scope; the
-participant set is fixed within a round.
+A client is known here only by its rank ``r`` in ``[0, m)``, row ``r``
+of the round's matrices; the caller fixes the order.  Each unordered pair
+of ranks derives an identical uniform mask vector from the round seed, as
+in Bonawitz et al., *Practical Secure Aggregation for Privacy-Preserving
+Machine Learning* (CCS 2017); the lower rank adds it, the higher rank
+subtracts it, so masks cancel bit-exactly in the modular sum and the
+server learns nothing but the total.  Key agreement, dropout recovery, and
+malicious-party defenses are out of scope; the cohort is fixed within a
+round.
 
 A round's masks come from one ``np.random.PCG64(round_seed)`` stream
 (O'Neill, *PCG: A Family of Simple Fast Space-Efficient Statistically
 Good Algorithms for Random Number Generation*, 2014; its SeedSequence
 hash gives consecutive round seeds unrelated streams), cut into
 consecutive blocks of ``ceil(d_pad / 2)`` 64-bit words.  Pair ``p``, the
-``p``-th pair ``a < b`` of the sorted ids in ``np.triu_indices`` order,
-takes block ``p``: its first ``d_pad`` 32-bit words (each 64-bit word read
+``p``-th pair of ranks ``a < b`` in ``np.triu_indices`` order, takes
+block ``p``: its first ``d_pad`` 32-bit words (each 64-bit word read
 low half first), each ANDed with ``2**b - 1``, uniform on the group.
 Since ``2**b`` divides ``2**32``, senders sum and receivers subtract the
 raw words as uint32, wrapping mod ``2**32``, and one AND at the end
@@ -70,10 +72,11 @@ def wire_modulus(q: int, m: int) -> int:
     return wire_q
 
 
-def net_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> np.ndarray:
-    """Each participant's sum of its pairwise masks, derived in bulk.
+def net_masks(round_seed: int, m: int, d_pad: int, wire_q: int) -> np.ndarray:
+    """Every rank's sum of its pairwise masks in a cohort of ``m``,
+    derived in bulk.
 
-    Row ``c`` is what ``participants[c]`` adds in the round seeded
+    Row ``r`` is what rank ``r`` adds in the round seeded
     ``round_seed``: the masks of the pairs it sends minus those it
     receives (see the module docstring for a pair's mask), as its residue
     in ``[0, wire_q)``, a uint32, for the wire group of size ``wire_q``, a
@@ -85,10 +88,6 @@ def net_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> np.ndar
         raise ValueError(f"wire modulus must be a power of two up to 2**32, got {wire_q}")
     if not 0 <= round_seed < 1 << 64:  # PCG64 itself takes any seed >= 0
         raise ValueError(f"round seed must be in [0, 2**64), got {round_seed}")
-    ids = sorted(participants)
-    if len(set(ids)) != len(ids):
-        raise ValueError("participant ids must be distinct")
-    m = len(ids)
     net = np.zeros((m, d_pad), dtype=np.uint32)
     pcg = np.random.PCG64(round_seed)
     for a in range(m - 1):
@@ -97,23 +96,16 @@ def net_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> np.ndar
         net[a + 1 :] -= block
         del block  # so the next sender's draw does not sit beside this one
     net &= np.uint32(wire_q - 1)
-    position = {cid: a for a, cid in enumerate(ids)}
-    return net if ids == list(participants) else net[[position[cid] for cid in participants]]
+    return net
 
 
-def aggregate_round(
-    quantized,
-    noise_z: np.ndarray,
-    participants,
-    mask_seed,
-    spec: LatticeSpec,
-) -> tuple[np.ndarray, np.ndarray]:
+def aggregate_round(quantized, noise_z: np.ndarray, mask_seed, spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray]:
     """Noise, mask, wrap and aggregate one round, or a batch of unmasked
     rounds, of quantized updates.
 
     ``quantized`` is the ``(m, d_pad)`` matrix of lattice-step rows, row
-    ``r`` belonging to ``participants[r]``.  Row ``r`` adds its exact
-    share of the shared draw ``noise_z``, of shape ``(d_pad,)``: the floor
+    ``r`` belonging to rank ``r``.  Row ``r`` adds its exact share of the
+    shared draw ``noise_z``, of shape ``(d_pad,)``: the floor
     ``noise_z // m``, plus one where ``r < noise_z mod m`` (remainder in
     ``[0, m)``), so the ``m`` shares sum to the draw.  Then every pairwise
     mask derived from ``mask_seed`` (``None``: unmasked), and wraps into
@@ -129,8 +121,6 @@ def aggregate_round(
     if quantized.ndim not in (2, 3):
         raise ValueError(f"expected (m, d_pad) or (rounds, m, d_pad) rows, got shape {quantized.shape}")
     m, d_pad = quantized.shape[-2:]
-    if len(participants) != m:
-        raise ValueError(f"expected {m} participant ids, got {len(participants)}")
     noise_z = np.asarray(noise_z, dtype=np.int64)
     if noise_z.shape != quantized.shape[:-2] + (d_pad,):
         raise ValueError(f"expected a noise draw of shape {quantized.shape[:-2] + (d_pad,)}, got {noise_z.shape}")
@@ -142,7 +132,7 @@ def aggregate_round(
     if mask_seed is not None:
         if quantized.ndim == 3:
             raise ValueError("a batch of rounds is aggregated unmasked; mask one round per call")
-        payloads += net_masks(mask_seed, participants, d_pad, wire_q)
+        payloads += net_masks(mask_seed, m, d_pad, wire_q)
     payloads &= np.uint32(wire_q - 1)
     return server_aggregate(payloads, spec), payloads
 

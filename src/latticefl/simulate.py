@@ -255,7 +255,7 @@ def run_round(
         noise_z = np.zeros(plan.d_pad, dtype=np.int64)
 
     mask_seed = _derived_int(master, _DOM_MASKS) + round_index if use_masks else None
-    agg_rotated, _ = secagg.aggregate_round(quantized, noise_z, ids.tolist(), mask_seed, spec)
+    agg_rotated, _ = secagg.aggregate_round(quantized, noise_z, mask_seed, spec)
     estimate = compress.unrotate(agg_rotated, plan.rotation, plan.d)
     new_w = model.w + estimate
     if not np.all(np.isfinite(new_w)):

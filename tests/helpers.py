@@ -17,7 +17,7 @@ These stay independent of the code paths they check:
   the spend after some rounds is converted order by order as Python floats;
 - each pairwise mask is read from its own fresh copy of the round's
   PCG64 stream, advanced past the blocks of the pairs before it, and a
-  client's net mask is the int64 sum of its pairs' masks;
+  rank's net mask is the int64 sum of its pairs' masks;
 - the Walsh-Hadamard transform is the plain staged loop, each stage a
   fresh sum and difference array, and the rotation pads into a zeroed
   array, multiplies by the signs and divides by ``sqrt(d_pad)`` as
@@ -40,7 +40,9 @@ These stay independent of the code paths they check:
   stationarity bound from each round's recomputed client gradients.
 
 A spy on ``secagg.aggregate_round`` records the wire state that
-transcripts do not keep, and writes it out in the payload debug layout.
+transcripts do not keep, and writes it out in the payload debug layout,
+each row under its transcript's client id.  The wire-stage wrap counter
+checks the plan's overflow bound against the rounds that actually wrap.
 """
 
 from __future__ import annotations
@@ -284,10 +286,10 @@ def gof_pvalue_uniform(residues: np.ndarray, modulus: int, n_buckets: int = 32) 
 
 @dataclass(frozen=True)
 class PairwiseMask:
-    """Uniform mask shared by one ordered client pair.
+    """Uniform mask shared by one pair of ranks.
 
-    ``values`` is added by ``sender`` and subtracted by ``receiver``, so
-    the pair contributes zero to the aggregate.
+    ``values`` is added by rank ``sender`` and subtracted by rank
+    ``receiver``, so the pair contributes zero to the aggregate.
     """
 
     sender: int
@@ -311,34 +313,32 @@ def pair_mask(round_seed: int, p: int, d_pad: int, wire_q: int) -> np.ndarray:
     return np.array(words[:d_pad], dtype=np.int64) & (wire_q - 1)
 
 
-def derive_masks(round_seed: int, participants, d_pad: int, wire_q: int) -> list[PairwiseMask]:
-    """All pairwise masks of a round, one per unordered pair, lower id
-    sending; pair ``p`` is the ``p``-th pair of the sorted ids, taken
-    sender by sender."""
-    ids = sorted(participants)
-    pairs = [(i, j) for a, i in enumerate(ids) for j in ids[a + 1 :]]
+def derive_masks(round_seed: int, m: int, d_pad: int, wire_q: int) -> list[PairwiseMask]:
+    """All pairwise masks of a round of ``m`` ranks, one per unordered
+    pair, the lower rank sending; pair ``p`` is the ``p``-th pair of
+    ranks, taken sender by sender."""
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     return [
-        PairwiseMask(sender=i, receiver=j, values=pair_mask(round_seed, p, d_pad, wire_q))
-        for p, (i, j) in enumerate(pairs)
+        PairwiseMask(sender=a, receiver=b, values=pair_mask(round_seed, p, d_pad, wire_q))
+        for p, (a, b) in enumerate(pairs)
     ]
 
 
-def summed_masks(round_seed: int, ids, d_pad: int, wire_q: int) -> np.ndarray:
-    """Per-client sums of the per-pair masks, row r for ids[r]."""
-    net = {cid: np.zeros(d_pad, dtype=np.int64) for cid in ids}
-    for mask in derive_masks(round_seed, ids, d_pad, wire_q):
+def summed_masks(round_seed: int, m: int, d_pad: int, wire_q: int) -> np.ndarray:
+    """Per-rank sums of the per-pair masks, row r for rank r."""
+    net = np.zeros((m, d_pad), dtype=np.int64)
+    for mask in derive_masks(round_seed, m, d_pad, wire_q):
         net[mask.sender] += mask.values
         net[mask.receiver] -= mask.values
-    return np.stack([net[cid] for cid in ids])
+    return net
 
 
 @dataclass(frozen=True)
 class WireRound:
-    """One call of ``secagg.aggregate_round``: the participants, the
-    shared noise draw, the ``(m, d_pad)`` uint32 payload matrix and the
-    size of the wire group its residues live in."""
+    """One call of ``secagg.aggregate_round``: the shared noise draw, the
+    ``(m, d_pad)`` uint32 payload matrix, row r for rank r, and the size of
+    the wire group its residues live in."""
 
-    clients: tuple[int, ...]
     noise_z: np.ndarray
     payloads: np.ndarray
     wire_q: int
@@ -351,27 +351,47 @@ def record_wire(monkeypatch) -> list[WireRound]:
     rounds: list[WireRound] = []
     aggregate_round = secagg.aggregate_round
 
-    def spy(quantized, noise_z, participants, mask_seed, spec):
-        mean, payloads = aggregate_round(quantized, noise_z, participants, mask_seed, spec)
-        wire_q = secagg.wire_modulus(spec.q, len(participants))
-        rounds.append(WireRound(tuple(participants), np.array(noise_z), payloads, wire_q))
+    def spy(quantized, noise_z, mask_seed, spec):
+        mean, payloads = aggregate_round(quantized, noise_z, mask_seed, spec)
+        wire_q = secagg.wire_modulus(spec.q, payloads.shape[-2])
+        rounds.append(WireRound(np.array(noise_z), payloads, wire_q))
         return mean, payloads
 
     monkeypatch.setattr(secagg, "aggregate_round", spy)
     return rounds
 
 
-def write_payload_csv(rounds: list[WireRound], path) -> None:
+def write_payload_csv(rounds: list[WireRound], transcripts, path) -> None:
     """Dump the recorded payloads of rounds 1, 2, ... in the debug layout:
     columns round, client, coordinate, payload_int, each payload recentred
-    into the wire group's centered range.  Together with the run's seeds
-    this is enough to replay the aggregation and reconstruct the realized
-    noise draw."""
+    into the wire group's centered range, and row r's client the round
+    transcript's ``clients[r]``.  Together with the run's seeds this is
+    enough to replay the aggregation and reconstruct the realized noise
+    draw."""
     with open(path, "w") as fh:
         fh.write("round,client,coordinate,payload_int\n")
-        for round_index, wire in enumerate(rounds, 1):
-            for cid, row in zip(wire.clients, centered(wire.payloads, wire.wire_q)):
+        for round_index, (wire, tr) in enumerate(zip(rounds, transcripts, strict=True), 1):
+            for cid, row in zip(tr.clients, centered(wire.payloads, wire.wire_q), strict=True):
                 fh.writelines(f"{round_index},{cid},{j},{int(v)}\n" for j, v in enumerate(row))
+
+
+def wire_stage_wraps(plan, quantized, rounds: int, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``rounds`` rounds of the rank-based wire stage on the fixed ``(m,
+    d_pad)`` quantized rows, each with a fresh draw of the plan's noise
+    from ``rng``, through one unmasked batch call of
+    ``secagg.aggregate_round`` (masks cancel, so the recovered sums are
+    the masked ones).  Returns, per round, whether any coordinate of the
+    integer sum ``sum quantized + Z`` left ``[-wire_q/2, wire_q/2)``,
+    those ``(rounds, d_pad)`` sums, and the sums the server recovered, in
+    lattice steps."""
+    quantized = np.asarray(quantized, dtype=np.int64)
+    m, d_pad = quantized.shape
+    noise_z = sample_integer_gaussian(plan.spec.sigma_units(plan.cfg.sigma), rng, rounds * d_pad).reshape(rounds, d_pad)
+    sums = quantized.sum(axis=0) + noise_z
+    half = plan.wire_q // 2
+    wrapped = ((sums < -half) | (sums >= half)).any(axis=1)
+    means, _ = secagg.aggregate_round(np.broadcast_to(quantized, (rounds, m, d_pad)), noise_z, None, plan.spec)
+    return wrapped, sums, np.rint(means * m / plan.spec.step).astype(np.int64)
 
 
 def fwht_reference(v: np.ndarray) -> np.ndarray:
@@ -436,7 +456,7 @@ def empirical_mse_reference(updates, spec, clip_bound, sigma_units, trials, seed
             noise_z = np.zeros(d_pad, dtype=np.int64)
         uniforms = np.stack([np.random.default_rng(child).random(d_pad) for child in children[2:]])
         quantized = compress.quantize(rotated, spec, uniforms)
-        agg, _ = secagg.aggregate_round(quantized, noise_z, list(range(m)), round_seed, spec)
+        agg, _ = secagg.aggregate_round(quantized, noise_z, round_seed, spec)
         diff = compress.unrotate(agg, rs, d) - reference
         total_sq += float(diff @ diff)
     return total_sq / trials

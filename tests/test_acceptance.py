@@ -90,7 +90,7 @@ def test_04_wrap_homomorphism():
         parts = rng.integers(-(1 << 30), 1 << 30, size=(m, d), dtype=np.int64)
         spec = LatticeSpec(g_max=1.0, k=3, q=q)  # step 1
         wire_q = wire_modulus(q, m)
-        mean, wraps = aggregate_round(parts, np.zeros(d, dtype=np.int64), list(range(m)), None, spec)
+        mean, wraps = aggregate_round(parts, np.zeros(d, dtype=np.int64), None, spec)
         rhs = centered(parts.sum(axis=0), wire_q)
         if not (np.array_equal(wraps, parts % wire_q) and np.array_equal(np.rint(mean * m), rhs)):
             failures += 1
@@ -109,8 +109,8 @@ def test_05_masked_unmasked_equivalence_and_payload_uniformity():
     for round_seed in range(10**3):
         noise = dist.sample(rng, d)
         quantized = np.stack([rng.integers(-4, 5, size=d) for _ in range(m)])
-        masked_agg, payloads = aggregate_round(quantized, noise, list(range(m)), round_seed, spec)
-        plain_agg, plain_payloads = aggregate_round(quantized, noise, list(range(m)), None, spec)
+        masked_agg, payloads = aggregate_round(quantized, noise, round_seed, spec)
+        plain_agg, plain_payloads = aggregate_round(quantized, noise, None, spec)
         for rank in range(m):
             pooled[rank].append(payloads[rank])
         if not (np.array_equal(centered(payloads.sum(axis=0), wire_q),

@@ -65,8 +65,8 @@ def test_train_payload_digest(tmp_path, monkeypatch):
     # the masks cancel in the aggregate, so only the wire payloads pin them
     cfg = load_config(CONFIGS / "train.cfg")
     wire = record_wire(monkeypatch)
-    run_training(cfg.round_config)
-    write_payload_csv(wire, tmp_path / "payloads.csv")
+    _, transcripts, _ = run_training(cfg.round_config)
+    write_payload_csv(wire, transcripts, tmp_path / "payloads.csv")
     assert sha256((tmp_path / "payloads.csv").read_bytes()) == GOLDEN["train-payloads"]
 
 

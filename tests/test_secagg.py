@@ -20,11 +20,12 @@ from latticefl.secagg import (
 from helpers import brute_force_wrap, centered, gof_pvalue_uniform, split_integer, summed_masks
 
 
-def masked_payloads(plains, ids, round_seed, q):
-    """Masked wire payloads of noiseless rows in the wire group for ``q``."""
+def masked_payloads(plains, round_seed, q):
+    """Masked wire payloads of noiseless rows, row r for rank r, in the
+    wire group for ``q``."""
     rows = np.stack(plains)
     spec = LatticeSpec(g_max=1.0, k=3, q=q)
-    return aggregate_round(rows, np.zeros(rows.shape[1], dtype=np.int64), ids, round_seed, spec)[1]
+    return aggregate_round(rows, np.zeros(rows.shape[1], dtype=np.int64), round_seed, spec)[1]
 
 
 def test_wire_modulus_is_the_power_of_two_above_m_q():
@@ -46,7 +47,7 @@ def test_wire_modulus_stays_below_2_32():
 def test_single_participant_passthrough():
     plain = np.array([5, -3, 0], dtype=np.int64)
     spec = LatticeSpec(g_max=1.0, k=3, q=101)  # step 1
-    agg, _ = aggregate_round(plain[None, :], np.zeros(3, dtype=np.int64), [0], 1, spec)
+    agg, _ = aggregate_round(plain[None, :], np.zeros(3, dtype=np.int64), 1, spec)
     np.testing.assert_allclose(agg, plain * 1.0)
 
 
@@ -54,37 +55,36 @@ def test_two_party_cancellation():
     wire_q = wire_modulus(101, 2)
     a = np.array([3, -8], dtype=np.int64)
     b = np.array([-1, 4], dtype=np.int64)
-    payloads = masked_payloads([a, b], [4, 9], round_seed=7, q=101)
+    payloads = masked_payloads([a, b], round_seed=7, q=101)
     total = centered(payloads.sum(axis=0), wire_q)
     np.testing.assert_array_equal(total, centered(a + b, wire_q))
 
 
 def test_mask_determinism_and_pair_agreement():
-    # each id's net mask depends on the ids, not on their order, and the
-    # pairs cancel in the sum mod the group
-    first = net_masks(42, [3, 1, 7], 16, 1024)
-    again = net_masks(42, [1, 7, 3], 16, 1024)
-    np.testing.assert_array_equal(first, again[[2, 0, 1]])
+    # a round seed and a cohort size fix every rank's net mask; what a
+    # sender adds its receiver subtracts, so the pairs cancel in the sum
+    # mod the group
+    first = net_masks(42, 3, 16, 1024)
+    np.testing.assert_array_equal(first, net_masks(42, 3, 16, 1024))
+    assert not np.array_equal(first, net_masks(43, 3, 16, 1024))
     np.testing.assert_array_equal(centered(first.sum(axis=0, dtype=np.int64), 1024), 0)
-    np.testing.assert_array_equal(first, summed_masks(42, [3, 1, 7], 16, 1024) & 1023)
+    np.testing.assert_array_equal(first, summed_masks(42, 3, 16, 1024) & 1023)
 
 
 def test_mask_uniformity():
     q = 128
-    sender = net_masks(2024, [0, 1], 10**6, q)[0].astype(np.int64)  # the pair's mask itself
+    sender = net_masks(2024, 2, 10**6, q)[0].astype(np.int64)  # the pair's mask itself
     assert gof_pvalue_uniform(centered(sender, q), q) > 0.01
 
 
 def test_net_masks_validation():
-    with pytest.raises(ValueError):
-        net_masks(0, [1, 1], 4, 128)
     for wire_q in (0, 100, 101, 2**32 - 1, 2**32 + 1, 2**33):
         with pytest.raises(ValueError):
-            net_masks(0, [1, 2], 4, wire_q)
+            net_masks(0, 2, 4, wire_q)
     # PCG64 itself would take any seed >= 0
     for seed in (-1, 2**64, 2**127):
         with pytest.raises(ValueError):
-            net_masks(seed, [1, 2], 4, 128)
+            net_masks(seed, 2, 4, 128)
 
 
 def test_pair_masks_differ_across_pairs_and_rounds():
@@ -93,8 +93,8 @@ def test_pair_masks_differ_across_pairs_and_rounds():
     d_pad, wire_q = 1 << 16, 128
     masks = []
     for seed in (40, 41):  # rounds r and r + 1
-        first = net_masks(seed, [0, 1], d_pad, wire_q)[0].astype(np.int64)
-        net = net_masks(seed, [0, 1, 2], d_pad, wire_q).astype(np.int64)
+        first = net_masks(seed, 2, d_pad, wire_q)[0].astype(np.int64)
+        net = net_masks(seed, 3, d_pad, wire_q).astype(np.int64)
         masks += [first, net[0] - first, net[1] + first]  # pairs (0, 1), (0, 2), (1, 2)
     for a, mask in enumerate(masks):
         assert gof_pvalue_uniform(centered(mask, wire_q), wire_q) > 0.01
@@ -105,25 +105,21 @@ def test_pair_masks_differ_across_pairs_and_rounds():
 @st.composite
 def mask_rounds(draw):
     m = draw(st.integers(1, 40))
-    ids = draw(st.lists(st.integers(0, 2**32 - 1), min_size=m, max_size=m, unique=True))
-    edge = draw(st.sampled_from([None, 0, 2**32 - 1]))
-    if edge is not None and edge not in ids:
-        ids[draw(st.integers(0, m - 1))] = edge
     seed = draw(st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**64 - 1)))
     d_pad = draw(st.integers(1, 256))
     bits = draw(st.one_of(st.integers(1, 32), st.sampled_from([1, 31, 32])))
-    return seed, ids, d_pad, 1 << bits
+    return seed, m, d_pad, 1 << bits
 
 
 @settings(max_examples=80, deadline=None)
 @given(mask_rounds())
 def test_net_masks_equal_summed_pair_masks(case):
-    seed, ids, d_pad, wire_q = case
-    # each net mask is the residue, in [0, wire_q), of the int64 sum of its
-    # pairs' masks, and the residues cancel mod the group
-    net = net_masks(seed, ids, d_pad, wire_q)
-    assert net.dtype == np.uint32 and net.shape == (len(ids), d_pad)
-    expected = summed_masks(seed, ids, d_pad, wire_q) & (wire_q - 1)
+    seed, m, d_pad, wire_q = case
+    # rank r's net mask is the residue, in [0, wire_q), of the int64 sum of
+    # its pairs' masks, and the residues cancel mod the group
+    net = net_masks(seed, m, d_pad, wire_q)
+    assert net.dtype == np.uint32 and net.shape == (m, d_pad)
+    expected = summed_masks(seed, m, d_pad, wire_q) & (wire_q - 1)
     assert net.tobytes() == expected.astype(np.uint32).tobytes()
     np.testing.assert_array_equal(centered(net.sum(axis=0, dtype=np.int64), wire_q), 0)
 
@@ -133,7 +129,7 @@ def test_net_masks_build_one_pcg64_per_round(monkeypatch):
     # Generator and no call into the streams port
     m, seeds = 30, [5, 6, 7]
     wire_q = wire_modulus(1001, m)
-    expected = [summed_masks(s, list(range(m)), 64, wire_q) & (wire_q - 1) for s in seeds]
+    expected = [summed_masks(s, m, 64, wire_q) & (wire_q - 1) for s in seeds]
     built, wrapped = [], []
     pcg64, generator = np.random.PCG64, np.random.Generator
     monkeypatch.setattr(np.random, "PCG64", lambda *a, **k: built.append((a, k)) or pcg64(*a, **k))
@@ -141,7 +137,7 @@ def test_net_masks_build_one_pcg64_per_round(monkeypatch):
     for name in ("entropy", "seed_sequence_state", "generators"):
         monkeypatch.setattr(streams, name, lambda *a, **k: pytest.fail("net_masks called into streams"))
     for r, seed in enumerate(seeds):
-        np.testing.assert_array_equal(net_masks(seed, list(range(m)), 64, wire_q), expected[r])
+        np.testing.assert_array_equal(net_masks(seed, m, 64, wire_q), expected[r])
         assert built == [((s,), {}) for s in seeds[: r + 1]] and not wrapped
 
 
@@ -153,21 +149,12 @@ def test_net_masks_peak_memory_is_one_sender_block_beside_the_net_matrix():
     wire_q = wire_modulus(4097, m)
     tracemalloc.start()
     try:
-        net = net_masks(1, list(range(m)), d_pad, wire_q)
+        net = net_masks(1, m, d_pad, wire_q)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     sender_block = (m - 1) * (d_pad // 2) * np.dtype(np.uint64).itemsize
     assert peak <= sender_block + net.nbytes + 16 * 1024
-
-
-def test_net_masks_rows_follow_the_callers_order():
-    # sorted ids (as run_round passes them) get the net matrix itself; any
-    # other order gets the same rows, reordered to match
-    ids = [5, 0, 9, 2]
-    in_order = net_masks(7, sorted(ids), 8, 256)
-    np.testing.assert_array_equal(net_masks(7, ids, 8, 256), in_order[[2, 0, 3, 1]])
-    np.testing.assert_array_equal(net_masks(7, np.array(sorted(ids)), 8, 256), in_order)
 
 
 def test_split_examples():
@@ -211,18 +198,17 @@ def rounds(draw):
     if far:
         rows += rng.choice([-(1 << 62), 1 << 62], size=(m, d))
     noise = rng.integers(-margin, 1 if negative else margin + 1, size=d)
-    ids = rng.choice(10 * m, size=m, replace=False).tolist()  # any order
-    return LatticeSpec(g_max=float(h), k=k, q=q), rows, noise, ids, seed  # step 1
+    return LatticeSpec(g_max=float(h), k=k, q=q), rows, noise, seed  # step 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(rounds())
 def test_aggregate_round_properties(case):
-    spec, rows, noise, ids, mask_seed = case
+    spec, rows, noise, mask_seed = case
     m = rows.shape[0]
     wire_q = wire_modulus(spec.q, m)
-    masked, payloads = aggregate_round(rows, noise, ids, mask_seed, spec)
-    unmasked, plain_payloads = aggregate_round(rows, noise, ids, None, spec)
+    masked, payloads = aggregate_round(rows, noise, mask_seed, spec)
+    unmasked, plain_payloads = aggregate_round(rows, noise, None, spec)
     # masked == unmasked, bit for bit
     assert masked.tobytes() == unmasked.tobytes()
     # the server recovers the integer total of the rows plus the draw, as
@@ -247,7 +233,7 @@ def test_unmasked_payloads_are_wrapped_plaintext():
     spec = LatticeSpec(g_max=1.0, k=3, q=101)
     rows = np.array([[40, -60, 150], [1, 2, 3]], dtype=np.int64)
     noise = np.array([5, -5, 0], dtype=np.int64)
-    _, payloads = aggregate_round(rows, noise, [0, 1], None, spec)
+    _, payloads = aggregate_round(rows, noise, None, spec)
     assert payloads.dtype == np.uint32
     np.testing.assert_array_equal(payloads, (rows + split_integer(noise, 2)) % wire_modulus(101, 2))
 
@@ -257,29 +243,24 @@ def test_aggregate_round_refuses_a_wire_group_above_2_32():
     m = 1 << 10
     spec = LatticeSpec(g_max=1.0, k=3, q=(1 << 45) + 1)
     with pytest.raises(ConfigError):
-        aggregate_round(np.zeros((m, 1), dtype=np.int64), np.zeros(1, dtype=np.int64),
-                        list(range(m)), None, spec)
+        aggregate_round(np.zeros((m, 1), dtype=np.int64), np.zeros(1, dtype=np.int64), None, spec)
 
 
-def test_aggregate_round_rejects_a_row_vector_and_a_miscounted_cohort():
+def test_aggregate_round_rejects_a_row_vector():
     spec = LatticeSpec(g_max=1.0, k=3, q=101)
     with pytest.raises(ValueError, match=r"got shape \(4,\)"):
-        aggregate_round(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), [0], None, spec)
-    with pytest.raises(ValueError, match="expected 2 participant ids, got 3"):
-        aggregate_round(np.zeros((2, 4), dtype=np.int64), np.zeros(4, dtype=np.int64), [0, 1, 2], None, spec)
+        aggregate_round(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), None, spec)
 
 
 def test_aggregate_round_rejects_a_mis_shaped_noise_draw():
     # a draw is never broadcast: one integer per coordinate, one row per round
     spec = LatticeSpec(g_max=1.0, k=3, q=101)
     with pytest.raises(ValueError, match="noise"):
-        aggregate_round(np.zeros((2, 4), dtype=np.int64), np.array([6]), [0, 1], None, spec)
+        aggregate_round(np.zeros((2, 4), dtype=np.int64), np.array([6]), None, spec)
     with pytest.raises(ValueError, match="noise"):
-        aggregate_round(np.zeros((3, 2, 4), dtype=np.int64), np.zeros(4, dtype=np.int64),
-                        [0, 1], None, spec)
+        aggregate_round(np.zeros((3, 2, 4), dtype=np.int64), np.zeros(4, dtype=np.int64), None, spec)
     with pytest.raises(ValueError, match="noise"):
-        aggregate_round(np.zeros((2, 4), dtype=np.int64), np.zeros((1, 4), dtype=np.int64),
-                        [0, 1], 7, spec)
+        aggregate_round(np.zeros((2, 4), dtype=np.int64), np.zeros((1, 4), dtype=np.int64), 7, spec)
 
 
 @st.composite
@@ -318,7 +299,7 @@ def test_aggregate_round_with_rows_near_2_62_recovers_the_residue_mean():
     noise = np.array([17, -23, 9], dtype=np.int64)
     expected = [brute_force_wrap(sum(col) + z, wire_q) for col, z in zip(rows.T.tolist(), noise.tolist())]
     for mask_seed in (None, 3):
-        mean, payloads = aggregate_round(rows, noise, [0, 1, 2, 3], mask_seed, spec)
+        mean, payloads = aggregate_round(rows, noise, mask_seed, spec)
         np.testing.assert_array_equal(np.rint(mean * m / spec.step), expected)
         np.testing.assert_array_equal(centered(payloads.sum(axis=0), wire_q), expected)
 
@@ -326,14 +307,14 @@ def test_aggregate_round_with_rows_near_2_62_recovers_the_residue_mean():
 @settings(max_examples=30, deadline=None)
 @given(rounds(), st.integers(1, 4))
 def test_aggregate_round_batch_equals_one_round_at_a_time(case, count):
-    spec, rows, noise, ids, seed = case
+    spec, rows, noise, seed = case
     rng = np.random.default_rng(seed)
     batch = np.stack([rng.permutation(rows) for _ in range(count)])
     noises = np.stack([rng.permutation(noise) for _ in range(count)])
-    means, payloads = aggregate_round(batch, noises, ids, None, spec)
+    means, payloads = aggregate_round(batch, noises, None, spec)
     assert means.shape == (count, rows.shape[1]) and payloads.shape == batch.shape
     for r in range(count):
-        mean, payload = aggregate_round(batch[r], noises[r], ids, None, spec)
+        mean, payload = aggregate_round(batch[r], noises[r], None, spec)
         assert means[r].tobytes() == mean.tobytes() and payloads[r].tobytes() == payload.tobytes()
 
 
@@ -342,7 +323,7 @@ def test_aggregate_round_refuses_a_masked_batch():
     spec = LatticeSpec(g_max=1.0, k=3, q=101)
     batch = np.zeros((2, 3, 4), dtype=np.int64)
     with pytest.raises(ValueError, match="unmasked"):
-        aggregate_round(batch, np.zeros((2, 4), dtype=np.int64), [0, 1, 2], 7, spec)
+        aggregate_round(batch, np.zeros((2, 4), dtype=np.int64), 7, spec)
 
 
 def test_payload_conditionally_uniform():
@@ -352,7 +333,6 @@ def test_payload_conditionally_uniform():
     for r in range(40):
         payloads = masked_payloads(
             [np.full(1000, 7, dtype=np.int64), np.full(1000, -2, dtype=np.int64)],
-            [0, 1],
             round_seed=r,
             q=51,
         )
@@ -370,7 +350,7 @@ def test_aggregate_equals_unmasked_sum():
         wire_q = wire_modulus(q, m)
         d = int(rng.integers(1, 33))
         plains = [rng.integers(-q, q, size=d).astype(np.int64) for _ in range(m)]
-        payloads = masked_payloads(plains, list(range(m)), round_seed=trial, q=q)
+        payloads = masked_payloads(plains, round_seed=trial, q=q)
         total = centered(np.sum(payloads, axis=0, dtype=np.int64), wire_q)
         np.testing.assert_array_equal(total, centered(np.sum(plains, axis=0), wire_q))
         # every payload is a uint32 that fits the reported width
@@ -382,14 +362,14 @@ def test_server_aggregate_recovers_quantized_values():
     # m = 1, zero noise: output is exactly the quantized update
     spec = LatticeSpec(g_max=1.0, k=5, q=101)
     z = np.array([2, -1, 0], dtype=np.int64)
-    payloads = masked_payloads([z], [0], round_seed=3, q=spec.q)
+    payloads = masked_payloads([z], round_seed=3, q=spec.q)
     np.testing.assert_allclose(server_aggregate(payloads, spec), z * spec.step)
 
 
 def test_server_aggregate_recovers_a_sum_of_minus_half_the_group():
     # -2**(b-1) is the group's lowest residue, a legal unwrapped sum
     spec = LatticeSpec(g_max=1.0, k=3, q=7)  # step 1, wire group 16 for m = 2
-    mean, payloads = aggregate_round(np.array([[1], [1]]), np.array([-10]), [0, 1], 5, spec)
+    mean, payloads = aggregate_round(np.array([[1], [1]]), np.array([-10]), 5, spec)
     np.testing.assert_array_equal(mean, [-4.0])
     np.testing.assert_array_equal(server_aggregate(payloads, spec), [-4.0])
 
@@ -401,7 +381,7 @@ def test_transcript_replay_reconstructs_noise():
     rng = np.random.default_rng(5)
     noise = DiscreteGaussian(2.0 * spec.step, spec).sample(rng, d)
     quantized = np.stack([rng.integers(-4, 5, size=d) for _ in range(m)])
-    _, payloads = aggregate_round(quantized, noise, list(range(m)), 11, spec)
+    _, payloads = aggregate_round(quantized, noise, 11, spec)
     agg = server_aggregate(payloads, spec)
     reconstructed = np.rint(agg * m / spec.step - np.sum(quantized, axis=0)).astype(np.int64)
     np.testing.assert_array_equal(reconstructed, noise)
@@ -413,8 +393,8 @@ def test_masked_equals_unmasked_aggregate():
     rng = np.random.default_rng(6)
     plains = np.stack([rng.integers(-40, 41, size=d) for _ in range(m)])
     noise = rng.integers(-100, 101, size=d)
-    agg_masked, masked = aggregate_round(plains, noise, list(range(m)), 21, spec)
-    agg_plain, unmasked = aggregate_round(plains, noise, list(range(m)), None, spec)
+    agg_masked, masked = aggregate_round(plains, noise, 21, spec)
+    agg_plain, unmasked = aggregate_round(plains, noise, None, spec)
     assert not np.array_equal(masked, unmasked)
     np.testing.assert_array_equal(agg_masked, agg_plain)
 

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import latticefl
 from latticefl import compress, simulate, streams
+from latticefl.secagg import wire_modulus
 from latticefl.errors import ConfigError
 from latticefl.simulate import (
     GlobalModel,
@@ -34,6 +37,7 @@ from helpers import (
     pooled,
     record_wire,
     smoothness,
+    wire_stage_wraps,
     write_payload_csv,
 )
 
@@ -158,6 +162,60 @@ def test_plan_overflow_probability_scales():
     assert noiseless.overflow_probability == 0.0
     # one client at k = q = 3 in a wire group of 4: no step of room at all
     assert make_plan(small_cfg(n=1, gamma=1.0, k=3, q=3, sigma=1.0)).overflow_probability == 1.0
+
+
+def wrap_plan(m, k, q, d_pad, sigma_units):
+    """The plan of m clients sending d_pad coordinates of k levels, one
+    lattice step apart, in the wire group for q, under noise of
+    sigma_units steps."""
+    return make_plan(small_cfg(n=m, gamma=1.0, rounds=1, dim=d_pad, k=k, q=q, g_max=float((k - 1) // 2),
+                               sigma=sigma_units))
+
+
+@st.composite
+def wrap_points(draw):
+    """Small (m, k, q, d_pad, sigma_units) whose noise is a few standard
+    deviations of the margin, so that some rounds wrap."""
+    m = draw(st.integers(1, 12))
+    k = 2 * draw(st.integers(1, 16)) + 1
+    q = k + 2 * draw(st.integers(0, 8))
+    d_pad = 1 << draw(st.integers(1, 6))
+    margin = (wire_modulus(q, m) - 1) // 2 - m * ((k - 1) // 2)
+    return m, k, q, d_pad, max(1, margin) / draw(st.floats(2.0, 4.5))
+
+
+WRAP_ROUNDS = 2000
+
+
+# Survivors, each loosening the bound by less than the property can see:
+# the margin a step too wide (+ 1), and the union bound over one tail in
+# place of two (the factor 2 dropped: at the stock point below, half the
+# bound, 11.6%, still lies above the 10.8% of rounds that wrap).
+@settings(max_examples=25, deadline=None, derandomize=True)
+@example(case=(10, 33, 33, 32, 35.0))  # the stock train point at q = 33: bound 23.1%
+@given(wrap_points())
+def test_overflow_bound_holds_against_counted_wraps(case):
+    # every row at +half_levels, the margin's own worst case: the share of
+    # rounds in which any coordinate of sum quantized + Z wraps stays within
+    # 5 binomial standard errors of the plan's bound
+    plan = wrap_plan(*case)
+    rows = np.full((plan.m, plan.d_pad), plan.spec.half_levels)
+    wrapped, _, _ = wire_stage_wraps(plan, rows, WRAP_ROUNDS, np.random.default_rng(list(case[:4])))
+    bound = plan.overflow_probability
+    assert wrapped.mean() <= bound + 5 * math.sqrt(bound * (1 - bound) / WRAP_ROUNDS)
+
+
+def test_a_round_without_a_wrap_recovers_the_integer_sum_exactly():
+    # at the stock train point with q = 33 about one round in ten wraps;
+    # every other round recovers sum quantized + Z, and a wrapped one its
+    # residue in the wire group
+    plan = wrap_plan(10, 33, 33, 32, 35.0)
+    rows = np.full((plan.m, plan.d_pad), plan.spec.half_levels)
+    wrapped, sums, recovered = wire_stage_wraps(plan, rows, WRAP_ROUNDS, np.random.default_rng(21))
+    assert 0 < wrapped.sum() < WRAP_ROUNDS
+    np.testing.assert_array_equal(recovered[~wrapped], sums[~wrapped])
+    np.testing.assert_array_equal(recovered, centered(sums, plan.wire_q))
+    assert not np.array_equal(recovered[wrapped], sums[wrapped])
 
 
 def test_a_plan_draws_its_task_once_on_first_use(monkeypatch):
@@ -347,7 +405,6 @@ def test_non_iid_split_runs():
 
 def test_transcript_byte_counts():
     from latticefl.bounds import ceil_log2
-    from latticefl.secagg import wire_modulus
 
     cfg = small_cfg(rounds=1)
     plan = make_plan(cfg)
@@ -370,7 +427,7 @@ def test_reported_bytes_match_the_wire_group(monkeypatch, m, dim, q):
     bits = ceil_log2(plan.wire_q)
     assert tr.payload_bytes_per_client == -(-plan.d_pad * bits // 8)
     (sent,) = wire
-    assert sent.clients == tr.clients and sent.payloads.shape == (m, plan.d_pad)
+    assert sent.payloads.shape == (len(tr.clients), plan.d_pad) == (m, plan.d_pad)
     # a payload is a uint32 residue of the wire group, so it fits in bits bits
     assert sent.payloads.dtype == np.uint32 and sent.payloads.max() < plan.wire_q == 1 << bits
 
@@ -431,7 +488,7 @@ def test_payload_table_layout(tmp_path, monkeypatch):
     wire = record_wire(monkeypatch)
     _, transcripts, _ = run_training(small_cfg(rounds=1))
     path = tmp_path / "payloads.csv"
-    write_payload_csv(wire, path)
+    write_payload_csv(wire, transcripts, path)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     plan = make_plan(small_cfg(rounds=1))
     assert len(rows) == plan.m * plan.d_pad
@@ -446,7 +503,7 @@ def test_payload_csv_dump(tmp_path, monkeypatch):
     wire = record_wire(monkeypatch)
     _, transcripts, _ = run_training(small_cfg(rounds=2))
     path = tmp_path / "payloads.csv"
-    write_payload_csv(wire, path)
+    write_payload_csv(wire, transcripts, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "round,client,coordinate,payload_int"
     assert len(lines) == 1 + sum(sent.payloads.size for sent in wire)
@@ -476,7 +533,7 @@ def test_aggregation_unbiased_without_noise():
     for t in range(trials):
         uniforms = np.stack([np.random.default_rng((t, r)).random(rs.d_pad) for r in range(m)])
         quantized = compress.quantize(rotated, spec, uniforms)
-        agg, _ = secagg.aggregate_round(quantized, noise, list(range(m)), None, spec)
+        agg, _ = secagg.aggregate_round(quantized, noise, None, spec)
         estimates[t] = compress.unrotate(agg, rs, d)
     mean_est = estimates.mean(axis=0)
     se = estimates.std(axis=0, ddof=1) / math.sqrt(trials)
