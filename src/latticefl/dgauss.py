@@ -2,8 +2,9 @@
 
 The distribution puts mass proportional to ``exp(-x^2 / (2 sigma^2))`` on
 each lattice point ``x``.  Internally everything is computed on the
-integer lattice with the per-step scale ``sigma_units = sigma / step``;
-the public class converts at the boundary.
+integer lattice with the per-step scale ``sigma_units = sigma / step``:
+draws take ``sigma_units``, and the class holds the variance and tail
+bounds of the law at a real ``sigma`` on a lattice.
 
 The sampler is exact: rejection from a two-sided discrete-Laplace
 proposal, never a rounded continuous Gaussian (rounding would change the
@@ -191,10 +192,6 @@ class DiscreteGaussian:
     @property
     def sigma_units(self) -> float:
         return self.spec.sigma_units(self.sigma)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` exact samples in lattice steps."""
-        return sample_integer_gaussian(self.sigma_units, rng, size)
 
     def variance_upper_bound(self) -> float:
         """Closed-form upper bound on the variance, in real units.

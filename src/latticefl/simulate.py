@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bounds, compress, secagg, streams
 from .accountant import AccountantState
-from .dgauss import DiscreteGaussian, check_sigma_units
+from .dgauss import DiscreteGaussian, check_sigma_units, sample_integer_gaussian
 from .errors import ConfigError, LatticeflError
 from .lattice import G_MAX_RANGE, LatticeSpec, g_max_in_range
 from .tasks import Task, data_bytes, make_task, model_dim
@@ -136,16 +136,17 @@ class GlobalModel:
 @dataclass
 class RoundTranscript:
     """What one round reports and what the server learns from it; a run
-    keeps one ``d``-vector per round, whatever the number of participants."""
+    keeps one ``d``-vector per round, whatever the number of participants.
+    Only ``run_training`` fills ``loss``, ``accuracy`` and ``epsilon``."""
 
     round_index: int
     clients: tuple[int, ...]
     payload_bytes_per_client: int
     aggregate: np.ndarray  # recovered mean update, original dimension
     round_mse: float  # ||aggregate - mean clipped update||^2
-    loss: float
-    accuracy: float
-    epsilon: float
+    loss: float = math.nan
+    accuracy: float = math.nan
+    epsilon: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,7 @@ def run_round(
 
     if cfg.sigma > 0:
         noise_rng = np.random.default_rng(np.random.SeedSequence([master, _DOM_NOISE, round_index]))
-        noise_z = DiscreteGaussian(cfg.sigma, spec).sample(noise_rng, plan.d_pad)
+        noise_z = sample_integer_gaussian(spec.sigma_units(cfg.sigma), noise_rng, plan.d_pad)
     else:
         noise_z = np.zeros(plan.d_pad, dtype=np.int64)
 
@@ -268,9 +269,6 @@ def run_round(
         payload_bytes_per_client=bounds.payload_bytes_per_client(m, plan.d_pad, cfg.q),
         aggregate=estimate,
         round_mse=float(np.sum((estimate - clipped_mean) ** 2)),
-        loss=math.nan,
-        accuracy=math.nan,
-        epsilon=math.nan,
     )
     return GlobalModel(new_w, round_index), transcript
 

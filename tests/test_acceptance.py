@@ -103,11 +103,11 @@ def test_05_masked_unmasked_equivalence_and_payload_uniformity():
     m, d, q = 5, 16, 1001
     wire_q = wire_modulus(q, m)
     spec = LatticeSpec(g_max=1.0, k=9, q=q)
-    dist = DiscreteGaussian(1.5 * spec.step, spec)
+    sigma_units = spec.sigma_units(1.5 * spec.step)
     mismatches = 0
     pooled = [[] for _ in range(m)]
     for round_seed in range(10**3):
-        noise = dist.sample(rng, d)
+        noise = sample_integer_gaussian(sigma_units, rng, d)
         quantized = np.stack([rng.integers(-4, 5, size=d) for _ in range(m)])
         masked_agg, payloads = aggregate_round(quantized, noise, round_seed, spec)
         plain_agg, plain_payloads = aggregate_round(quantized, noise, None, spec)

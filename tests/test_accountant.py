@@ -23,7 +23,9 @@ from latticefl.lattice import LatticeSpec
 
 from helpers import (
     amplified_at_integer_reference,
+    analytic_gaussian_epsilon,
     epsilon_reference,
+    privacy_profile_epsilon,
     renyi_divergence,
     subsampled_pair_divergence,
 )
@@ -263,6 +265,46 @@ def test_ledger_bounds_the_exact_divergence_of_a_subsampled_pair(sigma_units, sh
     forward, backward = subsampled_pair_divergence(sigma_units, shift, gamma)
     per_round = AccountantState(sigma_units, shift, gamma).per_round
     assert np.all(per_round >= np.maximum(forward, backward) * (1.0 - 1e-9))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    ratio=st.floats(0.8, 8.0),
+    shift=st.integers(1, 4),
+    gamma=st.floats(0.01, 1.0),
+    rounds=st.sampled_from([1, 2, 50]),
+    delta=st.sampled_from([1e-7, 1e-5, 1e-3]),
+)
+# the stock accountant point, and full sampling, where the ledger's only
+# slack is its conversion: 3.686 against the pair's 2.931 at one round
+@example(ratio=1.4, shift=1, gamma=0.1, rounds=50, delta=1e-5)
+@example(ratio=1.4, shift=1, gamma=1.0, rounds=1, delta=1e-5)
+def test_ledger_epsilon_bounds_the_exact_privacy_profile_of_a_subsampled_pair(ratio, shift, gamma, rounds, delta):
+    # The printed epsilon after T rounds, conversion included, is at least
+    # a lower bound on the exact epsilon of a realizable pair of neighbouring
+    # rounds (the pair of the test above, sigma = ratio x shift).  Two mutants fall below
+    # it at full sampling and one round: the conversion's log(1/delta) term
+    # halved (2.68) and the composition one round short (0.05).  At the
+    # stock point, 6.890 against 2.798, the pair leaves a 2.5x gap, so
+    # halving the term there (4.97) passes.  The conversion's own slack hides
+    # smaller cuts, which survive: the term times 0.8, the composition at
+    # 0.9 rounds, and three amplification mutants that the divergence test
+    # above catches order by order (gamma^(j+1), alpha, the pair at gamma^3).
+    sigma_units = ratio * shift
+    spent = AccountantState(sigma_units, shift, gamma).epsilon(delta, rounds)[0]
+    assert spent >= privacy_profile_epsilon(sigma_units, shift, gamma, rounds, delta)
+
+
+@pytest.mark.parametrize("shift", [1, 10])
+@pytest.mark.parametrize("rounds", [1, 50])
+def test_privacy_profile_at_full_sampling_is_the_gaussian_mechanism(shift, rounds):
+    # At gamma = 1 the pair is a discrete Gaussian and its shift, whose
+    # exact profile nears the continuous Gaussian's (Balle and Wang 2018)
+    # as the lattice refines: at sigma / shift = 1.4 it reads 2.931 (shift
+    # 1) and 2.978 (shift 10) against 2.977 after one round, and 33.48
+    # and 33.49 against 33.57 after 50, where the grid's rounding shows.
+    exact = analytic_gaussian_epsilon(math.sqrt(rounds) / 1.4, 1e-5)
+    assert privacy_profile_epsilon(1.4 * shift, shift, 1.0, rounds, 1e-5) == pytest.approx(exact, rel=0.02)
 
 
 def test_epsilon_does_not_rise_as_gamma_falls():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from latticefl import streams
 from latticefl.bounds import ceil_log2
-from latticefl.dgauss import DiscreteGaussian
+from latticefl.dgauss import sample_integer_gaussian
 from latticefl.errors import ConfigError
 from latticefl.lattice import LatticeSpec
 from latticefl.secagg import (
@@ -379,7 +379,7 @@ def test_transcript_replay_reconstructs_noise():
     m, d = 3, 16
     spec = LatticeSpec(g_max=1.0, k=9, q=4001)
     rng = np.random.default_rng(5)
-    noise = DiscreteGaussian(2.0 * spec.step, spec).sample(rng, d)
+    noise = sample_integer_gaussian(spec.sigma_units(2.0 * spec.step), rng, d)
     quantized = np.stack([rng.integers(-4, 5, size=d) for _ in range(m)])
     _, payloads = aggregate_round(quantized, noise, 11, spec)
     agg = server_aggregate(payloads, spec)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import latticefl
 from latticefl import compress, simulate, streams
+from latticefl.dgauss import sample_integer_gaussian
 from latticefl.secagg import wire_modulus
 from latticefl.errors import ConfigError
 from latticefl.simulate import (
@@ -328,6 +329,22 @@ def test_training_is_deterministic(monkeypatch):
     assert len(wire) == 2 * cfg.rounds
     for a, b in zip(wire[: cfg.rounds], wire[cfg.rounds :]):
         np.testing.assert_array_equal(a.payloads, b.payloads)
+
+
+def test_each_round_draws_its_noise_in_lattice_steps_from_its_own_stream(monkeypatch):
+    # Round t draws d_pad integers at sigma / step from the noise domain's
+    # stream for t; at sigma = 2 that is 3.18 steps, so a draw at 2 steps
+    # (sigma taken as lattice units) or from another stream shows.
+    cfg = small_cfg(sigma=2.0)
+    plan = make_plan(cfg)
+    wire = record_wire(monkeypatch)
+    run_training(cfg)
+    assert len(wire) == cfg.rounds
+    for t, round_wire in enumerate(wire, 1):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, simulate._DOM_NOISE, t]))
+        want = sample_integer_gaussian(plan.spec.sigma_units(cfg.sigma), rng, plan.d_pad)
+        assert round_wire.noise_z.tobytes() == want.tobytes()
+        assert np.ptp(want) > 0
 
 
 def test_noiseless_round_tracks_plain_averaging():
