@@ -124,9 +124,12 @@ def amplify_by_subsampling(eps: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def compose(eps: np.ndarray, rounds: int) -> np.ndarray:
-    """Additive composition of ``rounds`` identical mechanisms."""
+    """Additive composition of ``rounds`` identical mechanisms; zero rounds
+    spend nothing, even at orders where ``eps`` is inf."""
     if rounds < 0:
         raise ValueError(f"rounds must be >= 0, got {rounds}")
+    if rounds == 0:
+        return np.zeros_like(eps)
     with np.errstate(over="ignore"):
         return eps * rounds
 

@@ -104,12 +104,15 @@ def cmd_mse_bench(cfg: ExperimentConfig) -> int:
 def cmd_accountant(cfg: ExperimentConfig) -> int:
     p = cfg.accountant_params
     state = AccountantState(sigma=p.sigma, sensitivity=p.sensitivity, gamma=p.gamma)
+    spent = compose(state.per_round, p.rounds)
+    if cfg.out is not None and not np.isfinite(spent).all():
+        raise ConfigError(f"[accountant] sigma = {p.sigma} and clip = {p.clip} over rounds = {p.rounds} "
+                          "spend an RDP curve past the float range, which out cannot hold")
     eps, alpha = state.epsilon(p.delta, p.rounds)
     print(f"epsilon = {format_real(eps)}")
     print(f"alpha_star = {format_real(alpha)}")
     if cfg.out is not None:
         # nothing spent at zero rounds: the header only
-        spent = compose(state.per_round, p.rounds)
         rows = [[format_real(a), format_real(e)] for a, e in zip(ALPHAS, spent)] if p.rounds else []
         _write_csv(cfg.out, ["alpha", "eps"], rows)
     return 0

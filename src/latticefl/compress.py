@@ -5,7 +5,10 @@ The rotation is the randomized Hadamard transform
 ``R = H diag(xi) / sqrt(d_pad)`` with ``xi`` a seed-derived sign vector:
 orthonormal, O(d log d), and reproducible by the server from the shared
 seed alone.  Rotating flattens coordinate magnitudes, which is what lets
-the quantizer run with a small clamp bound ``g_max``.
+the quantizer run with a small clamp bound ``g_max``.  The transform
+works on the stack transposed, one client per column of a ``(d_pad, m)``
+buffer, so each butterfly stage adds and subtracts contiguous runs of
+``h * m`` values rather than ``m * d_pad / 2h`` runs of ``h``.
 
 Every operation acts along the last axis, so a round passes its whole
 ``(m, d)`` stack of client updates at once; a single vector is the
@@ -54,23 +57,25 @@ class RotationSeed:
         return signs
 
 
-def fwht(v: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform along the last axis
-    (length a power of two)."""
-    a = np.array(v, dtype=float, copy=True)
-    n = a.shape[-1]
-    if n & (n - 1):
-        raise ValueError(f"length must be a power of two, got {n}")
-    shape = a.shape
+def _fwht_columns(buf: np.ndarray) -> None:
+    """Unnormalized Walsh-Hadamard transform down the columns of the
+    C-contiguous ``(d_pad, m)`` float array ``buf``, in place.
+
+    Stage ``h`` pairs rows ``i`` and ``i + h`` within each block of ``2h``
+    rows; in this layout each half of a block is one contiguous run of
+    ``h * m`` values, so every ufunc call runs over whole runs.
+    """
+    d_pad, m = buf.shape
+    scratch = np.empty(d_pad * m // 2)
     h = 1
-    while h < n:
-        a = a.reshape(-1, n // (2 * h), 2, h)
-        top = a[:, :, 0, :] + a[:, :, 1, :]
-        bottom = a[:, :, 0, :] - a[:, :, 1, :]
-        a[:, :, 0, :] = top
-        a[:, :, 1, :] = bottom
+    while h < d_pad:
+        pairs = buf.reshape(d_pad // (2 * h), 2, h * m)
+        x, y = pairs[:, 0], pairs[:, 1]
+        total = scratch.reshape(x.shape)
+        np.add(x, y, out=total)
+        np.subtract(x, y, out=y)
+        x[...] = total
         h *= 2
-    return a.reshape(shape)
 
 
 def clip(g: np.ndarray, clip_bound: float) -> np.ndarray:
@@ -108,11 +113,19 @@ def clip(g: np.ndarray, clip_bound: float) -> np.ndarray:
 def rotate(g: np.ndarray, rs: RotationSeed) -> np.ndarray:
     """Zero-pad each row to ``rs.d_pad`` and apply ``H diag(xi) / sqrt(d_pad)``."""
     g = np.asarray(g, dtype=float)
-    if g.shape[-1] > rs.d_pad:
-        raise ValueError(f"vector of length {g.shape[-1]} exceeds d_pad={rs.d_pad}")
-    padded = np.zeros(g.shape[:-1] + (rs.d_pad,))
-    padded[..., : g.shape[-1]] = g
-    return fwht(rs.signs() * padded) / math.sqrt(rs.d_pad)
+    d = g.shape[-1]
+    if d > rs.d_pad:
+        raise ValueError(f"vector of length {d} exceeds d_pad={rs.d_pad}")
+    rows = g.reshape(math.prod(g.shape[:-1]), d)
+    signs = rs.signs()[:, None]
+    buf = np.empty((rs.d_pad, rows.shape[0]))
+    np.multiply(signs[:d], rows.T, out=buf[:d])
+    # the padding's zeros take the signs too: -0.0 where xi is -1
+    np.multiply(signs[d:], 0.0, out=buf[d:])
+    _fwht_columns(buf)
+    out = np.empty((rows.shape[0], rs.d_pad))
+    np.divide(buf.T, math.sqrt(rs.d_pad), out=out)
+    return out.reshape(g.shape[:-1] + (rs.d_pad,))
 
 
 def unrotate(v: np.ndarray, rs: RotationSeed, d: int) -> np.ndarray:
@@ -123,9 +136,13 @@ def unrotate(v: np.ndarray, rs: RotationSeed, d: int) -> np.ndarray:
         raise ValueError(f"expected length {rs.d_pad}, got {v.shape[-1]}")
     if not 1 <= d <= rs.d_pad:
         raise ValueError(f"kept length must be in [1, {rs.d_pad}], got {d}")
-    # the padding's coordinates are dropped before they are scaled, so no
-    # view keeps the d_pad-long transform alive
-    return rs.signs()[:d] * fwht(v)[..., :d] / math.sqrt(rs.d_pad)
+    rows = v.reshape(-1, rs.d_pad)
+    buf = rows.T.copy()
+    _fwht_columns(buf)
+    out = np.empty((rows.shape[0], d))
+    np.multiply(rs.signs()[:d], buf[:d].T, out=out)
+    out /= math.sqrt(rs.d_pad)
+    return out.reshape(v.shape[:-1] + (d,))
 
 
 def quantize(v: np.ndarray, spec: LatticeSpec, uniforms: np.ndarray) -> np.ndarray:

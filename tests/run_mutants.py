@@ -14,6 +14,7 @@ root::
 
     python tests/run_mutants.py                   # every mutant
     python tests/run_mutants.py -k "sampler law"  # names containing the text
+    python tests/run_mutants.py --changed main    # files that differ from main
 """
 
 from __future__ import annotations
@@ -58,12 +59,25 @@ def run(mutant: dict, timeout: float) -> str:
     return {0: "survived", 1: "killed"}.get(done.returncode, f"error (pytest exit {done.returncode})")
 
 
+def changed_files(rev: str) -> set:
+    """Paths, from the repository root, that differ between ``rev`` and
+    the working tree (``git diff --name-only``)."""
+    done = subprocess.run(["git", "diff", "--name-only", rev, "--"], cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    if done.returncode:
+        raise SystemExit(f"git diff --name-only {rev} failed")
+    return set(done.stdout.splitlines())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("-k", default="", help="run only the mutants whose name contains this text")
     parser.add_argument("--timeout", type=float, default=60.0, help="seconds before a run counts as killed, unless the mutant sets its own")
+    parser.add_argument("--changed", metavar="REV", help="run only the mutants whose file differs from this git revision")
     args = parser.parse_args(argv)
     mutants = [m for m in json.loads(MUTANTS.read_text()) if args.k in m["name"]]
+    if args.changed:
+        changed = changed_files(args.changed)
+        mutants = [m for m in mutants if m["file"] in changed]
     started, failures = time.perf_counter(), 0
     for mutant in mutants:
         begun = time.perf_counter()

@@ -156,6 +156,8 @@ def test_amplify_never_hurts_at_small_gamma():
 
 def test_compose_zero_rounds():
     assert np.all(compose(base_curve(1.0, 1.0), 0) == 0.0)
+    # an order past the float range spends nothing either, not inf * 0 = NaN
+    assert np.all(compose(np.array([1.0, np.inf]), 0) == 0.0)
 
 
 def test_compose_additivity():

@@ -510,6 +510,29 @@ def test_accountant_curve_past_the_float_range_warns_nothing(tmp_path, capsys, c
     assert epsilon < float("inf") if finite else epsilon == float("inf")
 
 
+def test_accountant_curve_past_the_float_range_is_not_written(tmp_path, capsys):
+    # the composed curve is inf at high orders: printed epsilon stays finite,
+    # but the file of the whole curve would hold inf, so --out exits 2 first
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(Path(__file__).resolve().parent.parent / "configs" / "accountant.cfg")
+    parser["accountant"]["sigma"] = "1.0"
+    parser["accountant"]["clip"] = "2e152"
+    cfg = tmp_path / "acct.cfg"
+    with open(cfg, "w") as fh:
+        parser.write(fh)
+    out = tmp_path / "curve.csv"
+    assert main(["accountant", "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: [accountant] sigma = 1.0 and clip = 2e+152 over rounds = 50 ")
+    parser["accountant"]["rounds"] = "0"  # zero rounds spend nothing at every order
+    with open(cfg, "w") as fh:
+        parser.write(fh)
+    assert main(["accountant", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "epsilon = 0\nalpha_star = inf\n"
+    assert out.read_text().splitlines() == ["alpha,eps"]
+
+
 def test_accountant_doubling_rounds_ratio(tmp_path, capsys):
     def eps_at(rounds):
         cfg = write_cfg(

@@ -11,7 +11,6 @@ from latticefl.compress import (
     RotationSeed,
     clip,
     default_g_max,
-    fwht,
     padded_dim,
     quantize,
     rotate,
@@ -21,7 +20,7 @@ from latticefl.compress import (
 from latticefl.errors import NonFiniteInput
 from latticefl.lattice import LatticeSpec
 
-from helpers import fwht_reference, rotate_reference, unrotate_reference
+from helpers import rotate_reference, unrotate_reference
 
 
 def explicit_hadamard(n: int) -> np.ndarray:
@@ -31,23 +30,31 @@ def explicit_hadamard(n: int) -> np.ndarray:
     return H
 
 
-def test_fwht_matches_explicit_matrix():
+def rotation_matrix(rs: RotationSeed) -> np.ndarray:
+    """``H diag(xi) / sqrt(d_pad)``, written out."""
+    return explicit_hadamard(rs.d_pad) * rs.signs() / math.sqrt(rs.d_pad)
+
+
+def test_rotation_matches_explicit_matrix():
     rng = np.random.default_rng(0)
-    for n in (1, 2, 4, 32):
-        v = rng.normal(size=n)
-        np.testing.assert_allclose(fwht(v), explicit_hadamard(n) @ v, atol=1e-10)
+    for d, d_pad in ((1, 1), (2, 2), (3, 4), (4, 4), (20, 32), (32, 32)):
+        rs = RotationSeed(d, d_pad)
+        R = rotation_matrix(rs)
+        x = rng.normal(size=d)
+        np.testing.assert_allclose(rotate(x, rs), R @ np.pad(x, (0, d_pad - d)), atol=1e-10)
+        v = rng.normal(size=d_pad)
+        np.testing.assert_allclose(unrotate(v, rs, d), (R.T @ v)[:d], atol=1e-10)
 
 
-def test_fwht_of_a_stack_matches_explicit_matrix():
+def test_rotation_of_a_stack_matches_explicit_matrix():
     rng = np.random.default_rng(20)
-    for m, n in ((1, 1), (3, 2), (5, 64), (40, 256)):
-        V = rng.normal(size=(m, n))
-        np.testing.assert_allclose(fwht(V), V @ explicit_hadamard(n), atol=1e-9)
-
-
-def test_fwht_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        fwht(np.zeros(6))
+    for m, d, d_pad in ((1, 1, 1), (3, 2, 2), (5, 50, 64), (40, 256, 256), (40, 130, 256)):
+        rs = RotationSeed(m, d_pad)
+        R = rotation_matrix(rs)
+        X = rng.normal(size=(m, d))
+        np.testing.assert_allclose(rotate(X, rs), np.pad(X, ((0, 0), (0, d_pad - d))) @ R.T, atol=1e-9)
+        V = rng.normal(size=(m, d_pad))
+        np.testing.assert_allclose(unrotate(V, rs, d), (V @ R)[:, :d], atol=1e-9)
 
 
 def test_padded_dim():
@@ -262,7 +269,7 @@ def rotation_cases(draw):
     count, and the rotation seed."""
     d_pad = 1 << draw(st.integers(0, 11))
     d = draw(st.one_of(st.sampled_from([d_pad, d_pad // 2 + 1]), st.integers(1, d_pad)))
-    lead = draw(st.sampled_from([(), (1,), (3,), (40,), (2, 3), (3, 1, 2), (1, 33)]))
+    lead = draw(st.sampled_from([(), (1,), (3,), (40,), (200,), (2, 3), (3, 1, 2), (1, 33)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=lead + (d,)) * 10.0 ** rng.integers(-3, 4, size=lead + (1,))
     x[rng.random(lead) < 0.3] = 0.0
@@ -279,18 +286,32 @@ def test_rotation_and_transform_equal_the_reference_bit_for_bit(case):
     rotated = rotate(x, rs)
     assert rotated.shape == x.shape[:-1] + (rs.d_pad,)
     assert rotated.tobytes() == rotate_reference(x, rs).tobytes()
-    assert fwht(rotated).tobytes() == fwht_reference(rotated).tobytes()
     for kept in {d, rs.d_pad}:
         back = unrotate(rotated, rs, kept)
         assert back.shape == x.shape[:-1] + (kept,)
         assert back.tobytes() == unrotate_reference(rotated, rs, kept).tobytes()
 
 
-def test_fwht_leaves_its_input_alone_and_takes_any_layout():
-    V = np.random.default_rng(21).normal(size=(256, 6))
-    before = V.copy()
-    assert fwht(V.T).tobytes() == fwht_reference(V.T).tobytes()
-    np.testing.assert_array_equal(V, before)
+def test_rotation_leaves_its_input_alone_and_takes_any_layout():
+    # a (1, d) row's transpose is already contiguous, so a transform that
+    # took it without a copy would butterfly the caller's array
+    rng = np.random.default_rng(21)
+    rs, d = RotationSeed(21, 256), 200
+    for lead in ((), (1,), (6,), (0,)):
+        x = rng.normal(size=lead + (d,))
+        v = rng.normal(size=lead + (rs.d_pad,))
+        if lead == (6,):
+            x, v = np.asfortranarray(x), np.asfortranarray(v)
+        x_before, v_before = x.copy(), v.copy()
+        rotated = rotate(x, rs)
+        assert rotated.tobytes() == rotate_reference(x, rs).tobytes()
+        assert rotated.flags.c_contiguous
+        assert x.tobytes() == x_before.tobytes()
+        for kept in (d, rs.d_pad):
+            back = unrotate(v, rs, kept)
+            assert back.tobytes() == unrotate_reference(v, rs, kept).tobytes()
+            assert back.flags.c_contiguous
+            assert v.tobytes() == v_before.tobytes()
 
 
 def test_unrotate_keeps_between_one_and_d_pad_coordinates():

@@ -559,6 +559,10 @@ def stock_edits(draw):
 @example(case=("train.cfg", [(("protocol", "n"), BIG)]))
 @example(case=("accountant.cfg", [(("accountant", "delta"), "1e-310")]))
 @example(case=("train.cfg", [(("protocol", "delta"), "1e-310")]))
+# a finite per-round rate whose spent curve leaves the float range, written
+# as inf; and zero rounds of it, which composed to NaN with a RuntimeWarning
+@example(case=("accountant.cfg", [(("accountant", "clip"), "1e154")]))
+@example(case=("accountant.cfg", [(("accountant", "clip"), "1e154"), (("accountant", "rounds"), "0")]))
 def test_edited_stock_configs_exit_0_or_2_with_one_error_line(tmp_path_factory, case):
     # no exception or RuntimeWarning (the suite's filter makes it an error)
     # escapes, and an accepted run writes only finite reals

@@ -28,3 +28,14 @@ def test_each_mutant_applies_once_and_names_collected_tests():
         assert (ROOT / mutant["file"]).read_text().count(mutant["snippet"]) == 1, mutant["name"]
         assert mutant["replacement"] != mutant["snippet"], mutant["name"]
         assert mutant["tests"] and all(map(collected, mutant["tests"])), mutant["name"]
+
+
+def test_changed_runs_only_the_mutants_of_the_files_that_differ(monkeypatch):
+    import run_mutants
+
+    ran = []
+    monkeypatch.setattr(run_mutants, "changed_files", lambda rev: {"src/latticefl/compress.py"} if rev == "REV" else set())
+    monkeypatch.setattr(run_mutants, "run", lambda mutant, timeout: ran.append(mutant["name"]) or "killed")
+    assert run_mutants.main(["--changed", "REV"]) == 0
+    assert ran == [mutant["name"] for mutant in MUTANTS if mutant["file"] == "src/latticefl/compress.py"]
+    assert len(ran) >= 5
