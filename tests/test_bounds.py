@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import log_ndtr
 
 from latticefl import bounds, secagg, streams
-from latticefl.bounds import (
-    ceil_log2,
-    empirical_mse,
-    empirical_mse_bytes,
-    mse_bound,
-    payload_bytes_per_client,
-)
+from latticefl.bounds import ceil_log2, empirical_mse, empirical_mse_bytes, mse_bound
 from latticefl.config import MseGrid
 from latticefl.dgauss import DiscreteGaussian
 from latticefl.errors import HypothesisViolated
@@ -330,25 +324,8 @@ def test_empirical_mse_frees_each_chunk_before_the_next():
     assert peaks[1] <= peaks[0] + updates.nbytes
 
 
-def test_comm_cost_reference_point():
-    # 100 coordinates of ceil(log2(10 * 255 + 1)) = 12 bits: 1200 bits
-    assert payload_bytes_per_client(10, 100, 255) == 150
-
-
-def test_comm_cost_unit_group():
-    # ceil(log2(2)) = 1 bit per coordinate
-    assert payload_bytes_per_client(1, 8, 1) == 1
-    assert payload_bytes_per_client(1, 9, 1) == 2
-
-
-def test_payload_bytes_round_up():
-    assert payload_bytes_per_client(10, 100, 255) == 150  # 1200 bits
-    assert payload_bytes_per_client(1, 3, 1) == 1  # 3 bits -> 1 byte
-
-
 def test_comm_cost_validation():
-    with pytest.raises(ValueError):
-        payload_bytes_per_client(0, 10, 101)
+    # the bits a payload coordinate takes
     assert [ceil_log2(v) for v in (1, 2, 3, 4, 5, 1 << 32, (1 << 32) + 1)] == [0, 1, 2, 2, 3, 32, 33]
     with pytest.raises(ValueError, match="need a positive integer, got 0"):
         ceil_log2(0)

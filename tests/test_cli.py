@@ -643,12 +643,18 @@ trials = 20
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def assert_rejected_before_running(tmp_path, capsys, key, value):
-    """One [protocol] key of the stock train config edited: exit 2 with one
-    error line naming the key, and no output written."""
+def no_task(*args, **kwargs):
+    raise AssertionError("task data drawn for a rejected config")
+
+
+def assert_rejected_before_running(tmp_path, capsys, edits, named=None):
+    """The stock train config with ``edits`` to its [protocol] keys: exit 2
+    with one error line naming ``named`` (by default the one edited key),
+    and no output written."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read(Path(__file__).resolve().parent.parent / "configs" / "train.cfg")
-    parser["protocol"][key] = value
+    parser["protocol"].update(edits)
+    (key,) = [named] if named else edits
     cfg = tmp_path / "bad.cfg"
     with open(cfg, "w") as fh:
         parser.write(fh)
@@ -665,7 +671,7 @@ def assert_rejected_before_running(tmp_path, capsys, key, value):
     [("learning_rate", "nan"), ("clip", "inf"), ("clip", "nan"), ("sigma", "inf"), ("g_max", "nan")],
 )
 def test_non_finite_protocol_value_rejected(tmp_path, capsys, key, value):
-    assert_rejected_before_running(tmp_path, capsys, key, value)
+    assert_rejected_before_running(tmp_path, capsys, {key: value})
 
 
 @pytest.mark.parametrize(
@@ -698,11 +704,8 @@ def test_out_of_range_protocol_value_rejected(tmp_path, capsys, monkeypatch, key
     # rejected when the file is read, before any task data is drawn: n = 1e9
     # would need 149 GiB, and the task, the lattice (k odd, q >= k, g_max in
     # range) and the wire group (10 q below 2**32) are checked there too
-    def no_task(*args, **kwargs):
-        raise AssertionError("task data drawn for a rejected config")
-
     monkeypatch.setattr(simulate, "make_task", no_task)
-    line = assert_rejected_before_running(tmp_path, capsys, key, value)
+    line = assert_rejected_before_running(tmp_path, capsys, {key: value})
     assert line.startswith("error: [protocol] "), line
     with pytest.raises(ConfigError) as info:
         load_config(tmp_path / "bad.cfg")
@@ -711,6 +714,24 @@ def test_out_of_range_protocol_value_rejected(tmp_path, capsys, monkeypatch, key
         assert f"above the budget of {simulate.LOCAL_WORK_BUDGET:.0e} point-coordinate steps" in line
     if key == "clip":  # the stock file leaves g_max = auto
         assert line.startswith("error: [protocol] g_max = auto derives ") and f" from clip = {float(value):g}," in line
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {"clip": "1e200", "sigma": "1e-100", "g_max": "1.0"},  # a finite sensitivity, 2.35e+200, over sigma
+        {"clip": "1e308", "g_max": "1.0"},  # the sensitivity 2 (clip + sqrt(32) clip / 32) is itself inf
+    ],
+)
+def test_a_ledger_rate_past_the_float_range_rejected(tmp_path, capsys, monkeypatch, edits):
+    # the per-round rate sensitivity**2 / (2 sigma**2) leaves the float range:
+    # rejected when the file is read, naming [protocol], before any draw
+    monkeypatch.setattr(simulate, "make_task", no_task)
+    line = assert_rejected_before_running(tmp_path, capsys, edits, named="sigma")
+    assert line.startswith("error: [protocol] sigma = ") and "per-round rate" in line, line
+    with pytest.raises(ConfigError) as info:
+        load_config(tmp_path / "bad.cfg")
+    assert f"error: {info.value}" == line
 
 
 def test_non_finite_model_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):

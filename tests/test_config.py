@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latticefl import bounds, cli, simulate
+from latticefl.accountant import AccountantState, compose
 from latticefl.cli import main
 from latticefl.compress import padded_dim
 from latticefl.config import (
@@ -456,16 +457,22 @@ def is_finite_real(cell: str) -> bool:
 
 def written_reals(command: str, cfg: ExperimentConfig, stdout: str) -> list:
     """The real cells a run printed or wrote, less the documented non-finite
-    ones: epsilon at sigma = 0, the bound of a ``hypothesis`` cell, and
-    alpha_star at zero rounds."""
+    ones: epsilon at sigma = 0, the bound of a ``hypothesis`` cell,
+    alpha_star at zero rounds, and the epsilon an accountant run without out
+    prints when no order of its composed curve stays finite."""
     written = [] if cfg.out is None else Path(cfg.out).read_text().splitlines()
     if command == "sample":
         return written or stdout.splitlines()
     rows = [line.split(",") for line in written[1:]]
     if command == "accountant":
         printed = dict(line.split(" = ") for line in stdout.splitlines())
-        if cfg.accountant_params.rounds == 0:
+        p = cfg.accountant_params
+        if p.rounds == 0:
             assert printed.pop("alpha_star") == "inf"
+        elif printed["epsilon"] == "inf":
+            state = AccountantState(p.sigma, p.sensitivity, p.gamma)
+            assert cfg.out is None and not np.isfinite(compose(state.per_round, p.rounds)).any()
+            del printed["epsilon"]
         return list(printed.values()) + [cell for row in rows for cell in row]
     cells = []
     for row in rows:
@@ -477,6 +484,20 @@ def written_reals(command: str, cfg: ExperimentConfig, stdout: str) -> list:
                 assert row.pop(9) == "nan"  # bound
         cells += row
     return cells
+
+
+def test_an_accountant_curve_past_the_float_range_prints_no_undocumented_non_finite_real(tmp_path, capsys):
+    # stock accountant.cfg with clip = 1e154: every order of the composed curve is inf
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(CONFIGS / "accountant.cfg")
+    parser["accountant"]["clip"] = "1e154"
+    config = tmp_path / "acct.cfg"
+    with open(config, "w") as fh:
+        parser.write(fh)
+    assert main(["accountant", "--config", str(config)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.startswith("epsilon = inf\n")
+    assert all(map(is_finite_real, written_reals("accountant", load_config(config), stdout)))
 
 
 @pytest.mark.parametrize("name, section, key", fuzz_cases())

@@ -34,6 +34,8 @@ def test_wire_modulus_is_the_power_of_two_above_m_q():
         assert w & (w - 1) == 0 and w // 2 <= m * q < w
     with pytest.raises(ValueError):
         wire_modulus(8, 2)
+    with pytest.raises(ValueError, match="participant count"):
+        wire_modulus(101, 0)
 
 
 def test_wire_modulus_stays_below_2_32():

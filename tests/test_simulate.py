@@ -420,36 +420,42 @@ def test_non_iid_split_runs():
     assert np.isfinite(transcripts[-1].loss)
 
 
-def test_transcript_byte_counts():
+def test_transcript_byte_counts(tmp_path):
+    # every row train writes reports d_pad coordinates of ceil(log2(m q + 1)) bits, in whole bytes
     from latticefl.bounds import ceil_log2
+    from latticefl.cli import cmd_train
+    from latticefl.config import ExperimentConfig
 
-    cfg = small_cfg(rounds=1)
+    cfg = small_cfg(rounds=2)
+    out = tmp_path / "train.csv"
+    assert cmd_train(ExperimentConfig(mode="train", seed=cfg.seed, out=str(out), round_config=cfg), False) == 0
     plan = make_plan(cfg)
-    _, transcripts, _ = run_training(cfg)
-    tr = transcripts[0]
-    per_client_bits = plan.d_pad * ceil_log2(wire_modulus(cfg.q, plan.m))
-    assert tr.payload_bytes_per_client == -(-per_client_bits // 8)
+    header, *rows = (line.split(",") for line in out.read_text().splitlines())
+    column = header.index("bytes_per_client")
+    per_client_bits = plan.d_pad * ceil_log2(plan.m * cfg.q + 1)
+    assert [row[column] for row in rows] == [str(-(-per_client_bits // 8))] * cfg.rounds
 
 
-@pytest.mark.parametrize("m, dim, q", [(1, 8, 9), (7, 8, 3001), (10, 1000, 4097), (200, 20, 4097)])
+# (1, 2, 5): d_pad 2 of 3 bits, a payload that ends inside its byte
+@pytest.mark.parametrize("m, dim, q", [(1, 8, 9), (7, 8, 3001), (10, 1000, 4097), (200, 20, 4097), (1, 2, 5)])
 def test_reported_bytes_match_the_wire_group(monkeypatch, m, dim, q):
     # the reported per-client upload is exactly what the payloads need
     from latticefl.bounds import ceil_log2
 
-    cfg = small_cfg(n=m, gamma=1.0, rounds=1, dim=dim, q=q, samples_per_client=2)
+    cfg = small_cfg(n=m, gamma=1.0, rounds=1, dim=dim, k=min(9, q), q=q, samples_per_client=2)
     plan = make_plan(cfg)
     model = GlobalModel(plan.task.init_weights(), 0)
     wire = record_wire(monkeypatch)
     _, tr = run_round(model, plan, 1)
     bits = ceil_log2(plan.wire_q)
-    assert tr.payload_bytes_per_client == -(-plan.d_pad * bits // 8)
+    assert plan.payload_bytes == math.ceil(plan.d_pad * bits / 8)
     (sent,) = wire
     assert sent.payloads.shape == (len(tr.clients), plan.d_pad) == (m, plan.d_pad)
     # a payload is a uint32 residue of the wire group, so it fits in bits bits
     assert sent.payloads.dtype == np.uint32 and sent.payloads.max() < plan.wire_q == 1 << bits
 
 
-@pytest.mark.parametrize("run", ["stock-train", "cohort-round"])
+@pytest.mark.parametrize("run", ["stock-train", "cohort-round", "partial-byte-round"])
 def test_encoded_payload_rows_take_the_reported_bytes(monkeypatch, run):
     # the reported per-client upload is what a b-bit encoding of the
     # payloads takes, and the server needs nothing the encoding drops
@@ -459,7 +465,12 @@ def test_encoded_payload_rows_take_the_reported_bytes(monkeypatch, run):
     from latticefl.secagg import server_aggregate
 
     configs = Path(__file__).resolve().parent.parent / "configs"
-    cfg = load_config(configs / "train.cfg").round_config if run == "stock-train" else cohort_cfg()
+    if run == "stock-train":
+        cfg = load_config(configs / "train.cfg").round_config
+    elif run == "cohort-round":
+        cfg = cohort_cfg()
+    else:  # m = 2, d_pad 4 of 5 bits: 20 bits in 3 bytes
+        cfg = small_cfg(n=2, gamma=1.0, rounds=1, dim=4, q=9)
     plan = make_plan(cfg)
     wire = record_wire(monkeypatch)
     if run == "stock-train":
@@ -470,7 +481,7 @@ def test_encoded_payload_rows_take_the_reported_bytes(monkeypatch, run):
     assert len(wire) == len(transcripts) == cfg.rounds
     for sent, tr in zip(wire, transcripts):
         encoded = encode_payloads(sent.payloads, bits)
-        assert encoded.dtype == np.uint8 and encoded.shape == (plan.m, tr.payload_bytes_per_client)
+        assert encoded.dtype == np.uint8 and encoded.shape == (plan.m, plan.payload_bytes)
         decoded = decode_payloads(encoded, bits, plan.d_pad)
         assert decoded.dtype == np.uint32 and decoded.tobytes() == sent.payloads.tobytes()
         estimate = compress.unrotate(server_aggregate(decoded, plan.spec), plan.rotation, plan.d)
